@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
+.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store staticcheck govulncheck ci clean
 
 all: build
 
@@ -24,8 +24,8 @@ test:
 # float32 sampler (DESIGN.md §11) — plus the columnar trace store and
 # the webapi artifact cache layered on it (DESIGN.md §13) and the
 # distributed chunk queue with its worker-kill golden test (DESIGN.md §14).
-# internal/trace covers the template-based egress encoders (NetFlow v9,
-# IPFIX) alongside the legacy formats.
+# internal/trace covers the egress format table: every format's
+# streaming writer and reader (CSV, pcap, NetFlow v5/v9, IPFIX).
 test-race:
 	$(GO) test -race ./internal/mat/... ./internal/dgan/... ./internal/core/... \
 		./internal/orchestrator/... ./internal/privacy/... ./internal/ip2vec/... \
@@ -107,12 +107,15 @@ test-conditional:
 
 # Columnar trace store (DESIGN.md §13): the block/column codecs, the
 # golden CSV round-trip, the corruption matrix, time-partition pruning,
-# and the query layer, plus the registry/webapi/ingest integrations.
+# and the query layer, plus the registry/webapi/ingest integrations, the
+# one-time migration of legacy flat-CSV job payloads, and the egress
+# format table the store's downloads are encoded through.
 test-store:
 	$(GO) test ./internal/store/...
-	$(GO) test ./internal/registry -run 'Store|Sweep'
+	$(GO) test ./internal/registry -run 'Store|Sweep|Migrat'
 	$(GO) test ./internal/webapi -run 'TraceQuery|ColumnarStore|EncodedDownload|ArtifactLRU|QueryWithout'
 	$(GO) test ./internal/ingest -run TestWriteStore
+	$(GO) test ./internal/trace -run 'TestStreamingEncodersMatchBatch|TestLookupFormat'
 
 # Full paper-evaluation benchmark suite (slow).
 bench:
@@ -131,12 +134,6 @@ bench-generate:
 # recorded to BENCH_store.json.
 bench-store:
 	$(GO) run ./cmd/benchpar -suite store -out BENCH_store.json
-
-# Labeled-vs-unlabeled generate overhead. The flow_generate_labeled_2000
-# comparison lives in the generate suite so the number lands in
-# BENCH_generate.json next to the rest of the pipeline timings.
-bench-conditional:
-	$(GO) run ./cmd/benchpar -suite generate -out BENCH_generate.json
 
 # Static analysis and vulnerability scanning. Both tools are optional:
 # the targets run them when installed and skip with a notice otherwise,

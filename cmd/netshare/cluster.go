@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // clusterOpts carries the CLI flags the distributed roles need.
@@ -45,7 +46,7 @@ type clusterOpts struct {
 	maxRetry int
 	genSize  int
 	outPath  string
-	format   string
+	format   trace.Format
 	ipBase   string
 }
 
@@ -115,22 +116,20 @@ func runCoordinator(o clusterOpts) error {
 			}
 			core.TransformIPs(gen, base, bits)
 		}
-		if err := writeFlow(o.outPath, gen, o.format); err != nil {
+		if err := writeTrace(o.outPath, o.format, gen); err != nil {
 			return err
 		}
-		log.Printf("wrote %d flow records to %s (%s)", len(gen.Records), o.outPath, o.format)
+		log.Printf("wrote %d flow records to %s (%s)", len(gen.Records), o.outPath, o.format.Name)
 	case "pcap":
 		syn, err := coord.AssemblePacket(spec.ID)
 		if err != nil {
 			return err
 		}
 		gen := syn.Generate(o.genSize)
-		if err := writePacket(o.outPath, gen, o.format); err != nil {
+		if err := writeTrace(o.outPath, o.format, gen); err != nil {
 			return err
 		}
-		log.Printf("wrote %d packets to %s (%s)", len(gen.Packets), o.outPath, o.format)
-	default:
-		return fmt.Errorf("unknown -kind %q (want netflow or pcap)", o.kind)
+		log.Printf("wrote %d packets to %s (%s)", len(gen.Packets), o.outPath, o.format.Name)
 	}
 	return nil
 }

@@ -46,69 +46,82 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("netshare: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run holds the whole CLI body and returns errors instead of calling
 // log.Fatal so the deferred profile writers always flush.
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("netshare", flag.ExitOnError)
 	var (
-		kind      = flag.String("kind", "netflow", "trace kind: netflow or pcap")
-		inPath    = flag.String("in", "", "input trace CSV (mutually exclusive with -dataset)")
-		dataset   = flag.String("dataset", "", "built-in dataset: ugr16|cidds|ton (netflow) or caida|dc|ca (pcap)")
-		records   = flag.Int("records", 2000, "records/packets to synthesize the built-in dataset with")
-		outPath   = flag.String("out", "synthetic.csv", "output CSV path")
-		genSize   = flag.Int("gen", 2000, "records/packets to generate")
-		chunks    = flag.Int("chunks", 5, "number of fixed-time chunks M (1 = NetShare-V0)")
-		seedSteps = flag.Int("seed-steps", 600, "seed-chunk generator steps")
-		ftSteps   = flag.Int("finetune-steps", 150, "fine-tune generator steps per chunk")
-		maxLen    = flag.Int("maxlen", 6, "max sequence length per flow sample")
-		seed      = flag.Int64("seed", 1, "random seed")
-		format    = flag.String("format", "csv", "output format: csv, pcap (packet traces), or netflow5|netflow9|ipfix (flow traces)")
-		cond      = flag.Bool("conditional", false, "train the flow GAN with scenario-label conditioning (flow traces only); the trained model generates per-label slices via -label")
-		labelName = flag.String("label", "", "generate only this scenario label (e.g. dos); requires a flow model trained with -conditional")
-		storeIn   = flag.String("store-in", "", "input columnar trace store directory (mutually exclusive with -in/-dataset)")
-		storeOut  = flag.String("store-out", "", "also write the generated trace as a columnar trace store at this directory")
-		savePath  = flag.String("save", "", "save the trained model to this path")
-		loadPath  = flag.String("load", "", "skip training; load a model saved with -save")
-		regDir    = flag.String("registry", "", "durable model registry directory for -save-model/-load-model")
-		saveName  = flag.String("save-model", "", "store the trained model in -registry under this name")
-		loadName  = flag.String("load-model", "", "skip training; load this named model from -registry")
-		dp        = flag.Bool("dp", false, "train with differential privacy (DP-SGD)")
-		dpNoise   = flag.Float64("epsilon-noise", 0.7, "DP-SGD noise multiplier sigma")
-		dpTarget  = flag.Float64("target-epsilon", 0, "calibrate sigma for this target epsilon (overrides -epsilon-noise)")
-		dpPre     = flag.Bool("dp-pretrain", true, "pre-train on public data before DP fine-tuning")
-		ipBase    = flag.String("ip-transform", "", "optional CIDR-style base (e.g. 10.0.0.0/8) to remap generated IPs into")
-		par       = flag.Int("parallelism", 0, "training worker count (0 = all CPUs, 1 = serial); any value yields bitwise-identical output for a given -seed")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-chunk training checkpoints (empty disables)")
-		resume    = flag.Bool("resume", false, "resume training from -checkpoint-dir, skipping completed chunks")
-		maxRetry  = flag.Int("max-retries", 0, "per-chunk retry budget; past it a fine-tune chunk degrades to the seed weights")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this path on exit")
-		metricsJS = flag.String("metrics-out", "", "write the run's telemetry snapshot (counters, phase timers, per-chunk loss curves) to this JSON path on exit")
+		kind      = fs.String("kind", "netflow", "trace kind: netflow or pcap")
+		inPath    = fs.String("in", "", "input trace CSV (mutually exclusive with -dataset)")
+		dataset   = fs.String("dataset", "", "built-in dataset: ugr16|cidds|ton (netflow) or caida|dc|ca (pcap)")
+		records   = fs.Int("records", 2000, "records/packets to synthesize the built-in dataset with")
+		outPath   = fs.String("out", "synthetic.csv", "output CSV path")
+		genSize   = fs.Int("gen", 2000, "records/packets to generate")
+		chunks    = fs.Int("chunks", 5, "number of fixed-time chunks M (1 = NetShare-V0)")
+		seedSteps = fs.Int("seed-steps", 600, "seed-chunk generator steps")
+		ftSteps   = fs.Int("finetune-steps", 150, "fine-tune generator steps per chunk")
+		maxLen    = fs.Int("maxlen", 6, "max sequence length per flow sample")
+		seed      = fs.Int64("seed", 1, "random seed")
+		format    = fs.String("format", "csv", "output format: csv, pcap (packet traces), or netflow5|netflow9|ipfix (flow traces)")
+		cond      = fs.Bool("conditional", false, "train the flow GAN with scenario-label conditioning (flow traces only); the trained model generates per-label slices via -label")
+		labelName = fs.String("label", "", "generate only this scenario label (e.g. dos); requires a flow model trained with -conditional")
+		storeIn   = fs.String("store-in", "", "input columnar trace store directory (mutually exclusive with -in/-dataset)")
+		storeOut  = fs.String("store-out", "", "also write the generated trace as a columnar trace store at this directory")
+		savePath  = fs.String("save", "", "save the trained model to this path")
+		loadPath  = fs.String("load", "", "skip training; load a model saved with -save")
+		regDir    = fs.String("registry", "", "durable model registry directory for -save-model/-load-model")
+		saveName  = fs.String("save-model", "", "store the trained model in -registry under this name")
+		loadName  = fs.String("load-model", "", "skip training; load this named model from -registry")
+		dp        = fs.Bool("dp", false, "train with differential privacy (DP-SGD)")
+		dpNoise   = fs.Float64("epsilon-noise", 0.7, "DP-SGD noise multiplier sigma")
+		dpTarget  = fs.Float64("target-epsilon", 0, "calibrate sigma for this target epsilon (overrides -epsilon-noise)")
+		dpPre     = fs.Bool("dp-pretrain", true, "pre-train on public data before DP fine-tuning")
+		ipBase    = fs.String("ip-transform", "", "optional CIDR-style base (e.g. 10.0.0.0/8) to remap generated IPs into")
+		par       = fs.Int("parallelism", 0, "training worker count (0 = all CPUs, 1 = serial); any value yields bitwise-identical output for a given -seed")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-chunk training checkpoints (empty disables)")
+		resume    = fs.Bool("resume", false, "resume training from -checkpoint-dir, skipping completed chunks")
+		maxRetry  = fs.Int("max-retries", 0, "per-chunk retry budget; past it a fine-tune chunk degrades to the seed weights")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this path on exit")
+		metricsJS = fs.String("metrics-out", "", "write the run's telemetry snapshot (counters, phase timers, per-chunk loss curves) to this JSON path on exit")
 
-		ingestPCAP  = flag.String("ingest-pcap", "", "train on a pcap capture: stream it through the flow assembler instead of -in/-dataset")
-		ingestWatch = flag.String("ingest-watch", "", "train on a rotating-capture directory: watch it, ingest completed pcap files, stop after -ingest-quiet of silence")
-		ingestQuiet = flag.Duration("ingest-quiet", 2*time.Second, "with -ingest-watch, stop watching after this long without a new completed file")
-		ingMaxFlows = flag.Int("ingest-max-flows", 0, "flow-table bound on live flows (0 = default)")
-		ingMaxPkts  = flag.Int("ingest-max-flow-packets", 0, "flow-table bound on stored packets per flow (0 = default)")
-		ingMaxBuf   = flag.Int("ingest-max-buffered", 0, "flow-table hard bound on total buffered packet records (0 = default)")
-		ingIdle     = flag.Duration("ingest-idle-timeout", 0, "flow idle timeout on the capture clock (0 = default 60s)")
-		ingShards   = flag.Int("ingest-shards", 0, "flow-table shard count for parallel feeding (0 = 1)")
-		ingStore    = flag.String("ingest-store", "", "with -ingest-pcap/-ingest-watch, also persist the assembled real trace as a columnar store at this directory")
+		ingestPCAP  = fs.String("ingest-pcap", "", "train on a pcap capture: stream it through the flow assembler instead of -in/-dataset")
+		ingestWatch = fs.String("ingest-watch", "", "train on a rotating-capture directory: watch it, ingest completed pcap files, stop after -ingest-quiet of silence")
+		ingestQuiet = fs.Duration("ingest-quiet", 2*time.Second, "with -ingest-watch, stop watching after this long without a new completed file")
+		ingMaxFlows = fs.Int("ingest-max-flows", 0, "flow-table bound on live flows (0 = default)")
+		ingMaxPkts  = fs.Int("ingest-max-flow-packets", 0, "flow-table bound on stored packets per flow (0 = default)")
+		ingMaxBuf   = fs.Int("ingest-max-buffered", 0, "flow-table hard bound on total buffered packet records (0 = default)")
+		ingIdle     = fs.Duration("ingest-idle-timeout", 0, "flow idle timeout on the capture clock (0 = default 60s)")
+		ingShards   = fs.Int("ingest-shards", 0, "flow-table shard count for parallel feeding (0 = 1)")
+		ingStore    = fs.String("ingest-store", "", "with -ingest-pcap/-ingest-watch, also persist the assembled real trace as a columnar store at this directory")
 
-		role        = flag.String("role", "standalone", "run mode: standalone, coordinator (submit a cluster job and assemble the result), or worker (lease and train cluster chunks)")
-		clusterDir  = flag.String("cluster", "", "shared cluster queue directory for -role coordinator|worker")
-		jobID       = flag.String("job", "job-1", "cluster job name for -role coordinator")
-		workerID    = flag.String("worker-id", "", "worker name for -role worker (default <hostname>-<pid>)")
-		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "cluster chunk lease duration; a crashed worker's lease is reclaimed after it expires")
-		workerQuiet = flag.Duration("worker-quiet", 0, "with -role worker, exit after this long without acquiring work (0 = run until interrupted)")
-		coordURL    = flag.String("coordinator-url", "", "with -role worker, also register/heartbeat over this coordinator web API")
+		role        = fs.String("role", "standalone", "run mode: standalone, coordinator (submit a cluster job and assemble the result), or worker (lease and train cluster chunks)")
+		clusterDir  = fs.String("cluster", "", "shared cluster queue directory for -role coordinator|worker")
+		jobID       = fs.String("job", "job-1", "cluster job name for -role coordinator")
+		workerID    = fs.String("worker-id", "", "worker name for -role worker (default <hostname>-<pid>)")
+		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "cluster chunk lease duration; a crashed worker's lease is reclaimed after it expires")
+		workerQuiet = fs.Duration("worker-quiet", 0, "with -role worker, exit after this long without acquiring work (0 = run until interrupted)")
+		coordURL    = fs.String("coordinator-url", "", "with -role worker, also register/heartbeat over this coordinator web API")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
+	// The output format is resolved before any work, so a bad -format
+	// fails before training and before -out is created.
+	outKind, ok := trace.ParseKind(*kind)
+	if !ok {
+		return fmt.Errorf("unknown -kind %q (want netflow or pcap)", *kind)
+	}
+	outFmt, err := trace.LookupFormat(*format, outKind)
+	if err != nil {
+		return fmt.Errorf("-format: %w", err)
+	}
 	if *par < 0 {
 		return fmt.Errorf("-parallelism must be >= 0, got %d", *par)
 	}
@@ -225,7 +238,7 @@ func run() error {
 			ttl: *leaseTTL, quiet: *workerQuiet, coordURL: *coordURL,
 			kind: *kind, dataset: *dataset, inPath: *inPath, records: *records,
 			cfg: cfg, maxRetry: *maxRetry, genSize: *genSize,
-			outPath: *outPath, format: *format, ipBase: *ipBase,
+			outPath: *outPath, format: outFmt, ipBase: *ipBase,
 		}
 		switch *role {
 		case "coordinator":
@@ -294,133 +307,137 @@ func run() error {
 		}
 	}
 
-	switch *kind {
-	case "netflow":
-		var syn *core.FlowSynthesizer
-		if *loadName != "" {
-			framed, info, err := reg.ModelBytes(*loadName)
-			if err != nil {
-				return fmt.Errorf("-load-model: %w", err)
-			}
-			if info.Kind != "flow" {
-				return fmt.Errorf("-load-model: %q is a %s model, need flow", *loadName, info.Kind)
-			}
-			if syn, err = core.LoadFlowSynthesizer(bytes.NewReader(framed)); err != nil {
-				return fmt.Errorf("-load-model: %w", err)
-			}
-			syn.SetParallelism(*par)
-			log.Printf("loaded model %q from registry %s", *loadName, *regDir)
-		} else if *loadPath != "" {
-			var err error
-			if syn, err = loadFlowModel(*loadPath); err != nil {
-				return err
-			}
-			syn.SetParallelism(*par)
-			log.Printf("loaded model from %s", *loadPath)
-		} else {
-			real, err := loadFlow(asm, *inPath, *storeIn, *dataset, *records, *seed)
-			if err != nil {
-				return err
-			}
-			if syn, err = core.TrainFlowSynthesizerOpts(real, public, cfg, opts); err != nil {
-				return err
-			}
-			reportStats(syn.Stats())
-		}
-		if *savePath != "" {
-			if err := saveModel(*savePath, syn.Save); err != nil {
-				return err
-			}
-			log.Printf("saved model to %s", *savePath)
-		}
-		if *saveName != "" {
-			if err := putRegistryModel(reg, *saveName, syn.Save); err != nil {
-				return fmt.Errorf("-save-model: %w", err)
-			}
-			log.Printf("stored model %q in registry %s", *saveName, *regDir)
-		}
-		gen, err := generateFlow(syn, *genSize, *labelName)
+	src := modelSource{reg: reg, regDir: *regDir, name: *loadName, path: *loadPath, par: *par}
+	var syn synthesizer
+	var generate func() (trace.Source, int, error)
+	switch outKind {
+	case trace.KindNetFlow:
+		fsyn, err := obtain(src, "flow", core.LoadFlowSynthesizer,
+			func() (*core.FlowSynthesizer, error) {
+				real, err := loadFlow(asm, *inPath, *storeIn, *dataset, *records, *seed)
+				if err != nil {
+					return nil, err
+				}
+				return core.TrainFlowSynthesizerOpts(real, public, cfg, opts)
+			})
 		if err != nil {
 			return err
 		}
-		if *ipBase != "" {
-			base, bits, err := parseCIDR(*ipBase)
+		syn, generate = fsyn, func() (trace.Source, int, error) {
+			gen, err := generateFlow(fsyn, *genSize, *labelName)
 			if err != nil {
-				return err
+				return nil, 0, err
 			}
-			core.TransformIPs(gen, base, bits)
+			if *ipBase != "" {
+				base, bits, err := parseCIDR(*ipBase)
+				if err != nil {
+					return nil, 0, err
+				}
+				core.TransformIPs(gen, base, bits)
+			}
+			return gen, len(gen.Records), nil
 		}
-		if err := writeFlow(*outPath, gen, *format); err != nil {
+	case trace.KindPCAP:
+		psyn, err := obtain(src, "packet", core.LoadPacketSynthesizer,
+			func() (*core.PacketSynthesizer, error) {
+				real, err := loadPacket(asm, *inPath, *storeIn, *dataset, *records, *seed)
+				if err != nil {
+					return nil, err
+				}
+				return core.TrainPacketSynthesizerOpts(real, public, cfg, opts)
+			})
+		if err != nil {
 			return err
 		}
-		log.Printf("wrote %d flow records to %s (%s)", len(gen.Records), *outPath, *format)
-		if *storeOut != "" {
-			if err := store.WriteFlowTrace(*storeOut, gen, store.Options{}); err != nil {
-				return fmt.Errorf("-store-out: %w", err)
-			}
-			log.Printf("wrote columnar store to %s", *storeOut)
+		syn, generate = psyn, func() (trace.Source, int, error) {
+			gen := psyn.Generate(*genSize)
+			return gen, len(gen.Packets), nil
 		}
-
-	case "pcap":
-		var syn *core.PacketSynthesizer
-		if *loadName != "" {
-			framed, info, err := reg.ModelBytes(*loadName)
-			if err != nil {
-				return fmt.Errorf("-load-model: %w", err)
-			}
-			if info.Kind != "packet" {
-				return fmt.Errorf("-load-model: %q is a %s model, need packet", *loadName, info.Kind)
-			}
-			if syn, err = core.LoadPacketSynthesizer(bytes.NewReader(framed)); err != nil {
-				return fmt.Errorf("-load-model: %w", err)
-			}
-			syn.SetParallelism(*par)
-			log.Printf("loaded model %q from registry %s", *loadName, *regDir)
-		} else if *loadPath != "" {
-			var err error
-			if syn, err = loadPacketModel(*loadPath); err != nil {
-				return err
-			}
-			syn.SetParallelism(*par)
-			log.Printf("loaded model from %s", *loadPath)
-		} else {
-			real, err := loadPacket(asm, *inPath, *storeIn, *dataset, *records, *seed)
-			if err != nil {
-				return err
-			}
-			if syn, err = core.TrainPacketSynthesizerOpts(real, public, cfg, opts); err != nil {
-				return err
-			}
-			reportStats(syn.Stats())
-		}
-		if *savePath != "" {
-			if err := saveModel(*savePath, syn.Save); err != nil {
-				return err
-			}
-			log.Printf("saved model to %s", *savePath)
-		}
-		if *saveName != "" {
-			if err := putRegistryModel(reg, *saveName, syn.Save); err != nil {
-				return fmt.Errorf("-save-model: %w", err)
-			}
-			log.Printf("stored model %q in registry %s", *saveName, *regDir)
-		}
-		gen := syn.Generate(*genSize)
-		if err := writePacket(*outPath, gen, *format); err != nil {
+	}
+	if *savePath != "" {
+		if err := saveModel(*savePath, syn.Save); err != nil {
 			return err
 		}
-		log.Printf("wrote %d packets to %s (%s)", len(gen.Packets), *outPath, *format)
-		if *storeOut != "" {
-			if err := store.WritePacketTrace(*storeOut, gen, store.Options{}); err != nil {
-				return fmt.Errorf("-store-out: %w", err)
-			}
-			log.Printf("wrote columnar store to %s", *storeOut)
+		log.Printf("saved model to %s", *savePath)
+	}
+	if *saveName != "" {
+		if err := putRegistryModel(reg, *saveName, syn.Save); err != nil {
+			return fmt.Errorf("-save-model: %w", err)
 		}
-
-	default:
-		return fmt.Errorf("unknown -kind %q (want netflow or pcap)", *kind)
+		log.Printf("stored model %q in registry %s", *saveName, *regDir)
+	}
+	gen, n, err := generate()
+	if err != nil {
+		return err
+	}
+	if err := writeTrace(*outPath, outFmt, gen); err != nil {
+		return err
+	}
+	log.Printf("wrote %d records to %s (%s)", n, *outPath, outFmt.Name)
+	if *storeOut != "" {
+		if _, err := store.Write(*storeOut, gen, store.Options{}); err != nil {
+			return fmt.Errorf("-store-out: %w", err)
+		}
+		log.Printf("wrote columnar store to %s", *storeOut)
 	}
 	return nil
+}
+
+// synthesizer is what the CLI needs of a flow or packet synthesizer
+// beyond generation.
+type synthesizer interface {
+	Save(io.Writer) error
+	SetParallelism(int)
+	Stats() core.Stats
+}
+
+// modelSource is where -load-model (name, from reg) or -load (path)
+// points; with neither set, obtain trains.
+type modelSource struct {
+	reg    *registry.Registry
+	regDir string
+	name   string
+	path   string
+	par    int
+}
+
+// obtain loads the model of kind want ("flow" or "packet") with load, or
+// trains one with train.
+func obtain[S synthesizer](m modelSource, want string, load func(io.Reader) (S, error), train func() (S, error)) (S, error) {
+	var syn, none S
+	switch {
+	case m.name != "":
+		framed, info, err := m.reg.ModelBytes(m.name)
+		if err != nil {
+			return none, fmt.Errorf("-load-model: %w", err)
+		}
+		if info.Kind != want {
+			return none, fmt.Errorf("-load-model: %q is a %s model, need %s", m.name, info.Kind, want)
+		}
+		if syn, err = load(bytes.NewReader(framed)); err != nil {
+			return none, fmt.Errorf("-load-model: %w", err)
+		}
+		log.Printf("loaded model %q from registry %s", m.name, m.regDir)
+	case m.path != "":
+		f, err := os.Open(m.path)
+		if err != nil {
+			return none, err
+		}
+		defer f.Close()
+		if syn, err = load(f); err != nil {
+			return none, err
+		}
+		log.Printf("loaded model from %s", m.path)
+	default:
+		syn, err := train()
+		if err != nil {
+			return none, err
+		}
+		reportStats(syn.Stats())
+		return syn, nil
+	}
+	syn.SetParallelism(m.par)
+	return syn, nil
 }
 
 // trainOptions wires the CLI's fault-tolerance flags into the training
@@ -538,24 +555,17 @@ func loadPacket(asm *ingest.Assembler, inPath, storeIn, dataset string, packets 
 	return t, nil
 }
 
-func writeFlow(path string, t *trace.FlowTrace, format string) error {
-	f, err := os.Create(path)
+// writeTrace encodes src to path in format f.
+func writeTrace(path string, f trace.Format, src trace.Source) error {
+	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch format {
-	case "csv":
-		return trace.WriteFlowCSV(f, t)
-	case "netflow5":
-		return trace.WriteNetFlowV5(f, t)
-	case "netflow9":
-		return trace.WriteNetFlowV9(f, t)
-	case "ipfix":
-		return trace.WriteIPFIX(f, t)
-	default:
-		return fmt.Errorf("format %q not supported for flow traces (want csv, netflow5, netflow9, or ipfix)", format)
+	if err := f.Encode(file, src); err != nil {
+		file.Close()
+		return err
 	}
+	return file.Close()
 }
 
 // generateFlow runs unconditional or scenario-pinned generation per the
@@ -572,22 +582,6 @@ func generateFlow(syn *core.FlowSynthesizer, n int, label string) (*trace.FlowTr
 		return nil, fmt.Errorf("-label: the model was not trained with -conditional")
 	}
 	return syn.GenerateLabeled(n, l)
-}
-
-func writePacket(path string, t *trace.PacketTrace, format string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch format {
-	case "csv":
-		return trace.WritePacketCSV(f, t)
-	case "pcap":
-		return trace.WritePCAP(f, t)
-	default:
-		return fmt.Errorf("format %q not supported for packet traces (want csv or pcap)", format)
-	}
 }
 
 // writeMetrics dumps the global telemetry registry as indented JSON.
@@ -619,24 +613,6 @@ func putRegistryModel(reg *registry.Registry, name string, save func(io.Writer) 
 	}
 	_, err := reg.PutModel(name, buf.Bytes())
 	return err
-}
-
-func loadFlowModel(path string) (*core.FlowSynthesizer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadFlowSynthesizer(f)
-}
-
-func loadPacketModel(path string) (*core.PacketSynthesizer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadPacketSynthesizer(f)
 }
 
 func parseCIDR(s string) (trace.IPv4, int, error) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -33,16 +34,48 @@ func TestWriteFlowFormats(t *testing.T) {
 	dir := t.TempDir()
 	tr := datasets.UGR16(50, 1)
 	for _, format := range []string{"csv", "netflow5", "netflow9", "ipfix"} {
+		f, err := trace.LookupFormat(format, trace.KindNetFlow)
+		if err != nil {
+			t.Fatal(err)
+		}
 		path := filepath.Join(dir, "out."+format)
-		if err := writeFlow(path, tr, format); err != nil {
+		if err := writeTrace(path, f, tr); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Fatalf("%s: empty output", format)
 		}
 	}
-	if err := writeFlow(filepath.Join(dir, "x"), tr, "pcap"); err == nil {
+	pcap, _ := trace.LookupFormat("pcap", trace.KindPCAP)
+	if err := writeTrace(filepath.Join(dir, "x"), pcap, tr); err == nil {
 		t.Fatal("pcap format must be rejected for flows")
+	}
+}
+
+// TestBadFormatFailsBeforeTraining: a -format the trace kind cannot
+// carry fails at flag parsing, before any training and before -out is
+// created, for every role.
+func TestBadFormatFailsBeforeTraining(t *testing.T) {
+	trainPhase := telemetry.Default.Timer("core.train.phase")
+	before := trainPhase.Count()
+	for _, args := range [][]string{
+		{"-kind", "netflow", "-format", "pcap"},
+		{"-kind", "pcap", "-format", "netflow9"},
+		{"-kind", "netflow", "-format", "xml", "-role", "coordinator", "-cluster", t.TempDir()},
+		{"-kind", "netflow", "-format", "xml", "-role", "worker", "-cluster", t.TempDir()},
+	} {
+		out := filepath.Join(t.TempDir(), "syn.out")
+		args = append(args, "-dataset", "ugr16", "-records", "300", "-out", out)
+		err := run(args)
+		if !errors.Is(err, trace.ErrFormat) {
+			t.Fatalf("%v: got %v, want ErrFormat", args, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%v: -out was created: %v", args, err)
+		}
+	}
+	if n := trainPhase.Count() - before; n != 0 {
+		t.Fatalf("%d training phases ran before the -format error", n)
 	}
 }
 
@@ -58,12 +91,16 @@ func TestWritePacketFormats(t *testing.T) {
 	dir := t.TempDir()
 	tr := datasets.CAIDA(50, 1)
 	for _, format := range []string{"csv", "pcap"} {
-		path := filepath.Join(dir, "out."+format)
-		if err := writePacket(path, tr, format); err != nil {
+		f, err := trace.LookupFormat(format, trace.KindPCAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeTrace(filepath.Join(dir, "out."+format), f, tr); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
 	}
-	if err := writePacket(filepath.Join(dir, "x"), tr, "netflow5"); err == nil {
+	nf5, _ := trace.LookupFormat("netflow5", trace.KindNetFlow)
+	if err := writeTrace(filepath.Join(dir, "x"), nf5, tr); err == nil {
 		t.Fatal("netflow5 format must be rejected for packets")
 	}
 }
@@ -82,7 +119,8 @@ func TestLoadFlowInputs(t *testing.T) {
 	// Round trip through a CSV file.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "in.csv")
-	if err := writeFlow(path, tr, "csv"); err != nil {
+	csv, _ := trace.LookupFormat("csv", trace.KindNetFlow)
+	if err := writeTrace(path, csv, tr); err != nil {
 		t.Fatal(err)
 	}
 	back, err := loadFlow(nil, path, "", "", 0, 0)
@@ -134,10 +172,11 @@ func TestLoadStoreInputs(t *testing.T) {
 
 func TestModelSaveLoadHelpers(t *testing.T) {
 	// Error paths only; the happy path is covered by internal/core tests.
-	if _, err := loadFlowModel("/nonexistent/model"); err == nil {
+	missing := modelSource{path: "/nonexistent/model"}
+	if _, err := obtain(missing, "flow", core.LoadFlowSynthesizer, nil); err == nil {
 		t.Fatal("missing file must fail")
 	}
-	if _, err := loadPacketModel("/nonexistent/model"); err == nil {
+	if _, err := obtain(missing, "packet", core.LoadPacketSynthesizer, nil); err == nil {
 		t.Fatal("missing file must fail")
 	}
 	if err := saveModel("/nonexistent/dir/model", func(io.Writer) error { return nil }); err == nil {

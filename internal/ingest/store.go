@@ -2,10 +2,8 @@ package ingest
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Columnar export (DESIGN.md §13): the assembled flows stream straight
@@ -21,21 +19,7 @@ func (a *Assembler) WriteFlowStore(dir string, opt store.Options) (int64, error)
 	if len(t.Records) == 0 {
 		return 0, fmt.Errorf("ingest: no IPv4 flow records to store")
 	}
-	w, err := store.Create(dir, trace.KindNetFlow, opt)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range t.Records {
-		if err := w.AppendFlow(r); err != nil {
-			os.RemoveAll(dir)
-			return 0, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		os.RemoveAll(dir)
-		return 0, err
-	}
-	return w.Rows(), nil
+	return store.Write(dir, t, opt)
 }
 
 // WritePacketStore appends the assembled time-sorted IPv4 packets into
@@ -45,19 +29,5 @@ func (a *Assembler) WritePacketStore(dir string, opt store.Options) (int64, erro
 	if len(t.Packets) == 0 {
 		return 0, fmt.Errorf("ingest: no IPv4 packets to store")
 	}
-	w, err := store.Create(dir, trace.KindPCAP, opt)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range t.Packets {
-		if err := w.AppendPacket(p); err != nil {
-			os.RemoveAll(dir)
-			return 0, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		os.RemoveAll(dir)
-		return 0, err
-	}
-	return w.Rows(), nil
+	return store.Write(dir, t, opt)
 }

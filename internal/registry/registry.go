@@ -8,15 +8,15 @@
 //	models/<name>.mdl    container-framed synthesizer bytes (internal/container)
 //	models/<name>.json   model manifest: kind, payload checksum, size, save time
 //	jobs/<id>.json       terminal job manifest, embedding the service's status JSON
-//	jobs/<id>.trace      container-framed canonical trace payload (CSV bytes)
+//	jobs/<id>.store/     the job's synthetic trace as a columnar store (internal/store)
 //
 // Every file is written atomically with fsync (container.AtomicWrite +
 // container.OSFS), so a crash mid-write can leave a stray *.tmp file but
 // never a half-written entry under its final name. Model payloads carry
-// their own container CRC; trace payloads are framed the same way and
-// additionally cross-checked against the checksum recorded in the job
-// manifest. Corrupt entries surface as typed errors on read and are
-// reclaimed by Sweep, never silently served.
+// their own container CRC, and every store block carries its own.
+// Corrupt entries surface as typed errors on read and are reclaimed by
+// Sweep, never silently served. Sweep also migrates, once, the flat
+// jobs/<id>.trace CSV payloads written before the columnar store.
 package registry
 
 import (
@@ -24,9 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +41,9 @@ const (
 
 	modelExt    = ".mdl"
 	manifestExt = ".json"
-	traceExt    = ".trace"
+	// legacyTraceExt is the pre-store flat payload: container-framed
+	// trace CSV. Only Sweep's one-time migration reads it.
+	legacyTraceExt = ".trace"
 )
 
 // ModelInfo is a stored model's manifest.
@@ -68,14 +70,16 @@ type JobRecord struct {
 	Model string `json:"model,omitempty"`
 	// TraceKind is "netflow" or "pcap" when a trace payload is stored.
 	TraceKind string `json:"traceKind,omitempty"`
-	// TraceChecksum/TraceSize describe the stored trace payload (the
-	// checksum covers the payload inside the container frame).
+	// TraceChecksum is the CRC-32 of a legacy flat CSV payload, checked
+	// by the migration; it is zero for store payloads, whose blocks each
+	// carry their own CRC.
 	TraceChecksum uint32 `json:"traceChecksum,omitempty"`
-	TraceSize     int64  `json:"traceSize,omitempty"`
+	// TraceSize is the payload's size: the store's total on-disk size,
+	// or a legacy payload's CSV byte count.
+	TraceSize int64 `json:"traceSize,omitempty"`
 	// TraceStore marks the payload as a columnar store directory
-	// (jobs/<id>.store, see PutJobStore) rather than a flat framed-CSV
-	// file; TraceSize is then the store's total on-disk size and
-	// TraceChecksum is zero (each block carries its own CRC).
+	// (jobs/<id>.store, see PutJobStore). Manifests without it but with
+	// a TraceSize describe a legacy payload awaiting migration.
 	TraceStore bool   `json:"traceStore,omitempty"`
 	TraceRows  int64  `json:"traceRows,omitempty"`
 	SavedAt    string `json:"savedAt"`
@@ -192,11 +196,8 @@ func (r *Registry) PutModel(name string, framed []byte) (ModelInfo, error) {
 // manifest. The bytes feed straight into core.LoadFlowSynthesizer /
 // LoadPacketSynthesizer.
 func (r *Registry) ModelBytes(name string) ([]byte, ModelInfo, error) {
-	if err := validName(name); err != nil {
-		return nil, ModelInfo{}, err
-	}
-	var info ModelInfo
-	if err := r.readManifest(r.modelManifestPath(name), &info); err != nil {
+	info, err := r.Model(name)
+	if err != nil {
 		return nil, ModelInfo{}, err
 	}
 	framed, err := os.ReadFile(r.modelPath(name))
@@ -215,6 +216,18 @@ func (r *Registry) ModelBytes(name string) ([]byte, ModelInfo, error) {
 	}
 	telModelsLoaded.Inc()
 	return framed, info, nil
+}
+
+// Model returns a stored model's manifest without reading its payload.
+func (r *Registry) Model(name string) (ModelInfo, error) {
+	if err := validName(name); err != nil {
+		return ModelInfo{}, err
+	}
+	var info ModelInfo
+	if err := r.readManifest(r.modelManifestPath(name), &info); err != nil {
+		return ModelInfo{}, err
+	}
+	return info, nil
 }
 
 // Models lists stored models in name order. Entries with unreadable
@@ -247,23 +260,15 @@ func (r *Registry) DeleteModel(name string) error {
 	return removeIfExists(r.modelPath(name))
 }
 
-// PutJob stores a terminal job record and, when tracePayload is non-nil,
-// its canonical trace payload (CSV bytes) as a framed container.
-func (r *Registry) PutJob(rec JobRecord, tracePayload []byte) error {
+// PutJob stores a terminal job record without a trace payload (a failed
+// job); PutJobStore stores one with its trace.
+func (r *Registry) PutJob(rec JobRecord) error {
 	if err := validName(rec.ID); err != nil {
 		return err
 	}
 	rec.SavedAt = r.now().UTC().Format(time.RFC3339)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if tracePayload != nil {
-		rec.TraceChecksum = crc32.ChecksumIEEE(tracePayload)
-		rec.TraceSize = int64(len(tracePayload))
-		framed := container.Encode(container.KindTrace, tracePayload)
-		if err := container.AtomicWrite(container.OSFS{}, r.tracePath(rec.ID), framed); err != nil {
-			return fmt.Errorf("registry: store trace for job %q: %w", rec.ID, err)
-		}
-	}
 	if err := r.writeManifest(r.jobManifestPath(rec.ID), rec); err != nil {
 		return err
 	}
@@ -297,99 +302,22 @@ func (r *Registry) Jobs() []JobRecord {
 	return out
 }
 
-// TraceBytes returns a job's full trace payload after verifying both the
-// container CRC and the manifest cross-check.
-func (r *Registry) TraceBytes(id string) ([]byte, error) {
-	if err := validName(id); err != nil {
-		return nil, err
-	}
-	var rec JobRecord
-	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
-		return nil, err
-	}
-	if rec.TraceStore {
-		return r.storeTraceCSV(id)
-	}
-	data, err := os.ReadFile(r.tracePath(id))
-	if err != nil {
-		return nil, fmt.Errorf("registry: trace for job %q: %w", id, err)
-	}
-	payload, err := container.DecodeKind(data, container.KindTrace)
-	if err != nil {
-		telCorrupt.Inc()
-		return nil, fmt.Errorf("registry: trace for job %q: %w", id, err)
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != rec.TraceChecksum {
-		telCorrupt.Inc()
-		return nil, fmt.Errorf("registry: trace for job %q CRC %08x does not match manifest %08x: %w",
-			id, sum, rec.TraceChecksum, container.ErrCorrupt)
-	}
-	return payload, nil
-}
-
-// OpenTrace opens a job's trace payload for streaming: the returned
-// reader yields exactly the payload bytes (the container header is
-// checked and skipped), so HTTP handlers can io.Copy a download straight
-// from disk without re-encoding the trace in memory. The header's
-// declared length is validated against both the file size and the job
-// manifest; full CRC verification happens at store time and in
-// VerifyJob/Sweep, keeping the open path O(1).
-func (r *Registry) OpenTrace(id string) (io.ReadCloser, int64, error) {
-	if err := validName(id); err != nil {
-		return nil, 0, err
-	}
-	var rec JobRecord
-	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
-		return nil, 0, err
-	}
-	if rec.TraceStore {
-		return nil, 0, fmt.Errorf("registry: job %q trace is a columnar store; use OpenStore", id)
-	}
-	f, err := os.Open(r.tracePath(id))
-	if err != nil {
-		return nil, 0, fmt.Errorf("registry: trace for job %q: %w", id, err)
-	}
-	header := make([]byte, container.HeaderLen)
-	if _, err := io.ReadFull(f, header); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("registry: trace for job %q: %w", id, container.ErrTruncated)
-	}
-	kind, declared, err := container.ParseHeader(header)
-	if err != nil {
-		f.Close()
-		telCorrupt.Inc()
-		return nil, 0, fmt.Errorf("registry: trace for job %q: %w", id, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	payloadLen := st.Size() - int64(container.HeaderLen)
-	if kind != container.KindTrace || int64(declared) != payloadLen || payloadLen != rec.TraceSize {
-		f.Close()
-		telCorrupt.Inc()
-		return nil, 0, fmt.Errorf("registry: trace for job %q: kind %s, %d payload bytes on disk, header declares %d, manifest %d: %w",
-			id, kind, payloadLen, declared, rec.TraceSize, container.ErrCorrupt)
-	}
-	return f, payloadLen, nil
-}
-
-// VerifyJob re-validates a stored job's trace payload end to end
-// (container frame + manifest CRC). Jobs without traces verify trivially.
+// VerifyJob re-validates a stored job's trace store end to end (every
+// block read, CRC-checked and decoded). Jobs without traces verify
+// trivially; a manifest that still describes a legacy flat payload
+// fails with os.ErrNotExist, since Sweep migrates every payload it finds.
 func (r *Registry) VerifyJob(id string) error {
 	var rec JobRecord
 	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
 		return err
 	}
-	if rec.TraceStore {
+	switch {
+	case rec.TraceStore:
 		return r.verifyJobStore(id)
+	case rec.TraceSize != 0 || rec.TraceChecksum != 0:
+		return fmt.Errorf("registry: legacy trace payload for job %q: %w", id, os.ErrNotExist)
 	}
-	if rec.TraceSize == 0 && rec.TraceChecksum == 0 {
-		return nil
-	}
-	_, err := r.TraceBytes(id)
-	return err
+	return nil
 }
 
 // DeleteJob removes a job record and its trace payload.
@@ -402,7 +330,7 @@ func (r *Registry) DeleteJob(id string) error {
 	if err := removeIfExists(r.jobManifestPath(id)); err != nil {
 		return err
 	}
-	if err := removeIfExists(r.tracePath(id)); err != nil {
+	if err := removeIfExists(r.legacyTracePath(id)); err != nil {
 		return err
 	}
 	return os.RemoveAll(r.storePath(id))
@@ -413,8 +341,10 @@ func (r *Registry) DeleteJob(id string) error {
 // (including orphaned .store directories), manifests without payloads,
 // and entries whose payload fails validation — a torn container frame,
 // a CRC mismatch, a store with a truncated block or corrupt column
-// group — are removed. The registry is valid and fully servable
-// afterwards; a damaged payload can never crash recovery.
+// group — are removed. Before a job is validated, its legacy flat-CSV
+// payload, if any, is migrated into a store (migrateTrace); one that
+// fails its CRC or does not parse is swept as corrupt. The registry is valid and fully
+// servable afterwards; a damaged payload can never crash recovery.
 func (r *Registry) Sweep() (SweepReport, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -465,8 +395,8 @@ func (r *Registry) Sweep() (SweepReport, error) {
 				manifests[strings.TrimSuffix(e.Name(), manifestExt)] = true
 			case strings.HasSuffix(e.Name(), modelExt):
 				addPayload(strings.TrimSuffix(e.Name(), modelExt), path)
-			case strings.HasSuffix(e.Name(), traceExt):
-				addPayload(strings.TrimSuffix(e.Name(), traceExt), path)
+			case strings.HasSuffix(e.Name(), legacyTraceExt):
+				addPayload(strings.TrimSuffix(e.Name(), legacyTraceExt), path)
 			}
 		}
 		// Orphaned payloads: no manifest claims them.
@@ -487,7 +417,17 @@ func (r *Registry) Sweep() (SweepReport, error) {
 					bad, corrupt = true, !errors.Is(err, os.ErrNotExist)
 				}
 			} else {
-				if err := r.VerifyJob(name); err != nil {
+				var err error
+				if slices.Contains(payloads[name], r.legacyTracePath(name)) {
+					err = r.migrateTrace(name)
+				}
+				if err != nil && !errors.Is(err, container.ErrCorrupt) {
+					return rep, err
+				}
+				if err == nil {
+					err = r.VerifyJob(name)
+				}
+				if err != nil {
 					bad, corrupt = true, !errors.Is(err, os.ErrNotExist)
 				}
 			}
@@ -517,8 +457,8 @@ func (r *Registry) modelManifestPath(name string) string {
 func (r *Registry) jobManifestPath(id string) string {
 	return filepath.Join(r.dir, jobsDir, id+manifestExt)
 }
-func (r *Registry) tracePath(id string) string {
-	return filepath.Join(r.dir, jobsDir, id+traceExt)
+func (r *Registry) legacyTracePath(id string) string {
+	return filepath.Join(r.dir, jobsDir, id+legacyTraceExt)
 }
 
 func (r *Registry) writeManifest(path string, v any) error {

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/store"
 )
 
 func open(t *testing.T) *Registry {
@@ -130,13 +131,13 @@ func TestDeleteModel(t *testing.T) {
 func TestJobRoundTripWithTrace(t *testing.T) {
 	r := open(t)
 	status := json.RawMessage(`{"id":"job-1","state":"done","records":42}`)
-	csv := []byte("start_us,duration_us\n0,10\n")
-	rec := JobRecord{ID: "job-1", State: "done", Status: status, Model: "job-1", TraceKind: "netflow"}
-	if err := r.PutJob(rec, csv); err != nil {
+	rec := JobRecord{ID: "job-1", State: "done", Status: status, Model: "job-1"}
+	ft := storeFlowTrace(42)
+	if err := r.PutJobStore(rec, func(dir string) error { return store.WriteFlowTrace(dir, ft, store.Options{}) }); err != nil {
 		t.Fatal(err)
 	}
 	jobs := r.Jobs()
-	if len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].TraceSize != int64(len(csv)) {
+	if len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].TraceRows != 42 || jobs[0].TraceKind != "netflow" {
 		t.Fatalf("Jobs() = %+v", jobs)
 	}
 	// The stored manifest may re-indent the embedded document; it must
@@ -151,67 +152,26 @@ func TestJobRoundTripWithTrace(t *testing.T) {
 	if len(gotSt) != len(wantSt) || gotSt["id"] != wantSt["id"] || gotSt["records"] != wantSt["records"] {
 		t.Fatalf("status did not round trip: %s vs %s", jobs[0].Status, status)
 	}
-	got, err := r.TraceBytes("job-1")
+	got, err := r.OpenStore("job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, csv) {
-		t.Fatal("trace payload mismatch")
+	if back, err := got.FlowRecords(); err != nil || !reflect.DeepEqual(back, ft) {
+		t.Fatalf("trace payload mismatch: %v", err)
 	}
 }
 
 func TestJobWithoutTrace(t *testing.T) {
 	r := open(t)
 	rec := JobRecord{ID: "job-9", State: "failed", Status: json.RawMessage(`{"error":"boom"}`)}
-	if err := r.PutJob(rec, nil); err != nil {
+	if err := r.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.VerifyJob("job-9"); err != nil {
 		t.Fatalf("trace-less job must verify: %v", err)
 	}
-	if _, err := r.TraceBytes("job-9"); err == nil {
-		t.Fatal("reading a missing trace must fail")
-	}
-}
-
-func TestOpenTraceStreamsPayload(t *testing.T) {
-	r := open(t)
-	csv := bytes.Repeat([]byte("0,1,2,3\n"), 1000)
-	if err := r.PutJob(JobRecord{ID: "job-2", State: "done"}, csv); err != nil {
-		t.Fatal(err)
-	}
-	rc, n, err := r.OpenTrace("job-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if n != int64(len(csv)) {
-		t.Fatalf("size %d, want %d", n, len(csv))
-	}
-	got, err := io.ReadAll(io.LimitReader(rc, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, csv) {
-		t.Fatal("streamed payload mismatch")
-	}
-}
-
-func TestOpenTraceRejectsTruncatedFile(t *testing.T) {
-	r := open(t)
-	if err := r.PutJob(JobRecord{ID: "job-3", State: "done"}, []byte("payload-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(r.Dir(), "jobs", "job-3.trace")
-	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, data[:len(data)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.OpenTrace("job-3"); !errors.Is(err, container.ErrCorrupt) {
-		t.Fatalf("truncated trace: got %v, want ErrCorrupt", err)
-	}
-	if err := r.VerifyJob("job-3"); err == nil {
-		t.Fatal("VerifyJob must catch the truncation")
+	if _, err := r.OpenStore("job-9"); err == nil {
+		t.Fatal("opening a missing trace must fail")
 	}
 }
 
@@ -223,9 +183,7 @@ func TestSweepReclaimsStraysOrphansAndCorruption(t *testing.T) {
 	if _, err := r.PutModel("broken", framedModel("soon corrupt")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PutJob(JobRecord{ID: "job-1", State: "done"}, []byte("trace")); err != nil {
-		t.Fatal(err)
-	}
+	putStoreJob(t, r, "job-1", 10)
 
 	// Stray temp file from an interrupted atomic write.
 	stray := filepath.Join(r.Dir(), "models", "half.mdl.tmp")
@@ -244,11 +202,9 @@ func TestSweepReclaimsStraysOrphansAndCorruption(t *testing.T) {
 	if err := os.WriteFile(brokenPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Manifest whose payload file vanished.
-	if err := r.PutJob(JobRecord{ID: "job-gone", State: "done"}, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(r.Dir(), "jobs", "job-gone.trace")); err != nil {
+	// Manifest whose payload vanished.
+	putStoreJob(t, r, "job-gone", 10)
+	if err := os.RemoveAll(r.storePath("job-gone")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,17 +3,19 @@ package registry
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
-// Columnar store payloads (DESIGN.md §13). A job's synthetic trace can
-// be persisted as a block-compressed store directory at
-// jobs/<id>.store/ instead of the flat framed-CSV jobs/<id>.trace file:
-// ~5× smaller on disk and queryable without a full decode. The crash
+// Columnar store payloads (DESIGN.md §13). A job's synthetic trace is
+// persisted as a block-compressed store directory at jobs/<id>.store/:
+// queryable in place and streamed into any download format. The crash
 // discipline extends to directories: the store is built under
 // jobs/<id>.store.tmp, validated, renamed into place, and only then is
 // the job manifest written — so a manifest never points at a missing or
@@ -37,7 +39,16 @@ func (r *Registry) PutJobStore(rec JobRecord, build func(dir string) error) erro
 	rec.SavedAt = r.now().UTC().Format(time.RFC3339)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.commitStore(rec, build); err != nil {
+		return err
+	}
+	telJobsSaved.Inc()
+	return nil
+}
 
+// commitStore builds rec's store in staging, validates it, renames it
+// into place and then writes the manifest. The caller holds r.mu.
+func (r *Registry) commitStore(rec JobRecord, build func(dir string) error) error {
 	final := r.storePath(rec.ID)
 	staging := final + ".tmp"
 	if err := os.RemoveAll(staging); err != nil {
@@ -73,16 +84,11 @@ func (r *Registry) PutJobStore(rec JobRecord, build func(dir string) error) erro
 	if err := syncDir(filepath.Dir(final)); err != nil {
 		return fmt.Errorf("registry: sync jobs dir: %w", err)
 	}
-	if err := r.writeManifest(r.jobManifestPath(rec.ID), rec); err != nil {
-		return err
-	}
-	telJobsSaved.Inc()
-	return nil
+	return r.writeManifest(r.jobManifestPath(rec.ID), rec)
 }
 
-// OpenStore opens a job's columnar trace store for querying. Jobs
-// persisted with flat CSV payloads (or no payload) return an error;
-// callers fall back to TraceBytes / OpenTrace.
+// OpenStore opens a job's columnar trace store. Jobs without a trace
+// (failed jobs) return an error.
 func (r *Registry) OpenStore(id string) (*store.Store, error) {
 	if err := validName(id); err != nil {
 		return nil, err
@@ -107,20 +113,70 @@ func (r *Registry) OpenStore(id string) (*store.Store, error) {
 	return s, nil
 }
 
-// storeTraceCSV materializes a store-backed job's trace as canonical
-// CSV bytes, byte-identical to the flat payload the registry would have
-// stored before the columnar format.
-func (r *Registry) storeTraceCSV(id string) ([]byte, error) {
-	s, err := r.OpenStore(id)
+// migrateTrace converts job id's legacy flat payload (container-framed
+// trace CSV at jobs/<id>.trace) into a columnar store, once: the payload
+// is CRC-checked against the manifest and parsed, the store is built in
+// staging and renamed into place, the manifest is flipped to it, and
+// only then is the .trace file deleted. A crash before the flip leaves
+// the legacy manifest and payload, so the next Sweep migrates again; a
+// crash after it leaves a stale .trace, deleted here. A payload that
+// fails its CRC or does not parse, or an unreadable manifest, returns an
+// error wrapping container.ErrCorrupt. The caller holds r.mu.
+func (r *Registry) migrateTrace(id string) error {
+	path := r.legacyTracePath(id)
+	var rec JobRecord
+	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
+		return fmt.Errorf("%v: %w", err, container.ErrCorrupt)
+	}
+	if !rec.TraceStore {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("registry: legacy trace for job %q: %w", id, err)
+		}
+		build, err := legacyStoreBuilder(rec, data)
+		if err != nil {
+			return fmt.Errorf("registry: legacy trace for job %q: %v: %w", id, err, container.ErrCorrupt)
+		}
+		if err := r.commitStore(rec, build); err != nil {
+			return err
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("registry: remove migrated trace for job %q: %w", id, err)
+	}
+	return nil
+}
+
+// legacyStoreBuilder validates a legacy framed-CSV payload against its
+// manifest and returns a PutJobStore build function for its trace.
+func legacyStoreBuilder(rec JobRecord, framed []byte) (func(dir string) error, error) {
+	payload, err := container.DecodeKind(framed, container.KindTrace)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		telCorrupt.Inc()
-		return nil, fmt.Errorf("registry: decode store for job %q: %w", id, err)
+	if sum := crc32.ChecksumIEEE(payload); sum != rec.TraceChecksum || int64(len(payload)) != rec.TraceSize {
+		return nil, fmt.Errorf("payload CRC %08x (%d bytes) does not match manifest %08x (%d bytes)",
+			sum, len(payload), rec.TraceChecksum, rec.TraceSize)
 	}
-	return buf.Bytes(), nil
+	kind, ok := trace.ParseKind(rec.TraceKind)
+	if !ok {
+		return nil, fmt.Errorf("unknown trace kind %q", rec.TraceKind)
+	}
+	// Parsed up front, so a payload that does not parse is corrupt
+	// rather than a failed store write.
+	var src trace.Source
+	if kind == trace.KindNetFlow {
+		src, err = trace.ReadFlowCSV(bytes.NewReader(payload))
+	} else {
+		src, err = trace.ReadPacketCSV(bytes.NewReader(payload))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return func(dir string) error {
+		_, err := store.Write(dir, src, store.Options{})
+		return err
+	}, nil
 }
 
 // verifyJobStore deep-verifies a store payload: every block of every

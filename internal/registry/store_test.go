@@ -3,10 +3,12 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/container"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -68,25 +70,21 @@ func TestPutJobStoreRoundTrip(t *testing.T) {
 		t.Fatalf("rows=%d kind=%v", s.Rows(), s.Kind())
 	}
 
-	// TraceBytes materializes CSV byte-identical to the legacy payload.
-	var want bytes.Buffer
+	// The store streams CSV byte-identical to the in-memory trace's.
+	var want, got bytes.Buffer
 	if err := trace.WriteFlowCSV(&want, ft); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.TraceBytes("job-1")
-	if err != nil {
+	if err := s.WriteCSV(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("store-backed TraceBytes differs from canonical CSV")
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("store CSV differs from canonical CSV")
 	}
 
-	// Deep verification passes; OpenTrace redirects to the store API.
+	// Deep verification passes.
 	if err := r.VerifyJob("job-1"); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := r.OpenTrace("job-1"); err == nil {
-		t.Fatal("OpenTrace on a store payload should fail with a redirect error")
 	}
 
 	// The store is materially smaller than the CSV it replaces.
@@ -240,4 +238,174 @@ func TestSweepOrphanedStoreDirs(t *testing.T) {
 	if err := r.VerifyJob("job-1"); err != nil {
 		t.Fatalf("healthy job: %v", err)
 	}
+}
+
+// putLegacyJob writes a job the way registries did before the columnar
+// store: a manifest carrying the payload's CRC and size next to
+// jobs/<id>.trace, the container-framed trace CSV.
+func putLegacyJob(t *testing.T, r *Registry, id, kind string, csv []byte) {
+	t.Helper()
+	rec := JobRecord{
+		ID: id, State: "done", Status: json.RawMessage(`{}`), Model: id, TraceKind: kind,
+		TraceChecksum: crc32.ChecksumIEEE(csv), TraceSize: int64(len(csv)), SavedAt: "2025-01-01T00:00:00Z",
+	}
+	if err := r.writeManifest(r.jobManifestPath(id), rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(r.legacyTracePath(id), container.Encode(container.KindTrace, csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepMigratesLegacyTrace pins the one-time migration of flat-CSV
+// payloads: the migrated store streams the original bytes, the .trace
+// file is gone, a corrupt payload is swept as corrupt, and crashes on
+// either side of the manifest flip leave a servable job after the next
+// Sweep.
+func TestSweepMigratesLegacyTrace(t *testing.T) {
+	var flowCSV, pktCSV bytes.Buffer
+	if err := trace.WriteFlowCSV(&flowCSV, storeFlowTrace(300)); err != nil {
+		t.Fatal(err)
+	}
+	pk := &trace.PacketTrace{}
+	for i := 0; i < 50; i++ {
+		pk.Packets = append(pk.Packets, trace.Packet{
+			Time:  int64(i) * 10,
+			Tuple: trace.FiveTuple{SrcIP: trace.IPv4FromBytes(10, 0, 0, 1), DstIP: trace.IPv4FromBytes(10, 0, 0, 2), SrcPort: 80, DstPort: uint16(1000 + i), Proto: trace.TCP},
+			Size:  60 + i, TTL: 64,
+		})
+	}
+	if err := trace.WritePacketCSV(&pktCSV, pk); err != nil {
+		t.Fatal(err)
+	}
+
+	// servable checks that a job's store streams exactly want as CSV and
+	// that no legacy payload is left.
+	servable := func(t *testing.T, r *Registry, id string, want []byte) {
+		t.Helper()
+		rec, err := r.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.TraceStore || rec.TraceChecksum != 0 || rec.SavedAt != "2025-01-01T00:00:00Z" {
+			t.Fatalf("manifest not flipped to the store: %+v", rec)
+		}
+		s, err := r.OpenStore(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := s.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("migrated %s CSV differs from the legacy payload", id)
+		}
+		if _, err := os.Stat(r.legacyTracePath(id)); !os.IsNotExist(err) {
+			t.Fatalf("legacy payload survived migration: %v", err)
+		}
+	}
+
+	t.Run("migrate", func(t *testing.T) {
+		r := open(t)
+		putLegacyJob(t, r, "job-flow", "netflow", flowCSV.Bytes())
+		putLegacyJob(t, r, "job-pkt", "pcap", pktCSV.Bytes())
+		if rep, err := r.Sweep(); err != nil || len(rep.Removed) != 0 {
+			t.Fatalf("sweep: %+v, %v", rep, err)
+		}
+		servable(t, r, "job-flow", flowCSV.Bytes())
+		servable(t, r, "job-pkt", pktCSV.Bytes())
+		// A second Sweep finds nothing to do.
+		if rep, err := r.Sweep(); err != nil || len(rep.Removed) != 0 {
+			t.Fatalf("second sweep: %+v, %v", rep, err)
+		}
+	})
+
+	t.Run("corrupt", func(t *testing.T) {
+		r := open(t)
+		putLegacyJob(t, r, "job-good", "netflow", flowCSV.Bytes())
+		putLegacyJob(t, r, "job-crc", "netflow", flowCSV.Bytes())
+		putLegacyJob(t, r, "job-torn", "netflow", flowCSV.Bytes())
+		putLegacyJob(t, r, "job-garbled", "netflow", []byte("not,a,trace\n"))
+		// A well-framed, parseable payload that is not the one the
+		// manifest describes.
+		putLegacyJob(t, r, "job-swapped", "netflow", flowCSV.Bytes())
+		var other bytes.Buffer
+		if err := trace.WriteFlowCSV(&other, storeFlowTrace(10)); err != nil {
+			t.Fatal(err)
+		}
+		swapped := container.Encode(container.KindTrace, other.Bytes())
+		if err := os.WriteFile(r.legacyTracePath("job-swapped"), swapped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		data, _ := os.ReadFile(r.legacyTracePath("job-crc"))
+		data[len(data)-5] ^= 0x20
+		if err := os.WriteFile(r.legacyTracePath("job-crc"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(r.legacyTracePath("job-torn"), data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Corrupt != 4 {
+			t.Fatalf("corrupt = %d, want 4 (%v)", rep.Corrupt, rep.Removed)
+		}
+		for _, id := range []string{"job-crc", "job-torn", "job-garbled", "job-swapped"} {
+			if _, err := r.Job(id); err == nil {
+				t.Fatalf("%s survived sweep", id)
+			}
+			if _, err := os.Stat(r.legacyTracePath(id)); !os.IsNotExist(err) {
+				t.Fatalf("%s payload survived sweep", id)
+			}
+		}
+		servable(t, r, "job-good", flowCSV.Bytes())
+	})
+
+	t.Run("crash-after-rename", func(t *testing.T) {
+		// A store is in place but the manifest still describes the
+		// legacy payload. The store differs from the payload, so serving
+		// the original bytes proves the migration ran again.
+		r := open(t)
+		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
+		if err := store.WriteFlowTrace(r.storePath("job-1"), storeFlowTrace(5), store.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+		servable(t, r, "job-1", flowCSV.Bytes())
+	})
+
+	t.Run("crash-after-flip", func(t *testing.T) {
+		// The manifest is flipped but the legacy payload was not yet
+		// deleted.
+		r := open(t)
+		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
+		framed, _ := os.ReadFile(r.legacyTracePath("job-1"))
+		if _, err := r.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(r.legacyTracePath("job-1"), framed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+		servable(t, r, "job-1", flowCSV.Bytes())
+	})
+
+	t.Run("orphan", func(t *testing.T) {
+		r := open(t)
+		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
+		if err := os.Remove(r.jobManifestPath("job-1")); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Sweep()
+		if err != nil || len(rep.Removed) != 1 || rep.Corrupt != 0 {
+			t.Fatalf("orphaned legacy payload: %+v, %v", rep, err)
+		}
+	})
 }

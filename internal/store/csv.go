@@ -1,63 +1,24 @@
 package store
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/trace"
 )
 
-// CSV bridge: a store round-trips to the exact trace CSV layouts
-// (trace.WriteFlowCSV / trace.WritePacketCSV), byte for byte, so the
-// columnar format can replace CSV persistence without disturbing any
-// consumer of the download API. The store column order equals the CSV
-// column order, so export is a straight per-row flatten.
+// CSV bridge: a store round-trips to the exact trace CSV layouts, byte
+// for byte, so the columnar format can replace CSV persistence without
+// disturbing any consumer of the download API.
 
 // WriteCSV streams the whole store to w in the matching trace CSV
 // layout. Output is byte-identical to the trace package's whole-trace
 // CSV writer over the same records.
 func (s *Store) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(s.m.Columns); err != nil {
-		return fmt.Errorf("store: write csv header: %w", err)
-	}
-	fields := make([]string, len(s.m.Columns))
-	var err error
-	if s.kind == trace.KindNetFlow {
-		err = s.ScanFlows(func(r trace.FlowRecord) error {
-			fields[0] = strconv.FormatInt(r.Start, 10)
-			fields[1] = strconv.FormatInt(r.Duration, 10)
-			fields[2] = r.Tuple.SrcIP.String()
-			fields[3] = r.Tuple.DstIP.String()
-			fields[4] = strconv.Itoa(int(r.Tuple.SrcPort))
-			fields[5] = strconv.Itoa(int(r.Tuple.DstPort))
-			fields[6] = strconv.Itoa(int(r.Tuple.Proto))
-			fields[7] = strconv.FormatInt(r.Packets, 10)
-			fields[8] = strconv.FormatInt(r.Bytes, 10)
-			fields[9] = r.Label.String()
-			return cw.Write(fields)
-		})
-	} else {
-		err = s.ScanPackets(func(p trace.Packet) error {
-			fields[0] = strconv.FormatInt(p.Time, 10)
-			fields[1] = p.Tuple.SrcIP.String()
-			fields[2] = p.Tuple.DstIP.String()
-			fields[3] = strconv.Itoa(int(p.Tuple.SrcPort))
-			fields[4] = strconv.Itoa(int(p.Tuple.DstPort))
-			fields[5] = strconv.Itoa(int(p.Tuple.Proto))
-			fields[6] = strconv.Itoa(p.Size)
-			fields[7] = strconv.Itoa(int(p.TTL))
-			fields[8] = strconv.Itoa(int(p.Flags))
-			return cw.Write(fields)
-		})
-	}
+	f, err := trace.LookupFormat("csv", s.kind)
 	if err != nil {
 		return err
 	}
-	cw.Flush()
-	return cw.Error()
+	return f.Encode(w, s)
 }
 
 // ImportCSV builds a store at dir from trace CSV input of the given

@@ -41,9 +41,9 @@ func Open(dir string) (*Store, error) {
 	if m.Version > Version {
 		return nil, fmt.Errorf("%w: store version %d newer than supported %d", ErrCorrupt, m.Version, Version)
 	}
-	kind, err := kindFromName(m.Kind)
-	if err != nil {
-		return nil, err
+	kind, ok := trace.ParseKind(m.Kind)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown kind %q", ErrCorrupt, m.Kind)
 	}
 	want := columnsFor(kind)
 	if len(m.Columns) != len(want) {

@@ -39,7 +39,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/trace"
 )
@@ -117,20 +116,6 @@ func columnsFor(kind trace.Kind) []Column {
 		return packetColumns
 	}
 	return flowColumns
-}
-
-// kindName / kindFromName translate trace.Kind to its manifest string.
-func kindName(k trace.Kind) string { return k.String() }
-
-func kindFromName(s string) (trace.Kind, error) {
-	switch s {
-	case "pcap":
-		return trace.KindPCAP, nil
-	case "netflow":
-		return trace.KindNetFlow, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown kind %q", ErrCorrupt, s)
-	}
 }
 
 // flowRow flattens a flow record into column order.

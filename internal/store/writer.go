@@ -254,7 +254,7 @@ func (w *Writer) Close() error {
 	}
 	m := manifest{
 		Version:    Version,
-		Kind:       kindName(w.kind),
+		Kind:       w.kind.String(),
 		BlockRows:  w.opt.BlockRows,
 		Rows:       w.rows,
 		MinTime:    w.min,
@@ -272,30 +272,37 @@ func (w *Writer) Close() error {
 	return nil
 }
 
+// Write writes a whole trace — an in-memory trace or another store — as
+// a store at dir and returns its row count. Once Create has succeeded, a
+// failure removes the partially written directory.
+func Write(dir string, src trace.Source, opt Options) (int64, error) {
+	w, err := Create(dir, src.Kind(), opt)
+	if err != nil {
+		return 0, err
+	}
+	if src.Kind() == trace.KindNetFlow {
+		err = src.ScanFlows(w.AppendFlow)
+	} else {
+		err = src.ScanPackets(w.AppendPacket)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		os.RemoveAll(dir)
+		return 0, err
+	}
+	return w.Rows(), nil
+}
+
 // WriteFlowTrace writes an in-memory flow trace as a store at dir.
 func WriteFlowTrace(dir string, t *trace.FlowTrace, opt Options) error {
-	w, err := Create(dir, trace.KindNetFlow, opt)
-	if err != nil {
-		return err
-	}
-	for _, r := range t.Records {
-		if err := w.AppendFlow(r); err != nil {
-			return err
-		}
-	}
-	return w.Close()
+	_, err := Write(dir, t, opt)
+	return err
 }
 
 // WritePacketTrace writes an in-memory packet trace as a store at dir.
 func WritePacketTrace(dir string, t *trace.PacketTrace, opt Options) error {
-	w, err := Create(dir, trace.KindPCAP, opt)
-	if err != nil {
-		return err
-	}
-	for _, p := range t.Packets {
-		if err := w.AppendPacket(p); err != nil {
-			return err
-		}
-	}
-	return w.Close()
+	_, err := Write(dir, t, opt)
+	return err
 }

@@ -39,30 +39,50 @@ func checkHeader(row []string, want []string, i int) error {
 
 var packetHeader = []string{"time_us", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "size", "ttl", "flags"}
 
-// WritePacketCSV writes t to w in the packet CSV layout.
-func WritePacketCSV(w io.Writer, t *PacketTrace) error {
+// csvWriter streams records in a trace CSV layout one row at a time,
+// the CSV counterpart of NFV5Writer: the header row is written first, so
+// an empty stream is the header alone, and output is byte-identical to
+// the whole-trace CSV writers over the same records.
+type csvWriter[R any] struct {
+	cw     *csv.Writer
+	fields []string
+	fill   func(R, []string)
+}
+
+func newCSVWriter[R any](w io.Writer, header []string, fill func(R, []string)) *csvWriter[R] {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(packetHeader); err != nil {
-		return fmt.Errorf("trace: write packet header: %w", err)
+	// A failed write sticks in the csv.Writer's buffer and surfaces at Flush.
+	_ = cw.Write(header)
+	return &csvWriter[R]{cw: cw, fields: make([]string, len(header)), fill: fill}
+}
+
+// Write appends one record's row.
+func (c *csvWriter[R]) Write(r R) error {
+	c.fill(r, c.fields)
+	if err := c.cw.Write(c.fields); err != nil {
+		return fmt.Errorf("trace: write csv row: %w", err)
 	}
-	for _, p := range t.Packets {
-		rec := []string{
-			strconv.FormatInt(p.Time, 10),
-			p.Tuple.SrcIP.String(),
-			p.Tuple.DstIP.String(),
-			strconv.Itoa(int(p.Tuple.SrcPort)),
-			strconv.Itoa(int(p.Tuple.DstPort)),
-			strconv.Itoa(int(p.Tuple.Proto)),
-			strconv.Itoa(p.Size),
-			strconv.Itoa(int(p.TTL)),
-			strconv.Itoa(int(p.Flags)),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: write packet row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return nil
+}
+
+// Flush drains the buffer; the CSV is complete afterwards.
+func (c *csvWriter[R]) Flush() error {
+	c.cw.Flush()
+	return c.cw.Error()
+}
+
+func newPacketCSVWriter(w io.Writer) *csvWriter[Packet] {
+	return newCSVWriter(w, packetHeader, func(p Packet, f []string) {
+		f[0] = strconv.FormatInt(p.Time, 10)
+		f[1] = p.Tuple.SrcIP.String()
+		f[2] = p.Tuple.DstIP.String()
+		f[3] = strconv.Itoa(int(p.Tuple.SrcPort))
+		f[4] = strconv.Itoa(int(p.Tuple.DstPort))
+		f[5] = strconv.Itoa(int(p.Tuple.Proto))
+		f[6] = strconv.Itoa(p.Size)
+		f[7] = strconv.Itoa(int(p.TTL))
+		f[8] = strconv.Itoa(int(p.Flags))
+	})
 }
 
 // ReadPacketCSV parses the packet CSV layout produced by WritePacketCSV.
@@ -153,31 +173,19 @@ func ScanPacketCSV(r io.Reader, fn func(Packet) error) error {
 
 var flowHeader = []string{"start_us", "duration_us", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "packets", "bytes", "label"}
 
-// WriteFlowCSV writes t to w in the flow CSV layout.
-func WriteFlowCSV(w io.Writer, t *FlowTrace) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(flowHeader); err != nil {
-		return fmt.Errorf("trace: write flow header: %w", err)
-	}
-	for _, r := range t.Records {
-		rec := []string{
-			strconv.FormatInt(r.Start, 10),
-			strconv.FormatInt(r.Duration, 10),
-			r.Tuple.SrcIP.String(),
-			r.Tuple.DstIP.String(),
-			strconv.Itoa(int(r.Tuple.SrcPort)),
-			strconv.Itoa(int(r.Tuple.DstPort)),
-			strconv.Itoa(int(r.Tuple.Proto)),
-			strconv.FormatInt(r.Packets, 10),
-			strconv.FormatInt(r.Bytes, 10),
-			r.Label.String(),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: write flow row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+func newFlowCSVWriter(w io.Writer) *csvWriter[FlowRecord] {
+	return newCSVWriter(w, flowHeader, func(r FlowRecord, f []string) {
+		f[0] = strconv.FormatInt(r.Start, 10)
+		f[1] = strconv.FormatInt(r.Duration, 10)
+		f[2] = r.Tuple.SrcIP.String()
+		f[3] = r.Tuple.DstIP.String()
+		f[4] = strconv.Itoa(int(r.Tuple.SrcPort))
+		f[5] = strconv.Itoa(int(r.Tuple.DstPort))
+		f[6] = strconv.Itoa(int(r.Tuple.Proto))
+		f[7] = strconv.FormatInt(r.Packets, 10)
+		f[8] = strconv.FormatInt(r.Bytes, 10)
+		f[9] = r.Label.String()
+	})
 }
 
 // ReadFlowCSV parses the flow CSV layout produced by WriteFlowCSV.

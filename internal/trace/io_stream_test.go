@@ -129,52 +129,104 @@ func TestScanCSVCallback(t *testing.T) {
 	}
 }
 
-// The streaming pcap and NetFlow v5 encoders must be byte-identical to
-// the whole-trace writers they decompose.
+// TestStreamingEncodersMatchBatch runs every row of the format table:
+// records fed one at a time to the row's streaming writer (with the
+// earliest start as base) must equal the buffered Encode of the whole
+// trace, and the row's reader must read the bytes back into a trace that
+// re-encodes to the same bytes.
 func TestStreamingEncodersMatchBatch(t *testing.T) {
+	// Shifted and reversed so the SysUptime base (the earliest start,
+	// 7s) is neither zero nor the first record; 95 and 97 rows leave a
+	// trailing partial export packet.
+	const base = 7_000_000
+	ft := streamFlowTrace(95)
+	for i, j := 0, len(ft.Records)-1; i < j; i, j = i+1, j-1 {
+		ft.Records[i], ft.Records[j] = ft.Records[j], ft.Records[i]
+	}
+	for i := range ft.Records {
+		ft.Records[i].Start += base
+	}
 	pt := streamPacketTrace(97)
-	var whole, streamed bytes.Buffer
-	if err := WritePCAP(&whole, pt); err != nil {
+
+	for name, f := range formats {
+		t.Run(name, func(t *testing.T) {
+			if f.Name != name {
+				t.Fatalf("row %q is named %q", name, f.Name)
+			}
+			if !f.carries(KindNetFlow) && !f.carries(KindPCAP) {
+				t.Fatal("row carries no trace kind")
+			}
+			if f.flow != nil {
+				checkCodec(t, f, f.flow, ft, ft.Records, base, func(r *FlowTrace) int { return len(r.Records) })
+			}
+			if f.packet != nil {
+				checkCodec(t, f, f.packet, pt, pt.Packets, 0, func(r *PacketTrace) int { return len(r.Packets) })
+			}
+		})
+	}
+}
+
+func checkCodec[R, T any](t *testing.T, f Format, c *codec[R, T], src Source, recs []R, base int64, rows func(*T) int) {
+	t.Helper()
+	var buffered, streamed bytes.Buffer
+	if err := f.Encode(&buffered, src); err != nil {
 		t.Fatal(err)
 	}
-	pw, err := NewPCAPWriter(&streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pt.Packets {
-		if err := pw.Write(p); err != nil {
+	rw := c.newWriter(&streamed, base)
+	for _, r := range recs {
+		if err := rw.Write(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pw.Flush(); err != nil {
+	if err := rw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(whole.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed pcap differs from WritePCAP output")
+	if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
+		t.Fatalf("%s %s: streamed bytes differ from buffered Encode", f.Name, src.Kind())
 	}
 
-	ft := streamFlowTrace(95) // not a multiple of 30: trailing partial export packet
-	whole.Reset()
-	streamed.Reset()
-	if err := WriteNetFlowV5(&whole, ft); err != nil {
+	back, err := c.read(bytes.NewReader(buffered.Bytes()))
+	if err != nil {
+		t.Fatalf("%s %s: read back: %v", f.Name, src.Kind(), err)
+	}
+	if rows(back) != len(recs) {
+		t.Fatalf("%s %s: read back %d rows, wrote %d", f.Name, src.Kind(), rows(back), len(recs))
+	}
+	var again bytes.Buffer
+	if err := f.Encode(&again, any(back).(Source)); err != nil {
 		t.Fatal(err)
 	}
-	base := ft.Records[0].Start
-	for _, r := range ft.Records {
-		if r.Start < base {
-			base = r.Start
+	if !bytes.Equal(again.Bytes(), buffered.Bytes()) {
+		t.Fatalf("%s %s: read-back trace does not re-encode to the same bytes", f.Name, src.Kind())
+	}
+}
+
+// TestLookupFormat checks the table's name/kind gate and that the
+// buffered Write* wrappers are the table's encodings.
+func TestLookupFormat(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind Kind
+		ok   bool
+	}{
+		{"csv", KindNetFlow, true}, {"csv", KindPCAP, true},
+		{"pcap", KindPCAP, true}, {"pcap", KindNetFlow, false},
+		{"netflow5", KindNetFlow, true}, {"netflow9", KindPCAP, false},
+		{"ipfix", KindNetFlow, true}, {"", KindNetFlow, false}, {"xml", KindPCAP, false},
+	} {
+		f, err := LookupFormat(c.name, c.kind)
+		if c.ok != (err == nil) {
+			t.Fatalf("LookupFormat(%q, %s): err %v", c.name, c.kind, err)
+		}
+		if !c.ok && !errors.Is(err, ErrFormat) {
+			t.Fatalf("LookupFormat(%q, %s): %v is not ErrFormat", c.name, c.kind, err)
+		}
+		if c.ok && (f.Name != c.name || f.ContentType == "" || f.Ext == "") {
+			t.Fatalf("LookupFormat(%q): incomplete row %+v", c.name, f)
 		}
 	}
-	nw := NewNFV5Writer(&streamed, base)
-	for _, r := range ft.Records {
-		if err := nw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed netflow5 differs from WriteNetFlowV5 output")
+	f, _ := LookupFormat("netflow5", KindNetFlow)
+	if err := f.Encode(&bytes.Buffer{}, streamPacketTrace(3)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("encoding packets as netflow5: %v", err)
 	}
 }

@@ -55,20 +55,6 @@ var ipfixTemplate = []nfField{
 	{typ: ipfixElemLabel, length: 1, enterprise: true, pen: ipfixLabelPEN},
 }
 
-// WriteIPFIX writes t as a stream of IPFIX messages with the template set
-// in the first message. Timestamps are absolute milliseconds from the
-// trace epoch; the 64-bit fields cannot overflow, so no uptime clamping
-// applies (negative times clamp to 0).
-func WriteIPFIX(w io.Writer, t *FlowTrace) error {
-	iw := NewIPFIXWriter(w)
-	for _, r := range t.Records {
-		if err := iw.Write(r); err != nil {
-			return err
-		}
-	}
-	return iw.Flush()
-}
-
 // IPFIXWriter streams flow records as IPFIX messages with bounded memory,
 // mirroring NFV5Writer: at most one 30-record message is buffered, and
 // output is byte-identical to WriteIPFIX over the same record sequence.

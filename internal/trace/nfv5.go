@@ -36,30 +36,6 @@ const (
 	nfv5MaxPerPkt = 30
 )
 
-// WriteNetFlowV5 writes t as a stream of NetFlow v5 export packets.
-// Timestamps are expressed as milliseconds relative to the trace start
-// (SysUptime starts at 0); a flow that extends past the v5 32-bit
-// millisecond range (~49.7 days) fails with ErrUptimeOverflow rather than
-// silently wrapping into Last < First records.
-func WriteNetFlowV5(w io.Writer, t *FlowTrace) error {
-	var base int64
-	if len(t.Records) > 0 {
-		base = t.Records[0].Start
-		for _, r := range t.Records {
-			if r.Start < base {
-				base = r.Start
-			}
-		}
-	}
-	nw := NewNFV5Writer(w, base)
-	for _, r := range t.Records {
-		if err := nw.Write(r); err != nil {
-			return err
-		}
-	}
-	return nw.Flush()
-}
-
 // NFV5Writer encodes flow records as NetFlow v5 export packets one
 // record at a time, buffering at most one 30-record export packet, so a
 // download handler can stream a trace of any length with bounded memory.

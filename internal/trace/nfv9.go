@@ -69,29 +69,6 @@ func fieldsRecordLen(fields []nfField) int {
 	return n
 }
 
-// WriteNetFlowV9 writes t as a stream of NetFlow v9 export packets with
-// the template flowset in the first packet. Timestamps are milliseconds
-// relative to the earliest flow start; flows past the 32-bit millisecond
-// range fail with ErrUptimeOverflow.
-func WriteNetFlowV9(w io.Writer, t *FlowTrace) error {
-	var base int64
-	if len(t.Records) > 0 {
-		base = t.Records[0].Start
-		for _, r := range t.Records {
-			if r.Start < base {
-				base = r.Start
-			}
-		}
-	}
-	nw := NewNFV9Writer(w, base)
-	for _, r := range t.Records {
-		if err := nw.Write(r); err != nil {
-			return err
-		}
-	}
-	return nw.Flush()
-}
-
 // NFV9Writer streams flow records as NetFlow v9 export packets with
 // bounded memory, mirroring NFV5Writer: at most one 30-record packet is
 // buffered, and output is byte-identical to WriteNetFlowV9 over the same

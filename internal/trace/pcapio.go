@@ -28,23 +28,6 @@ const (
 	maxStoredBytes = 64
 )
 
-// WritePCAP writes t to w in libpcap format (microsecond timestamps,
-// LINKTYPE_RAW IPv4). Each packet's stored bytes are its marshaled IPv4
-// header plus zero payload, truncated at maxStoredBytes; the on-wire
-// length (`origLen`) is the packet's true size.
-func WritePCAP(w io.Writer, t *PacketTrace) error {
-	pw, err := NewPCAPWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, p := range t.Packets {
-		if err := pw.Write(p); err != nil {
-			return err
-		}
-	}
-	return pw.Flush()
-}
-
 // PCAPWriter encodes packets to libpcap format one at a time, so a
 // download handler can stream a trace of any length with bounded memory
 // instead of materializing the whole encoded capture first. Output is
@@ -56,7 +39,7 @@ type PCAPWriter struct {
 
 // NewPCAPWriter writes the libpcap file header and returns a streaming
 // record encoder. Call Flush after the last packet.
-func NewPCAPWriter(w io.Writer) (*PCAPWriter, error) {
+func NewPCAPWriter(w io.Writer) *PCAPWriter {
 	bw := bufio.NewWriter(w)
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], pcapMagicMicros)
@@ -65,10 +48,9 @@ func NewPCAPWriter(w io.Writer) (*PCAPWriter, error) {
 	// thiszone and sigfigs stay zero.
 	binary.LittleEndian.PutUint32(hdr[16:], pcapSnapLen)
 	binary.LittleEndian.PutUint32(hdr[20:], linkTypeRaw)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: write pcap header: %w", err)
-	}
-	return &PCAPWriter{bw: bw}, nil
+	// A failed write sticks in the buffer and surfaces at Write or Flush.
+	_, _ = bw.Write(hdr[:])
+	return &PCAPWriter{bw: bw}
 }
 
 // Write appends one packet record.

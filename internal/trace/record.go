@@ -98,6 +98,16 @@ func (k Kind) String() string {
 	return "netflow"
 }
 
+// ParseKind returns the kind whose String is s.
+func ParseKind(s string) (Kind, bool) {
+	for _, k := range []Kind{KindPCAP, KindNetFlow} {
+		if k.String() == s {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 // PacketTrace is an ordered packet header trace.
 type PacketTrace struct {
 	Packets []Packet

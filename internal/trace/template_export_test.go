@@ -73,27 +73,6 @@ func TestNetFlowV9MultiPacket(t *testing.T) {
 	}
 }
 
-func TestNetFlowV9StreamMatchesWrite(t *testing.T) {
-	orig := labeledFlowTrace(37)
-	var oneShot bytes.Buffer
-	if err := WriteNetFlowV9(&oneShot, orig); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	nw := NewNFV9Writer(&streamed, 0)
-	for _, r := range orig.Records {
-		if err := nw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oneShot.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed v9 output differs from WriteNetFlowV9")
-	}
-}
-
 func TestIPFIXRoundTrip(t *testing.T) {
 	orig := labeledFlowTrace(4)
 	var buf bytes.Buffer
@@ -128,27 +107,6 @@ func TestIPFIXMultiMessage(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatal("ipfix multi-message round trip mismatch")
-	}
-}
-
-func TestIPFIXStreamMatchesWrite(t *testing.T) {
-	orig := labeledFlowTrace(37)
-	var oneShot bytes.Buffer
-	if err := WriteIPFIX(&oneShot, orig); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	iw := NewIPFIXWriter(&streamed)
-	for _, r := range orig.Records {
-		if err := iw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := iw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oneShot.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed ipfix output differs from WriteIPFIX")
 	}
 }
 

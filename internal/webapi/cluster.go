@@ -151,8 +151,8 @@ func (s *Server) clusterTrainAndFinish(id string, req JobRequest, spec cluster.J
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
-		s.finishFlow(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistFlowResult(id, syn, gen)
+		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Records))
+		s.persistResult(id, syn.Save, gen)
 	case "pcap":
 		syn, err := coord.AssemblePacket(id)
 		if err != nil {
@@ -160,8 +160,8 @@ func (s *Server) clusterTrainAndFinish(id string, req JobRequest, spec cluster.J
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
-		s.finishPacket(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistPacketResult(id, syn, gen)
+		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Packets))
+		s.persistResult(id, syn.Save, gen)
 	default:
 		return fmt.Errorf("cluster job kind %q", req.Kind)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -59,8 +60,7 @@ type fastWait struct {
 	// label pins this request to one scenario (-1 = unconditional mixture).
 	// The scheduler only coalesces same-label requests into one batch.
 	label int
-	flow  *trace.FlowTrace
-	pkt   *trace.PacketTrace
+	out   trace.Source
 	err   error
 	done  chan struct{}
 }
@@ -181,9 +181,9 @@ func (s *Server) loadFastEntry(name string) (*fastEntry, int, error) {
 }
 
 // serveFastGenerate handles one fast-path generate request end to end:
-// snapshot lookup/decode, batch enqueue, wait, encode. label is the
-// parsed scenario label (-1 for the unconditional mixture).
-func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req GenerateRequest, label int) {
+// snapshot lookup/decode, batch enqueue, wait, encode in format f. label
+// is the parsed scenario label (-1 for the unconditional mixture).
+func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req GenerateRequest, f trace.Format, label int) {
 	telFastRequests.Inc()
 	for {
 		entry := s.lookupFast(name)
@@ -243,13 +243,7 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req Gener
 			writeError(w, http.StatusInternalServerError, "%v", wait.err)
 			return
 		}
-		served := false
-		if wait.flow != nil {
-			served = writeFlowResult(w, name, req.Format, wait.flow)
-		} else {
-			served = writePacketResult(w, name, req.Format, wait.pkt)
-		}
-		if served {
+		if writeTrace(w, name, f, wait.out) {
 			telModelsServed.Inc()
 		}
 		return
@@ -338,13 +332,13 @@ func (s *Server) serveFastBatch(entry *fastEntry, batch []*fastWait, label int) 
 			outs = entry.flow.GenerateBatch(counts)
 		}
 		for i, w := range batch {
-			w.flow = outs[i]
+			w.out = outs[i]
 			close(w.done)
 		}
 	} else {
 		outs := entry.pkt.GenerateBatch(counts)
 		for i, w := range batch {
-			w.pkt = outs[i]
+			w.out = outs[i]
 			close(w.done)
 		}
 	}
@@ -352,62 +346,30 @@ func (s *Server) serveFastBatch(entry *fastEntry, batch []*fastWait, label int) 
 	return true
 }
 
-// writeFlowResult encodes a generated flow trace in the requested format
-// and writes the HTTP response (including format/encoding errors),
-// reporting whether a success response was written.
-func writeFlowResult(w http.ResponseWriter, name, format string, gen *trace.FlowTrace) bool {
+// writeTrace encodes src in format f into a buffer before sending the
+// header, so an encode error is still a clean 500, and reports whether a
+// success response was written.
+func writeTrace(w http.ResponseWriter, name string, f trace.Format, src trace.Source) bool {
 	var buf bytes.Buffer
-	var contentType, ext string
-	var err error
-	switch format {
-	case "csv":
-		contentType, ext = "text/csv", "csv"
-		err = trace.WriteFlowCSV(&buf, gen)
-	case "netflow5":
-		contentType, ext = "application/octet-stream", "nf5"
-		err = trace.WriteNetFlowV5(&buf, gen)
-	case "netflow9":
-		contentType, ext = "application/octet-stream", "nf9"
-		err = trace.WriteNetFlowV9(&buf, gen)
-	case "ipfix":
-		contentType, ext = "application/octet-stream", "ipfix"
-		err = trace.WriteIPFIX(&buf, gen)
-	default:
-		writeError(w, http.StatusBadRequest, "format %q not available for flow models", format)
-		return false
-	}
-	return writeAttachment(w, name, contentType, ext, buf.Bytes(), err)
-}
-
-// writePacketResult is writeFlowResult for packet traces.
-func writePacketResult(w http.ResponseWriter, name, format string, gen *trace.PacketTrace) bool {
-	var buf bytes.Buffer
-	var contentType, ext string
-	var err error
-	switch format {
-	case "csv":
-		contentType, ext = "text/csv", "csv"
-		err = trace.WritePacketCSV(&buf, gen)
-	case "pcap":
-		contentType, ext = "application/vnd.tcpdump.pcap", "pcap"
-		err = trace.WritePCAP(&buf, gen)
-	default:
-		writeError(w, http.StatusBadRequest, "format %q not available for packet models", format)
-		return false
-	}
-	return writeAttachment(w, name, contentType, ext, buf.Bytes(), err)
-}
-
-func writeAttachment(w http.ResponseWriter, name, contentType, ext string, body []byte, err error) bool {
-	if err != nil {
+	if err := f.Encode(&buf, src); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
 		return false
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.%s", name, ext))
+	writeAttachment(w, name, f, buf.Bytes())
+	return true
+}
+
+// writeAttachment sends body as the download name.<ext> in format f.
+func writeAttachment(w http.ResponseWriter, name string, f trace.Format, body []byte) {
+	setAttachmentHeaders(w, name, f)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-	return true
+}
+
+func setAttachmentHeaders(w http.ResponseWriter, name string, f trace.Format) {
+	w.Header().Set("Content-Type", f.ContentType)
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.%s", name, f.Ext))
 }
 
 // sweepFastCache drops every cached snapshot whose model keep rejects.
@@ -451,3 +413,12 @@ func (s *Server) sweepFastCache(keep func(name string) bool) int {
 // isFastKind reports whether a stored model kind is a fast container
 // (which carries no float64 weights and can only serve via the fast path).
 func isFastKind(kind string) bool { return strings.HasSuffix(kind, "-fast") }
+
+// traceKind maps a job kind ("netflow", "pcap") or a stored model kind
+// ("flow", "packet", "flow-fast", "packet-fast") to its trace kind.
+func traceKind(kind string) trace.Kind {
+	if kind == "pcap" || strings.HasPrefix(kind, "packet") {
+		return trace.KindPCAP
+	}
+	return trace.KindNetFlow
+}

@@ -5,10 +5,12 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // TestFastServing exercises the fast-path serving stack end to end
@@ -196,6 +198,30 @@ func TestFastServing(t *testing.T) {
 		}
 		if lines := bytes.Count(body, []byte("\n")); lines != 1001 {
 			t.Fatalf("negative count produced %d CSV lines, want 1001 (default 1000)", lines)
+		}
+	})
+
+	t.Run("FormatCheckedBeforeGenerating", func(t *testing.T) {
+		// A format the flow model cannot carry, or no format at all, is a
+		// 400 before any generation runs, on either serving path.
+		genPhase := telemetry.Default.Timer("core.generate.phase")
+		var batches atomic.Int32
+		api.fastHook = func(string, int) { batches.Add(1) }
+		defer func() { api.fastHook = nil }()
+		before := genPhase.Count()
+		for _, format := range []string{"pcap", "xml"} {
+			for _, fast := range []bool{false, true} {
+				code, body := generate(t, ts, model, GenerateRequest{Count: 50000, Format: format, Fast: fast})
+				if code != http.StatusBadRequest {
+					t.Fatalf("format %q fast=%v: %d %s, want 400", format, fast, code, body)
+				}
+			}
+		}
+		if n := batches.Load(); n != 0 {
+			t.Fatalf("%d fast batches ran for rejected formats", n)
+		}
+		if n := genPhase.Count() - before; n != 0 {
+			t.Fatalf("%d generate phases ran for rejected formats", n)
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,8 +19,8 @@ import (
 
 // Durable serving (DESIGN.md §10): when a registry is attached, every
 // terminal job is persisted — its status document, its trained model as
-// a checksummed container, and its synthetic trace payload — and a
-// restarted server recovers all of it on boot. Jobs that were still
+// a checksummed container, and its synthetic trace as a columnar store —
+// and a restarted server recovers all of it on boot. Jobs that were still
 // pending or running when the process died were never persisted and are
 // simply absent after recovery; clients resubmit them.
 
@@ -54,8 +55,9 @@ type RecoveryStats struct {
 
 // UseRegistry attaches a durable registry to the server and recovers its
 // persisted state: a garbage-collection sweep first (so recovery only
-// trusts validated entries), then every terminal job record is loaded
-// back into the job table. Call it once, before Handler is serving
+// trusts validated entries, and legacy flat-CSV traces are migrated to
+// stores), then every terminal job record is loaded back into the job
+// table. Call it once, before Handler is serving
 // traffic. Models remain on disk and are loaded per generation request.
 func (s *Server) UseRegistry(reg *registry.Registry) (RecoveryStats, error) {
 	var stats RecoveryStats
@@ -104,90 +106,63 @@ func (s *Server) registry() *registry.Registry {
 	return s.reg
 }
 
-// persistFlowResult durably stores a finished netflow job: model
-// container, columnar trace store, and the status document.
-func (s *Server) persistFlowResult(id string, syn *core.FlowSynthesizer, gen *trace.FlowTrace) {
-	var model bytes.Buffer
-	if err := syn.Save(&model); err != nil {
-		s.registryError(id, fmt.Errorf("save model: %w", err))
-		return
-	}
-	s.persistResult(id, "netflow", model.Bytes(), func(dir string) error {
-		return store.WriteFlowTrace(dir, gen, store.Options{})
-	})
-}
-
-// persistPacketResult durably stores a finished pcap job.
-func (s *Server) persistPacketResult(id string, syn *core.PacketSynthesizer, gen *trace.PacketTrace) {
-	var model bytes.Buffer
-	if err := syn.Save(&model); err != nil {
-		s.registryError(id, fmt.Errorf("save model: %w", err))
-		return
-	}
-	s.persistResult(id, "pcap", model.Bytes(), func(dir string) error {
-		return store.WritePacketTrace(dir, gen, store.Options{})
-	})
-}
-
-// persistResult commits a terminal job: the model container first, then
-// the trace as a block-compressed columnar store (DESIGN.md §13) built
-// by build into the registry's staging directory. Jobs persisted by
-// older builds keep their flat CSV payloads; both shapes are served.
-func (s *Server) persistResult(id, kind string, model []byte, build func(dir string) error) {
+// persistResult commits a finished job: the model container (written
+// by save) first, then the trace as a block-compressed columnar store
+// (DESIGN.md §13) built in the registry's staging directory, and the
+// status document with it.
+func (s *Server) persistResult(id string, save func(io.Writer) error, gen trace.Source) {
 	reg := s.registry()
 	if reg == nil {
 		return
 	}
-	if _, err := reg.PutModel(id, model); err != nil {
+	var model bytes.Buffer
+	if err := save(&model); err != nil {
+		s.registryError(id, fmt.Errorf("save model: %w", err))
+		return
+	}
+	if _, err := reg.PutModel(id, model.Bytes()); err != nil {
 		s.registryError(id, err)
 		return
 	}
-	st, ok := s.statusSnapshot(id)
-	if !ok {
-		return
-	}
-	statusJSON, err := json.Marshal(st)
-	if err != nil {
-		s.registryError(id, err)
-		return
-	}
-	rec := registry.JobRecord{
-		ID: id, State: string(st.State), Status: statusJSON,
-		Model: id, TraceKind: kind,
-	}
-	if err := reg.PutJobStore(rec, build); err != nil {
-		s.registryError(id, err)
-	}
+	s.persistStatus(id, func(rec registry.JobRecord) error {
+		rec.Model = id
+		return reg.PutJobStore(rec, func(dir string) error {
+			_, err := store.Write(dir, gen, store.Options{})
+			return err
+		})
+	})
 }
 
 // persistFailed durably records a terminal failure (no model, no trace),
 // so a restarted server still reports the job and its error.
 func (s *Server) persistFailed(id string) {
-	reg := s.registry()
-	if reg == nil {
-		return
+	if reg := s.registry(); reg != nil {
+		s.persistStatus(id, reg.PutJob)
 	}
+}
+
+// persistStatus hands put the job's record carrying a snapshot of its
+// status document.
+func (s *Server) persistStatus(id string, put func(registry.JobRecord) error) {
 	st, ok := s.statusSnapshot(id)
 	if !ok {
 		return
 	}
 	statusJSON, err := json.Marshal(st)
-	if err != nil {
-		s.registryError(id, err)
-		return
+	if err == nil {
+		err = put(registry.JobRecord{ID: id, State: string(st.State), Status: statusJSON})
 	}
-	if err := reg.PutJob(registry.JobRecord{ID: id, State: string(st.State), Status: statusJSON}, nil); err != nil {
+	if err != nil {
 		s.registryError(id, err)
 	}
 }
 
-// registryError counts and logs-by-telemetry a persistence failure.
-// Durability is best-effort relative to the job itself: the job already
-// finished in memory, so a full registry disk must not fail it.
+// registryError counts and logs a persistence failure. Durability is
+// best-effort relative to the job itself: the job already finished in
+// memory, so a full registry disk must not fail it.
 func (s *Server) registryError(id string, err error) {
-	_ = id
-	_ = err
 	telRegistryErrors.Inc()
+	slog.Error("webapi: persist job", "job", id, "err", err)
 }
 
 // handleModels lists the registry's stored models.
@@ -209,8 +184,9 @@ type GenerateRequest struct {
 	// Count is the synthetic record/packet count (default 1000, capped at
 	// 100000 like job submissions).
 	Count int `json:"count,omitempty"`
-	// Format is csv (default), netflow5/netflow9/ipfix (flow models), or
-	// pcap (packet models).
+	// Format is csv (default, both kinds), netflow5, netflow9 or ipfix
+	// (flow models), or pcap (packet models); trace.LookupFormat holds
+	// the table. Anything else is a 400 before any generation runs.
 	Format string `json:"format,omitempty"`
 	// Label pins generation to one scenario label (trace.ParseLabel names,
 	// e.g. "dos"). Requires a flow model trained with conditioning
@@ -263,21 +239,31 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.PathValue("name")
+	info, err := reg.Model(name)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "model %q: %v", name, err)
+		return
+	}
+	f, err := trace.LookupFormat(req.Format, traceKind(info.Kind))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "model %q: %v", name, err)
+		return
+	}
+	if label >= 0 && traceKind(info.Kind) == trace.KindPCAP {
+		writeError(w, http.StatusBadRequest, "label %q: model %q is a packet model; labeled generation is flow-only", req.Label, name)
+		return
+	}
+	if req.Fast || isFastKind(info.Kind) {
+		s.serveFastGenerate(w, name, req, f, label)
+		return
+	}
+
 	framed, info, err := reg.ModelBytes(name)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "model %q: %v", name, err)
 		return
 	}
-	if label >= 0 && strings.HasPrefix(info.Kind, "packet") {
-		writeError(w, http.StatusBadRequest, "label %q: model %q is a packet model; labeled generation is flow-only", req.Label, name)
-		return
-	}
-	if req.Fast || isFastKind(info.Kind) {
-		s.serveFastGenerate(w, name, req, label)
-		return
-	}
-
-	served := false
+	var out trace.Source
 	switch info.Kind {
 	case "flow":
 		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
@@ -298,94 +284,19 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 		} else {
 			gen = syn.Generate(req.Count)
 		}
-		served = writeFlowResult(w, name, req.Format, gen)
+		out = gen
 	case "packet":
 		syn, err := core.LoadPacketSynthesizer(bytes.NewReader(framed))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "load model %q: %v", name, err)
 			return
 		}
-		served = writePacketResult(w, name, req.Format, syn.Generate(req.Count))
+		out = syn.Generate(req.Count)
 	default:
 		writeError(w, http.StatusInternalServerError, "model %q has unknown kind %q", name, info.Kind)
 		return
 	}
-	if served {
+	if writeTrace(w, name, f, out) {
 		telModelsServed.Inc()
-	}
-}
-
-// streamStoredTrace serves a job's CSV download straight from the
-// registry payload on disk: legacy flat payloads are copied verbatim;
-// columnar store payloads are decoded block-by-block into the canonical
-// CSV (byte-identical to the flat form) without materializing the trace.
-// Returns false when the registry has no servable payload (caller falls
-// back to the in-memory path).
-func (s *Server) streamStoredTrace(w http.ResponseWriter, id string) bool {
-	reg := s.registry()
-	if reg == nil {
-		return false
-	}
-	rec, err := reg.Job(id)
-	if err != nil || rec.TraceSize == 0 {
-		return false
-	}
-	if rec.TraceStore {
-		str, err := reg.OpenStore(id)
-		if err != nil {
-			telRegistryErrors.Inc()
-			return false
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.csv", id))
-		w.WriteHeader(http.StatusOK)
-		if err := str.WriteCSV(w); err == nil {
-			telTracesStreamed.Inc()
-		} else {
-			telRegistryErrors.Inc()
-		}
-		return true
-	}
-	rc, n, err := reg.OpenTrace(id)
-	if err != nil {
-		telRegistryErrors.Inc()
-		return false
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.csv", id))
-	w.WriteHeader(http.StatusOK)
-	if _, err := io.CopyN(w, rc, n); err == nil {
-		telTracesStreamed.Inc()
-	}
-	return true
-}
-
-// reloadTrace rebuilds a recovered job's trace from its persisted CSV
-// payload, for download formats that need re-encoding (pcap, netflow5,
-// netflow9, ipfix).
-func (s *Server) reloadTrace(id string) (*trace.FlowTrace, *trace.PacketTrace, error) {
-	reg := s.registry()
-	if reg == nil {
-		return nil, nil, fmt.Errorf("no registry configured")
-	}
-	rec, err := reg.Job(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	payload, err := reg.TraceBytes(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch rec.TraceKind {
-	case "netflow":
-		t, err := trace.ReadFlowCSV(bytes.NewReader(payload))
-		return t, nil, err
-	case "pcap":
-		t, err := trace.ReadPacketCSV(bytes.NewReader(payload))
-		return nil, t, err
-	default:
-		return nil, nil, fmt.Errorf("job %q has no stored trace", id)
 	}
 }

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,5 +303,74 @@ func TestGenerateIsDeterministicPerRequest(t *testing.T) {
 	_, b := generate(t, ts, st.ID, req)
 	if !bytes.Equal(a, b) {
 		t.Fatal("repeated generation from a stored model is not deterministic")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for a log handler writing from a
+// job goroutine.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestPersistenceFailureIsLogged forces every registry job write to fail
+// and requires one slog line naming the job and the error, on top of the
+// error counter.
+func TestPersistenceFailureIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	ts, api, _ := startServerWithRegistry(t, dir)
+	// A plain file where the jobs directory was fails every job write.
+	jobs := filepath.Join(dir, "jobs")
+	if err := os.RemoveAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs lockedBuffer
+	prev, prevOut, prevFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logs, nil)))
+	defer func() {
+		slog.SetDefault(prev)
+		log.SetOutput(prevOut)
+		log.SetFlags(prevFlags)
+	}()
+
+	errs0 := telRegistryErrors.Value()
+	notify := api.Notifications()
+	req := tinyJob("netflow")
+	req.Dataset = "nonexistent" // fails fast; persistFailed then hits the broken registry
+	st := postJob(t, ts, req)
+	select {
+	case <-notify: // sent after the job body, persistence included, returns
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never finished")
+	}
+
+	if telRegistryErrors.Value() == errs0 {
+		t.Fatal("persistence failure not counted")
+	}
+	logged := false
+	for _, raw := range strings.Split(logs.String(), "\n") {
+		var line struct{ Job, Err string }
+		if json.Unmarshal([]byte(raw), &line) == nil && line.Job == st.ID && line.Err != "" {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Fatalf("no log line for job %s with its error; logs:\n%s", st.ID, logs.String())
 	}
 }

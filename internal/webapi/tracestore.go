@@ -18,9 +18,9 @@ import (
 // Store-backed trace serving (DESIGN.md §13). Jobs persisted as columnar
 // stores are queryable in place — GET /api/v1/traces/{id}/query prunes
 // partitions by time window and decodes only the columns a filter
-// touches — and their pcap/netflow5 downloads are re-encoded as a
+// touches — and their downloads, in every format, are encoded as a
 // bounded-memory stream straight off the store scan instead of
-// materializing the whole trace. Because the re-encode costs CPU every
+// materializing the whole trace. Because the encode costs CPU every
 // time, finished artifacts are kept in a bytes-bounded LRU keyed by
 // (job, format); a registry sweep evicts entries whose job is gone.
 
@@ -40,11 +40,10 @@ const DefaultArtifactCacheBytes = 32 << 20
 
 // artifact is one cached encoded download.
 type artifact struct {
-	key         string // jobID + "|" + format
-	jobID       string
-	data        []byte
-	contentType string
-	ext         string
+	key    string // jobID + "|" + format
+	jobID  string
+	data   []byte
+	format trace.Format
 }
 
 // artifactKey builds the LRU key for a job's encoded download.
@@ -158,12 +157,12 @@ func (s *Server) SweepRegistry() (registry.SweepReport, error) {
 	return rep, nil
 }
 
-// streamEncodedTrace serves a store-backed job's pcap or netflow5
-// download: from the artifact LRU when hot, otherwise re-encoded as a
-// stream off the store scan while teeing into the cache. Returns false
-// when the job has no store payload or the format does not fit its kind
-// (caller falls back to the in-memory / reload path).
-func (s *Server) streamEncodedTrace(w http.ResponseWriter, id, format string) bool {
+// streamStoredTrace serves a store-backed job's download in format f:
+// from the artifact LRU when hot, otherwise encoded as a stream off the
+// store scan while teeing into the cache. Returns false when the
+// registry holds no trace for the job (caller falls back to the
+// in-memory trace).
+func (s *Server) streamStoredTrace(w http.ResponseWriter, id string, f trace.Format) bool {
 	reg := s.registry()
 	if reg == nil {
 		return false
@@ -172,29 +171,11 @@ func (s *Server) streamEncodedTrace(w http.ResponseWriter, id, format string) bo
 	if err != nil || !rec.TraceStore {
 		return false
 	}
-	var contentType, ext string
-	switch {
-	case rec.TraceKind == "pcap" && format == "pcap":
-		contentType, ext = "application/vnd.tcpdump.pcap", "pcap"
-	case rec.TraceKind == "netflow" && format == "netflow5":
-		contentType, ext = "application/octet-stream", "nf5"
-	case rec.TraceKind == "netflow" && format == "netflow9":
-		contentType, ext = "application/octet-stream", "nf9"
-	case rec.TraceKind == "netflow" && format == "ipfix":
-		contentType, ext = "application/octet-stream", "ipfix"
-	default:
-		return false
-	}
 
-	key := artifactKey(id, format)
+	key := artifactKey(id, f.Name)
 	if a, ok := s.artifactGet(key); ok {
 		telArtifactHits.Inc()
-		w.Header().Set("Content-Type", a.contentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(a.data)))
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%s.%s", id, a.ext))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(a.data)
+		writeAttachment(w, id, a.format, a.data)
 		return true
 	}
 	telArtifactMisses.Inc()
@@ -204,84 +185,19 @@ func (s *Server) streamEncodedTrace(w http.ResponseWriter, id, format string) bo
 		telRegistryErrors.Inc()
 		return false
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%s.%s", id, ext))
+	setAttachmentHeaders(w, id, f)
 	w.WriteHeader(http.StatusOK)
 
 	// Tee the stream into a buffer so a complete encode can be cached;
 	// an encode error after the header is sent just truncates the body.
 	var buf bytes.Buffer
-	mw := io.MultiWriter(w, &buf)
-	switch format {
-	case "pcap":
-		err = encodePCAPStream(mw, str)
-	case "netflow5":
-		err = encodeNFV5Stream(mw, str)
-	case "netflow9":
-		err = encodeNFV9Stream(mw, str)
-	case "ipfix":
-		err = encodeIPFIXStream(mw, str)
-	}
-	if err != nil {
+	if err := f.Encode(io.MultiWriter(w, &buf), str); err != nil {
 		telRegistryErrors.Inc()
 		return true
 	}
 	telTracesStreamed.Inc()
-	s.artifactPut(&artifact{
-		key: key, jobID: id, data: buf.Bytes(),
-		contentType: contentType, ext: ext,
-	})
+	s.artifactPut(&artifact{key: key, jobID: id, data: buf.Bytes(), format: f})
 	return true
-}
-
-// encodePCAPStream re-encodes a packet store as a libpcap capture,
-// byte-identical to trace.WritePCAP over the materialized trace.
-func encodePCAPStream(w io.Writer, str *store.Store) error {
-	pw, err := trace.NewPCAPWriter(w)
-	if err != nil {
-		return err
-	}
-	if err := str.ScanPackets(pw.Write); err != nil {
-		return err
-	}
-	return pw.Flush()
-}
-
-// encodeNFV5Stream re-encodes a flow store as NetFlow v5 export
-// packets. The SysUptime origin is the store's minimum timestamp — the
-// same base trace.WriteNetFlowV5 derives from the materialized trace,
-// so the streamed bytes are identical to the legacy buffered path.
-func encodeNFV5Stream(w io.Writer, str *store.Store) error {
-	base, _ := str.TimeRange()
-	nw := trace.NewNFV5Writer(w, base)
-	if err := str.ScanFlows(nw.Write); err != nil {
-		return err
-	}
-	return nw.Flush()
-}
-
-// encodeNFV9Stream re-encodes a flow store as NetFlow v9 export packets,
-// byte-identical to trace.WriteNetFlowV9 over the materialized trace
-// (same minimum-timestamp SysUptime base as the v5 stream).
-func encodeNFV9Stream(w io.Writer, str *store.Store) error {
-	base, _ := str.TimeRange()
-	nw := trace.NewNFV9Writer(w, base)
-	if err := str.ScanFlows(nw.Write); err != nil {
-		return err
-	}
-	return nw.Flush()
-}
-
-// encodeIPFIXStream re-encodes a flow store as IPFIX messages,
-// byte-identical to trace.WriteIPFIX over the materialized trace (IPFIX
-// timestamps are absolute, so no uptime base applies).
-func encodeIPFIXStream(w io.Writer, str *store.Store) error {
-	iw := trace.NewIPFIXWriter(w)
-	if err := str.ScanFlows(iw.Write); err != nil {
-		return err
-	}
-	return iw.Flush()
 }
 
 // flowJSON is one flow row in a query response.
@@ -349,7 +265,7 @@ func (s *Server) handleTraceQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !rec.TraceStore {
-		writeError(w, http.StatusConflict, "job %q has no queryable trace store (legacy CSV payload; download it instead)", id)
+		writeError(w, http.StatusNotFound, "job %q has no stored trace", id)
 		return
 	}
 	str, err := reg.OpenStore(id)

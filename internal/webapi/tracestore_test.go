@@ -3,10 +3,14 @@ package webapi
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/container"
 	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -93,7 +97,7 @@ func TestJobPersistsColumnarStore(t *testing.T) {
 
 	// The streamed CSV is byte-identical to encoding the in-memory trace.
 	api.mu.Lock()
-	gen := api.jobs[st.ID].flow
+	gen := api.jobs[st.ID].out.(*trace.FlowTrace)
 	api.mu.Unlock()
 	var want bytes.Buffer
 	if err := trace.WriteFlowCSV(&want, gen); err != nil {
@@ -192,7 +196,9 @@ func TestTraceQueryEndpoint(t *testing.T) {
 }
 
 // TestQueryWithoutRegistryOrStore covers the two degraded setups: a
-// memory-only server answers 503, and a legacy flat-CSV job answers 409.
+// memory-only server answers 503, and a job persisted as a legacy
+// flat-CSV payload is migrated to a store on boot, so it answers queries
+// and still downloads its original bytes.
 func TestQueryWithoutRegistryOrStore(t *testing.T) {
 	ts, _ := startServer(t)
 	if code, _ := fetch(t, ts, "/api/v1/traces/job-1/query"); code != http.StatusServiceUnavailable {
@@ -200,28 +206,43 @@ func TestQueryWithoutRegistryOrStore(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	reg, err := registry.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var csv bytes.Buffer
 	ft := queryTrace(10)
 	if err := trace.WriteFlowCSV(&csv, ft); err != nil {
 		t.Fatal(err)
 	}
-	status, _ := json.Marshal(JobStatus{ID: "job-1", Kind: "netflow", State: StateDone, Submitted: "x"})
-	rec := registry.JobRecord{ID: "job-1", State: "done", Status: status, TraceKind: "netflow"}
-	if err := reg.PutJob(rec, csv.Bytes()); err != nil {
+	// The layout registries wrote before the columnar store: a manifest
+	// with the payload CRC next to the container-framed CSV.
+	if _, err := registry.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	ts2, _, _ := startServerWithRegistry(t, dir)
-	if code, _ := fetch(t, ts2, "/api/v1/traces/job-1/query"); code != http.StatusConflict {
-		t.Fatalf("legacy-payload query: %d", code)
+	status, _ := json.Marshal(JobStatus{ID: "job-1", Kind: "netflow", State: StateDone, Submitted: "x"})
+	manifest, _ := json.Marshal(registry.JobRecord{
+		ID: "job-1", State: "done", Status: status, TraceKind: "netflow",
+		TraceChecksum: crc32.ChecksumIEEE(csv.Bytes()), TraceSize: int64(csv.Len()),
+	})
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// The legacy flat payload still downloads fine.
+	framed := container.Encode(container.KindTrace, csv.Bytes())
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.trace"), framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2, _, stats := startServerWithRegistry(t, dir)
+	if stats.Jobs != 1 || stats.Swept != 0 {
+		t.Fatalf("recovery stats = %+v, want the one migrated job", stats)
+	}
+	code, resp := getQuery(t, ts2, "/api/v1/traces/job-1/query?agg=count")
+	if code != http.StatusOK || resp.Rows != 10 {
+		t.Fatalf("migrated query: code %d rows %d", code, resp.Rows)
+	}
 	code, got := fetch(t, ts2, "/api/v1/jobs/job-1/trace?format=csv")
 	if code != http.StatusOK || !bytes.Equal(got, csv.Bytes()) {
-		t.Fatalf("legacy download broken: %d", code)
+		t.Fatalf("migrated download: code %d, %d vs %d bytes", code, len(got), csv.Len())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", "job-1.trace")); !os.IsNotExist(err) {
+		t.Fatalf("legacy payload survived the boot sweep: %v", err)
 	}
 }
 

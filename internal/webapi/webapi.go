@@ -2,7 +2,8 @@
 // (the authors host theirs at pcapshare.com): an HTTP API through which a
 // data holder submits a trace (or selects a built-in dataset), trains
 // NetShare asynchronously, and downloads the synthetic trace in CSV,
-// libpcap, or NetFlow v5 format.
+// libpcap, NetFlow v5, NetFlow v9 or IPFIX format (the trace.LookupFormat
+// table).
 //
 //	POST /api/v1/jobs              submit a training job
 //	GET  /api/v1/jobs              list jobs
@@ -23,7 +24,6 @@
 package webapi
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -174,8 +174,7 @@ func (st JobStatus) clone() JobStatus {
 // job is the server-side job record.
 type job struct {
 	status JobStatus
-	flow   *trace.FlowTrace   // result for netflow jobs
-	packet *trace.PacketTrace // result for pcap jobs
+	out    trace.Source // the synthetic trace, once done
 }
 
 // Server is the HTTP API. Create with NewServer and mount via Handler.
@@ -214,7 +213,7 @@ type Server struct {
 	fastLRU      *list.List
 
 	// ArtifactCacheBytes bounds the encoded-download LRU (tracestore.go):
-	// pcap/netflow5 re-encodes of store-backed traces are cached up to
+	// downloads of store-backed traces, in every format, are cached up to
 	// this many payload bytes. 0 selects the default; negative disables.
 	ArtifactCacheBytes int64
 	artMu              sync.Mutex
@@ -286,7 +285,7 @@ func (s *Server) Handler() http.Handler {
 				"POST /api/v1/jobs",
 				"GET /api/v1/jobs",
 				"GET /api/v1/jobs/{id}",
-				"GET /api/v1/jobs/{id}/trace?format=csv|pcap|netflow5",
+				"GET /api/v1/jobs/{id}/trace?format=csv|pcap|netflow5|netflow9|ipfix",
 				"GET /api/v1/traces/{id}/query?from=&to=&filter=&agg=&topk=&limit=",
 				"GET /api/v1/models",
 				"POST /api/v1/models/{name}/generate",
@@ -523,8 +522,8 @@ func (s *Server) run(id string, req JobRequest) {
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
-		s.finishFlow(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistFlowResult(id, syn, gen)
+		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Records))
+		s.persistResult(id, syn.Save, gen)
 	case "pcap":
 		real, err := loadPacketInput(req)
 		if err != nil {
@@ -538,8 +537,8 @@ func (s *Server) run(id string, req JobRequest) {
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
-		s.finishPacket(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistPacketResult(id, syn, gen)
+		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Packets))
+		s.persistResult(id, syn.Save, gen)
 	}
 	if fail != nil {
 		telJobsFailed.Inc()
@@ -656,23 +655,16 @@ func (s *Server) setState(id string, state JobState, err error) {
 	}
 }
 
-func (s *Server) finishFlow(id string, t *trace.FlowTrace, st core.Stats, genDur time.Duration) {
-	s.finish(id, st, genDur, len(t.Records), func(j *job) { j.flow = t })
-}
-
-func (s *Server) finishPacket(id string, t *trace.PacketTrace, st core.Stats, genDur time.Duration) {
-	s.finish(id, st, genDur, len(t.Packets), func(j *job) { j.packet = t })
-}
-
-// finish publishes a completed job's result and final stats.
-func (s *Server) finish(id string, st core.Stats, genDur time.Duration, records int, attach func(*job)) {
+// finish publishes a completed job's result (records rows of out) and
+// final stats.
+func (s *Server) finish(id string, st core.Stats, genDur time.Duration, out trace.Source, records int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
 	if j == nil {
 		return
 	}
-	attach(j)
+	j.out = out
 	j.status.State = StateDone
 	j.status.CPUMillis = st.CPUTime.Milliseconds()
 	j.status.WallMillis = st.WallTime.Milliseconds()
@@ -721,17 +713,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
-	// Snapshot the state and result pointers under the lock; the traces
-	// themselves are written once before State flips to done and read-only
-	// afterwards, so encoding may proceed unlocked.
-	st, flow, packet, ok := func() (JobStatus, *trace.FlowTrace, *trace.PacketTrace, bool) {
+	// Snapshot the state and result under the lock; the trace itself is
+	// written once before State flips to done and read-only afterwards,
+	// so encoding may proceed unlocked.
+	st, out, ok := func() (JobStatus, trace.Source, bool) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		j := s.jobs[r.PathValue("id")]
 		if j == nil {
-			return JobStatus{}, nil, nil, false
+			return JobStatus{}, nil, false
 		}
-		return j.status.clone(), j.flow, j.packet, true
+		return j.status.clone(), j.out, true
 	}()
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
@@ -741,69 +733,23 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job is %s", st.State)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "csv"
+	name := r.URL.Query().Get("format")
+	if name == "" {
+		name = "csv"
 	}
-	// CSV downloads stream the persisted canonical payload straight from
-	// the registry when one exists — no re-encoding, no full trace copy
-	// in memory — and fall back to the in-memory trace otherwise.
-	if format == "csv" && s.streamStoredTrace(w, st.ID) {
-		return
-	}
-	// Encoded downloads (pcap, netflow5/netflow9/ipfix) of store-backed
-	// jobs stream the re-encode off the columnar scan, fronted by the
-	// bounded artifact LRU (tracestore.go).
-	switch format {
-	case "pcap", "netflow5", "netflow9", "ipfix":
-		if s.streamEncodedTrace(w, st.ID, format) {
-			return
-		}
-	}
-	// A job recovered after a restart has no in-memory trace; rebuild it
-	// from the persisted payload for the formats that need re-encoding.
-	if flow == nil && packet == nil {
-		var err error
-		flow, packet, err = s.reloadTrace(st.ID)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "trace unavailable for job %s: %v", st.ID, err)
-			return
-		}
-	}
-
-	var buf bytes.Buffer
-	var contentType, ext string
-	var err error
-	switch {
-	case flow != nil && format == "csv":
-		contentType, ext = "text/csv", "csv"
-		err = trace.WriteFlowCSV(&buf, flow)
-	case flow != nil && format == "netflow5":
-		contentType, ext = "application/octet-stream", "nf5"
-		err = trace.WriteNetFlowV5(&buf, flow)
-	case flow != nil && format == "netflow9":
-		contentType, ext = "application/octet-stream", "nf9"
-		err = trace.WriteNetFlowV9(&buf, flow)
-	case flow != nil && format == "ipfix":
-		contentType, ext = "application/octet-stream", "ipfix"
-		err = trace.WriteIPFIX(&buf, flow)
-	case packet != nil && format == "csv":
-		contentType, ext = "text/csv", "csv"
-		err = trace.WritePacketCSV(&buf, packet)
-	case packet != nil && format == "pcap":
-		contentType, ext = "application/vnd.tcpdump.pcap", "pcap"
-		err = trace.WritePCAP(&buf, packet)
-	default:
-		writeError(w, http.StatusBadRequest, "format %q not available for this job", format)
-		return
-	}
+	f, err := trace.LookupFormat(name, traceKind(st.Kind))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
+		writeError(w, http.StatusBadRequest, "job %s: %v", st.ID, err)
 		return
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%s.%s", st.ID, ext))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	// Persisted jobs stream off their columnar store, fronted by the
+	// artifact LRU (tracestore.go); others encode the in-memory trace.
+	if s.streamStoredTrace(w, st.ID, f) {
+		return
+	}
+	if out == nil {
+		writeError(w, http.StatusNotFound, "trace unavailable for job %s", st.ID)
+		return
+	}
+	writeTrace(w, st.ID, f, out)
 }
