@@ -19,9 +19,9 @@ test:
 # pipeline: the matmul worker pool, the per-sample DP-SGD fan-out, the
 # chunked fine-tune fan-out, the checkpoint/resume orchestrator, the
 # generation scratch pool, the shared decode cache, the durable model
-# registry (DESIGN.md §6–8, §10), and the serving fast path — the
-# snapshot LRU, the cross-request batch scheduler, and the lot-parallel
-# float32 sampler (DESIGN.md §11) — plus the columnar trace store and
+# registry (DESIGN.md §6–8, §10), and model serving — the decoded-model
+# LRU, concurrent stateless generates, the cross-request batch
+# scheduler, and the lot-parallel float32 sampler (DESIGN.md §11) — plus the columnar trace store and
 # the webapi artifact cache layered on it (DESIGN.md §13) and the
 # distributed chunk queue with its worker-kill golden test (DESIGN.md §14).
 # internal/trace covers the egress format table: every format's
@@ -42,11 +42,12 @@ test-crash:
 # Telemetry subsystem (DESIGN.md §9): race pass over the registry and the
 # web API that serves it, the zero-allocation hot-path proof, and the
 # strictly-observational contract — training and generation are
-# bit-identical with recording on and off.
+# bit-identical with recording on and off — and the deterministic-serving
+# contract: the stateless generate equals a fresh load's first generate.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry/... ./internal/webapi/...
 	$(GO) test ./internal/telemetry -run TestHotPathZeroAllocs
-	$(GO) test ./internal/core -run 'TestTelemetryStrictlyObservational|TestFlowGenerateGolden'
+	$(GO) test ./internal/core -run 'TestTelemetryStrictlyObservational|TestFlowGenerateGolden|GenerateFreshMatchesFreshLoad'
 
 # Live-ingestion subsystem (DESIGN.md §12): the streaming pcap reader's
 # golden round-trip and framing-variant fixtures, the flow table's

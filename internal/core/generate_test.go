@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -197,5 +198,110 @@ func TestFullLots(t *testing.T) {
 	}
 	if got := fullLots(32, 16); got%16 != 0 || got < 16 {
 		t.Fatalf("fullLots(32, 16) = %d, want a lot multiple", got)
+	}
+}
+
+// TestGenerateFreshMatchesFreshLoad: the stateless generate returns, from
+// concurrent calls on one synthesizer whose own streams have already
+// advanced, exactly the first Generate/GenerateLabeled of a freshly loaded
+// copy, and leaves those streams where they were.
+func TestGenerateFreshMatchesFreshLoad(t *testing.T) {
+	cfg := condTestConfig()
+	trained, err := TrainFlowSynthesizer(labeledTrace(300, 11), datasets.CAIDAChicago(1200, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := trained.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *FlowSynthesizer {
+		syn, err := LoadFlowSynthesizer(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return syn
+	}
+
+	const n = 150
+	label := trained.LabelCatalog()[0]
+	labels := []int{-1, int(label)}
+	want := map[int]*trace.FlowTrace{-1: load().Generate(n)}
+	if want[int(label)], err = load().GenerateLabeled(n, label); err != nil {
+		t.Fatal(err)
+	}
+	second := load()
+	second.Generate(n)
+	wantNext := second.Generate(n)
+
+	syn := load()
+	syn.Generate(n) // advance the stateful streams past the fresh state
+	var wg sync.WaitGroup
+	got := make([]*trace.FlowTrace, 6)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = syn.GenerateFresh(n, labels[i%2])
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if w := want[labels[i%2]]; !reflect.DeepEqual(w, g) {
+			t.Fatalf("call %d: GenerateFresh diverges from a fresh load's first generate", i)
+		}
+	}
+	if g := syn.Generate(n); !reflect.DeepEqual(wantNext, g) {
+		t.Fatal("GenerateFresh moved the synthesizer's own generation streams")
+	}
+	if _, err := syn.GenerateFresh(n, int(trace.NumLabels)); err == nil {
+		t.Fatal("GenerateFresh accepted an out-of-range label")
+	}
+}
+
+// TestPacketGenerateFreshMatchesFreshLoad mirrors the flow check for the
+// packet pipeline.
+func TestPacketGenerateFreshMatchesFreshLoad(t *testing.T) {
+	trained, err := TrainPacketSynthesizer(datasets.CAIDA(600, 33), datasets.CAIDAChicago(1200, 34), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := trained.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *PacketSynthesizer {
+		syn, err := LoadPacketSynthesizer(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return syn
+	}
+
+	const n = 300
+	want := load().Generate(n)
+	second := load()
+	second.Generate(n)
+	wantNext := second.Generate(n)
+
+	syn := load()
+	syn.Generate(n)
+	var wg sync.WaitGroup
+	got := make([]*trace.PacketTrace, 4)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = syn.GenerateFresh(n)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !reflect.DeepEqual(want, g) {
+			t.Fatalf("call %d: GenerateFresh diverges from a fresh load's first Generate", i)
+		}
+	}
+	if g := syn.Generate(n); !reflect.DeepEqual(wantNext, g) {
+		t.Fatal("GenerateFresh moved the synthesizer's own generation streams")
 	}
 }

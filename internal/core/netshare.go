@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -597,6 +598,16 @@ func trainChunks(cfg Config, ganCfg dgan.Config, chunkSamples [][]dgan.Sample, p
 	st.Epsilon = epsilon
 	st.WallTime = time.Since(wallStart)
 	return models, st, nil
+}
+
+// genRand returns chunk model m's (index i) generation stream: its own
+// RNG, or with fresh a new copy of the canonical stream that training and
+// loading reseed it to, so fresh generation replays a just-loaded model.
+func genRand(cfg Config, m *dgan.Model, i int, fresh bool) *rand.Rand {
+	if fresh {
+		return rng.New(rng.Derive(cfg.Seed, genStream+int64(i)))
+	}
+	return m.Rand()
 }
 
 // dpNoiseStream is the rng.Derive stream index reserved for the DP-SGD

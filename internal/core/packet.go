@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/dgan"
 	"repro/internal/encoding"
@@ -219,11 +220,22 @@ func publicPacketSamples(codec *packetCodec, public *trace.PacketTrace, cfg Conf
 // canonical RNG stream) and their flows are merged in chunk order before
 // assembly, so the trace is byte-identical at every parallelism setting.
 func (s *PacketSynthesizer) Generate(n int) *trace.PacketTrace {
+	return s.generate(n, false)
+}
+
+// GenerateFresh returns what the first Generate of a freshly loaded copy
+// of s returns, byte for byte, without touching the chunk models' RNG
+// (see FlowSynthesizer.GenerateFresh). It is safe for concurrent calls.
+func (s *PacketSynthesizer) GenerateFresh(n int) *trace.PacketTrace {
+	return s.generate(n, true)
+}
+
+func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
 	defer telGeneratePhase.Start().Stop()
 	perChunk := splitCounts(n, s.stats.ChunkSamples)
 	chunkFlows := make([][]*trace.PacketFlow, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkFlows[i] = s.generateChunk(s.models[i], perChunk[i])
+		chunkFlows[i] = s.generateChunk(s.models[i], genRand(s.cfg, s.models[i], i, fresh), perChunk[i])
 	})
 	var flows []*trace.PacketFlow
 	for _, fs := range chunkFlows {
@@ -232,15 +244,16 @@ func (s *PacketSynthesizer) Generate(n int) *trace.PacketTrace {
 	return trace.AssemblePackets(flows)
 }
 
-// generateChunk fills one chunk's packet budget, requesting whole generation
-// lots and trimming the overshoot.
-func (s *PacketSynthesizer) generateChunk(m *dgan.Model, budget int) []*trace.PacketFlow {
+// generateChunk fills one chunk's packet budget from the chunk's
+// generation stream r, requesting whole generation lots and trimming the
+// overshoot.
+func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget int) []*trace.PacketFlow {
 	if budget <= 0 {
 		return nil
 	}
 	var flows []*trace.PacketFlow
 	for budget > 0 {
-		batch := m.Generate(fullLots(budget, m.Config.Batch))
+		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), -1)
 		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
 		for bi, sample := range batch {
 			f := s.codec.decodeFlow(sample, tuples[bi])

@@ -68,34 +68,54 @@ func (sc *genScratch) ensure(batch, noiseDim, condW, metaW, hidden, featW int) {
 // On conditional models each sample's scenario label is drawn from the
 // fitted training distribution (a mixture over the label catalog).
 func (m *Model) Generate(n int) []Sample {
-	return m.generate(n, -1)
+	return m.generate(m.rng, n, -1)
 }
 
 // GenerateLabeled produces n synthetic samples all conditioned on the
 // given scenario label. It fails on unconditional models and out-of-range
 // labels.
 func (m *Model) GenerateLabeled(n, label int) ([]Sample, error) {
+	if err := m.checkLabel(label); err != nil {
+		return nil, err
+	}
+	return m.generate(m.rng, n, label), nil
+}
+
+// GenerateFrom is Generate (label < 0) or GenerateLabeled drawing the
+// single lot-stream base from r instead of the model's RNG. It leaves the
+// model untouched, so concurrent calls with distinct r are safe: weights
+// are read-only during generation and scratch comes from a sync.Pool.
+func (m *Model) GenerateFrom(r *rand.Rand, n, label int) ([]Sample, error) {
+	if label >= 0 {
+		if err := m.checkLabel(label); err != nil {
+			return nil, err
+		}
+	}
+	return m.generate(r, n, label), nil
+}
+
+func (m *Model) checkLabel(label int) error {
 	if m.condW == 0 {
-		return nil, fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
+		return fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
 	}
 	if label < 0 || label >= m.condW {
-		return nil, fmt.Errorf("dgan: label %d out of range 0..%d", label, m.condW-1)
+		return fmt.Errorf("dgan: label %d out of range 0..%d", label, m.condW-1)
 	}
-	return m.generate(n, label), nil
+	return nil
 }
 
 // generate is the shared lot fan-out; label -1 draws per-sample labels
 // from the fitted distribution, label >= 0 pins every sample's label (and
 // takes no label draws, so pinned lots consume the same noise stream
 // layout minus the per-row label uniforms).
-func (m *Model) generate(n, label int) []Sample {
+func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 	if n <= 0 {
 		return nil
 	}
-	// The lot-stream base is the single draw Generate takes from the model's
-	// canonical RNG: repeated calls stay aligned across parallelism levels
-	// and across a save/load round trip.
-	base := m.rng.Int63()
+	// The lot-stream base is the single draw a call takes from r (the
+	// model's canonical RNG for Generate): repeated calls stay aligned
+	// across parallelism levels and across a save/load round trip.
+	base := r.Int63()
 	lot := m.Config.Batch
 	numLots := (n + lot - 1) / lot
 	out := make([]Sample, n)

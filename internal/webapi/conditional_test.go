@@ -246,14 +246,16 @@ func TestGenerateLabelValidation(t *testing.T) {
 }
 
 // TestSweepFailsOrFinishesFastRequests is the sweep-race regression: a
-// registry sweep that drops a model while the fast scheduler holds its
-// snapshot must leave every concurrent request either complete or a
-// clean 404 — never a partial response or a hang. The in-flight batch
-// (held open by the hook) finishes from the in-memory snapshot; the
-// waiter queued behind it is stranded by the sweep, retries, and sees
-// the deletion.
+// registry sweep that drops a model while the server holds its decoded
+// entry must leave every concurrent request either complete or a clean
+// 404 — never a partial response or a hang. In the fast mode the
+// in-flight batch (held open by the hook) finishes from the in-memory
+// snapshot; the waiter queued behind it is stranded by the sweep,
+// retries, and sees the deletion. In the default mode a request that
+// holds the entry but has not started generating when the sweep retires
+// it never runs on it: it retries and sees the deletion too.
 func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
-	_, fastBytes, _ := conditionalModelBytes(t)
+	refBytes, fastBytes, _ := conditionalModelBytes(t)
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
 	if _, err := api.registry().PutModel("doomed", fastBytes); err != nil {
@@ -263,11 +265,11 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	api.fastHook = func(name string, batchSize int) {
+	api.genHook = func(name string, batchSize int) {
 		once.Do(func() { close(entered) })
 		<-release
 	}
-	defer func() { api.fastHook = nil }()
+	defer func() { api.genHook = nil }()
 
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
@@ -303,8 +305,82 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	if codes[1] != http.StatusNotFound {
 		t.Fatalf("stranded waiter: %d %s, want 404 after retry", codes[1], bodies[1])
 	}
-	if api.lookupFast("doomed") != nil {
+	if api.lookupModel("doomed") != nil {
 		t.Fatal("swept snapshot still cached")
+	}
+
+	// Default mode, one request held between entry lookup and generation.
+	if _, err := api.registry().PutModel("doomed", refBytes); err != nil {
+		t.Fatal(err)
+	}
+	req := GenerateRequest{Count: 30, Format: "csv"}
+	want := freshBody(t, refBytes, trace.KindNetFlow, req)
+	if code, body := generate(t, ts, "doomed", req); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("default-mode warm-up: %d %s", code, body)
+	}
+	held := make(chan struct{})
+	resume := make(chan struct{})
+	api.genHook = func(name string, batchSize int) {
+		close(held)
+		<-resume
+	}
+	var code int
+	var body []byte
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		code, body = generate(t, ts, "doomed", req)
+	}()
+	<-held
+	api.genHook = nil
+	if err := api.registry().DeleteModel("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.SweepRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	wg.Wait()
+	if code != http.StatusNotFound {
+		t.Fatalf("default-mode request on a swept entry: %d %.200s, want 404 after retry", code, body)
+	}
+
+	// Default mode under a storm of deletes, re-stores and sweeps: every
+	// reply is the model's complete trace or a 404.
+	errs := make(chan string, 64)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := generate(t, ts, "doomed", req)
+			if code == http.StatusOK && !bytes.Equal(body, want) || code != http.StatusOK && code != http.StatusNotFound {
+				errs <- fmt.Sprintf("%d %.200s", code, body)
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := api.registry().PutModel("doomed", refBytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := api.registry().DeleteModel("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := api.SweepRegistry(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("default-mode request racing sweeps: %s", e)
+	}
+	// A request that decoded the model just before the last delete may
+	// have cached it after the last sweep; the next request's 404 drops it.
+	if code, body := generate(t, ts, "doomed", req); code != http.StatusNotFound {
+		t.Fatalf("after the storm: %d %.200s, want 404", code, body)
+	}
+	if api.lookupModel("doomed") != nil {
+		t.Fatal("deleted model still cached")
 	}
 }
 

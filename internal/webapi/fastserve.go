@@ -9,33 +9,39 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// Fast serving (DESIGN.md §11): POST /api/v1/models/{name}/generate with
-// "fast": true routes through a float32 inference snapshot instead of
-// loading a fresh float64 synthesizer per request. Two mechanisms make it
-// fast under load:
+// Model serving (DESIGN.md §11): POST /api/v1/models/{name}/generate
+// decodes each stored model once, into a name-keyed LRU entry, and serves
+// both generate modes from that entry:
 //
-//   - an LRU cache of decoded snapshots in front of the registry, so the
-//     container is read and decoded once per model, not once per request;
-//   - a cross-request batch scheduler: concurrent generate calls for the
-//     same model coalesce into ONE batched forward fan-out
+//   - the default mode calls the float64 synthesizer's stateless
+//     GenerateFresh, unbatched and without holding a lock, so concurrent
+//     requests run side by side. Every response equals the first generate
+//     of a freshly loaded model: the same model, count and label always
+//     produce bitwise-identical output, before and after a restart;
+//   - "fast": true routes through a float32 snapshot, built from the
+//     float64 synthesizer by the entry's first fast batch, and a
+//     cross-request batch scheduler: concurrent fast calls for the same
+//     model coalesce into ONE batched forward fan-out
 //     (core.Fast*Synthesizer.GenerateBatch), each request receiving its
-//     proportional per-chunk share.
+//     proportional per-chunk share. The snapshot's RNG advances across
+//     requests, so fast responses depend on request ordering; only their
+//     DISTRIBUTION is pinned (internal/conformance).
 //
-// The default (non-fast) path is untouched and keeps its contract: a fresh
-// synthesizer per request, bitwise-deterministic output. The fast path
-// trades that for throughput — a cached snapshot's RNG advances across
-// requests, so responses depend on request ordering; only the output
-// DISTRIBUTION is pinned (internal/conformance). Models stored as fast
-// containers (flow-fast / packet-fast kinds) always serve via this path:
-// they carry no float64 weights to be deterministic with.
+// Models stored as fast containers (flow-fast / packet-fast kinds) always
+// serve fast: they carry no float64 weights to be deterministic with. An
+// entry remembers the manifest it was decoded from; a request whose
+// manifest differs (PutModel overwrote the name) decodes the model again.
 
-// Pre-registered telemetry handles for the fast path.
+// Pre-registered telemetry handles for the fast mode. They count
+// fast-mode requests only.
 var (
 	telFastBatches   = telemetry.Default.Counter("webapi.fast.batches")
 	telFastRequests  = telemetry.Default.Counter("webapi.fast.requests")
@@ -44,15 +50,16 @@ var (
 	telFastPanics    = telemetry.Default.Counter("webapi.fast.panics")
 )
 
-// defaultFastCacheCap bounds the decoded-snapshot LRU when the server
-// does not override FastCacheCap.
+// defaultFastCacheCap bounds the decoded-model LRU when the server does
+// not override FastCacheCap.
 const defaultFastCacheCap = 8
 
-// errFastEvicted fails waiters stranded when a registry sweep drops
-// their snapshot mid-queue. It is retryable: serveFastGenerate's loop
-// reloads from the registry, turning a swept model into a clean 404
-// instead of a half-served response.
-var errFastEvicted = errors.New("webapi: fast snapshot evicted by registry sweep")
+// errEvicted fails a request whose entry was retired (by a registry
+// sweep, an overwrite or a fast-batch panic) before the request ran on
+// it. It is retryable: serveGenerate's loop goes back to the registry,
+// turning a swept model into a clean 404 instead of a stale or
+// half-served response.
+var errEvicted = errors.New("webapi: model entry evicted")
 
 // fastWait is one request's slot in a coalesced batch.
 type fastWait struct {
@@ -65,28 +72,30 @@ type fastWait struct {
 	done  chan struct{}
 }
 
-// fastEntry is one model's cached snapshot plus its batch scheduler state.
-// Exactly one of flow/pkt is set.
-type fastEntry struct {
-	name string
-	flow *core.FastFlowSynthesizer
-	pkt  *core.FastPacketSynthesizer
+// modelEntry is one decoded model plus its batch scheduler state.
+type modelEntry struct {
+	// info is the registry manifest the entry was decoded from.
+	info registry.ModelInfo
+	// flow or pkt is the float64 synthesizer the default mode generates
+	// from; both are nil for fast kinds.
+	flow        *core.FlowSynthesizer
+	pkt         *core.PacketSynthesizer
+	conditional bool
+	// fastFlow or fastPkt is the float32 snapshot: decoded directly for
+	// fast kinds, otherwise built by the first fast batch. Once the entry
+	// is cached only the batch runner touches these two fields.
+	fastFlow *core.FastFlowSynthesizer
+	fastPkt  *core.FastPacketSynthesizer
 
 	mu      sync.Mutex
 	pending []*fastWait
 	running bool
-	// dead marks an entry poisoned by a generation panic: it accepts no new
-	// waiters and has been evicted, so the next request decodes a fresh
-	// snapshot instead of reusing corrupt in-memory state.
-	dead bool
-}
-
-// fastState initializes the LRU lazily under s.fastMu.
-func (s *Server) fastState() {
-	if s.fastCache == nil {
-		s.fastCache = make(map[string]*list.Element)
-		s.fastLRU = list.New()
-	}
+	// dead marks an entry retired by a sweep, an overwrite or a fast-batch
+	// panic: it has left the cache and accepts no new work, so the next
+	// request decodes a fresh entry instead of reusing this one. It is
+	// set under mu, so no waiter can enqueue after retire strands the
+	// queue.
+	dead atomic.Bool
 }
 
 // fastCap resolves the effective cache capacity.
@@ -97,157 +106,200 @@ func (s *Server) fastCap() int {
 	return defaultFastCacheCap
 }
 
-// lookupFast returns the cached entry for name, refreshing its LRU
+// lookupModel returns the cached entry for name, refreshing its LRU
 // position, or nil on miss.
-func (s *Server) lookupFast(name string) *fastEntry {
-	s.fastMu.Lock()
-	defer s.fastMu.Unlock()
-	s.fastState()
-	el, ok := s.fastCache[name]
+func (s *Server) lookupModel(name string) *modelEntry {
+	s.modelMu.Lock()
+	defer s.modelMu.Unlock()
+	el, ok := s.modelCache[name]
 	if !ok {
 		return nil
 	}
-	s.fastLRU.MoveToFront(el)
-	return el.Value.(*fastEntry)
+	s.modelLRU.MoveToFront(el)
+	return el.Value.(*modelEntry)
 }
 
-// insertFast caches entry, evicting the least-recently-used snapshot past
-// capacity. If another goroutine inserted the same name first, that entry
-// wins and is returned — both requests then coalesce on one scheduler.
-func (s *Server) insertFast(entry *fastEntry) *fastEntry {
-	s.fastMu.Lock()
-	defer s.fastMu.Unlock()
-	s.fastState()
-	if el, ok := s.fastCache[entry.name]; ok {
-		s.fastLRU.MoveToFront(el)
-		return el.Value.(*fastEntry)
+// insertModel caches entry, evicting the least-recently-used entry past
+// capacity. If another goroutine cached the same model version first,
+// that entry wins and is returned (fast requests then coalesce on one
+// scheduler); an entry decoded from another version is retired.
+func (s *Server) insertModel(entry *modelEntry) *modelEntry {
+	s.modelMu.Lock()
+	if s.modelCache == nil {
+		s.modelCache = make(map[string]*list.Element)
+		s.modelLRU = list.New()
 	}
-	s.fastCache[entry.name] = s.fastLRU.PushFront(entry)
-	for s.fastLRU.Len() > s.fastCap() {
-		oldest := s.fastLRU.Back()
-		delete(s.fastCache, oldest.Value.(*fastEntry).name)
-		s.fastLRU.Remove(oldest)
+	var stale *modelEntry
+	if el, ok := s.modelCache[entry.info.Name]; ok {
+		if stale = el.Value.(*modelEntry); stale.info == entry.info {
+			s.modelLRU.MoveToFront(el)
+			s.modelMu.Unlock()
+			return stale
+		}
+		s.modelLRU.Remove(el)
+	}
+	s.modelCache[entry.info.Name] = s.modelLRU.PushFront(entry)
+	for s.modelLRU.Len() > s.fastCap() {
+		oldest := s.modelLRU.Back()
+		delete(s.modelCache, oldest.Value.(*modelEntry).info.Name)
+		s.modelLRU.Remove(oldest)
+	}
+	s.modelMu.Unlock()
+	if stale != nil {
+		s.retire(stale, errEvicted)
 	}
 	return entry
 }
 
-// evictFast drops name from the cache (no-op when absent or already
-// replaced by a newer entry for the same name).
-func (s *Server) evictFast(entry *fastEntry) {
-	s.fastMu.Lock()
-	defer s.fastMu.Unlock()
-	s.fastState()
-	if el, ok := s.fastCache[entry.name]; ok && el.Value.(*fastEntry) == entry {
-		delete(s.fastCache, entry.name)
-		s.fastLRU.Remove(el)
+// retire drops entry from the cache (unless a newer entry replaced it),
+// marks it dead so no new request runs on it, and fails its queued fast
+// waiters with err. A batch already running finishes from memory.
+func (s *Server) retire(entry *modelEntry, err error) {
+	s.modelMu.Lock()
+	if el, ok := s.modelCache[entry.info.Name]; ok && el.Value.(*modelEntry) == entry {
+		delete(s.modelCache, entry.info.Name)
+		s.modelLRU.Remove(el)
+	}
+	s.modelMu.Unlock()
+	entry.mu.Lock()
+	entry.dead.Store(true)
+	stranded := entry.pending
+	entry.pending = nil
+	entry.mu.Unlock()
+	for _, w := range stranded {
+		w.err = err
+		close(w.done)
 	}
 }
 
-// loadFastEntry decodes a snapshot for name from the registry's stored
-// container: fast containers decode directly; reference containers load
-// the float64 synthesizer and snapshot it.
-func (s *Server) loadFastEntry(name string) (*fastEntry, int, error) {
-	reg := s.registry()
-	framed, info, err := reg.ModelBytes(name)
+// entryFor returns the entry decoded from the model version info names:
+// the cached one, or a fresh decode that replaces a stale one. Cache hits
+// and misses are counted for fast-mode requests only.
+func (s *Server) entryFor(info registry.ModelInfo, fast bool) (*modelEntry, int, error) {
+	if entry := s.lookupModel(info.Name); entry != nil && entry.info == info {
+		if fast {
+			telFastCacheHits.Inc()
+		}
+		return entry, 0, nil
+	}
+	if fast {
+		telFastCacheMiss.Inc()
+	}
+	entry, code, err := s.loadModelEntry(info.Name)
+	if err != nil {
+		return nil, code, err
+	}
+	return s.insertModel(entry), 0, nil
+}
+
+// loadModelEntry decodes name's stored container. It is the only place
+// the server decodes a stored model.
+func (s *Server) loadModelEntry(name string) (*modelEntry, int, error) {
+	framed, info, err := s.registry().ModelBytes(name)
 	if err != nil {
 		return nil, http.StatusNotFound, fmt.Errorf("model %q: %w", name, err)
 	}
-	entry := &fastEntry{name: name}
+	entry := &modelEntry{info: info}
+	r := bytes.NewReader(framed)
 	switch info.Kind {
 	case "flow":
-		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
-		entry.flow = syn.Fast()
+		entry.flow, err = core.LoadFlowSynthesizer(r)
 	case "flow-fast":
-		if entry.flow, err = core.LoadFastFlowSynthesizer(bytes.NewReader(framed)); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
+		entry.fastFlow, err = core.LoadFastFlowSynthesizer(r)
 	case "packet":
-		syn, err := core.LoadPacketSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
-		entry.pkt = syn.Fast()
+		entry.pkt, err = core.LoadPacketSynthesizer(r)
 	case "packet-fast":
-		if entry.pkt, err = core.LoadFastPacketSynthesizer(bytes.NewReader(framed)); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
+		entry.fastPkt, err = core.LoadFastPacketSynthesizer(r)
 	default:
 		return nil, http.StatusInternalServerError, fmt.Errorf("model %q has unknown kind %q", name, info.Kind)
 	}
+	if err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
+	}
+	entry.conditional = entry.flow != nil && entry.flow.Conditional() ||
+		entry.fastFlow != nil && entry.fastFlow.Conditional()
 	return entry, 0, nil
 }
 
-// serveFastGenerate handles one fast-path generate request end to end:
-// snapshot lookup/decode, batch enqueue, wait, encode in format f. label
-// is the parsed scenario label (-1 for the unconditional mixture).
-func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req GenerateRequest, f trace.Format, label int) {
-	telFastRequests.Inc()
+// serveGenerate answers one generate request for the model version info
+// names, in the default or fast mode, encoding the trace in format f.
+// label is the parsed scenario label (-1 for the unconditional mixture).
+func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, req GenerateRequest, f trace.Format, label int) {
+	fast := req.Fast || isFastKind(info.Kind)
+	if fast {
+		telFastRequests.Inc()
+	}
 	for {
-		entry := s.lookupFast(name)
-		if entry == nil {
-			telFastCacheMiss.Inc()
-			loaded, code, err := s.loadFastEntry(name)
-			if err != nil {
-				writeError(w, code, "%v", err)
-				return
-			}
-			entry = s.insertFast(loaded)
-		} else {
-			telFastCacheHits.Inc()
-		}
-		if label >= 0 {
-			// Kind was validated upstream; conditioning is a property of the
-			// decoded snapshot, so it is checked here.
-			if entry.flow == nil {
-				writeError(w, http.StatusBadRequest, "label %q: model %q is a packet model; labeled generation is flow-only", req.Label, name)
-				return
-			}
-			if !entry.flow.Conditional() {
-				writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, name)
-				return
-			}
-		}
-
-		wait := &fastWait{count: req.Count, label: label, done: make(chan struct{})}
-		entry.mu.Lock()
-		if entry.dead {
-			// Poisoned between lookup and enqueue; retry with a fresh
-			// snapshot (the panicking runner already evicted this one).
-			entry.mu.Unlock()
-			continue
-		}
-		entry.pending = append(entry.pending, wait)
-		runner := !entry.running
-		if runner {
-			entry.running = true
-		}
-		entry.mu.Unlock()
-
-		// First arriver becomes the runner and drains the queue; requests
-		// landing while a batch is in flight are picked up by the next
-		// drain and coalesce into one forward fan-out.
-		if runner {
-			s.runFastBatches(entry)
-		}
-		<-wait.done
-		if errors.Is(wait.err, errFastEvicted) {
-			// A registry sweep dropped the snapshot while this request was
-			// queued; retry against the registry so the response is either a
-			// fresh complete trace or a clean 404 — never a partial result.
-			continue
-		}
-		if wait.err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", wait.err)
+		entry, code, err := s.entryFor(info, fast)
+		if err != nil {
+			writeError(w, code, "%v", err)
 			return
 		}
-		if writeTrace(w, name, f, wait.out) {
+		if label >= 0 && !entry.conditional {
+			writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, info.Name)
+			return
+		}
+		var out trace.Source
+		if fast || entry.flow == nil && entry.pkt == nil {
+			out, err = s.generateFast(entry, req.Count, label)
+		} else {
+			out, err = s.generateExact(entry, req.Count, label)
+		}
+		if errors.Is(err, errEvicted) {
+			// The entry was retired before this request ran on it; retry
+			// against the registry so the response is either a complete
+			// trace of the current model or a clean 404.
+			continue
+		}
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if writeTrace(w, info.Name, f, out) {
 			telModelsServed.Inc()
 		}
 		return
 	}
+}
+
+// generateExact runs one default-mode request on entry's float64
+// synthesizer. genHook runs before the liveness check, the window in
+// which a sweep can retire the entry.
+func (s *Server) generateExact(entry *modelEntry, count, label int) (trace.Source, error) {
+	if s.genHook != nil {
+		s.genHook(entry.info.Name, 1)
+	}
+	if entry.dead.Load() {
+		return nil, errEvicted
+	}
+	if entry.flow != nil {
+		return entry.flow.GenerateFresh(count, label)
+	}
+	return entry.pkt.GenerateFresh(count), nil
+}
+
+// generateFast enqueues one fast-mode request on entry's batch scheduler
+// and waits for its share of a coalesced batch.
+func (s *Server) generateFast(entry *modelEntry, count, label int) (trace.Source, error) {
+	wait := &fastWait{count: count, label: label, done: make(chan struct{})}
+	entry.mu.Lock()
+	if entry.dead.Load() {
+		entry.mu.Unlock()
+		return nil, errEvicted
+	}
+	entry.pending = append(entry.pending, wait)
+	runner := !entry.running
+	entry.running = true
+	entry.mu.Unlock()
+
+	// First arriver becomes the runner and drains the queue; requests
+	// landing while a batch is in flight are picked up by the next drain
+	// and coalesce into one forward fan-out.
+	if runner {
+		s.runFastBatches(entry)
+	}
+	<-wait.done
+	return wait.out, wait.err
 }
 
 // runFastBatches drains the entry's pending queue, one coalesced
@@ -255,7 +307,7 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req Gener
 // coalesces requests pinned to the same scenario label (the conditioning
 // vector is per-forward-pass, not per-row); waiters for other labels
 // stay queued and are drained by subsequent iterations.
-func (s *Server) runFastBatches(entry *fastEntry) {
+func (s *Server) runFastBatches(entry *modelEntry) {
 	for {
 		entry.mu.Lock()
 		if len(entry.pending) == 0 {
@@ -283,64 +335,57 @@ func (s *Server) runFastBatches(entry *fastEntry) {
 // serveFastBatch runs one coalesced forward fan-out. A panic anywhere in
 // generation is contained the same way job panics are (run's recover →
 // StateFailed): every waiter in this batch AND any that queued meanwhile
-// fails with an error response, the entry is marked dead and evicted so
-// its (possibly corrupt) state is never reused, and the scheduler slot is
-// released. Returns false when the entry died and draining must stop.
-func (s *Server) serveFastBatch(entry *fastEntry, batch []*fastWait, label int) (ok bool) {
+// fails with an error response, and the entry is retired so its
+// (possibly corrupt) state is never reused. Returns false when the entry
+// died and draining must stop.
+func (s *Server) serveFastBatch(entry *modelEntry, batch []*fastWait, label int) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			telFastPanics.Inc()
-			err := fmt.Errorf("fast generation for model %q panicked: %v", entry.name, r)
-			// Refuse new waiters first, then fail everyone already queued.
-			// Waiters in `batch` were never completed (the panic aborted
-			// GenerateBatch before any done channel closed).
-			entry.mu.Lock()
-			entry.dead = true
-			entry.running = false
-			stranded := entry.pending
-			entry.pending = nil
-			entry.mu.Unlock()
-			for _, w := range append(batch, stranded...) {
+			err := fmt.Errorf("fast generation for model %q panicked: %v", entry.info.Name, r)
+			// Refuse new waiters and fail everyone queued, then this batch
+			// (the panic aborted it before any done channel closed).
+			s.retire(entry, err)
+			for _, w := range batch {
 				w.err = err
 				close(w.done)
 			}
-			s.evictFast(entry)
 			ok = false
 		}
 	}()
-	if s.fastHook != nil {
-		s.fastHook(entry.name, len(batch))
+	if s.genHook != nil {
+		s.genHook(entry.info.Name, len(batch))
+	}
+	switch {
+	case entry.fastFlow == nil && entry.flow != nil:
+		entry.fastFlow = entry.flow.Fast()
+	case entry.fastPkt == nil && entry.pkt != nil:
+		entry.fastPkt = entry.pkt.Fast()
 	}
 	counts := make([]int, len(batch))
 	for i, w := range batch {
 		counts[i] = w.count
 	}
-	if entry.flow != nil {
-		var outs []*trace.FlowTrace
+	outs := make([]trace.Source, len(batch))
+	var err error // labels are pre-validated at enqueue; this is defensive
+	if entry.fastFlow != nil {
+		var flows []*trace.FlowTrace
 		if label >= 0 {
-			var err error
-			if outs, err = entry.flow.GenerateLabeledBatch(counts, trace.Label(label)); err != nil {
-				// Pre-validated at enqueue, so this is defensive: fail the
-				// batch without poisoning the snapshot.
-				for _, w := range batch {
-					w.err = err
-					close(w.done)
-				}
-				return true
-			}
+			flows, err = entry.fastFlow.GenerateLabeledBatch(counts, trace.Label(label))
 		} else {
-			outs = entry.flow.GenerateBatch(counts)
+			flows = entry.fastFlow.GenerateBatch(counts)
 		}
-		for i, w := range batch {
-			w.out = outs[i]
-			close(w.done)
+		for i, f := range flows {
+			outs[i] = f
 		}
 	} else {
-		outs := entry.pkt.GenerateBatch(counts)
-		for i, w := range batch {
-			w.out = outs[i]
-			close(w.done)
+		for i, p := range entry.fastPkt.GenerateBatch(counts) {
+			outs[i] = p
 		}
+	}
+	for i, w := range batch {
+		w.out, w.err = outs[i], err
+		close(w.done)
 	}
 	telFastBatches.Inc()
 	return true
@@ -372,42 +417,22 @@ func setAttachmentHeaders(w http.ResponseWriter, name string, f trace.Format) {
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.%s", name, f.Ext))
 }
 
-// sweepFastCache drops every cached snapshot whose model keep rejects.
-// Each dropped entry is marked dead first (so no new waiter can join it)
-// and its queued-but-unbatched waiters fail with the retryable
-// errFastEvicted; a batch already in flight completes from the in-memory
-// snapshot. Together with serveFastGenerate's retry loop this makes a
-// concurrent sweep + generate resolve to either a complete trace or a
-// 404 — never a partial response. Returns how many entries were dropped.
-func (s *Server) sweepFastCache(keep func(name string) bool) int {
-	s.fastMu.Lock()
-	var dropped []*fastEntry
-	if s.fastLRU != nil {
-		for el := s.fastLRU.Front(); el != nil; {
-			next := el.Next()
-			entry := el.Value.(*fastEntry)
-			if !keep(entry.name) {
-				delete(s.fastCache, entry.name)
-				s.fastLRU.Remove(el)
-				dropped = append(dropped, entry)
-			}
-			el = next
+// sweepModels retires every cached entry whose model keep rejects.
+// Together with serveGenerate's retry loop this makes a concurrent sweep
+// + generate resolve to either a complete trace or a 404, never a
+// partial response.
+func (s *Server) sweepModels(keep func(name string) bool) {
+	s.modelMu.Lock()
+	var dropped []*modelEntry
+	for name, el := range s.modelCache {
+		if !keep(name) {
+			dropped = append(dropped, el.Value.(*modelEntry))
 		}
 	}
-	s.fastMu.Unlock()
-
+	s.modelMu.Unlock()
 	for _, entry := range dropped {
-		entry.mu.Lock()
-		entry.dead = true
-		stranded := entry.pending
-		entry.pending = nil
-		entry.mu.Unlock()
-		for _, w := range stranded {
-			w.err = errFastEvicted
-			close(w.done)
-		}
+		s.retire(entry, errEvicted)
 	}
-	return len(dropped)
 }
 
 // isFastKind reports whether a stored model kind is a fast container

@@ -44,14 +44,14 @@ func TestFastServing(t *testing.T) {
 		release := make(chan struct{})
 		first := make(chan struct{})
 		var once sync.Once
-		api.fastHook = func(name string, batchSize int) {
+		api.genHook = func(name string, batchSize int) {
 			mu.Lock()
 			batches = append(batches, batchSize)
 			mu.Unlock()
 			once.Do(func() { close(first) })
 			<-release
 		}
-		defer func() { api.fastHook = nil }()
+		defer func() { api.genHook = nil }()
 
 		var wg sync.WaitGroup
 		results := make([]int, 3)
@@ -88,7 +88,7 @@ func TestFastServing(t *testing.T) {
 		var mu sync.Mutex
 		entered := make(chan struct{})
 		armed := make(chan struct{})
-		api.fastHook = func(name string, batchSize int) {
+		api.genHook = func(name string, batchSize int) {
 			mu.Lock()
 			calls++
 			n := calls
@@ -99,7 +99,7 @@ func TestFastServing(t *testing.T) {
 				panic("synthetic fast-path failure")
 			}
 		}
-		defer func() { api.fastHook = nil }()
+		defer func() { api.genHook = nil }()
 
 		var wg sync.WaitGroup
 		codes := make([]int, 2)
@@ -206,8 +206,8 @@ func TestFastServing(t *testing.T) {
 		// 400 before any generation runs, on either serving path.
 		genPhase := telemetry.Default.Timer("core.generate.phase")
 		var batches atomic.Int32
-		api.fastHook = func(string, int) { batches.Add(1) }
-		defer func() { api.fastHook = nil }()
+		api.genHook = func(string, int) { batches.Add(1) }
+		defer func() { api.genHook = nil }()
 		before := genPhase.Count()
 		for _, format := range []string{"pcap", "xml"} {
 			for _, fast := range []bool{false, true} {
@@ -273,7 +273,7 @@ func waitPending(t *testing.T, api *Server, model string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if entry := api.lookupFast(model); entry != nil {
+		if entry := api.lookupModel(model); entry != nil {
 			entry.mu.Lock()
 			queued := len(entry.pending)
 			entry.mu.Unlock()

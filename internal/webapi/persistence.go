@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -58,7 +57,8 @@ type RecoveryStats struct {
 // trusts validated entries, and legacy flat-CSV traces are migrated to
 // stores), then every terminal job record is loaded back into the job
 // table. Call it once, before Handler is serving
-// traffic. Models remain on disk and are loaded per generation request.
+// traffic. Models remain on disk; a generate request decodes its model
+// once into the server's model cache (fastserve.go).
 func (s *Server) UseRegistry(reg *registry.Registry) (RecoveryStats, error) {
 	var stats RecoveryStats
 	rep, err := reg.Sweep()
@@ -193,19 +193,20 @@ type GenerateRequest struct {
 	// (core.Config.Conditional); anything else is a 400. Empty means the
 	// model's trained scenario mixture.
 	Label string `json:"label,omitempty"`
-	// Fast opts into the float32 serving fast path (fastserve.go): cached
-	// snapshot, coalesced batched generation. Higher throughput, but output
-	// depends on request ordering — only its distribution is pinned. The
-	// default path stays per-request deterministic. Models stored as fast
+	// Fast opts into the float32 fast mode (fastserve.go): a snapshot of
+	// the cached model and coalesced batched generation. Higher throughput
+	// on large counts, but output depends on request ordering — only its
+	// distribution is pinned. The default mode, served from the same
+	// cached model, is per-request deterministic. Models stored as fast
 	// containers always serve fast regardless of this flag.
 	Fast bool `json:"fast,omitempty"`
 }
 
-// handleModelGenerate serves generation straight from a stored model:
-// the container is loaded and validated from disk and a fresh
-// synthesizer generates the requested count. Loading fresh per request
-// makes serving stateless and deterministic — the same model and count
-// always produce bitwise-identical output, before and after a restart.
+// handleModelGenerate serves generation from a stored model. It
+// validates the request against the model's manifest, then serveGenerate
+// runs it on the model's cached decoded entry (fastserve.go). Default-mode
+// output depends only on the model, count and label: the same request
+// always produces bitwise-identical output, before and after a restart.
 func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	reg := s.registry()
 	if reg == nil {
@@ -241,6 +242,8 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := reg.Model(name)
 	if err != nil {
+		// Deleted or never stored: drop any entry still cached for it.
+		s.sweepModels(func(n string) bool { return n != name })
 		writeError(w, http.StatusNotFound, "model %q: %v", name, err)
 		return
 	}
@@ -253,50 +256,5 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "label %q: model %q is a packet model; labeled generation is flow-only", req.Label, name)
 		return
 	}
-	if req.Fast || isFastKind(info.Kind) {
-		s.serveFastGenerate(w, name, req, f, label)
-		return
-	}
-
-	framed, info, err := reg.ModelBytes(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "model %q: %v", name, err)
-		return
-	}
-	var out trace.Source
-	switch info.Kind {
-	case "flow":
-		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load model %q: %v", name, err)
-			return
-		}
-		var gen *trace.FlowTrace
-		if label >= 0 {
-			if !syn.Conditional() {
-				writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, name)
-				return
-			}
-			if gen, err = syn.GenerateLabeled(req.Count, trace.Label(label)); err != nil {
-				writeError(w, http.StatusInternalServerError, "labeled generation for model %q: %v", name, err)
-				return
-			}
-		} else {
-			gen = syn.Generate(req.Count)
-		}
-		out = gen
-	case "packet":
-		syn, err := core.LoadPacketSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load model %q: %v", name, err)
-			return
-		}
-		out = syn.Generate(req.Count)
-	default:
-		writeError(w, http.StatusInternalServerError, "model %q has unknown kind %q", name, info.Kind)
-		return
-	}
-	if writeTrace(w, name, f, out) {
-		telModelsServed.Inc()
-	}
+	s.serveGenerate(w, info, req, f, label)
 }

@@ -132,9 +132,10 @@ func (s *Server) artifactDrop(keep func(jobID string) bool) int {
 
 // SweepRegistry re-runs the registry's garbage-collection sweep and
 // evicts server caches the sweep invalidated: encoded artifacts whose
-// backing job is gone, and fast-serving snapshots whose model is gone
-// (fastserve.go sweepFastCache — queued waiters on a dropped snapshot
-// retry and get a clean 404 rather than a stale or partial response).
+// backing job is gone, and decoded model entries whose model is gone
+// (fastserve.go sweepModels — requests not yet running on a dropped
+// entry retry and get a clean 404 rather than a stale or partial
+// response).
 // Safe to call periodically while serving.
 func (s *Server) SweepRegistry() (registry.SweepReport, error) {
 	reg := s.registry()
@@ -153,7 +154,7 @@ func (s *Server) SweepRegistry() (registry.SweepReport, error) {
 	for _, m := range reg.Models() {
 		alive[m.Name] = true
 	}
-	s.sweepFastCache(func(name string) bool { return alive[name] })
+	s.sweepModels(func(name string) bool { return alive[name] })
 	return rep, nil
 }
 

@@ -205,12 +205,13 @@ type Server struct {
 	// operation. Attach with UseRegistry before serving traffic.
 	reg *registry.Registry
 
-	// FastCacheCap bounds the fast path's decoded-snapshot LRU
-	// (fastserve.go); 0 selects the default. Set before serving traffic.
+	// FastCacheCap bounds the decoded-model LRU that serves both generate
+	// modes (fastserve.go); 0 selects the default. Set before serving
+	// traffic.
 	FastCacheCap int
-	fastMu       sync.Mutex
-	fastCache    map[string]*list.Element
-	fastLRU      *list.List
+	modelMu      sync.Mutex
+	modelCache   map[string]*list.Element
+	modelLRU     *list.List
 
 	// ArtifactCacheBytes bounds the encoded-download LRU (tracestore.go):
 	// downloads of store-backed traces, in every format, are cached up to
@@ -220,9 +221,10 @@ type Server struct {
 	artCache           map[string]*list.Element
 	artLRU             *list.List
 	artSize            int64
-	// fastHook, when non-nil, runs inside each coalesced fast batch just
-	// before generation — the test seam for coalescing and panic tests.
-	fastHook func(name string, batchSize int)
+	// genHook, when non-nil, runs before generation: inside each
+	// coalesced fast batch and in each default-mode request — the test
+	// seam for coalescing, panic and sweep tests.
+	genHook func(name string, batchSize int)
 
 	// ingestSrc, when attached, backs GET /api/v1/ingest with live
 	// flow-assembly statistics.
