@@ -15,10 +15,10 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with parallel kernels, the
-# fault-tolerant training fan-out, and the lot-parallel generation
+# concurrent chunk fine-tunes, and the lot-parallel generation
 # pipeline: the matmul worker pool, the per-sample DP-SGD fan-out, the
-# chunked fine-tune fan-out, the checkpoint/resume orchestrator, the
-# generation scratch pool, the shared decode cache, the durable model
+# plan executor's fine-tune fan-out and its checkpoint/resume records,
+# the generation scratch pool, the shared decode cache, the durable model
 # registry (DESIGN.md §6–8, §10), and model serving — the decoded-model
 # LRU, concurrent stateless generates, the cross-request batch
 # scheduler, and the lot-parallel float32 sampler (DESIGN.md §11) — plus the columnar trace store and
@@ -28,16 +28,19 @@ test:
 # streaming writer and reader (CSV, pcap, NetFlow v5/v9, IPFIX).
 test-race:
 	$(GO) test -race ./internal/mat/... ./internal/dgan/... ./internal/core/... \
-		./internal/orchestrator/... ./internal/privacy/... ./internal/ip2vec/... \
+		./internal/privacy/... ./internal/ip2vec/... \
 		./internal/container/... ./internal/registry/... ./internal/webapi/... \
 		./internal/conformance/... ./internal/ingest/... ./internal/trace/... \
 		./internal/store/... ./internal/cluster/...
 
-# Crash/fault matrix: the checkpoint/resume/retry tests that simulate
-# process death, torn writes, and exhausted retry budgets (DESIGN.md §7).
+# Crash/fault matrix (DESIGN.md §7): the executor's kill-and-resume
+# matrix, corrupt and unwritable checkpoints, changed-plan rejection,
+# DP resume, the parent-pinned training goldens, the shared chunk-record
+# reader, and the cluster worker-kill recovery test.
 test-crash:
-	$(GO) test ./internal/orchestrator/... -run 'Crash|Fault|Resume|Torn|Partial|Exhaust'
-	$(GO) test ./internal/core -run 'Resume|Fault|Exhausted|DPRetry'
+	$(GO) test ./internal/core -run 'Crash|Resume|Checkpoint|Epsilon|TrainingGolden'
+	$(GO) test ./internal/container -run 'Chunk'
+	$(GO) test ./internal/cluster -run 'TestWorkerCrashRecoveryBitwiseIdentical'
 
 # Telemetry subsystem (DESIGN.md §9): race pass over the registry and the
 # web API that serves it, the zero-allocation hot-path proof, and the
@@ -58,7 +61,7 @@ test-ingest:
 	$(GO) test ./internal/webapi -run TestIngestEndpoint
 
 # Short fuzz pass over every fuzz target (trace parsers, flow assembly,
-# and checkpoint/manifest loaders). Each target needs its own
+# the chunk-record reader, and the container and lease decoders). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)
@@ -69,8 +72,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadNetFlowV9 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadIPFIX -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFlowAssemble -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/orchestrator -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/orchestrator -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/container -run '^$$' -fuzz FuzzChunkRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dgan -run '^$$' -fuzz FuzzDecodeInferWeights -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzBlockDecode -fuzztime $(FUZZTIME)

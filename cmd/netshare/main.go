@@ -6,7 +6,7 @@
 //	netshare -kind netflow -dataset ugr16 -records 2000 -out synthetic.csv
 //	netshare -kind pcap -in real.csv -out synthetic.csv -chunks 5
 //	netshare -kind netflow -dataset ugr16 -dp -epsilon-noise 0.7 -out dp.csv
-//	netshare -kind netflow -dataset ugr16 -checkpoint-dir ckpt -max-retries 2 -out synthetic.csv
+//	netshare -kind netflow -dataset ugr16 -checkpoint-dir ckpt -out synthetic.csv
 //	netshare -kind netflow -dataset ugr16 -checkpoint-dir ckpt -resume -out synthetic.csv
 //	netshare -kind netflow -dataset ugr16 -out synthetic.csv -metrics-out metrics.json
 //	netshare -kind netflow -dataset ugr16 -registry reg -save-model ugr16-v1 -out synthetic.csv
@@ -36,7 +36,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/ingest"
 	"repro/internal/mat"
-	"repro/internal/orchestrator"
 	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -85,7 +84,7 @@ func run(args []string) error {
 		par       = fs.Int("parallelism", 0, "training worker count (0 = all CPUs, 1 = serial); any value yields bitwise-identical output for a given -seed")
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-chunk training checkpoints (empty disables)")
 		resume    = fs.Bool("resume", false, "resume training from -checkpoint-dir, skipping completed chunks")
-		maxRetry  = fs.Int("max-retries", 0, "per-chunk retry budget; past it a fine-tune chunk degrades to the seed weights")
+		maxRetry  = fs.Int("max-retries", 0, "with -role coordinator, the job's per-chunk re-lease budget: a chunk whose worker crashes or fails is leased again up to this many times before the job fails")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this path on exit")
 		metricsJS = fs.String("metrics-out", "", "write the run's telemetry snapshot (counters, phase timers, per-chunk loss curves) to this JSON path on exit")
@@ -130,6 +129,11 @@ func run(args []string) error {
 	}
 	if *maxRetry < 0 {
 		return fmt.Errorf("-max-retries must be >= 0, got %d", *maxRetry)
+	}
+	if *maxRetry != 0 && *role != "coordinator" {
+		// Local chunk tasks fail only on deterministic errors that a
+		// retry would replay; re-leasing is the cluster queue's business.
+		return fmt.Errorf("-max-retries applies to -role coordinator only")
 	}
 	if (*saveName != "" || *loadName != "") && *regDir == "" {
 		return fmt.Errorf("-save-model/-load-model require -registry")
@@ -251,7 +255,7 @@ func run(args []string) error {
 	}
 
 	public := datasets.CAIDAChicago(4000, *seed+500)
-	opts := trainOptions(*ckptDir, *resume, *maxRetry)
+	ex := core.Executor{Dir: *ckptDir, Resume: *resume}
 
 	// Live ingestion: assemble flows from a capture (or a rotating
 	// capture directory) before training, replacing the CSV readers.
@@ -318,7 +322,11 @@ func run(args []string) error {
 				if err != nil {
 					return nil, err
 				}
-				return core.TrainFlowSynthesizerOpts(real, public, cfg, opts)
+				plan, err := core.PlanFlowTraining(real, public, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return plan.Train(ex)
 			})
 		if err != nil {
 			return err
@@ -344,7 +352,11 @@ func run(args []string) error {
 				if err != nil {
 					return nil, err
 				}
-				return core.TrainPacketSynthesizerOpts(real, public, cfg, opts)
+				plan, err := core.PlanPacketTraining(real, public, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return plan.Train(ex)
 			})
 		if err != nil {
 			return err
@@ -440,32 +452,6 @@ func obtain[S synthesizer](m modelSource, want string, load func(io.Reader) (S, 
 	return syn, nil
 }
 
-// trainOptions wires the CLI's fault-tolerance flags into the training
-// orchestrator, logging retries, resumes, and degradations as they happen.
-func trainOptions(ckptDir string, resume bool, maxRetries int) core.TrainOptions {
-	if ckptDir == "" && maxRetries == 0 {
-		return core.TrainOptions{}
-	}
-	return core.TrainOptions{Orchestration: &orchestrator.Options{
-		Dir:        ckptDir,
-		Resume:     resume,
-		MaxRetries: maxRetries,
-		OnEvent: func(ev orchestrator.Event) {
-			switch ev.Kind {
-			case orchestrator.EventChunkResumed:
-				log.Printf("chunk %d: resumed from checkpoint", ev.Chunk)
-			case orchestrator.EventChunkRetry:
-				log.Printf("chunk %d: retry %d after error: %v", ev.Chunk, ev.Attempt, ev.Err)
-			case orchestrator.EventChunkDegraded:
-				log.Printf("chunk %d: retry budget exhausted after %d attempt(s), degrading to seed weights: %v",
-					ev.Chunk, ev.Attempt, ev.Err)
-			case orchestrator.EventCheckpointError:
-				log.Printf("chunk %d: checkpoint I/O error (training continues): %v", ev.Chunk, ev.Err)
-			}
-		},
-	}}
-}
-
 func reportStats(st core.Stats) {
 	log.Printf("trained %d chunk model(s): cpu=%v wall=%v epsilon=%.2f",
 		len(st.ChunkSamples), st.CPUTime.Round(1e6), st.WallTime.Round(1e6), st.Epsilon)
@@ -477,9 +463,6 @@ func reportStats(st core.Stats) {
 	}
 	if resumed > 0 {
 		log.Printf("resumed %d chunk(s) from checkpoints", resumed)
-	}
-	if deg := st.DegradedChunks(); len(deg) > 0 {
-		log.Printf("WARNING: chunk(s) %v degraded to seed weights after exhausting retries", deg)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -76,6 +77,18 @@ func TestBadFormatFailsBeforeTraining(t *testing.T) {
 	}
 	if n := trainPhase.Count() - before; n != 0 {
 		t.Fatalf("%d training phases ran before the -format error", n)
+	}
+}
+
+// TestMaxRetriesIsCoordinatorOnly: -max-retries sets a cluster job's
+// re-lease budget; any other role rejects it before training.
+func TestMaxRetriesIsCoordinatorOnly(t *testing.T) {
+	for _, role := range []string{"standalone", "worker"} {
+		args := []string{"-role", role, "-max-retries", "2", "-dataset", "ugr16", "-records", "300",
+			"-cluster", t.TempDir(), "-out", filepath.Join(t.TempDir(), "syn.csv")}
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-max-retries") {
+			t.Fatalf("-role %s -max-retries: got %v, want a flag error", role, err)
+		}
 	}
 }
 
@@ -203,24 +216,5 @@ func TestWriteMetrics(t *testing.T) {
 	}
 	if err := writeMetrics("/nonexistent/dir/metrics.json"); err == nil {
 		t.Fatal("unwritable path must fail")
-	}
-}
-
-func TestTrainOptionsWiring(t *testing.T) {
-	if got := trainOptions("", false, 0); got.Orchestration != nil {
-		t.Fatal("no flags must yield zero orchestration options")
-	}
-	got := trainOptions("ckpt", true, 3)
-	if got.Orchestration == nil {
-		t.Fatal("checkpoint flags must enable orchestration")
-	}
-	if got.Orchestration.Dir != "ckpt" || !got.Orchestration.Resume || got.Orchestration.MaxRetries != 3 {
-		t.Fatalf("orchestration options = %+v", got.Orchestration)
-	}
-	if got.Orchestration.OnEvent == nil {
-		t.Fatal("CLI must log orchestration events")
-	}
-	if got = trainOptions("", false, 2); got.Orchestration == nil || got.Orchestration.MaxRetries != 2 {
-		t.Fatal("-max-retries alone must still enable the retry policy")
 	}
 }

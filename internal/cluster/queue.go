@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +17,7 @@ import (
 // a fleet) with this layout:
 //
 //	<dir>/jobs/<id>.json         job record: spec + open|failed state
-//	<dir>/jobs/<id>/chunk-N.ckpt chunk payload (container KindCheckpoint)
+//	<dir>/jobs/<id>/chunk-N.ckpt chunk payload (container chunk record)
 //	<dir>/jobs/<id>/chunk-N.done completion record (written after .ckpt)
 //	<dir>/jobs/<id>/chunk-N.lease    active lease (link(2)-claimed lock file)
 //	<dir>/jobs/<id>/chunk-N.attempts durable attempt counter
@@ -48,14 +47,6 @@ type jobRecord struct {
 	// done records, so a torn state write cannot disagree with them.
 	State string `json:"state"`
 	Error string `json:"error,omitempty"`
-}
-
-// doneRecord marks a chunk's payload as complete and self-describing.
-type doneRecord struct {
-	Worker   string `json:"worker"`
-	Attempt  int    `json:"attempt"`
-	Checksum uint32 `json:"crc32"`
-	Size     int    `json:"size"`
 }
 
 // attemptsRecord is the durable per-chunk attempt counter; it survives
@@ -113,7 +104,7 @@ func (q *Queue) Dir() string { return q.dir }
 func (q *Queue) jobPath(id string) string  { return filepath.Join(q.dir, jobsDirName, id+".json") }
 func (q *Queue) chunkDir(id string) string { return filepath.Join(q.dir, jobsDirName, id) }
 func (q *Queue) chunkBase(id string, chunk int) string {
-	return filepath.Join(q.chunkDir(id), fmt.Sprintf("chunk-%04d", chunk))
+	return container.ChunkBase(q.chunkDir(id), chunk)
 }
 
 // Submit records a new job. The job becomes visible to workers as soon
@@ -417,26 +408,15 @@ func (q *Queue) bumpAttempts(job string, chunk, n int, lastErr string) error {
 	return container.AtomicWrite(container.OSFS{}, q.chunkBase(job, chunk)+".attempts", append(b, '\n'))
 }
 
-// Complete uploads a finished chunk: payload first (KindCheckpoint
-// framing), done record second, lease removed last. Because chunk
-// training is bitwise deterministic, Complete is idempotent — a second
-// worker completing the same chunk writes identical bytes, so losing
-// the lease mid-upload is harmless.
+// Complete uploads a finished chunk as a container chunk record
+// (payload first, done record second), then removes the lease. Because
+// chunk training is bitwise deterministic, Complete is idempotent — a
+// second worker completing the same chunk writes identical bytes, so
+// losing the lease mid-upload is harmless.
 func (q *Queue) Complete(l *Lease, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("cluster: empty chunk payload")
-	}
-	base := q.chunkBase(l.Job, l.Chunk)
-	if err := container.AtomicWrite(container.OSFS{}, base+".ckpt", container.Encode(container.KindCheckpoint, payload)); err != nil {
-		return err
-	}
-	rec := doneRecord{Worker: l.Worker, Attempt: l.Attempt, Checksum: crc32.ChecksumIEEE(payload), Size: len(payload)}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := container.AtomicWrite(container.OSFS{}, base+".done", append(b, '\n')); err != nil {
-		return err
+	rec := container.ChunkRecord{Worker: l.Worker, Attempt: l.Attempt}
+	if err := container.WriteChunk(container.OSFS{}, q.chunkBase(l.Job, l.Chunk), payload, rec); err != nil {
+		return fmt.Errorf("cluster: complete chunk %d of %s: %w", l.Chunk, l.Job, err)
 	}
 	q.releaseIfHeld(l)
 	telChunksCompleted.Inc()
@@ -494,25 +474,9 @@ func (q *Queue) markFailed(id, msg string) error {
 // ChunkPayload reads a completed chunk's payload, verifying the
 // container framing and the done record's checksum.
 func (q *Queue) ChunkPayload(job string, chunk int) ([]byte, error) {
-	base := q.chunkBase(job, chunk)
-	db, err := os.ReadFile(base + ".done")
+	_, payload, err := container.ReadChunk(q.chunkBase(job, chunk))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: chunk %d of %s not done: %w", chunk, job, err)
-	}
-	var rec doneRecord
-	if err := json.Unmarshal(db, &rec); err != nil {
-		return nil, fmt.Errorf("cluster: chunk %d of %s done record: %w", chunk, job, err)
-	}
-	framed, err := os.ReadFile(base + ".ckpt")
-	if err != nil {
-		return nil, err
-	}
-	payload, err := container.DecodeKind(framed, container.KindCheckpoint)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: chunk %d of %s payload: %w", chunk, job, err)
-	}
-	if len(payload) != rec.Size || crc32.ChecksumIEEE(payload) != rec.Checksum {
-		return nil, fmt.Errorf("cluster: chunk %d of %s payload does not match its done record", chunk, job)
+		return nil, fmt.Errorf("cluster: chunk %d of %s: %w", chunk, job, err)
 	}
 	return payload, nil
 }

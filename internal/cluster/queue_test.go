@@ -73,6 +73,11 @@ func TestSubmitValidates(t *testing.T) {
 	if err := q.Submit(bad); err == nil {
 		t.Fatal("DP job must be rejected")
 	}
+	bad = testSpec("ipvec", 3)
+	bad.Config.IPVectorEncoding = true
+	if err := q.Submit(bad); err == nil {
+		t.Fatal("IPVectorEncoding job must be rejected")
+	}
 	ok := testSpec("job-a", 3)
 	if err := q.Submit(ok); err != nil {
 		t.Fatal(err)

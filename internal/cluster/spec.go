@@ -86,7 +86,6 @@ func (s JobSpec) Chunks() int { return s.Config.Chunks }
 // core.FlowPlan and core.PacketPlan.
 type trainPlan interface {
 	Chunks() int
-	ConfigHash() uint64
 	TrainSeedChunk() ([]byte, error)
 	FineTuneChunk(idx int, seed []byte) ([]byte, error)
 }

@@ -174,9 +174,8 @@ func DecodeKind(data []byte, want Kind) ([]byte, error) {
 	return payload, nil
 }
 
-// FS is the minimal filesystem surface AtomicWrite needs. It matches a
-// subset of the orchestrator's checkpoint FS so fault-injection
-// filesystems satisfy it structurally.
+// FS is the minimal filesystem surface AtomicWrite and WriteChunk need;
+// tests substitute fault-injecting implementations.
 type FS interface {
 	WriteFile(name string, data []byte) error
 	Rename(oldpath, newpath string) error

@@ -250,42 +250,23 @@ type FlowSynthesizer struct {
 	stats  Stats
 }
 
-// TrainFlowSynthesizer runs the full NetShare pipeline on a flow trace.
+// TrainFlowSynthesizer runs the full NetShare pipeline on a flow trace:
+// it plans the training and runs every chunk task in this process.
 // public supplies the IP2Vec corpus (and DP pre-training data when
 // configured); the paper uses a CAIDA backbone trace.
 func TrainFlowSynthesizer(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config) (*FlowSynthesizer, error) {
-	return TrainFlowSynthesizerOpts(t, public, cfg, TrainOptions{})
-}
-
-// TrainFlowSynthesizerOpts is TrainFlowSynthesizer with operational
-// options: checkpoint/resume, retry policy, and progress events for the
-// chunked training fan-out.
-func TrainFlowSynthesizerOpts(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config, opts TrainOptions) (*FlowSynthesizer, error) {
-	codec, chunkSamples, err := buildFlowTraining(t, public, cfg)
+	plan, err := PlanFlowTraining(t, public, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// DP pre-training corpus: flow samples derived from the public packet
-	// trace (its flows re-expressed as single NetFlow records).
-	var publicSamples []dgan.Sample
-	if cfg.DP != nil && cfg.DP.Pretrain {
-		publicSamples = publicFlowSamples(codec, public, cfg)
-	}
-
-	ganCfg := ganConfig(cfg, codec.metaSchema(), codec.featureSchema())
-	models, stats, err := trainChunks(cfg, ganCfg, chunkSamples, publicSamples, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &FlowSynthesizer{cfg: cfg, codec: codec, models: models, stats: stats}, nil
+	return plan.Train(Executor{})
 }
 
-// buildFlowTraining is the deterministic preparation shared by local
-// training and the distributed plan (PlanFlowTraining): validate, fit
-// the embeddings and codec, then split/chunk/encode the trace into
-// per-chunk sample sets. Everything here depends only on (t, public,
-// cfg), so every process that runs it reproduces identical samples.
+// buildFlowTraining is the deterministic preparation behind
+// PlanFlowTraining: validate, fit the embeddings and codec, then
+// split/chunk/encode the trace into per-chunk sample sets. Everything
+// here depends only on (t, public, cfg), so every process that runs it
+// reproduces identical samples.
 func buildFlowTraining(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config) (*flowCodec, [][]dgan.Sample, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err

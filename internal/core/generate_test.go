@@ -15,7 +15,7 @@ import (
 )
 
 // reseedGen puts every chunk model back on its canonical generation stream,
-// as trainChunks and the synthesizer loaders do, so repeated Generate calls
+// as plan assembly and the synthesizer loaders do, so repeated Generate calls
 // in a test start from identical RNG state.
 func reseedGen(models []*dgan.Model, seed int64) {
 	for i, m := range models {

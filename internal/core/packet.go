@@ -130,37 +130,19 @@ type PacketSynthesizer struct {
 	stats  Stats
 }
 
-// TrainPacketSynthesizer runs the full NetShare pipeline on a packet trace.
-// public supplies the IP2Vec corpus and optional DP pre-training data.
+// TrainPacketSynthesizer runs the full NetShare pipeline on a packet trace
+// in this process; see TrainFlowSynthesizer. public supplies the IP2Vec
+// corpus and optional DP pre-training data.
 func TrainPacketSynthesizer(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config) (*PacketSynthesizer, error) {
-	return TrainPacketSynthesizerOpts(t, public, cfg, TrainOptions{})
-}
-
-// TrainPacketSynthesizerOpts is TrainPacketSynthesizer with operational
-// options: checkpoint/resume, retry policy, and progress events for the
-// chunked training fan-out.
-func TrainPacketSynthesizerOpts(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config, opts TrainOptions) (*PacketSynthesizer, error) {
-	codec, chunkSamples, err := buildPacketTraining(t, public, cfg)
+	plan, err := PlanPacketTraining(t, public, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	var publicSamples []dgan.Sample
-	if cfg.DP != nil && cfg.DP.Pretrain {
-		publicSamples = publicPacketSamples(codec, public, cfg)
-	}
-
-	ganCfg := ganConfig(cfg, codec.metaSchema(), codec.featureSchema())
-	models, stats, err := trainChunks(cfg, ganCfg, chunkSamples, publicSamples, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &PacketSynthesizer{cfg: cfg, codec: codec, models: models, stats: stats}, nil
+	return plan.Train(Executor{})
 }
 
-// buildPacketTraining is the deterministic preparation shared by local
-// training and the distributed plan (PlanPacketTraining); see
-// buildFlowTraining.
+// buildPacketTraining is the deterministic preparation behind
+// PlanPacketTraining; see buildFlowTraining.
 func buildPacketTraining(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config) (*packetCodec, [][]dgan.Sample, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err

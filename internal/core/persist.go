@@ -241,7 +241,7 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Same canonical generation stream as trainChunks, so a loaded
+		// Same canonical generation stream as plan assembly, so a loaded
 		// model's first Generate matches the freshly trained one's.
 		m.Reseed(rng.Derive(wire.Config.Seed, genStream+int64(i)))
 		s.models = append(s.models, m)

@@ -101,22 +101,12 @@ func TestPacketPlanMatchesStandalone(t *testing.T) {
 	}
 }
 
-func TestPlanRejectsUndistributableConfigs(t *testing.T) {
+// TestPlanRejectsBadChunkInputs: the task methods validate their chunk
+// index and payload count. (Which configurations may be distributed is
+// cluster.JobSpec.Validate's decision, not the plan's.)
+func TestPlanRejectsBadChunkInputs(t *testing.T) {
 	real := datasets.UGR16(100, 1)
 	public := datasets.CAIDAChicago(500, 2)
-
-	dp := planConfig()
-	dp.Chunks = 1
-	dp.DP = &DPConfig{NoiseMultiplier: 1, ClipNorm: 1, Delta: 1e-5}
-	if _, err := PlanFlowTraining(real, public, dp); err == nil {
-		t.Fatal("DP plan must be rejected")
-	}
-
-	ipv := planConfig()
-	ipv.IPVectorEncoding = true
-	if _, err := PlanFlowTraining(real, public, ipv); err == nil {
-		t.Fatal("IPVectorEncoding plan must be rejected")
-	}
 
 	plan, err := PlanFlowTraining(real, public, planConfig())
 	if err != nil {

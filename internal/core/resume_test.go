@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/datasets"
-	"repro/internal/orchestrator"
 	"repro/internal/trace"
 )
 
@@ -33,6 +31,29 @@ func flowCSV(t *testing.T, syn *FlowSynthesizer, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// trainFlow plans and trains a flow synthesizer under ex.
+func trainFlow(real *trace.FlowTrace, public *trace.PacketTrace, cfg Config, ex Executor) (*FlowSynthesizer, error) {
+	plan, err := PlanFlowTraining(real, public, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Train(ex)
+}
+
+// errCrash is the simulated process death the crash seam injects.
+var errCrash = errors.New("simulated crash")
+
+// crashAfter returns an afterChunk seam that kills the run once chunk idx
+// is durable.
+func crashAfter(idx int) func(int) error {
+	return func(i int) error {
+		if i == idx {
+			return errCrash
+		}
+		return nil
+	}
 }
 
 // TestResumeBitwiseDeterminism is the golden end-to-end test: a training
@@ -63,25 +84,13 @@ func TestResumeBitwiseDeterminism(t *testing.T) {
 	// Kill the run as fine-tuning starts: the seed checkpoint is on disk,
 	// chunks 1..2 are not.
 	dir := t.TempDir()
-	_, err = TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{
-			Dir: dir,
-			FailChunk: func(idx, attempt int) error {
-				if idx == 1 {
-					return orchestrator.Abort(fmt.Errorf("simulated crash"))
-				}
-				return nil
-			},
-		},
-	})
-	if err == nil || !orchestrator.IsAbort(err) {
-		t.Fatalf("crash run: err = %v, want abort", err)
+	_, err = trainFlow(real, public, cfg, Executor{Dir: dir, afterChunk: crashAfter(0)})
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("crash run: err = %v, want simulated crash", err)
 	}
 
 	// Reboot and resume: the seed is restored, the rest train fresh.
-	resumed, err := TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{Dir: dir, Resume: true},
-	})
+	resumed, err := trainFlow(real, public, cfg, Executor{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,82 +100,6 @@ func TestResumeBitwiseDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(flowCSV(t, resumed, 300), refCSV) {
 		t.Fatal("resumed trace differs from uninterrupted run")
-	}
-}
-
-// TestFaultsWithinRetryBudgetDeterministic: transient chunk failures that
-// are retried to success must not change the final weights or the
-// generated trace, only the attempt counters.
-func TestFaultsWithinRetryBudgetDeterministic(t *testing.T) {
-	real := datasets.UGR16(200, 33)
-	public := datasets.CAIDAChicago(600, 34)
-	cfg := resumeConfig()
-
-	ref, err := TrainFlowSynthesizer(real, public, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCSV := flowCSV(t, ref, 300)
-
-	faulty, err := TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{
-			MaxRetries: 1,
-			Sleep:      func(time.Duration) {},
-			FailChunk: func(idx, attempt int) error {
-				if idx == 2 && attempt == 0 {
-					return fmt.Errorf("transient fault")
-				}
-				return nil
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := faulty.Stats()
-	if st.ChunkAttempts[2] != 2 || st.ChunkAttempts[1] != 1 {
-		t.Fatalf("attempts = %v, want retry only on chunk 2", st.ChunkAttempts)
-	}
-	if len(st.DegradedChunks()) != 0 {
-		t.Fatalf("degraded = %v, want none inside the budget", st.DegradedChunks())
-	}
-	if !bytes.Equal(flowCSV(t, faulty, 300), refCSV) {
-		t.Fatal("retried run's trace differs from fault-free run")
-	}
-}
-
-// TestExhaustedBudgetDegradesToSeedWeights: past the retry budget the
-// chunk ships the warm-started seed weights and Stats reports it.
-func TestExhaustedBudgetDegradesToSeedWeights(t *testing.T) {
-	real := datasets.UGR16(200, 35)
-	public := datasets.CAIDAChicago(600, 36)
-	cfg := resumeConfig()
-
-	syn, err := TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{
-			MaxRetries: 1,
-			Sleep:      func(time.Duration) {},
-			FailChunk: func(idx, attempt int) error {
-				if idx == 1 {
-					return fmt.Errorf("persistent fault")
-				}
-				return nil
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := syn.Stats()
-	if got := st.DegradedChunks(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("degraded chunks = %v, want [1]", got)
-	}
-	if st.ChunkAttempts[1] != 2 {
-		t.Fatalf("attempts = %v, want 2 on the degraded chunk", st.ChunkAttempts)
-	}
-	// The degraded synthesizer still generates a full trace.
-	if got := syn.Generate(200); len(got.Records) == 0 {
-		t.Fatal("degraded synthesizer generated nothing")
 	}
 }
 
@@ -192,44 +125,6 @@ func TestSaveLoadMatchesResumedGeneration(t *testing.T) {
 	}
 	if !bytes.Equal(flowCSV(t, loaded, 300), flowCSV(t, syn, 300)) {
 		t.Fatal("loaded synthesizer's first trace differs from the trained one's")
-	}
-}
-
-// TestDPRetryDeterminism: DP-SGD state (noise RNG and accountant) is
-// rebuilt per attempt on the reserved stream, so a retried DP run matches
-// a fault-free one bitwise, including its reported epsilon.
-func TestDPRetryDeterminism(t *testing.T) {
-	real := datasets.UGR16(150, 39)
-	public := datasets.CAIDAChicago(600, 40)
-	cfg := resumeConfig()
-	cfg.Chunks = 1
-	cfg.SeedSteps = 12
-	cfg.DP = &DPConfig{NoiseMultiplier: 1.1, ClipNorm: 1.0, Delta: 1e-5}
-
-	ref, err := TrainFlowSynthesizer(real, public, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retried, err := TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{
-			MaxRetries: 1,
-			Sleep:      func(time.Duration) {},
-			FailChunk: func(idx, attempt int) error {
-				if attempt == 0 {
-					return fmt.Errorf("transient fault before DP training")
-				}
-				return nil
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats().Epsilon != retried.Stats().Epsilon {
-		t.Fatalf("epsilon %v != %v after retry", retried.Stats().Epsilon, ref.Stats().Epsilon)
-	}
-	if !bytes.Equal(flowCSV(t, retried, 200), flowCSV(t, ref, 200)) {
-		t.Fatal("retried DP run's trace differs from fault-free run")
 	}
 }
 
@@ -278,16 +173,12 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 	cfg := resumeConfig()
 
 	dir := t.TempDir()
-	if _, err := TrainFlowSynthesizerOpts(real, public, cfg, TrainOptions{
-		Orchestration: &orchestrator.Options{Dir: dir},
-	}); err != nil {
+	if _, err := trainFlow(real, public, cfg, Executor{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	changed := cfg
 	changed.FineTuneSteps++
-	_, err := TrainFlowSynthesizerOpts(real, public, changed, TrainOptions{
-		Orchestration: &orchestrator.Options{Dir: dir, Resume: true},
-	})
+	_, err := trainFlow(real, public, changed, Executor{Dir: dir, Resume: true})
 	if err == nil {
 		t.Fatal("resume with a changed config must fail")
 	}

@@ -16,6 +16,11 @@ var (
 	telGeneratePhase = telemetry.Default.Timer("core.generate.phase")
 	telEpsilon       = telemetry.Default.Gauge("core.train.dp_epsilon")
 
+	// Per-chunk task time of the in-process executor, and chunks it
+	// restored from a checkpoint directory instead of training.
+	telChunkTrain     = telemetry.Default.Timer("core.train.chunk")
+	telChunksRestored = telemetry.Default.Counter("core.train.chunks.restored")
+
 	telDecodeCacheHits   = telemetry.Default.Counter("core.decode.cache.hits")
 	telDecodeCacheMisses = telemetry.Default.Counter("core.decode.cache.misses")
 	telDecodeCacheSkips  = telemetry.Default.Counter("core.decode.cache.cap_skips")

@@ -20,8 +20,7 @@ type Stats struct {
 // TrainHook observes training progress at generator-step granularity:
 // it is invoked after every completed generator update with the 1-based
 // step count and the running stats. A non-nil return aborts training with
-// that error. Mid-chunk checkpointing (internal/orchestrator) hangs off
-// this hook.
+// that error. internal/core records per-chunk loss curves through it.
 type TrainHook func(step int, st Stats) error
 
 // Train runs `steps` generator updates (each preceded by CriticIters critic

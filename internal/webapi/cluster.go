@@ -93,79 +93,19 @@ func (s *Server) clusterSpec(id string, req JobRequest, cfg core.Config) cluster
 	}
 }
 
-// runCluster executes one cluster-routed job: submit the spec, mirror
-// worker progress into the job status, assemble on completion, and
-// persist/serve the result exactly like an in-process job. Panic
-// containment mirrors run().
-func (s *Server) runCluster(id string, req JobRequest) {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	defer s.notifyDone(id)
-	sw := telJobDuration.Start()
-	defer sw.Stop()
-	defer func() {
-		if r := recover(); r != nil {
-			telJobsFailed.Inc()
-			s.setState(id, StateFailed, fmt.Errorf("job panicked: %v", r))
-			s.persistFailed(id)
-		}
-	}()
-
-	s.setState(id, StateRunning, nil)
-	if s.runHook != nil {
-		s.runHook(id)
-	}
+// runClusterJob submits a cluster job's spec and waits for the workers
+// to drain it, mirroring their progress into the job status. The caller
+// assembles the result through the returned coordinator.
+func (s *Server) runClusterJob(id string, req JobRequest, cfg core.Config) (*cluster.Coordinator, error) {
 	q := s.clusterQueue()
 	if q == nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fmt.Errorf("cluster queue detached"))
-		s.persistFailed(id)
-		return
+		return nil, fmt.Errorf("cluster queue detached")
 	}
-	cfg := req.config()
-	s.initChunks(id, cfg.Chunks)
-	spec := s.clusterSpec(id, req, cfg)
 	coord := &cluster.Coordinator{Queue: q}
-
-	if fail := s.clusterTrainAndFinish(id, req, spec, coord); fail != nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fail)
-		s.persistFailed(id)
-	} else {
-		telJobsDone.Inc()
+	if err := coord.Submit(s.clusterSpec(id, req, cfg)); err != nil {
+		return nil, err
 	}
-}
-
-func (s *Server) clusterTrainAndFinish(id string, req JobRequest, spec cluster.JobSpec, coord *cluster.Coordinator) error {
-	if err := coord.Submit(spec); err != nil {
-		return err
-	}
-	if err := s.waitCluster(id, coord); err != nil {
-		return err
-	}
-	switch req.Kind {
-	case "netflow":
-		syn, err := coord.AssembleFlow(id)
-		if err != nil {
-			return err
-		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Records))
-		s.persistResult(id, syn.Save, gen)
-	case "pcap":
-		syn, err := coord.AssemblePacket(id)
-		if err != nil {
-			return err
-		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Packets))
-		s.persistResult(id, syn.Save, gen)
-	default:
-		return fmt.Errorf("cluster job kind %q", req.Kind)
-	}
-	return nil
+	return coord, s.waitCluster(id, coord)
 }
 
 // waitCluster polls the queue until the job finishes, mirroring the

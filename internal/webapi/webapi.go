@@ -27,6 +27,7 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -37,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/ingest"
-	"repro/internal/orchestrator"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -75,10 +75,10 @@ type JobRequest struct {
 	// only trades wall-clock time against CPU use.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// MaxRetries is the per-chunk retry budget; past it a fine-tune chunk
-	// degrades to the warm-started seed weights (reported per chunk in
-	// JobStatus.Chunks). For cluster jobs it is instead the durable
-	// re-lease budget per chunk; exhausting it fails the job.
+	// MaxRetries is a cluster job's durable re-lease budget per chunk: a
+	// chunk whose worker crashes or fails is leased again up to MaxRetries
+	// times before the job fails. Local jobs reject it: their chunk tasks
+	// fail only on deterministic errors that a retry would replay.
 	MaxRetries int `json:"maxRetries,omitempty"`
 
 	// Cluster routes the job through the attached distributed chunk queue
@@ -110,7 +110,7 @@ const (
 
 // ChunkInfo is one chunk's live training status within a job.
 type ChunkInfo struct {
-	// State is pending, training, retrying, done, resumed, or degraded.
+	// State is pending, training, retrying (cluster jobs only), or done.
 	State string `json:"state"`
 	// Attempts counts training attempts consumed so far.
 	Attempts int `json:"attempts,omitempty"`
@@ -122,8 +122,6 @@ const (
 	ChunkTraining = "training"
 	ChunkRetrying = "retrying"
 	ChunkDone     = "done"
-	ChunkResumed  = "resumed"
-	ChunkDegraded = "degraded"
 )
 
 // JobMetrics carries a finished job's training telemetry in status
@@ -157,7 +155,8 @@ type JobStatus struct {
 
 // clone deep-copies the status so handlers can serialize it outside the
 // server lock. The Chunks slice (and Metrics) must not be shared: the
-// orchestrator's event goroutines mutate the live elements concurrently.
+// training executor's progress callbacks mutate the live elements
+// concurrently.
 func (st JobStatus) clone() JobStatus {
 	out := st
 	out.Chunks = append([]ChunkInfo(nil), st.Chunks...)
@@ -382,11 +381,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	st := s.newJob(req.Kind)
 	telJobsSubmitted.Inc()
-	if req.Cluster {
-		go s.runCluster(st.ID, req)
-	} else {
-		go s.run(st.ID, req)
-	}
+	go s.run(st.ID, req)
 	writeJSON(w, http.StatusAccepted, st)
 }
 
@@ -440,6 +435,9 @@ func validateRequest(req *JobRequest) error {
 	if req.MaxRetries < 0 || req.MaxRetries > 10 {
 		return fmt.Errorf("maxRetries must be in [0, 10]")
 	}
+	if req.MaxRetries != 0 && !req.Cluster {
+		return fmt.Errorf("maxRetries applies to cluster jobs only")
+	}
 	if req.Parallelism < 0 {
 		return fmt.Errorf("parallelism must be >= 0 (0 = all CPUs)")
 	}
@@ -491,9 +489,7 @@ func (s *Server) run(id string, req JobRequest) {
 	defer sw.Stop()
 	defer func() {
 		if r := recover(); r != nil {
-			telJobsFailed.Inc()
-			s.setState(id, StateFailed, fmt.Errorf("job panicked: %v", r))
-			s.persistFailed(id)
+			s.fail(id, fmt.Errorf("job panicked: %v", r))
 		}
 	}()
 
@@ -501,54 +497,110 @@ func (s *Server) run(id string, req JobRequest) {
 	if s.runHook != nil {
 		s.runHook(id)
 	}
-	cfg := req.config()
-	public := datasets.CAIDAChicago(s.publicPackets, cfg.Seed+500)
-	s.initChunks(id, cfg.Chunks)
-	opts := core.TrainOptions{Orchestration: &orchestrator.Options{
-		MaxRetries: req.MaxRetries,
-		OnEvent:    func(ev orchestrator.Event) { s.chunkEvent(id, ev) },
-	}}
+	if err := s.execute(id, req); err != nil {
+		s.fail(id, err)
+		return
+	}
+	telJobsDone.Inc()
+}
 
-	var fail error
+func (s *Server) fail(id string, err error) {
+	telJobsFailed.Inc()
+	s.setState(id, StateFailed, err)
+	s.persistFailed(id)
+}
+
+// jobModel is what a job needs of a trained synthesizer besides
+// generation.
+type jobModel interface {
+	Stats() core.Stats
+	Save(io.Writer) error
+}
+
+// execute trains the job's synthesizer, generates its trace, and
+// publishes and persists the result.
+func (s *Server) execute(id string, req JobRequest) error {
+	cfg := req.config()
+	s.initChunks(id, cfg.Chunks)
+	var (
+		syn jobModel
+		gen func() (trace.Source, int)
+	)
 	switch req.Kind {
 	case "netflow":
-		real, err := loadFlowInput(req)
+		f, err := s.trainFlow(id, req, cfg)
 		if err != nil {
-			fail = err
-			break
+			return err
 		}
-		syn, err := core.TrainFlowSynthesizerOpts(real, public, cfg, opts)
-		if err != nil {
-			fail = err
-			break
-		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Records))
-		s.persistResult(id, syn.Save, gen)
+		syn, gen = f, func() (trace.Source, int) { t := f.Generate(req.Generate); return t, len(t.Records) }
 	case "pcap":
-		real, err := loadPacketInput(req)
+		p, err := s.trainPacket(id, req, cfg)
 		if err != nil {
-			fail = err
-			break
+			return err
 		}
-		syn, err := core.TrainPacketSynthesizerOpts(real, public, cfg, opts)
+		syn, gen = p, func() (trace.Source, int) { t := p.Generate(req.Generate); return t, len(t.Packets) }
+	default:
+		return fmt.Errorf("job kind %q", req.Kind)
+	}
+	genStart := time.Now()
+	out, n := gen()
+	s.finish(id, syn.Stats(), time.Since(genStart), out, n)
+	s.persistResult(id, syn.Save, out)
+	return nil
+}
+
+// trainFlow produces a flow job's synthesizer. Local and cluster jobs
+// differ only in where the plan's chunk tasks run: in this process, or
+// on the workers draining the cluster queue.
+func (s *Server) trainFlow(id string, req JobRequest, cfg core.Config) (*core.FlowSynthesizer, error) {
+	if req.Cluster {
+		coord, err := s.runClusterJob(id, req, cfg)
 		if err != nil {
-			fail = err
-			break
+			return nil, err
 		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finish(id, syn.Stats(), time.Since(genStart), gen, len(gen.Packets))
-		s.persistResult(id, syn.Save, gen)
+		return coord.AssembleFlow(id)
 	}
-	if fail != nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fail)
-		s.persistFailed(id)
-	} else {
-		telJobsDone.Inc()
+	real, err := loadFlowInput(req)
+	if err != nil {
+		return nil, err
 	}
+	plan, err := core.PlanFlowTraining(real, s.publicCorpus(cfg), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Train(s.executor(id))
+}
+
+// trainPacket is trainFlow for pcap jobs.
+func (s *Server) trainPacket(id string, req JobRequest, cfg core.Config) (*core.PacketSynthesizer, error) {
+	if req.Cluster {
+		coord, err := s.runClusterJob(id, req, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return coord.AssemblePacket(id)
+	}
+	real, err := loadPacketInput(req)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := core.PlanPacketTraining(real, s.publicCorpus(cfg), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Train(s.executor(id))
+}
+
+// publicCorpus is the public embedding corpus of a job (the same corpus
+// cluster workers rebuild from the job spec).
+func (s *Server) publicCorpus(cfg core.Config) *trace.PacketTrace {
+	return datasets.CAIDAChicago(s.publicPackets, cfg.Seed+500)
+}
+
+// executor runs a local job's chunk tasks, feeding their progress into
+// the job's per-chunk status.
+func (s *Server) executor(id string) core.Executor {
+	return core.Executor{Progress: func(chunk int, done bool) { s.chunkProgress(id, chunk, done) }}
 }
 
 // notifyDone signals job completion to the notifications channel (if one
@@ -599,48 +651,20 @@ func (s *Server) initChunks(id string, n int) {
 	}
 }
 
-// chunkEvent folds an orchestrator progress event into the job's live
-// per-chunk status.
-func (s *Server) chunkEvent(id string, ev orchestrator.Event) {
+// chunkProgress moves a local job's chunk to training (its one attempt)
+// or done.
+func (s *Server) chunkProgress(id string, chunk int, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
-	if j == nil || ev.Chunk < 0 || ev.Chunk >= len(j.status.Chunks) {
+	if j == nil || chunk < 0 || chunk >= len(j.status.Chunks) {
 		return
 	}
-	c := &j.status.Chunks[ev.Chunk]
-	switch ev.Kind {
-	case orchestrator.EventChunkStart:
-		c.State = ChunkTraining
-	case orchestrator.EventChunkRetry:
-		c.State, c.Attempts = ChunkRetrying, ev.Attempt
-	case orchestrator.EventChunkDone:
-		c.State, c.Attempts = ChunkDone, ev.Attempt
-	case orchestrator.EventChunkResumed:
-		c.State = ChunkResumed
-	case orchestrator.EventChunkDegraded:
-		c.State, c.Attempts = ChunkDegraded, ev.Attempt
-	}
-}
-
-// finalizeChunks reconciles the per-chunk status with the authoritative
-// post-run Stats (events are best-effort progress; Stats is ground truth).
-func finalizeChunks(j *job, st core.Stats) {
-	if len(st.ChunkAttempts) == 0 {
-		return
-	}
-	j.status.Chunks = make([]ChunkInfo, len(st.ChunkAttempts))
-	for i := range st.ChunkAttempts {
-		c := &j.status.Chunks[i]
-		c.Attempts = st.ChunkAttempts[i]
-		switch {
-		case st.ChunkDegraded[i]:
-			c.State = ChunkDegraded
-		case st.ChunkResumed[i]:
-			c.State = ChunkResumed
-		default:
-			c.State = ChunkDone
-		}
+	c := &j.status.Chunks[chunk]
+	if done {
+		c.State = ChunkDone
+	} else {
+		c.State, c.Attempts = ChunkTraining, 1
 	}
 }
 
@@ -677,7 +701,6 @@ func (s *Server) finish(id string, st core.Stats, genDur time.Duration, out trac
 		ChunkCriticLoss: append([]float64(nil), st.ChunkCriticLoss...),
 		ChunkGenLoss:    append([]float64(nil), st.ChunkGenLoss...),
 	}
-	finalizeChunks(j, st)
 }
 
 // statusSnapshot returns a deep copy of one job's status, taken under the

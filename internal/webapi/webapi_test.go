@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/datasets"
-	"repro/internal/orchestrator"
 	"repro/internal/trace"
 )
 
@@ -429,6 +428,15 @@ func TestMaxRetriesValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("maxRetries=11: status %d, want 400", resp.StatusCode)
 	}
+	// In range, but a local job has no retry budget.
+	bad.MaxRetries = 2
+	if err := validateRequest(&bad); err == nil {
+		t.Fatal("maxRetries on a local job must be rejected")
+	}
+	bad.Cluster = true
+	if err := validateRequest(&bad); err != nil {
+		t.Fatalf("maxRetries on a cluster job: %v", err)
+	}
 }
 
 func TestChunkEventProgression(t *testing.T) {
@@ -440,20 +448,20 @@ func TestChunkEventProgression(t *testing.T) {
 			t.Fatalf("initial chunk state = %q", c.State)
 		}
 	}
-	api.chunkEvent("job-x", orchestrator.Event{Kind: orchestrator.EventChunkStart, Chunk: 1})
-	if got := api.jobs["job-x"].status.Chunks[1].State; got != ChunkTraining {
-		t.Fatalf("after start: %q", got)
+	progress := api.executor("job-x").Progress
+	progress(1, false)
+	if c := api.jobs["job-x"].status.Chunks[1]; c.State != ChunkTraining || c.Attempts != 1 {
+		t.Fatalf("after start: %+v", c)
 	}
-	api.chunkEvent("job-x", orchestrator.Event{Kind: orchestrator.EventChunkRetry, Chunk: 1, Attempt: 1})
-	if c := api.jobs["job-x"].status.Chunks[1]; c.State != ChunkRetrying || c.Attempts != 1 {
-		t.Fatalf("after retry: %+v", c)
+	progress(1, true)
+	if c := api.jobs["job-x"].status.Chunks[1]; c.State != ChunkDone || c.Attempts != 1 {
+		t.Fatalf("after done: %+v", c)
 	}
-	api.chunkEvent("job-x", orchestrator.Event{Kind: orchestrator.EventChunkDegraded, Chunk: 1, Attempt: 2})
-	if c := api.jobs["job-x"].status.Chunks[1]; c.State != ChunkDegraded || c.Attempts != 2 {
-		t.Fatalf("after degrade: %+v", c)
+	if c := api.jobs["job-x"].status.Chunks[0]; c.State != ChunkPending {
+		t.Fatalf("untouched chunk: %+v", c)
 	}
-	// Out-of-range and manifest-level events must be ignored, not panic.
-	api.chunkEvent("job-x", orchestrator.Event{Kind: orchestrator.EventCheckpointError, Chunk: -1})
-	api.chunkEvent("job-x", orchestrator.Event{Kind: orchestrator.EventChunkDone, Chunk: 9})
-	api.chunkEvent("job-missing", orchestrator.Event{Kind: orchestrator.EventChunkDone, Chunk: 0})
+	// Out-of-range chunks and unknown jobs must be ignored, not panic.
+	progress(-1, true)
+	progress(9, true)
+	api.executor("job-missing").Progress(0, true)
 }
