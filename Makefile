@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store staticcheck govulncheck ci clean
+.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster test-e2ebench fuzz bench bench-parallel bench-generate bench-store staticcheck govulncheck ci clean
 
 all: build
 
@@ -74,7 +74,6 @@ fuzz:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFlowAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container -run '^$$' -fuzz FuzzChunkRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dgan -run '^$$' -fuzz FuzzDecodeInferWeights -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzQueryFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseLease -fuzztime $(FUZZTIME)
@@ -120,6 +119,11 @@ test-store:
 	$(GO) test ./internal/ingest -run TestWriteStore
 	$(GO) test ./internal/trace -run 'TestStreamingEncodersMatchBatch|TestLookupFormat'
 
+# The repository benchmark's own tests (e2ebench/, a separate module):
+# a short smoke run of every workload. It writes no committed file.
+test-e2ebench:
+	cd e2ebench && $(GO) test ./...
+
 # Full paper-evaluation benchmark suite (slow).
 bench:
 	$(GO) test -bench=. -benchmem
@@ -155,7 +159,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
+ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz test-e2ebench
 
 clean:
 	$(GO) clean ./...

@@ -41,11 +41,12 @@ const (
 	KindPacketMdl  Kind = 2
 	KindCheckpoint Kind = 3
 	KindTrace      Kind = 4
-	// Fast kinds carry float32 inference-only snapshots (DESIGN.md §11):
-	// generator weights in the compact dgan wire format, no critics and no
-	// optimizer state, decodable without gob.
-	KindFlowFast   Kind = 5
-	KindPacketFast Kind = 6
+	// 5 and 6 are retired: they framed the stored float32 snapshots
+	// ("flow-fast" / "packet-fast"), which are now only built in memory
+	// from a float64 model. They stay in the valid range, so such a frame
+	// still decodes and a registry keeps (but cannot serve) it. Never
+	// reuse them.
+
 	// KindColumnBlock frames one compressed column block of the columnar
 	// trace store (internal/store, DESIGN.md §13): an encoding tag plus
 	// the encoded values of one column over one fixed-row-count block.
@@ -62,10 +63,6 @@ func (k Kind) String() string {
 		return "checkpoint"
 	case KindTrace:
 		return "trace"
-	case KindFlowFast:
-		return "flow-fast"
-	case KindPacketFast:
-		return "packet-fast"
 	case KindColumnBlock:
 		return "column-block"
 	default:
@@ -82,8 +79,7 @@ func (k Kind) valid() bool { return k >= KindFlowModel && k <= KindColumnBlock }
 //
 //	1 — initial frame format.
 //	2 — model payloads may carry scenario-label conditioning (dgan label
-//	    weights / infer wire v2); version-1 unconditional containers
-//	    remain decodable.
+//	    weights); version-1 unconditional containers remain decodable.
 const Version = 2
 
 // Magic identifies a container file; it is ASCII so `head -c8` on a

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"io"
 
-	"repro/internal/container"
 	"repro/internal/dgan"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -189,104 +187,6 @@ func (s *FastFlowSynthesizer) SetParallelism(n int) {
 	}
 }
 
-// fastFlowWire is the gob wire form of a FastFlowSynthesizer; Models holds
-// the chunk snapshots in the compact dgan infer wire format.
-type fastFlowWire struct {
-	Config Config
-	Stats  Stats
-	Embed  embedWire
-	Time   rangeWire
-	Dur    rangeWire
-	Pkt    rangeWire
-	Byt    rangeWire
-	Models [][]byte
-}
-
-// Save serializes the snapshot to w as a flow-fast container.
-func (s *FastFlowSynthesizer) Save(w io.Writer) error {
-	if s.codec.ipEmbed != nil {
-		return fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
-	}
-	wire := fastFlowWire{Config: s.cfg, Stats: s.stats}
-	var err error
-	if wire.Embed, err = captureEmbed(s.codec.embed); err != nil {
-		return err
-	}
-	if wire.Time, err = captureRange(&s.codec.timeNorm); err != nil {
-		return err
-	}
-	if wire.Dur, err = captureRange(s.codec.durNorm); err != nil {
-		return err
-	}
-	if wire.Pkt, err = captureRange(s.codec.pktNorm); err != nil {
-		return err
-	}
-	if wire.Byt, err = captureRange(s.codec.bytNorm); err != nil {
-		return err
-	}
-	for _, m := range s.models {
-		wire.Models = append(wire.Models, m.EncodeInfer())
-	}
-	return saveContainer(w, container.KindFlowFast, wire)
-}
-
-// LoadFastFlowSynthesizer deserializes a snapshot produced by Save, with
-// the same frame and state validation as LoadFlowSynthesizer; the weight
-// blobs additionally go through DecodeInferWeights' typed validation.
-func LoadFastFlowSynthesizer(r io.Reader) (*FastFlowSynthesizer, error) {
-	var wire fastFlowWire
-	if err := loadContainer(r, container.KindFlowFast, &wire); err != nil {
-		return nil, err
-	}
-	if err := validateModels(wire.Models, wire.Config); err != nil {
-		return nil, err
-	}
-	for _, rw := range []struct {
-		r    rangeWire
-		name string
-	}{{wire.Time, "time"}, {wire.Dur, "duration"}, {wire.Pkt, "packets"}, {wire.Byt, "bytes"}} {
-		if err := rw.r.validate(rw.name); err != nil {
-			return nil, err
-		}
-	}
-	embed, err := restoreEmbed(wire.Embed)
-	if err != nil {
-		return nil, err
-	}
-	codec := &flowCodec{
-		cfg: wire.Config, embed: embed,
-		durNorm: newScalarCodec(wire.Config),
-		pktNorm: newScalarCodec(wire.Config),
-		bytNorm: newScalarCodec(wire.Config),
-	}
-	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
-	codec.durNorm.RestoreRange(wire.Dur.Lo, wire.Dur.Hi)
-	codec.pktNorm.RestoreRange(wire.Pkt.Lo, wire.Pkt.Hi)
-	codec.bytNorm.RestoreRange(wire.Byt.Lo, wire.Byt.Hi)
-
-	s := &FastFlowSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	if s.models, err = loadFastModels(wire.Models, wire.Config); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func loadFastModels(blobs [][]byte, cfg Config) ([]*dgan.InferModel, error) {
-	out := make([]*dgan.InferModel, len(blobs))
-	for i, b := range blobs {
-		m, err := dgan.DecodeInferWeights(b)
-		if err != nil {
-			return nil, err
-		}
-		// Same canonical stream as Fast(), so a loaded snapshot's first
-		// Generate matches the freshly snapshotted one's.
-		m.Reseed(rng.Derive(cfg.Seed, fastGenStream+int64(i)))
-		m.SetParallelism(cfg.Parallelism)
-		out[i] = m
-	}
-	return out, nil
-}
-
 // FastPacketSynthesizer is the float32 serving snapshot of a
 // PacketSynthesizer.
 type FastPacketSynthesizer struct {
@@ -390,66 +290,4 @@ func (s *FastPacketSynthesizer) SetParallelism(n int) {
 	for _, m := range s.models {
 		m.SetParallelism(n)
 	}
-}
-
-// fastPacketWire is the gob wire form of a FastPacketSynthesizer.
-type fastPacketWire struct {
-	Config Config
-	Stats  Stats
-	Embed  embedWire
-	Time   rangeWire
-	Size   rangeWire
-	Models [][]byte
-}
-
-// Save serializes the snapshot to w as a packet-fast container.
-func (s *FastPacketSynthesizer) Save(w io.Writer) error {
-	if s.codec.ipEmbed != nil {
-		return fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
-	}
-	wire := fastPacketWire{Config: s.cfg, Stats: s.stats}
-	var err error
-	if wire.Embed, err = captureEmbed(s.codec.embed); err != nil {
-		return err
-	}
-	if wire.Time, err = captureRange(&s.codec.timeNorm); err != nil {
-		return err
-	}
-	if wire.Size, err = captureRange(s.codec.sizeNorm); err != nil {
-		return err
-	}
-	for _, m := range s.models {
-		wire.Models = append(wire.Models, m.EncodeInfer())
-	}
-	return saveContainer(w, container.KindPacketFast, wire)
-}
-
-// LoadFastPacketSynthesizer deserializes a snapshot produced by Save.
-func LoadFastPacketSynthesizer(r io.Reader) (*FastPacketSynthesizer, error) {
-	var wire fastPacketWire
-	if err := loadContainer(r, container.KindPacketFast, &wire); err != nil {
-		return nil, err
-	}
-	if err := validateModels(wire.Models, wire.Config); err != nil {
-		return nil, err
-	}
-	if err := wire.Time.validate("time"); err != nil {
-		return nil, err
-	}
-	if err := wire.Size.validate("size"); err != nil {
-		return nil, err
-	}
-	embed, err := restoreEmbed(wire.Embed)
-	if err != nil {
-		return nil, err
-	}
-	codec := &packetCodec{cfg: wire.Config, embed: embed, sizeNorm: newScalarCodec(wire.Config)}
-	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
-	codec.sizeNorm.RestoreRange(wire.Size.Lo, wire.Size.Hi)
-
-	s := &FastPacketSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	if s.models, err = loadFastModels(wire.Models, wire.Config); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -25,8 +25,8 @@ type InferModel struct {
 	MetaSchema    []nn.FieldSpec
 	FeatureSchema []nn.FieldSpec // without the presence flag
 	MaxLen        int
-	NoiseDim     int
-	Hidden       int
+	NoiseDim      int
+	Hidden        int
 	// Labels is the scenario-conditioning one-hot width (0 =
 	// unconditional); LabelWeights is the fitted training distribution
 	// unconditional mixture draws use.
@@ -81,20 +81,11 @@ func (m *Model) Infer() *InferModel {
 		gru:           nn.CompressGRU(m.seqGRU),
 		proj:          nn.CompressTimeDense(m.seqProj),
 	}
-	im.finish()
-	im.Reseed(cfg.Seed)
-	return im
-}
-
-// finish derives the cached widths and full feature schema; it must run
-// after the public fields are populated (Infer and DecodeInferWeights).
-func (im *InferModel) finish() {
 	im.featFull = append(append([]nn.FieldSpec(nil), im.FeatureSchema...), presenceSpec)
 	im.metaW = nn.Width(im.MetaSchema)
 	im.featW = nn.Width(im.featFull)
-	if im.Lot <= 0 {
-		im.Lot = DefaultInferLot
-	}
+	im.Reseed(cfg.Seed)
+	return im
 }
 
 // Reseed replaces the canonical generation RNG.

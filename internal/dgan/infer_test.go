@@ -1,7 +1,6 @@
 package dgan
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -85,94 +84,4 @@ func TestInferGenerateRepeatable(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("reseeded fast-path generation must repeat exactly")
 	}
-}
-
-// TestInferWireRoundTrip: encode → decode preserves schemas, dimensions,
-// and — after an identical reseed — the exact generation stream.
-func TestInferWireRoundTrip(t *testing.T) {
-	im := inferTestModel(t)
-	blob := im.EncodeInfer()
-	got, err := DecodeInferWeights(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.MetaSchema, im.MetaSchema) ||
-		!reflect.DeepEqual(got.FeatureSchema, im.FeatureSchema) {
-		t.Fatal("schemas must round-trip")
-	}
-	if got.MaxLen != im.MaxLen || got.NoiseDim != im.NoiseDim ||
-		got.Hidden != im.Hidden || got.Lot != im.Lot {
-		t.Fatal("dimensions must round-trip")
-	}
-	im.Reseed(123)
-	got.Reseed(123)
-	if !reflect.DeepEqual(im.Generate(150), got.Generate(150)) {
-		t.Fatal("decoded snapshot must generate the identical stream")
-	}
-	if !reflect.DeepEqual(blob, got.EncodeInfer()) {
-		t.Fatal("re-encoding must be byte-identical")
-	}
-}
-
-// TestDecodeInferWeightsErrors: every malformed input maps to a typed
-// error, never a panic.
-func TestDecodeInferWeightsErrors(t *testing.T) {
-	valid := inferTestModel(t).EncodeInfer()
-
-	// Any strict prefix is truncated (or, at a field boundary, invalid —
-	// e.g. a cut that removes only trailing tensor content).
-	for _, cut := range []int{0, 1, 2, 7, 11, len(valid) / 2, len(valid) - 1} {
-		_, err := DecodeInferWeights(valid[:cut])
-		if err == nil {
-			t.Fatalf("prefix of %d bytes must fail", cut)
-		}
-		if !errors.Is(err, ErrInferTruncated) && !errors.Is(err, ErrInferInvalid) {
-			t.Fatalf("prefix of %d bytes: untyped error %v", cut, err)
-		}
-	}
-
-	bad := append([]byte(nil), valid...)
-	bad[0] = 0xFF // version
-	if _, err := DecodeInferWeights(bad); !errors.Is(err, ErrInferInvalid) {
-		t.Fatalf("bad version: %v", err)
-	}
-
-	trailing := append(append([]byte(nil), valid...), 0)
-	if _, err := DecodeInferWeights(trailing); !errors.Is(err, ErrInferInvalid) {
-		t.Fatalf("trailing byte: %v", err)
-	}
-
-	zeroDim := append([]byte(nil), valid...)
-	zeroDim[2], zeroDim[3] = 0, 0 // MaxLen = 0
-	if _, err := DecodeInferWeights(zeroDim); !errors.Is(err, ErrInferInvalid) {
-		t.Fatalf("zero dimension: %v", err)
-	}
-}
-
-// FuzzDecodeInferWeights: decoding arbitrary bytes must either succeed or
-// return one of the two typed errors; a success must re-encode cleanly.
-func FuzzDecodeInferWeights(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 0})
-	valid := inferTestModel(f).EncodeInfer()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/3])
-	mut := append([]byte(nil), valid...)
-	mut[8] ^= 0x40
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		im, err := DecodeInferWeights(data)
-		if err != nil {
-			if !errors.Is(err, ErrInferTruncated) && !errors.Is(err, ErrInferInvalid) {
-				t.Fatalf("untyped error: %v", err)
-			}
-			return
-		}
-		if im == nil {
-			t.Fatal("nil model with nil error")
-		}
-		if got := im.EncodeInfer(); !reflect.DeepEqual(got, data) {
-			t.Fatal("accepted input must re-encode byte-identically")
-		}
-	})
 }

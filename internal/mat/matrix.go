@@ -131,11 +131,31 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 			if aik == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
-			}
+			axpy(drow, b.Row(k), aik)
 		}
+	}
+}
+
+// axpy computes d[j] += a*s[j] for every j < len(s), four elements per
+// iteration. Each element still gets one multiply and one add, in the
+// same order as a plain loop, so results are bitwise unchanged. The
+// unrolled body makes mulRows and mulTransARows, the largest training
+// layer, less sensitive to where the linker places their loops relative
+// to 64-byte boundaries: on a 2-vCPU AVX-512 Xeon, placement alone moved
+// end-to-end training CPU time by about 20% with a plain loop and by
+// about 10% with this one.
+func axpy(d, s []float64, a float64) {
+	d = d[:len(s)]
+	j := 0
+	for ; j+4 <= len(s); j += 4 {
+		dj, sj := d[j:j+4:j+4], s[j:j+4:j+4]
+		dj[0] += a * sj[0]
+		dj[1] += a * sj[1]
+		dj[2] += a * sj[2]
+		dj[3] += a * sj[3]
+	}
+	for ; j < len(s); j++ {
+		d[j] += a * s[j]
 	}
 }
 
@@ -175,10 +195,7 @@ func mulTransARows(dst, a, b *Matrix, lo, hi int) {
 			if aki == 0 {
 				continue
 			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
-			}
+			axpy(dst.Row(i), brow, aki)
 		}
 	}
 }

@@ -145,10 +145,6 @@ func kindString(k container.Kind) (string, error) {
 		return "flow", nil
 	case container.KindPacketMdl:
 		return "packet", nil
-	case container.KindFlowFast:
-		return "flow-fast", nil
-	case container.KindPacketFast:
-		return "packet-fast", nil
 	default:
 		return "", fmt.Errorf("registry: container kind %s is not a model", k)
 	}

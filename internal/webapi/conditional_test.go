@@ -16,17 +16,16 @@ import (
 )
 
 // condModel trains one conditional flow synthesizer and shares its saved
-// containers across the conditional-serving tests (training dominates
+// container across the conditional-serving tests (training dominates
 // runtime, so every test feeds from the same model bytes).
 var condModel struct {
 	once    sync.Once
-	ref     []byte // reference (float64) flow container
-	fast    []byte // flow-fast inference container
+	ref     []byte // float64 flow container
 	catalog []trace.Label
 	err     error
 }
 
-func conditionalModelBytes(t *testing.T) (ref, fast []byte, catalog []trace.Label) {
+func conditionalModelBytes(t *testing.T) (ref []byte, catalog []trace.Label) {
 	t.Helper()
 	condModel.once.Do(func() {
 		cfg := core.DefaultConfig()
@@ -55,31 +54,28 @@ func conditionalModelBytes(t *testing.T) (ref, fast []byte, catalog []trace.Labe
 			condModel.err = err
 			return
 		}
-		var refBuf, fastBuf bytes.Buffer
+		var refBuf bytes.Buffer
 		if err := syn.Save(&refBuf); err != nil {
 			condModel.err = err
 			return
 		}
-		if err := syn.Fast().Save(&fastBuf); err != nil {
-			condModel.err = err
-			return
-		}
-		condModel.ref, condModel.fast = refBuf.Bytes(), fastBuf.Bytes()
+		condModel.ref = refBuf.Bytes()
 		condModel.catalog = syn.LabelCatalog()
 	})
 	if condModel.err != nil {
 		t.Fatal(condModel.err)
 	}
-	return condModel.ref, condModel.fast, condModel.catalog
+	return condModel.ref, condModel.catalog
 }
 
 // TestConditionalGenerateEndToEnd is the serving acceptance test: one
 // registry model trained with several scenario labels serves per-label
-// POST /generate requests whose conditional slices stay within the
-// conformance thresholds, and whose IPFIX / NetFlow v9 egress round-trips
-// byte-identically through the public decoders.
+// POST /generate requests in both modes, whose fast conditional slices
+// stay within the conformance thresholds of the default mode's, and whose
+// IPFIX / NetFlow v9 egress round-trips byte-identically through the
+// public decoders.
 func TestConditionalGenerateEndToEnd(t *testing.T) {
-	refBytes, fastBytes, catalog := conditionalModelBytes(t)
+	refBytes, catalog := conditionalModelBytes(t)
 	if len(catalog) < 3 {
 		t.Fatalf("catalog %v, want at least 3 trained scenarios", catalog)
 	}
@@ -87,9 +83,6 @@ func TestConditionalGenerateEndToEnd(t *testing.T) {
 	ts, api, _ := startServerWithRegistry(t, dir)
 	if info, err := api.registry().PutModel("cond", refBytes); err != nil || info.Kind != "flow" {
 		t.Fatalf("store reference model: kind %q err %v", info.Kind, err)
-	}
-	if info, err := api.registry().PutModel("cond-fast", fastBytes); err != nil || info.Kind != "flow-fast" {
-		t.Fatalf("store fast model: kind %q err %v", info.Kind, err)
 	}
 
 	// Per-label generation over the deterministic reference path: every
@@ -117,10 +110,11 @@ func TestConditionalGenerateEndToEnd(t *testing.T) {
 	}
 	ref.SortByStart()
 
-	// The fast path's conditional slices must conform to the reference
-	// path's at the same thresholds as unconditional serving.
+	// The fast mode's conditional slices, served from the same stored
+	// model, must conform to the reference path's at the same thresholds
+	// as unconditional serving.
 	m, err := conformance.ScenarioMatrix(ref, catalog, func(label trace.Label, n int) (*trace.FlowTrace, error) {
-		code, body := generate(t, ts, "cond-fast", GenerateRequest{Count: n, Label: label.String()})
+		code, body := generate(t, ts, "cond", GenerateRequest{Count: n, Label: label.String(), Fast: true})
 		if code != http.StatusOK {
 			return nil, fmt.Errorf("fast labeled generate %v: %d %s", label, code, body)
 		}
@@ -148,7 +142,7 @@ func TestConditionalGenerateEndToEnd(t *testing.T) {
 		{"ipfix", trace.ReadIPFIX, trace.WriteIPFIX},
 		{"netflow9", trace.ReadNetFlowV9, trace.WriteNetFlowV9},
 	} {
-		code, body := generate(t, ts, "cond-fast", GenerateRequest{Count: 500, Label: catalog[0].String(), Format: tc.format})
+		code, body := generate(t, ts, "cond", GenerateRequest{Count: 500, Label: catalog[0].String(), Format: tc.format, Fast: true})
 		if code != http.StatusOK {
 			t.Fatalf("%s generate: %d %s", tc.format, code, body)
 		}
@@ -178,14 +172,11 @@ func TestConditionalGenerateEndToEnd(t *testing.T) {
 // parameter: unknown names, packet models, and flow models trained
 // without conditioning — on both the reference and fast paths.
 func TestGenerateLabelValidation(t *testing.T) {
-	refBytes, fastBytes, catalog := conditionalModelBytes(t)
+	refBytes, catalog := conditionalModelBytes(t)
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
 	reg := api.registry()
 	if _, err := reg.PutModel("cond", refBytes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.PutModel("cond-fast", fastBytes); err != nil {
 		t.Fatal(err)
 	}
 	// The packet-model rejection keys off the stored kind, which is
@@ -220,7 +211,7 @@ func TestGenerateLabelValidation(t *testing.T) {
 		want  string
 	}{
 		{"UnknownLabel", "cond", GenerateRequest{Count: 10, Label: "zombie"}, "unknown scenario label"},
-		{"UnknownLabelFast", "cond-fast", GenerateRequest{Count: 10, Label: "zombie"}, "unknown scenario label"},
+		{"UnknownLabelFast", "cond", GenerateRequest{Count: 10, Label: "zombie", Fast: true}, "unknown scenario label"},
 		{"LabelOnPacketModel", "pkt", GenerateRequest{Count: 10, Label: "dos"}, "flow-only"},
 		{"LabelOnUnconditional", "plain", GenerateRequest{Count: 10, Label: "dos"}, "scenario conditioning"},
 		{"LabelOnUnconditionalFast", "plain", GenerateRequest{Count: 10, Label: "dos", Fast: true}, "scenario conditioning"},
@@ -255,10 +246,10 @@ func TestGenerateLabelValidation(t *testing.T) {
 // holds the entry but has not started generating when the sweep retires
 // it never runs on it: it retries and sees the deletion too.
 func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
-	refBytes, fastBytes, _ := conditionalModelBytes(t)
+	refBytes, _ := conditionalModelBytes(t)
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
-	if _, err := api.registry().PutModel("doomed", fastBytes); err != nil {
+	if _, err := api.registry().PutModel("doomed", refBytes); err != nil {
 		t.Fatal(err)
 	}
 

@@ -35,10 +35,11 @@ import (
 //     requests, so fast responses depend on request ordering; only their
 //     DISTRIBUTION is pinned (internal/conformance).
 //
-// Models stored as fast containers (flow-fast / packet-fast kinds) always
-// serve fast: they carry no float64 weights to be deterministic with. An
-// entry remembers the manifest it was decoded from; a request whose
-// manifest differs (PutModel overwrote the name) decodes the model again.
+// The float32 snapshot exists only in memory, and "fast": true is the
+// only way to reach it. A stored model whose kind is neither flow nor
+// packet fails with errUnsupportedKind. An entry remembers the manifest
+// it was decoded from; a request whose manifest differs (PutModel
+// overwrote the name) decodes the model again.
 
 // Pre-registered telemetry handles for the fast mode. They count
 // fast-mode requests only.
@@ -61,6 +62,10 @@ const defaultFastCacheCap = 8
 // half-served response.
 var errEvicted = errors.New("webapi: model entry evicted")
 
+// errUnsupportedKind fails a generate request for a stored model whose
+// kind no synthesizer decodes, such as a retired float32 snapshot.
+var errUnsupportedKind = errors.New("unsupported model kind")
+
 // fastWait is one request's slot in a coalesced batch.
 type fastWait struct {
 	count int
@@ -77,13 +82,13 @@ type modelEntry struct {
 	// info is the registry manifest the entry was decoded from.
 	info registry.ModelInfo
 	// flow or pkt is the float64 synthesizer the default mode generates
-	// from; both are nil for fast kinds.
+	// from.
 	flow        *core.FlowSynthesizer
 	pkt         *core.PacketSynthesizer
 	conditional bool
-	// fastFlow or fastPkt is the float32 snapshot: decoded directly for
-	// fast kinds, otherwise built by the first fast batch. Once the entry
-	// is cached only the batch runner touches these two fields.
+	// fastFlow or fastPkt is the float32 snapshot, built from flow or pkt
+	// by the first fast batch. Once the entry is cached only the batch
+	// runner touches these two fields.
 	fastFlow *core.FastFlowSynthesizer
 	fastPkt  *core.FastPacketSynthesizer
 
@@ -204,20 +209,15 @@ func (s *Server) loadModelEntry(name string) (*modelEntry, int, error) {
 	switch info.Kind {
 	case "flow":
 		entry.flow, err = core.LoadFlowSynthesizer(r)
-	case "flow-fast":
-		entry.fastFlow, err = core.LoadFastFlowSynthesizer(r)
 	case "packet":
 		entry.pkt, err = core.LoadPacketSynthesizer(r)
-	case "packet-fast":
-		entry.fastPkt, err = core.LoadFastPacketSynthesizer(r)
 	default:
-		return nil, http.StatusInternalServerError, fmt.Errorf("model %q has unknown kind %q", name, info.Kind)
+		return nil, http.StatusInternalServerError, fmt.Errorf("model %q: %w %q", name, errUnsupportedKind, info.Kind)
 	}
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
 	}
-	entry.conditional = entry.flow != nil && entry.flow.Conditional() ||
-		entry.fastFlow != nil && entry.fastFlow.Conditional()
+	entry.conditional = entry.flow != nil && entry.flow.Conditional()
 	return entry, 0, nil
 }
 
@@ -225,12 +225,11 @@ func (s *Server) loadModelEntry(name string) (*modelEntry, int, error) {
 // names, in the default or fast mode, encoding the trace in format f.
 // label is the parsed scenario label (-1 for the unconditional mixture).
 func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, req GenerateRequest, f trace.Format, label int) {
-	fast := req.Fast || isFastKind(info.Kind)
-	if fast {
+	if req.Fast {
 		telFastRequests.Inc()
 	}
 	for {
-		entry, code, err := s.entryFor(info, fast)
+		entry, code, err := s.entryFor(info, req.Fast)
 		if err != nil {
 			writeError(w, code, "%v", err)
 			return
@@ -240,7 +239,7 @@ func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, r
 			return
 		}
 		var out trace.Source
-		if fast || entry.flow == nil && entry.pkt == nil {
+		if req.Fast {
 			out, err = s.generateFast(entry, req.Count, label)
 		} else {
 			out, err = s.generateExact(entry, req.Count, label)
@@ -435,12 +434,10 @@ func (s *Server) sweepModels(keep func(name string) bool) {
 	}
 }
 
-// isFastKind reports whether a stored model kind is a fast container
-// (which carries no float64 weights and can only serve via the fast path).
-func isFastKind(kind string) bool { return strings.HasSuffix(kind, "-fast") }
-
 // traceKind maps a job kind ("netflow", "pcap") or a stored model kind
-// ("flow", "packet", "flow-fast", "packet-fast") to its trace kind.
+// ("flow", "packet") to its trace kind. It matches the "packet" prefix, so
+// a retired packet kind still passes format validation and reaches
+// loadModelEntry's unsupported-kind error.
 func traceKind(kind string) trace.Kind {
 	if kind == "pcap" || strings.HasPrefix(kind, "packet") {
 		return trace.KindPCAP

@@ -2,14 +2,20 @@ package webapi
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/container"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
 
@@ -135,38 +141,6 @@ func TestFastServing(t *testing.T) {
 		}
 	})
 
-	t.Run("FastContainerKindServesFast", func(t *testing.T) {
-		// Snapshot the stored reference model as a fast container and store
-		// it under its own name: it must list with a fast kind and serve via
-		// the fast path even without the Fast flag (it has no float64 path).
-		framed, _, err := api.registry().ModelBytes(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := syn.Fast().Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		info, err := api.registry().PutModel("snapshot", buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Kind != "flow-fast" {
-			t.Fatalf("stored kind %q, want flow-fast", info.Kind)
-		}
-		code, body := generate(t, ts, "snapshot", GenerateRequest{Count: 50})
-		if code != http.StatusOK {
-			t.Fatalf("generate from fast container: %d %s", code, body)
-		}
-		if lines := bytes.Count(body, []byte("\n")); lines != 51 {
-			t.Fatalf("got %d CSV lines, want 51", lines)
-		}
-	})
-
 	t.Run("UnknownModel404", func(t *testing.T) {
 		for _, fast := range []bool{false, true} {
 			code, body := generate(t, ts, "no-such-model", GenerateRequest{Count: 10, Fast: fast})
@@ -266,6 +240,98 @@ func TestFastServing(t *testing.T) {
 			t.Fatalf("generate racing sweep failed: %s", e)
 		}
 	})
+}
+
+// TestRetiredFastKindsStayUnsupported: a registry written before the
+// stored float32 snapshot format was retired may still hold flow-fast
+// (kind 5) and packet-fast (kind 6) models. They are intact, so a sweep
+// keeps them and the model list shows them, but generating from one in
+// either mode is a clean unsupported-kind error, and storing a new one is
+// refused.
+func TestRetiredFastKindsStayUnsupported(t *testing.T) {
+	dir := t.TempDir()
+	legacy := []struct {
+		name, kind string
+		tag        container.Kind
+	}{
+		{"old-flow", "flow-fast", container.Kind(5)},
+		{"old-pkt", "packet-fast", container.Kind(6)},
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "models"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range legacy {
+		payload := []byte("float32 snapshot of " + m.name)
+		framed := container.Encode(m.tag, payload)
+		manifest, err := json.Marshal(registry.ModelInfo{
+			Name: m.name, Kind: m.kind,
+			Checksum: crc32.ChecksumIEEE(payload), Size: int64(len(framed)),
+			SavedAt: "2024-01-01T00:00:00Z",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "models", m.name+".mdl"), framed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "models", m.name+".json"), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ts, api, stats := startServerWithRegistry(t, dir)
+	if stats.Swept != 0 || stats.Corrupt != 0 {
+		t.Fatalf("boot sweep removed %d entries (%d corrupt), want 0", stats.Swept, stats.Corrupt)
+	}
+	rep, err := api.SweepRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Removed) != 0 || rep.Corrupt != 0 {
+		t.Fatalf("sweep removed %v (%d corrupt), want nothing", rep.Removed, rep.Corrupt)
+	}
+
+	code, body := fetch(t, ts, "/api/v1/models")
+	if code != http.StatusOK {
+		t.Fatalf("list: %d %s", code, body)
+	}
+	var list struct {
+		Models []registry.ModelInfo `json:"models"`
+	}
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Models) != len(legacy) {
+		t.Fatalf("models = %+v, want both legacy models listed", list.Models)
+	}
+
+	for i, m := range legacy {
+		if got := list.Models[i]; got.Name != m.name || got.Kind != m.kind {
+			t.Fatalf("listed %+v, want %s of kind %s", got, m.name, m.kind)
+		}
+		if _, _, err := api.loadModelEntry(m.name); !errors.Is(err, errUnsupportedKind) {
+			t.Fatalf("%s: load error %v, want errUnsupportedKind", m.name, err)
+		}
+		for _, fast := range []bool{false, true} {
+			code, body := generate(t, ts, m.name, GenerateRequest{Count: 10, Fast: fast})
+			if code != http.StatusInternalServerError {
+				t.Fatalf("%s fast=%v: %d %s, want 500", m.name, fast, code, body)
+			}
+			if !bytes.Contains(body, []byte("unsupported model kind")) || !bytes.Contains(body, []byte(m.kind)) {
+				t.Fatalf("%s fast=%v: error %s does not name the unsupported kind %q", m.name, fast, body, m.kind)
+			}
+		}
+		framed, _, err := api.registry().ModelBytes(m.name)
+		if err != nil {
+			t.Fatalf("%s was not kept intact: %v", m.name, err)
+		}
+		if _, err := api.registry().PutModel(m.name+"-copy", framed); err == nil {
+			t.Fatalf("PutModel accepted a %s frame", m.kind)
+		}
+	}
+	if rep, err := api.SweepRegistry(); err != nil || len(rep.Removed) != 0 {
+		t.Fatalf("sweep after generate: removed %v, err %v", rep.Removed, err)
+	}
 }
 
 // waitPending polls until the model's fast entry has n queued waiters.

@@ -89,7 +89,7 @@ func encodeBody(t *testing.T, src trace.Source, kind trace.Kind, format string) 
 // labeled and unlabeled, every format — each return exactly the bytes a
 // freshly loaded synthesizer's first generate encodes to.
 func TestConcurrentDefaultGeneratesMatchFreshLoads(t *testing.T) {
-	condBytes, _, catalog := conditionalModelBytes(t)
+	condBytes, catalog := conditionalModelBytes(t)
 	pktBytes := smallModelBytes(t, trace.KindPCAP, 7)
 	ts, api, _ := startServerWithRegistry(t, t.TempDir())
 	for name, framed := range map[string][]byte{"cond": condBytes, "pkt": pktBytes} {

@@ -197,8 +197,7 @@ type GenerateRequest struct {
 	// the cached model and coalesced batched generation. Higher throughput
 	// on large counts, but output depends on request ordering — only its
 	// distribution is pinned. The default mode, served from the same
-	// cached model, is per-request deterministic. Models stored as fast
-	// containers always serve fast regardless of this flag.
+	// cached model, is per-request deterministic.
 	Fast bool `json:"fast,omitempty"`
 }
 
