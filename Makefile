@@ -61,7 +61,8 @@ test-ingest:
 	$(GO) test ./internal/webapi -run TestIngestEndpoint
 
 # Short fuzz pass over every fuzz target (trace parsers, flow assembly,
-# the chunk-record reader, and the container and lease decoders). Each target needs its own
+# the chunk-record reader, the container and lease decoders, and the
+# assembly matmul kernels against their pure-Go reference). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzQueryFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseLease -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzMatKernels -fuzztime $(FUZZTIME)
 
 # Distributed training subsystem (DESIGN.md §14): the durable chunk
 # queue's lease/reclaim/retry matrix, the plan API's

@@ -1,0 +1,114 @@
+package mat
+
+// avx2Kernels run the row kernels in AVX2 assembly (kernels_amd64.s).
+// They vectorize across output columns only: each output element still
+// accumulates over k in ascending order with separate VMULPD and VADDPD
+// (never VFMADD), so their bits equal goKernels' for every input.
+var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2}
+
+// archKernels returns the AVX2 kernels when the CPU has AVX2 and the OS
+// saves the YMM registers.
+func archKernels() (kernelSet, bool) {
+	if !cpuHasAVX2() {
+		return kernelSet{}, false
+	}
+	return avx2Kernels, true
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+func cpuHasAVX2() bool {
+	const (
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx     = 1 << 28 // CPUID.1:ECX
+		avx2    = 1 << 5  // CPUID.(7,0):EBX
+		ymmXMM  = 0b110   // XCR0: the OS saves SSE and AVX state
+	)
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&ymmXMM != ymmXMM {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// axpyRowsAVX2 computes, for each of m rows r, d[r*ldd+j] +=
+// a[r*ai+kk*ak] * b[kk*ldb+j] for j < n and kk ascending from 0 to k-1,
+// skipping every kk whose a element is ±0. Each row's d slice is held in
+// registers across the whole kk loop, 32 columns at a time.
+//
+//go:noescape
+func axpyRowsAVX2(d, a, b *float64, m, n, k, ldd, ai, ak, ldb int)
+
+// dotRowsAVX2 computes, for each of m rows r, d[r*ldd+j] = Σ a[r*ai+kk*ak]
+// * b[kk*ldb+j] for j < n, summed from +0 with kk ascending and no skip.
+// b is the transposed operand of a·bᵀ, packed so that columns are
+// contiguous.
+//
+//go:noescape
+func dotRowsAVX2(d, a, b *float64, m, n, k, ldd, ai, ak, ldb int)
+
+func mulRowsAVX2(dst, a, b *Matrix, lo, hi int) {
+	if lo == hi || a.Cols == 0 || b.Cols == 0 {
+		return
+	}
+	axpyRowsAVX2(&dst.Data[lo*dst.Cols], &a.Data[lo*a.Cols], &b.Data[0],
+		hi-lo, b.Cols, a.Cols, dst.Cols, a.Cols, 1, b.Cols)
+}
+
+func mulTransARowsAVX2(dst, a, b *Matrix, lo, hi int) {
+	if lo == hi || a.Rows == 0 || b.Cols == 0 {
+		return
+	}
+	axpyRowsAVX2(&dst.Data[lo*dst.Cols], &a.Data[lo], &b.Data[0],
+		hi-lo, b.Cols, a.Rows, dst.Cols, 1, a.Cols, b.Cols)
+}
+
+// mulTransBRowsAVX2 computes dst rows [lo, hi) of a·bᵀ from bt = bᵀ,
+// which packTransposeAVX2 wrote.
+func mulTransBRowsAVX2(dst, a, bt *Matrix, lo, hi int) {
+	if lo == hi || bt.Cols == 0 {
+		return
+	}
+	if bt.Rows == 0 {
+		for i := lo; i < hi; i++ {
+			clear(dst.Row(i))
+		}
+		return
+	}
+	dotRowsAVX2(&dst.Data[lo*dst.Cols], &a.Data[lo*a.Cols], &bt.Data[0],
+		hi-lo, bt.Cols, bt.Rows, dst.Cols, a.Cols, 1, bt.Cols)
+}
+
+// transposeAVX2 writes the transpose of the rows×cols top-left block of
+// src (row stride lds) into dst (row stride ldd), 4×4 tiles at a time;
+// rows and cols must be multiples of 4.
+//
+//go:noescape
+func transposeAVX2(dst, src *float64, rows, cols, ldd, lds int)
+
+// packTransposeAVX2 writes bᵀ into bt: the whole 4×4 tiles in assembly,
+// the ragged right and bottom edges in Go.
+func packTransposeAVX2(bt, b *Matrix) {
+	n, k := b.Rows, b.Cols
+	n4, k4 := n&^3, k&^3
+	if n4 > 0 && k4 > 0 {
+		transposeAVX2(&bt.Data[0], &b.Data[0], n4, k4, n, k)
+	}
+	for j := 0; j < n; j++ {
+		from := k4
+		if j >= n4 {
+			from = 0
+		}
+		for kk := from; kk < k; kk++ {
+			bt.Data[kk*n+j] = b.Data[j*k+kk]
+		}
+	}
+}

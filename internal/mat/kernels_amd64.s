@@ -1,0 +1,322 @@
+#include "textflag.h"
+
+// AVX2 row kernels for the float64 matmuls (see kernels_amd64.go).
+//
+// Bit-exactness rules, kept by every instruction below:
+//   - a multiply and an add are separate VMULPD/VADDPD (VMULSD/VADDSD in
+//     the scalar tail), never a fused multiply-add;
+//   - each output element accumulates over kk in ascending order, and the
+//     kk reduction is never split.
+// Both operations are commutative and correctly rounded, so operand order
+// changes no bits except a NaN's payload, which is outside the contract.
+//
+// Both kernels take (d, a, b *float64, m, n, k, ldd, ai, ak, ldb int) and
+// use the same registers:
+//   DI d row     SI a row      DX b          R8 rows left
+//   R9 n*8       R10 k         R11 ak*8      R12 ldb*8
+//   CX column offset in bytes  AX a cursor   BX b cursor
+//   R13 kk counter             R14 scratch
+//   Y0-Y7 accumulators, Y8-Y13 products, Y14 broadcast a element.
+// Each row is computed in column blocks of 32 doubles held in Y0-Y7 across
+// the whole kk loop, then blocks of 4 in Y0, then a scalar block per
+// leftover column. (In DefaultConfig flow training about 4% of the
+// multiply-adds fall outside 32-column blocks.)
+
+#define LOADARGS \
+	MOVQ d+0(FP), DI; \
+	MOVQ a+8(FP), SI; \
+	MOVQ b+16(FP), DX; \
+	MOVQ m+24(FP), R8; \
+	MOVQ n+32(FP), R9; \
+	SHLQ $3, R9; \
+	MOVQ k+40(FP), R10; \
+	MOVQ ak+64(FP), R11; \
+	SHLQ $3, R11; \
+	MOVQ ldb+72(FP), R12; \
+	SHLQ $3, R12
+
+// BLOCKSTART points the cursors at the current row and column block.
+#define BLOCKSTART \
+	MOVQ SI, AX; \
+	LEAQ (DX)(CX*1), BX; \
+	MOVQ R10, R13
+
+// NEXTK advances the cursors by one kk and loops while kk < k.
+#define NEXTK(loop) \
+	ADDQ R11, AX; \
+	ADDQ R12, BX; \
+	DECQ R13; \
+	JNZ  loop
+
+// SKIPZERO jumps to skip when the a element is +0 or -0.
+#define SKIPZERO(skip) \
+	MOVQ (AX), R14; \
+	SHLQ $1, R14; \
+	JZ   skip
+
+// MULADD: acc += a*b for the 4 doubles at off(BX).
+#define MULADD(off, acc, t) \
+	VMULPD off(BX), Y14, t; \
+	VADDPD t, acc, acc
+
+#define LOAD8 \
+	VMOVUPD 0(DI)(CX*1), Y0; \
+	VMOVUPD 32(DI)(CX*1), Y1; \
+	VMOVUPD 64(DI)(CX*1), Y2; \
+	VMOVUPD 96(DI)(CX*1), Y3; \
+	VMOVUPD 128(DI)(CX*1), Y4; \
+	VMOVUPD 160(DI)(CX*1), Y5; \
+	VMOVUPD 192(DI)(CX*1), Y6; \
+	VMOVUPD 224(DI)(CX*1), Y7
+
+#define STORE8 \
+	VMOVUPD Y0, 0(DI)(CX*1); \
+	VMOVUPD Y1, 32(DI)(CX*1); \
+	VMOVUPD Y2, 64(DI)(CX*1); \
+	VMOVUPD Y3, 96(DI)(CX*1); \
+	VMOVUPD Y4, 128(DI)(CX*1); \
+	VMOVUPD Y5, 160(DI)(CX*1); \
+	VMOVUPD Y6, 192(DI)(CX*1); \
+	VMOVUPD Y7, 224(DI)(CX*1)
+
+#define ZERO8 \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// NEXTBLOCK picks the widest block that fits the columns left in the row,
+// or moves to the next row when none are left.
+#define NEXTBLOCK(w32, w4, w1, row, done) \
+	MOVQ R9, R14; \
+	SUBQ CX, R14; \
+	CMPQ R14, $256; \
+	JGE  w32; \
+	CMPQ R14, $32; \
+	JGE  w4; \
+	CMPQ R14, $8; \
+	JGE  w1; \
+	MOVQ ldd+48(FP), R14; \
+	LEAQ (DI)(R14*8), DI; \
+	MOVQ ai+56(FP), R14; \
+	LEAQ (SI)(R14*8), SI; \
+	DECQ R8; \
+	JNZ  row; \
+	JMP  done
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func axpyRowsAVX2(d, a, b *float64, m, n, k, ldd, ai, ak, ldb int)
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-80
+	LOADARGS
+	TESTQ R8, R8
+	JLE   axpyDone
+	TESTQ R10, R10
+	JLE   axpyDone
+
+axpyRow:
+	XORQ CX, CX
+
+axpyBlock:
+	NEXTBLOCK(axpy32, axpy4, axpy1, axpyRow, axpyDone)
+
+axpy32:
+	LOAD8
+	BLOCKSTART
+	PCALIGN $32
+
+axpy32Loop:
+	SKIPZERO(axpy32Skip)
+	VBROADCASTSD (AX), Y14
+	MULADD(0, Y0, Y8)
+	MULADD(32, Y1, Y9)
+	MULADD(64, Y2, Y10)
+	MULADD(96, Y3, Y11)
+	MULADD(128, Y4, Y12)
+	MULADD(160, Y5, Y13)
+	MULADD(192, Y6, Y8)
+	MULADD(224, Y7, Y9)
+
+axpy32Skip:
+	NEXTK(axpy32Loop)
+	STORE8
+	ADDQ $256, CX
+	JMP  axpyBlock
+
+axpy4:
+	VMOVUPD 0(DI)(CX*1), Y0
+	BLOCKSTART
+	PCALIGN $32
+
+axpy4Loop:
+	SKIPZERO(axpy4Skip)
+	VBROADCASTSD (AX), Y14
+	MULADD(0, Y0, Y8)
+
+axpy4Skip:
+	NEXTK(axpy4Loop)
+	VMOVUPD Y0, 0(DI)(CX*1)
+	ADDQ    $32, CX
+	JMP     axpyBlock
+
+axpy1:
+	VMOVSD 0(DI)(CX*1), X0
+	BLOCKSTART
+	PCALIGN $32
+
+axpy1Loop:
+	SKIPZERO(axpy1Skip)
+	VMOVSD (AX), X14
+	VMULSD (BX), X14, X8
+	VADDSD X8, X0, X0
+
+axpy1Skip:
+	NEXTK(axpy1Loop)
+	VMOVSD X0, 0(DI)(CX*1)
+	ADDQ   $8, CX
+	JMP    axpyBlock
+
+axpyDone:
+	VZEROUPPER
+	RET
+
+// func dotRowsAVX2(d, a, b *float64, m, n, k, ldd, ai, ak, ldb int)
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-80
+	LOADARGS
+	TESTQ R8, R8
+	JLE   dotDone
+	TESTQ R10, R10
+	JLE   dotDone
+
+dotRow:
+	XORQ CX, CX
+
+dotBlock:
+	NEXTBLOCK(dot32, dot4, dot1, dotRow, dotDone)
+
+dot32:
+	ZERO8
+	BLOCKSTART
+	PCALIGN $32
+
+dot32Loop:
+	VBROADCASTSD (AX), Y14
+	MULADD(0, Y0, Y8)
+	MULADD(32, Y1, Y9)
+	MULADD(64, Y2, Y10)
+	MULADD(96, Y3, Y11)
+	MULADD(128, Y4, Y12)
+	MULADD(160, Y5, Y13)
+	MULADD(192, Y6, Y8)
+	MULADD(224, Y7, Y9)
+	NEXTK(dot32Loop)
+	STORE8
+	ADDQ $256, CX
+	JMP  dotBlock
+
+dot4:
+	VXORPD Y0, Y0, Y0
+	BLOCKSTART
+	PCALIGN $32
+
+dot4Loop:
+	VBROADCASTSD (AX), Y14
+	MULADD(0, Y0, Y8)
+	NEXTK(dot4Loop)
+	VMOVUPD Y0, 0(DI)(CX*1)
+	ADDQ    $32, CX
+	JMP     dotBlock
+
+dot1:
+	VXORPD X0, X0, X0
+	BLOCKSTART
+	PCALIGN $32
+
+dot1Loop:
+	VMOVSD (AX), X14
+	VMULSD (BX), X14, X8
+	VADDSD X8, X0, X0
+	NEXTK(dot1Loop)
+	VMOVSD X0, 0(DI)(CX*1)
+	ADDQ   $8, CX
+	JMP    dotBlock
+
+dotDone:
+	VZEROUPPER
+	RET
+
+// func transposeAVX2(dst, src *float64, rows, cols, ldd, lds int)
+// Each step loads a 4×4 tile as four src row pieces, transposes it with
+// unpacks and 128-bit lane permutes, and stores it as four dst row pieces.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ ldd+32(FP), R10
+	SHLQ $3, R10
+	MOVQ lds+40(FP), R11
+	SHLQ $3, R11
+	TESTQ R8, R8
+	JLE   transposeDone
+	TESTQ R9, R9
+	JLE   transposeDone
+	LEAQ  (R11)(R11*2), R12
+	LEAQ  (R10)(R10*2), R13
+
+transposeRows:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ R9, CX
+	PCALIGN $32
+
+transposeTile:
+	VMOVUPD    (AX), Y0
+	VMOVUPD    (AX)(R11*1), Y1
+	VMOVUPD    (AX)(R11*2), Y2
+	VMOVUPD    (AX)(R12*1), Y3
+	VUNPCKLPD  Y1, Y0, Y4
+	VUNPCKHPD  Y1, Y0, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD    Y0, (BX)
+	VMOVUPD    Y1, (BX)(R10*1)
+	VMOVUPD    Y2, (BX)(R10*2)
+	VMOVUPD    Y3, (BX)(R13*1)
+	ADDQ       $32, AX
+	LEAQ       (BX)(R10*4), BX
+	SUBQ       $4, CX
+	JNZ        transposeTile
+	LEAQ       (SI)(R11*4), SI
+	ADDQ       $32, DI
+	SUBQ       $4, R8
+	JNZ        transposeRows
+
+transposeDone:
+	VZEROUPPER
+	RET

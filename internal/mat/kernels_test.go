@@ -1,0 +1,308 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/telemetry"
+)
+
+// kernelImpls lists every kernel set this build and CPU can run, the
+// pure-Go reference first.
+func kernelImpls() []kernelSet {
+	impls := []kernelSet{goKernels}
+	if k, ok := archKernels(); ok {
+		impls = append(impls, k)
+	}
+	return impls
+}
+
+// forEachKernelSet runs f as one subtest per available kernel set, with
+// that set installed for the public matmul entry points.
+func forEachKernelSet(t *testing.T, f func(t *testing.T)) {
+	for _, ks := range kernelImpls() {
+		t.Run(ks.name, func(t *testing.T) {
+			saved := kernels
+			kernels = ks
+			defer func() { kernels = saved }()
+			f(t)
+		})
+	}
+}
+
+// sameBits reports whether x and y have the same bits, or are both NaN.
+// A NaN's payload is not part of the kernels' contract: when both operands
+// of an add are NaN, x86 returns the first one, and the Go compiler orders
+// MULSD and ADDSD operands differently in a -race build than in a normal
+// one, so even the pure-Go reference does not fix it.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// kernelValue draws an operand for the differential tests. With
+// probability special/256 it is one of the values where a kernel could
+// disagree with the reference: ±0 (which also exercises the zero skip),
+// ±Inf, quiet and signaling NaNs with random payloads and signs,
+// subnormals, and magnitudes whose products overflow. Otherwise it is
+// N(0, 1).
+func kernelValue(r *rand.Rand, special int) float64 {
+	if r.Intn(256) >= special {
+		return r.NormFloat64()
+	}
+	sign := r.Uint64() & (1 << 63)
+	const inf, quiet = 0x7ff0000000000000, 1 << 51
+	switch r.Intn(6) {
+	case 0:
+		return math.Float64frombits(sign) // ±0
+	case 1:
+		return math.Float64frombits(sign | inf)
+	case 2:
+		return math.Float64frombits(sign | inf | quiet | r.Uint64()&(quiet-1))
+	case 3: // signaling NaN: quiet bit clear, payload nonzero
+		return math.Float64frombits(sign | inf | 1 | r.Uint64()&(quiet-1))
+	case 4: // subnormal
+		return math.Float64frombits(sign | 1 | r.Uint64()&(1<<52-1))
+	default:
+		return r.NormFloat64() * 1e300
+	}
+}
+
+func kernelMat(r *rand.Rand, rows, cols, special int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = kernelValue(r, special)
+	}
+	return m
+}
+
+// checkKernelsBitwise runs each kernel of impl and of goKernels on the same
+// m×k by k×n problem — a random row range of a destination pre-filled with
+// random values, so accumulation into dst and untouched rows are checked
+// too — and fails at the first element whose bits differ (sameBits).
+func checkKernelsBitwise(t testing.TB, impl kernelSet, r *rand.Rand, m, k, n, special int) {
+	t.Helper()
+	a := kernelMat(r, m, k, special)
+	at := kernelMat(r, k, m, special)
+	b := kernelMat(r, k, n, special)
+	bt := kernelMat(r, n, k, special)
+	dst0 := kernelMat(r, m, n, special)
+	lo := r.Intn(m + 1)
+	hi := lo + r.Intn(m-lo+1)
+	cases := []struct {
+		name      string
+		run, want func(dst, a, b *Matrix, lo, hi int)
+		a, b      *Matrix
+	}{
+		{"mulRows", impl.mulRows, goKernels.mulRows, a, b},
+		{"mulTransARows", impl.mulTransARows, goKernels.mulTransARows, at, b},
+		{"mulTransBRows", impl.mulTransBRows, goKernels.mulTransBRows, a, bt},
+	}
+	for _, c := range cases {
+		got, want := dst0.Clone(), dst0.Clone()
+		b := c.b
+		if c.name == "mulTransBRows" && impl.packB != nil {
+			b = New(bt.Cols, bt.Rows)
+			impl.packB(b, bt)
+		}
+		c.run(got, c.a, b, lo, hi)
+		c.want(want, c.a, c.b, lo, hi)
+		for i, w := range want.Data {
+			if g := got.Data[i]; !sameBits(g, w) {
+				t.Fatalf("%s %s m=%d k=%d n=%d rows [%d,%d): element (%d,%d) = %#016x (%v), go reference %#016x (%v)",
+					impl.name, c.name, m, k, n, lo, hi, i/n, i%n, math.Float64bits(g), g, math.Float64bits(w), w)
+			}
+		}
+	}
+}
+
+// TestKernelGaugeNamesSelection checks that the mat.kernel.avx2 gauge,
+// which tells a metrics reader which kernels produced the numbers, matches
+// the set init picked.
+func TestKernelGaugeNamesSelection(t *testing.T) {
+	want := 0.0
+	if kernels.name == "avx2" {
+		want = 1
+	}
+	if got, ok := telemetry.Default.Snapshot().Gauges["mat.kernel.avx2"]; !ok || got != want {
+		t.Fatalf("mat.kernel.avx2 = %v (set %v), want %v for kernel set %q", got, ok, want, kernels.name)
+	}
+}
+
+// TestKernelsMatchGoReference compares every available kernel set with the
+// pure-Go reference bit for bit over random shapes: ragged column counts
+// that reach every column block width (32, 16, 8, 4 and the scalar tail),
+// k of 0 and 1, and operands from dense N(0,1) to mostly special values.
+func TestKernelsMatchGoReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, impl := range kernelImpls()[1:] {
+		for trial := 0; trial < 400; trial++ {
+			m, k, n := 1+r.Intn(9), r.Intn(40), r.Intn(76)
+			if trial%10 == 0 {
+				k = trial / 10 % 2
+			}
+			special := []int{0, 4, 32, 128}[trial%4]
+			checkKernelsBitwise(t, impl, r, m, k, n, special)
+		}
+		for n := 0; n <= 70; n++ {
+			checkKernelsBitwise(t, impl, r, 3, 5, n, 16)
+		}
+	}
+}
+
+// TestKernelsSkipZeroBeforeNonFinite pins the aik == 0 skip: a zero a
+// element must leave its b row out entirely, so ±Inf and NaN there do not
+// turn the output into NaN (0·Inf would). mulTransBRows has no skip and
+// must propagate the NaN.
+func TestKernelsSkipZeroBeforeNonFinite(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
+		nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+		for _, n := range []int{1, 3, 4, 7, 32, 45} {
+			// a = [1 ±0 2] against b rows [ones, non-finite, ones].
+			b := New(3, n)
+			for j := 0; j < n; j++ {
+				b.Set(0, j, 1)
+				b.Set(1, j, nonFinite[j%3])
+				b.Set(2, j, 1)
+			}
+			for _, zero := range []float64{0, math.Copysign(0, -1)} {
+				a := NewFrom(1, 3, []float64{1, zero, 2})
+				for name, got := range map[string]*Matrix{
+					"Mul":       Mul(a, b),
+					"MulTransA": MulTransA(NewFrom(3, 1, a.Data), b),
+				} {
+					for j, v := range got.Data {
+						if v != 3 {
+							t.Fatalf("%s n=%d zero=%v: element %d = %v, want 3", name, n, zero, j, v)
+						}
+					}
+				}
+				got := MulTransB(a, NewFrom(n, 3, transpose(b).Data))
+				for j, v := range got.Data {
+					if !math.IsNaN(v) {
+						t.Fatalf("MulTransB n=%d: element %d = %v, want NaN from 0·%v", n, j, v, nonFinite[j%3])
+					}
+				}
+			}
+		}
+	})
+}
+
+func transpose(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// FuzzMatKernels compares the assembly kernels with the pure-Go reference
+// bit for bit on fuzzer-chosen shapes, special-value densities and seeds.
+func FuzzMatKernels(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(102), uint8(32), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(7), uint8(64))
+	f.Add(int64(3), uint8(5), uint8(0), uint8(45), uint8(255))
+	f.Add(int64(4), uint8(1), uint8(33), uint8(3), uint8(16))
+	impls := kernelImpls()
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, special uint8) {
+		if len(impls) < 2 {
+			t.Skip("no assembly kernels on this CPU")
+		}
+		r := rand.New(rand.NewSource(seed))
+		// Keep each case small: the value of a case is its shape and
+		// operands, not its size.
+		mm, kk, nn := 1+int(m)%17, int(k)%130, int(n)%130
+		for _, impl := range impls[1:] {
+			checkKernelsBitwise(t, impl, r, mm, kk, nn, int(special))
+		}
+	})
+}
+
+// fmaProbe holds a, b, c with a·b = 1 - 2⁻⁶⁰ exactly: rounded on its own
+// the product is 1 and a·b + c is 0, while one fused multiply-add keeps
+// the low bits and gives -2⁻⁶⁰. A package variable keeps the compiler
+// from folding the expression at compile time.
+var fmaProbe = [3]float64{1 + 0x1p-30, 1 - 0x1p-30, -1}
+
+// TestCompilerDoesNotFuseMultiplyAdd fails when the Go compiler contracts
+// a*b + c into one FMA instruction, as the language spec allows. Go 1.24
+// does so on arm64, ppc64le, s390x and riscv64 but not on amd64 at any
+// GOAMD64 level; a later release could start at GOAMD64=v3. The pure-Go
+// kernels, the assembly kernels' bit-for-bit reference and every training
+// golden assume a separately rounded multiply and add, so such a build
+// should fail here, naming the cause, rather than as a golden mismatch.
+func TestCompilerDoesNotFuseMultiplyAdd(t *testing.T) {
+	a, b, c := fmaProbe[0], fmaProbe[1], fmaProbe[2]
+	if math.FMA(a, b, c) == 0 {
+		t.Fatal("probe inputs do not tell a fused multiply-add from an unfused one")
+	}
+	if got := a*b + c; got != 0 {
+		t.Fatalf("a*b + c = %g, want 0: the compiler fused the multiply and add into one FMA "+
+			"(GOAMD64=v3 or later on a toolchain that contracts there, or an architecture "+
+			"whose compiler always does); float64 results, the training goldens and the "+
+			"assembly kernels' reference all assume unfused arithmetic: build for amd64 "+
+			"with GOAMD64=v1", got)
+	}
+}
+
+// BenchmarkKernels times each kernel at the shapes the flow-GAN training
+// loop spends its time in (DefaultConfig), once per available kernel set,
+// on one goroutine. Shapes are m×k×n: an m×n product summed over k.
+func BenchmarkKernels(b *testing.B) {
+	shapes := []struct {
+		op      string
+		m, k, n int
+	}{
+		{"Mul", 16, 102, 32},
+		{"Mul", 16, 196, 32},
+		{"Mul", 16, 32, 32},
+		{"MulTransA", 196, 16, 32},
+		{"MulTransA", 102, 16, 32},
+		{"MulTransB", 16, 32, 196},
+		{"MulTransB", 16, 32, 102},
+	}
+	prev := Parallelism()
+	SetParallelism(1)
+	b.Cleanup(func() { SetParallelism(prev) })
+	r := rand.New(rand.NewSource(1))
+	for _, sh := range shapes {
+		dst := New(sh.m, sh.n)
+		var run func()
+		switch sh.op {
+		case "Mul":
+			x, y := randMat(r, sh.m, sh.k), randMat(r, sh.k, sh.n)
+			run = func() { MulInto(dst, x, y) }
+		case "MulTransA":
+			x, y := randMat(r, sh.k, sh.m), randMat(r, sh.k, sh.n)
+			run = func() { MulTransAInto(dst, x, y) }
+		case "MulTransB":
+			x, y := randMat(r, sh.m, sh.k), randMat(r, sh.n, sh.k)
+			run = func() { MulTransBInto(dst, x, y) }
+		}
+		for _, ks := range kernelImpls() {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", sh.op, sh.m, sh.k, sh.n, ks.name), func(b *testing.B) {
+				saved := kernels
+				kernels = ks
+				defer func() { kernels = saved }()
+				for b.Loop() {
+					run()
+				}
+			})
+		}
+	}
+}

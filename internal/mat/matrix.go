@@ -111,52 +111,12 @@ func MulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("mat: Mul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
+	rows := kernels.mulRows
 	if parallelizable(a.Rows*a.Cols*b.Cols, a.Rows) {
-		ParallelFor(a.Rows, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
+		ParallelFor(a.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
 		return
 	}
-	mulRows(dst, a, b, 0, a.Rows)
-}
-
-// mulRows computes dst rows [lo, hi) of a·b with the ikj loop order:
-// it streams through b and dst rows sequentially. Each dst element
-// accumulates over k in ascending order regardless of the row split, so
-// serial and parallel calls are bitwise identical.
-func mulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			axpy(drow, b.Row(k), aik)
-		}
-	}
-}
-
-// axpy computes d[j] += a*s[j] for every j < len(s), four elements per
-// iteration. Each element still gets one multiply and one add, in the
-// same order as a plain loop, so results are bitwise unchanged. The
-// unrolled body makes mulRows and mulTransARows, the largest training
-// layer, less sensitive to where the linker places their loops relative
-// to 64-byte boundaries: on a 2-vCPU AVX-512 Xeon, placement alone moved
-// end-to-end training CPU time by about 20% with a plain loop and by
-// about 10% with this one.
-func axpy(d, s []float64, a float64) {
-	d = d[:len(s)]
-	j := 0
-	for ; j+4 <= len(s); j += 4 {
-		dj, sj := d[j:j+4:j+4], s[j:j+4:j+4]
-		dj[0] += a * sj[0]
-		dj[1] += a * sj[1]
-		dj[2] += a * sj[2]
-		dj[3] += a * sj[3]
-	}
-	for ; j < len(s); j++ {
-		d[j] += a * s[j]
-	}
+	rows(dst, a, b, 0, a.Rows)
 }
 
 // Mul returns a·b.
@@ -175,29 +135,12 @@ func MulTransAInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("mat: MulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
+	rows := kernels.mulTransARows
 	if parallelizable(a.Rows*a.Cols*b.Cols, dst.Rows) {
-		ParallelFor(dst.Rows, func(lo, hi int) { mulTransARows(dst, a, b, lo, hi) })
+		ParallelFor(dst.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
 		return
 	}
-	mulTransARows(dst, a, b, 0, dst.Rows)
-}
-
-// mulTransARows computes dst rows [lo, hi) of aᵀ·b. The k (sample) loop
-// stays outermost so every dst element accumulates over k in ascending
-// order — the same order as a full serial pass — keeping parallel and
-// serial results bitwise identical.
-func mulTransARows(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			aki := arow[i]
-			if aki == 0 {
-				continue
-			}
-			axpy(dst.Row(i), brow, aki)
-		}
-	}
+	rows(dst, a, b, 0, dst.Rows)
 }
 
 // MulTransA returns aᵀ·b.
@@ -207,7 +150,8 @@ func MulTransA(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MulTransBInto computes dst = a·bᵀ without materializing bᵀ.
+// MulTransBInto computes dst = a·bᵀ. Only kernel sets that vectorize
+// across output columns materialize bᵀ, in pooled scratch, once per call.
 func MulTransBInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB inner dims %d != %d", a.Cols, b.Cols))
@@ -215,28 +159,20 @@ func MulTransBInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if parallelizable(a.Rows*a.Cols*b.Rows, a.Rows) {
-		ParallelFor(a.Rows, func(lo, hi int) { mulTransBRows(dst, a, b, lo, hi) })
+	cost := a.Rows * a.Cols * b.Rows
+	rows := kernels.mulTransBRows
+	if pack := kernels.packB; pack != nil {
+		bt := packPool.Get().(*Matrix)
+		defer packPool.Put(bt)
+		bt.reshape(b.Cols, b.Rows)
+		pack(bt, b)
+		b = bt
+	}
+	if parallelizable(cost, a.Rows) {
+		ParallelFor(a.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
 		return
 	}
-	mulTransBRows(dst, a, b, 0, a.Rows)
-}
-
-// mulTransBRows computes dst rows [lo, hi) of a·bᵀ as independent dot
-// products, bitwise identical to the serial pass for any row split.
-func mulTransBRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
+	rows(dst, a, b, 0, a.Rows)
 }
 
 // MulTransB returns a·bᵀ.

@@ -27,8 +27,12 @@ func randMat(r *rand.Rand, rows, cols int) *Matrix {
 // TestParallelKernelsBitwiseDeterministic asserts the headline guarantee of
 // the parallel layer: every kernel produces bitwise-identical output at any
 // parallelism level, including worker counts that do not divide the row
-// count evenly.
+// count evenly. It runs once per kernel set the CPU supports.
 func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
+	forEachKernelSet(t, testParallelKernelsBitwiseDeterministic)
+}
+
+func testParallelKernelsBitwiseDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 3}, {16, 33, 9}, {31, 17, 23}, {64, 48, 32}}
 	for _, sh := range shapes {
@@ -75,8 +79,14 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 // TestConcurrentMulIntoDisjointDsts stress-tests the worker pool under the
 // race detector: many goroutines issue parallel matmuls into disjoint
 // destinations at once, the pattern the per-chunk fine-tuning fan-out in
-// internal/core produces.
+// internal/core produces. The race detector does not see the memory
+// accesses of assembly kernels, so the run per kernel set also checks that
+// concurrent calls on the assembly kernels return the single-call result.
 func TestConcurrentMulIntoDisjointDsts(t *testing.T) {
+	forEachKernelSet(t, testConcurrentMulIntoDisjointDsts)
+}
+
+func testConcurrentMulIntoDisjointDsts(t *testing.T) {
 	forceParallel(t, 4)
 	r := rand.New(rand.NewSource(7))
 	const goroutines = 8
@@ -84,10 +94,14 @@ func TestConcurrentMulIntoDisjointDsts(t *testing.T) {
 	as := make([]*Matrix, goroutines)
 	bs := make([]*Matrix, goroutines)
 	wants := make([]*Matrix, goroutines)
+	bts := make([]*Matrix, goroutines)
+	wantsT := make([]*Matrix, goroutines)
 	for g := range as {
 		as[g] = randMat(r, 13, 17)
 		bs[g] = randMat(r, 17, 11)
 		wants[g] = Mul(as[g], bs[g])
+		bts[g] = randMat(r, 37, 17)
+		wantsT[g] = MulTransB(as[g], bts[g])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -95,14 +109,14 @@ func TestConcurrentMulIntoDisjointDsts(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			dst := New(13, 11)
+			dstT := New(13, 37)
 			for it := 0; it < iters; it++ {
 				MulInto(dst, as[g], bs[g])
 				MulTransAInto(New(17, 11), as[g].Clone(), wantsShape(as[g].Rows, 11, wants[g]))
-				for i, v := range dst.Data {
-					if v != wants[g].Data[i] {
-						t.Errorf("goroutine %d iter %d: result diverged", g, it)
-						return
-					}
+				MulTransBInto(dstT, as[g], bts[g])
+				if !bitsEqual(dst.Data, wants[g].Data) || !bitsEqual(dstT.Data, wantsT[g].Data) {
+					t.Errorf("goroutine %d iter %d: result diverged", g, it)
+					return
 				}
 			}
 		}(g)
