@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster test-e2ebench fuzz bench bench-parallel bench-generate bench-store staticcheck govulncheck ci clean
+.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster test-e2ebench fuzz bench bench-smoke staticcheck govulncheck ci clean
 
 all: build
 
@@ -130,19 +130,11 @@ test-e2ebench:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Serial-vs-parallel kernel timings, recorded to BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/benchpar -out BENCH_parallel.json
-
-# Generation-pipeline timings (baseline-vs-optimized sampler and decode,
-# end-to-end flow generation), recorded to BENCH_generate.json.
-bench-generate:
-	$(GO) run ./cmd/benchpar -suite generate -out BENCH_generate.json
-
-# Columnar-store size and query timings vs the flat-CSV baseline,
-# recorded to BENCH_store.json.
-bench-store:
-	$(GO) run ./cmd/benchpar -suite store -out BENCH_store.json
+# One iteration of every package benchmark under internal/ (the kernel,
+# critic-step, sampler, nearest-word and store-query rows), so a
+# benchmark that stops compiling or starts failing breaks ci.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Static analysis and vulnerability scanning. Both tools are optional:
 # the targets run them when installed and skip with a notice otherwise,
@@ -161,7 +153,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz test-e2ebench
+ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-smoke test-e2ebench
 
 clean:
 	$(GO) clean ./...

@@ -69,9 +69,9 @@ func logReport(t *testing.T, label string, rep Report) {
 	t.Logf("%s: %s", label, strings.Join(parts, " "))
 }
 
-// TestFlowFastPathConforms is the tentpole gate: the float32 fast path's
-// output must be distributionally indistinguishable (within thresholds)
-// from the float64 reference path, and every record must be valid.
+// TestFlowFastPathConforms guarantees that the float32 fast path's output
+// is distributionally indistinguishable (within thresholds) from the
+// float64 reference path, and that every record it emits is valid.
 func TestFlowFastPathConforms(t *testing.T) {
 	syn, _ := trainedSynthesizers(t)
 	ref := syn.Generate(sampleN)
@@ -117,9 +117,9 @@ func TestFlowThresholdsHaveTeeth(t *testing.T) {
 	distorted := &trace.FlowTrace{Records: append([]trace.FlowRecord(nil), ref.Records...)}
 	span := ref.Duration()
 	for i := range distorted.Records {
-		distorted.Records[i].Tuple.SrcPort = 0     // collapse SP to one value
-		distorted.Records[i].Start += 2 * span     // shift TS by 2x the range
-		distorted.Records[i].Packets = 1_000_000   // move PKT mass far out
+		distorted.Records[i].Tuple.SrcPort = 0   // collapse SP to one value
+		distorted.Records[i].Start += 2 * span   // shift TS by 2x the range
+		distorted.Records[i].Packets = 1_000_000 // move PKT mass far out
 	}
 	rep := FlowReport(ref, distorted)
 	violations := rep.Check(DefaultFlowThresholds)

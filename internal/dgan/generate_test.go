@@ -114,14 +114,14 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkGenerateBaseline(b *testing.B) {
-	m := genTestModel(b, 1)
-	m.Reseed(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.GenerateBaseline(256)
-	}
+	// The float32 serving snapshot of the same weights, serial.
+	b.Run("fast", func(b *testing.B) {
+		im := genTestModel(b, 1).Infer()
+		im.Reseed(3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			im.Generate(256)
+		}
+	})
 }

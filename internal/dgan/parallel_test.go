@@ -1,7 +1,9 @@
 package dgan
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -157,17 +159,38 @@ func TestParallelDPTrainingUnderRace(t *testing.T) {
 	}
 }
 
-// TestStepCritic checks the exported benchmark entry point validates its
-// inputs and moves the critic.
-func TestStepCritic(t *testing.T) {
-	m, err := New(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.StepCritic(nil, nil); err == nil {
-		t.Fatal("empty samples must fail")
-	}
-	if _, err := m.StepCritic(toySamples(32, 2), nil); err != nil {
-		t.Fatal(err)
+// BenchmarkCriticStep times one critic update round (both critics), with
+// and without DP-SGD, serially and at every CPU. Allocations are reported
+// because the DP path's per-worker scratch is meant to be reused.
+func BenchmarkCriticStep(b *testing.B) {
+	for _, dp := range []bool{false, true} {
+		for _, p := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("dp=%v/p=%d", dp, p), func(b *testing.B) {
+				prev := mat.Parallelism()
+				mat.SetParallelism(p)
+				b.Cleanup(func() { mat.SetParallelism(prev) })
+				cfg := toyConfig()
+				cfg.Parallelism = p
+				m, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var sgd *privacy.DPSGD
+				if dp {
+					sgd, err = privacy.NewDPSGD(privacy.DPSGDConfig{
+						ClipNorm: 1, NoiseMultiplier: 0.7, SampleRate: 16.0 / 64, Delta: 1e-5,
+					}, rand.New(rand.NewSource(7)))
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				samples := toySamples(64, 3)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.criticStep(samples, sgd)
+				}
+			})
+		}
 	}
 }

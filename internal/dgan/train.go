@@ -193,17 +193,6 @@ func (m *Model) dpCriticUpdate(critic *nn.MLP, real, fake *mat.Matrix, dp *priva
 	return l
 }
 
-// StepCritic runs one critic update round (both critics) outside the full
-// Train loop and returns the Wasserstein loss. dp may be nil for the
-// non-private path. It exists so benchmarks can time the hot kernel in
-// isolation; training should go through Train/TrainDP.
-func (m *Model) StepCritic(samples []Sample, dp *privacy.DPSGD) (float64, error) {
-	if err := m.checkSamples(samples); err != nil {
-		return 0, err
-	}
-	return m.criticStep(samples, dp), nil
-}
-
 // generatorStep performs one generator update against both critics and
 // returns the generator loss and the pre-update gradient L2 norm.
 func (m *Model) generatorStep() (float64, float64) {

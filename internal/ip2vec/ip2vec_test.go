@@ -314,3 +314,23 @@ func TestTrainDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNearestBatch times decoding 256 embedding rows to their nearest
+// port words in one batch, the shape the flow synthesizer's decode issues.
+func BenchmarkNearestBatch(b *testing.B) {
+	m, err := Train(PacketSentences(datasets.CAIDAChicago(2000, 7)), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(11))
+	queries := mat.New(256, m.Dim)
+	for i := range queries.Data {
+		queries.Data[i] = r.NormFloat64() * 0.3
+	}
+	m.NearestBatch(KindPort, queries) // build the searcher outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.NearestBatch(KindPort, queries)
+	}
+}
