@@ -1,57 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/ip2vec"
 )
-
-// TestStoreCachedConcurrentCap: decodeCacheCap must hold exactly under
-// concurrent insertion. The old check-then-act (load, compare, then add)
-// let N racing decoders overshoot the cap by up to N−1; the CAS reserve
-// closed that. Run with -race for the full proof.
-func TestStoreCachedConcurrentCap(t *testing.T) {
-	pe := &portEmbedding{}
-	const workers = 8
-	const perWorker = (decodeCacheCap + workers) / workers // total > cap
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				pe.storeCached(portCacheKind, []float64{float64(w*perWorker + i)}, uint32(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := pe.cacheLen.Load(); n != decodeCacheCap {
-		t.Fatalf("cacheLen = %d, want exactly the cap %d", n, decodeCacheCap)
-	}
-	var stored int64
-	pe.cache.Range(func(_, _ any) bool { stored++; return true })
-	if stored != decodeCacheCap {
-		t.Fatalf("map holds %d entries, cacheLen says %d", stored, decodeCacheCap)
-	}
-}
-
-// TestStoreCachedDuplicate: losing the LoadOrStore race to an identical
-// entry must return the reserved slot, not leak it.
-func TestStoreCachedDuplicate(t *testing.T) {
-	pe := &portEmbedding{}
-	row := []float64{1, 2}
-	pe.storeCached(portCacheKind, row, 80)
-	pe.storeCached(portCacheKind, row, 80)
-	if n := pe.cacheLen.Load(); n != 1 {
-		t.Fatalf("cacheLen = %d after duplicate insert, want 1", n)
-	}
-	// Same row under a different kind is a distinct entry.
-	pe.storeCached(protoCacheKind, row, 6)
-	if n := pe.cacheLen.Load(); n != 2 {
-		t.Fatalf("cacheLen = %d after distinct-kind insert, want 2", n)
-	}
-}
 
 // TestFallbackPortUnsortedVocabulary: fallbackPort documents "numerically
 // lowest known port" — it must hold even when pe.ports is not sorted
@@ -94,19 +47,5 @@ func TestSortedPortsEnforced(t *testing.T) {
 	pe := &portEmbedding{ports: ports}
 	if got := pe.fallbackPort(); got != 22 {
 		t.Fatalf("fallbackPort = %d, want 22", got)
-	}
-}
-
-// BenchmarkStoreCached keeps the reserve loop honest: one insert under the
-// cap must stay a couple of atomics plus the map write.
-func BenchmarkStoreCached(b *testing.B) {
-	pe := &portEmbedding{}
-	rows := make([][]float64, 1024)
-	for i := range rows {
-		rows[i] = []float64{float64(i)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pe.storeCached(portCacheKind, rows[i%len(rows)], uint32(i))
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dgan"
@@ -236,11 +235,6 @@ type portEmbedding struct {
 	dim   int
 	norms []encoding.MinMax
 	ports []ip2vec.Word // sorted port vocabulary for numeric fallback
-
-	// Exact-hit decode cache (decode.go): raw generator row → word value.
-	// Values are deterministic, so concurrent access cannot change results.
-	cache    sync.Map
-	cacheLen atomic.Int64
 }
 
 // newPortEmbedding trains IP2Vec on a public packet trace (the paper uses a
@@ -324,16 +318,12 @@ func sortedPorts(model *ip2vec.Model) []ip2vec.Word {
 // nearest-neighbour search over the public dictionary. An empty port
 // vocabulary falls back to fallbackPort rather than fabricating a word.
 func (pe *portEmbedding) decodePort(v []float64) uint16 {
-	if cached, ok := pe.cached(portCacheKind, v); ok {
-		return uint16(cached)
-	}
 	raw := make([]float64, pe.dim)
 	pe.invertInto(raw, v)
 	w, ok := pe.model.Nearest(ip2vec.KindPort, raw)
 	if !ok {
 		return pe.fallbackPort()
 	}
-	pe.storeCached(portCacheKind, v, w.Value)
 	return uint16(w.Value)
 }
 
@@ -354,16 +344,12 @@ func (pe *portEmbedding) encodeProto(p trace.Protocol) []float64 {
 // decodeProto maps a normalized embedding back to a protocol; an empty
 // protocol vocabulary falls back to TCP.
 func (pe *portEmbedding) decodeProto(v []float64) trace.Protocol {
-	if cached, ok := pe.cached(protoCacheKind, v); ok {
-		return trace.Protocol(cached)
-	}
 	raw := make([]float64, pe.dim)
 	pe.invertInto(raw, v)
 	w, ok := pe.model.Nearest(ip2vec.KindProto, raw)
 	if !ok {
 		return trace.TCP
 	}
-	pe.storeCached(protoCacheKind, v, w.Value)
 	return trace.Protocol(w.Value)
 }
 
@@ -426,8 +412,8 @@ func fullLots(budget, lot int) int {
 
 // forEachChunk runs fn(i) for every chunk index, concurrently when the
 // configuration enables parallelism and there is more than one chunk. Each
-// fn must touch only chunk i's state (plus data that is safe to share, like
-// the decode cache, whose values are deterministic), which is what keeps
+// fn must touch only chunk i's state (plus read-only shared data, like the
+// fitted codec), which is what keeps
 // parallel and serial generation byte-identical.
 func forEachChunk(cfg Config, n int, fn func(int)) {
 	if !cfg.Parallel || cfg.Parallelism == 1 || n <= 1 {

@@ -20,10 +20,6 @@ var (
 	// restored from a checkpoint directory instead of training.
 	telChunkTrain     = telemetry.Default.Timer("core.train.chunk")
 	telChunksRestored = telemetry.Default.Counter("core.train.chunks.restored")
-
-	telDecodeCacheHits   = telemetry.Default.Counter("core.decode.cache.hits")
-	telDecodeCacheMisses = telemetry.Default.Counter("core.decode.cache.misses")
-	telDecodeCacheSkips  = telemetry.Default.Counter("core.decode.cache.cap_skips")
 )
 
 // chunkSeries returns the per-chunk loss/grad-norm/ε curves, named

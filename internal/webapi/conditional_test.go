@@ -315,12 +315,16 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 		close(held)
 		<-resume
 	}
+	// The warm-up's reply is cached and would never reach genHook, so the
+	// held request asks for a count the warm-up did not.
+	uncached := req
+	uncached.Count++
 	var code int
 	var body []byte
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		code, body = generate(t, ts, "doomed", req)
+		code, body = generate(t, ts, "doomed", uncached)
 	}()
 	<-held
 	api.genHook = nil

@@ -25,7 +25,9 @@ import (
 //     GenerateFresh, unbatched and without holding a lock, so concurrent
 //     requests run side by side. Every response equals the first generate
 //     of a freshly loaded model: the same model, count and label always
-//     produce bitwise-identical output, before and after a restart;
+//     produce bitwise-identical output, before and after a restart. The
+//     encoded reply is therefore cached in the artifact LRU, and a repeat
+//     request is served from it without generating;
 //   - "fast": true routes through a float32 snapshot, built from the
 //     float64 synthesizer by the entry's first fast batch, and a
 //     cross-request batch scheduler: concurrent fast calls for the same
@@ -51,9 +53,8 @@ var (
 	telFastPanics    = telemetry.Default.Counter("webapi.fast.panics")
 )
 
-// defaultFastCacheCap bounds the decoded-model LRU when the server does
-// not override FastCacheCap.
-const defaultFastCacheCap = 8
+// modelCacheCap bounds the decoded-model LRU.
+const modelCacheCap = 8
 
 // errEvicted fails a request whose entry was retired (by a registry
 // sweep, an overwrite or a fast-batch panic) before the request ran on
@@ -103,14 +104,6 @@ type modelEntry struct {
 	dead atomic.Bool
 }
 
-// fastCap resolves the effective cache capacity.
-func (s *Server) fastCap() int {
-	if s.FastCacheCap > 0 {
-		return s.FastCacheCap
-	}
-	return defaultFastCacheCap
-}
-
 // lookupModel returns the cached entry for name, refreshing its LRU
 // position, or nil on miss.
 func (s *Server) lookupModel(name string) *modelEntry {
@@ -144,7 +137,7 @@ func (s *Server) insertModel(entry *modelEntry) *modelEntry {
 		s.modelLRU.Remove(el)
 	}
 	s.modelCache[entry.info.Name] = s.modelLRU.PushFront(entry)
-	for s.modelLRU.Len() > s.fastCap() {
+	for s.modelLRU.Len() > modelCacheCap {
 		oldest := s.modelLRU.Back()
 		delete(s.modelCache, oldest.Value.(*modelEntry).info.Name)
 		s.modelLRU.Remove(oldest)
@@ -224,9 +217,23 @@ func (s *Server) loadModelEntry(name string) (*modelEntry, int, error) {
 // serveGenerate answers one generate request for the model version info
 // names, in the default or fast mode, encoding the trace in format f.
 // label is the parsed scenario label (-1 for the unconditional mixture).
+// A default-mode reply is a pure function of the model version, count,
+// label and format, so it is cached in the artifact LRU (tracestore.go)
+// and a repeat is served from there. Fast replies are never cached: the
+// snapshot's RNG advances with every request.
 func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, req GenerateRequest, f trace.Format, label int) {
+	var key string
 	if req.Fast {
 		telFastRequests.Inc()
+	} else {
+		key = replyKey(info, req.Count, label, f.Name)
+		if a, ok := s.artifactGet(key); ok {
+			telArtifactHits.Inc()
+			telModelsServed.Inc()
+			writeAttachment(w, info.Name, f, a.data)
+			return
+		}
+		telArtifactMisses.Inc()
 	}
 	for {
 		entry, code, err := s.entryFor(info, req.Fast)
@@ -254,8 +261,13 @@ func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, r
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		if writeTrace(w, info.Name, f, out) {
-			telModelsServed.Inc()
+		body, ok := writeTrace(w, info.Name, f, out)
+		if !ok {
+			return
+		}
+		telModelsServed.Inc()
+		if !req.Fast {
+			s.artifactPut(&artifact{key: key, model: info.Name, data: body, format: f})
 		}
 		return
 	}
@@ -391,16 +403,16 @@ func (s *Server) serveFastBatch(entry *modelEntry, batch []*fastWait, label int)
 }
 
 // writeTrace encodes src in format f into a buffer before sending the
-// header, so an encode error is still a clean 500, and reports whether a
-// success response was written.
-func writeTrace(w http.ResponseWriter, name string, f trace.Format, src trace.Source) bool {
+// header, so an encode error is still a clean 500. It returns the body
+// and whether a success response was written.
+func writeTrace(w http.ResponseWriter, name string, f trace.Format, src trace.Source) ([]byte, bool) {
 	var buf bytes.Buffer
 	if err := f.Encode(&buf, src); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
-		return false
+		return nil, false
 	}
 	writeAttachment(w, name, f, buf.Bytes())
-	return true
+	return buf.Bytes(), true
 }
 
 // writeAttachment sends body as the download name.<ext> in format f.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -203,5 +205,122 @@ func TestOverwrittenModelReloads(t *testing.T) {
 	}
 	if api.lookupModel("m") != nil {
 		t.Fatal("deleted model still cached")
+	}
+}
+
+// TestArtifactLRUServesRepeatGenerates: a default-mode reply is cached in
+// the artifact LRU under its model version, count, label and format, so an
+// identical repeat is served without generating. Any other request
+// generates, fast replies are never cached, a negative budget disables
+// the cache, and no reply outlives its model.
+func TestArtifactLRUServesRepeatGenerates(t *testing.T) {
+	framed, catalog := conditionalModelBytes(t)
+	var gens atomic.Int32
+	start := func() (*httptest.Server, *Server) {
+		ts, api, _ := startServerWithRegistry(t, t.TempDir())
+		if _, err := api.registry().PutModel("m", framed); err != nil {
+			t.Fatal(err)
+		}
+		api.genHook = func(string, int) { gens.Add(1) }
+		return ts, api
+	}
+	// serve posts req and reports the reply and whether it generated.
+	serve := func(ts *httptest.Server, req GenerateRequest) ([]byte, bool) {
+		t.Helper()
+		before := gens.Load()
+		code, body := generate(t, ts, "m", req)
+		if code != http.StatusOK {
+			t.Fatalf("%+v: %d %s", req, code, body)
+		}
+		return body, gens.Load() != before
+	}
+	replies := func(api *Server) int {
+		api.artMu.Lock()
+		defer api.artMu.Unlock()
+		n := 0
+		for _, el := range api.artCache {
+			if el.Value.(*artifact).model == "m" {
+				n++
+			}
+		}
+		return n
+	}
+
+	ts, api := start()
+	base := GenerateRequest{Count: 40, Format: "csv"}
+	first, generated := serve(ts, base)
+	if !generated {
+		t.Fatal("first request did not generate")
+	}
+	if !bytes.Equal(first, freshBody(t, framed, trace.KindNetFlow, base)) {
+		t.Fatal("first reply is not a fresh load's first generate")
+	}
+	hits := telArtifactHits.Value()
+	again, generated := serve(ts, base)
+	if generated || telArtifactHits.Value() == hits {
+		t.Fatal("identical repeat was not served from the artifact LRU")
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatal("cached reply differs from the generated one")
+	}
+
+	count, label, format := base, base, base
+	count.Count++
+	label.Label = catalog[0].String()
+	format.Format = "netflow5"
+	fast := base
+	fast.Fast = true
+	for _, req := range []GenerateRequest{count, label, format, fast, fast} {
+		if _, generated := serve(ts, req); !generated {
+			t.Fatalf("%+v was served from another request's cached reply", req)
+		}
+	}
+
+	// A sweep keeps the replies of a live model; after DeleteModel it
+	// drops them all.
+	if _, err := api.SweepRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	if _, generated := serve(ts, base); generated {
+		t.Fatal("sweep dropped a live model's cached reply")
+	}
+	if err := api.registry().DeleteModel("m"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.SweepRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	if n := replies(api); n != 0 {
+		t.Fatalf("%d replies of a deleted model survived the sweep", n)
+	}
+
+	// A 404 drops the model's replies too.
+	if _, err := api.registry().PutModel("m", framed); err != nil {
+		t.Fatal(err)
+	}
+	serve(ts, base)
+	if replies(api) == 0 {
+		t.Fatal("reply of the re-stored model was not cached")
+	}
+	if err := api.registry().DeleteModel("m"); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := generate(t, ts, "m", base); code != http.StatusNotFound {
+		t.Fatalf("after delete: %d %.200s, want 404", code, body)
+	}
+	if n := replies(api); n != 0 {
+		t.Fatalf("%d replies of a deleted model survived its 404", n)
+	}
+
+	// A negative budget disables reply caching: every request generates.
+	ts, api = start()
+	api.ArtifactCacheBytes = -1
+	for i := 0; i < 2; i++ {
+		if _, generated := serve(ts, base); !generated {
+			t.Fatalf("request %d was served from a disabled cache", i)
+		}
+	}
+	if n := replies(api); n != 0 {
+		t.Fatalf("disabled cache holds %d replies", n)
 	}
 }

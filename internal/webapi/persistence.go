@@ -66,12 +66,9 @@ func (s *Server) UseRegistry(reg *registry.Registry) (RecoveryStats, error) {
 		return stats, fmt.Errorf("webapi: registry sweep: %w", err)
 	}
 	stats.Swept, stats.Corrupt = len(rep.Removed), rep.Corrupt
-	// Drop cached encoded artifacts whose backing job the sweep removed
-	// (a boot-time no-op; SweepRegistry reuses the same path live).
-	s.artifactDrop(func(jobID string) bool {
-		_, err := reg.Job(jobID)
-		return err == nil
-	})
+	// Drop cached entries the sweep invalidated (a boot-time no-op;
+	// SweepRegistry reuses the same path live).
+	s.sweepCaches(reg)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,8 +238,10 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := reg.Model(name)
 	if err != nil {
-		// Deleted or never stored: drop any entry still cached for it.
+		// Deleted or never stored: drop any entry or reply still cached
+		// for it.
 		s.sweepModels(func(n string) bool { return n != name })
+		s.artifactDrop(func(a *artifact) bool { return a.model != name })
 		writeError(w, http.StatusNotFound, "model %q: %v", name, err)
 		return
 	}

@@ -22,7 +22,9 @@ import (
 // bounded-memory stream straight off the store scan instead of
 // materializing the whole trace. Because the encode costs CPU every
 // time, finished artifacts are kept in a bytes-bounded LRU keyed by
-// (job, format); a registry sweep evicts entries whose job is gone.
+// (job, format). The same LRU holds default-mode generate replies keyed
+// by model version (fastserve.go serveGenerate); a registry sweep evicts
+// entries whose job or model is gone.
 
 // Pre-registered telemetry handles for store-backed serving.
 var (
@@ -32,22 +34,32 @@ var (
 	telArtifactEvict  = telemetry.Default.Counter("webapi.artifacts.evicted")
 )
 
-// DefaultArtifactCacheBytes bounds the encoded-download LRU when the
+// DefaultArtifactCacheBytes bounds the encoded-reply LRU when the
 // server does not configure ArtifactCacheBytes. At the prototype's 100k
 // record cap a pcap artifact tops out around 8 MiB, so the default
 // holds a handful of hot traces.
 const DefaultArtifactCacheBytes = 32 << 20
 
-// artifact is one cached encoded download.
+// artifact is one cached encoded reply: a job's download (jobID set) or
+// a default-mode generate reply (model set).
 type artifact struct {
-	key    string // jobID + "|" + format
+	key    string
 	jobID  string
+	model  string
 	data   []byte
 	format trace.Format
 }
 
 // artifactKey builds the LRU key for a job's encoded download.
 func artifactKey(id, format string) string { return id + "|" + format }
+
+// replyKey builds the LRU key for a default-mode generate reply: the
+// model version (name and manifest) plus count, label and format. Entry
+// names cannot contain '|', so no reply key equals a download key.
+func replyKey(info registry.ModelInfo, count, label int, format string) string {
+	return fmt.Sprintf("%s|%08x|%d|%s|%d|%d|%s",
+		info.Name, info.Checksum, info.Size, info.SavedAt, count, label, format)
+}
 
 // artifactCap resolves the configured cache budget.
 func (s *Server) artifactCap() int64 {
@@ -107,35 +119,28 @@ func (s *Server) artifactPut(a *artifact) {
 }
 
 // artifactDrop removes every cached artifact for which keep returns
-// false, and reports how many were dropped.
-func (s *Server) artifactDrop(keep func(jobID string) bool) int {
+// false.
+func (s *Server) artifactDrop(keep func(a *artifact) bool) {
 	s.artMu.Lock()
 	defer s.artMu.Unlock()
-	dropped := 0
 	if s.artLRU == nil {
-		return 0
+		return
 	}
 	for el := s.artLRU.Front(); el != nil; {
 		next := el.Next()
 		a := el.Value.(*artifact)
-		if !keep(a.jobID) {
+		if !keep(a) {
 			s.artLRU.Remove(el)
 			delete(s.artCache, a.key)
 			s.artSize -= int64(len(a.data))
 			telArtifactEvict.Inc()
-			dropped++
 		}
 		el = next
 	}
-	return dropped
 }
 
 // SweepRegistry re-runs the registry's garbage-collection sweep and
-// evicts server caches the sweep invalidated: encoded artifacts whose
-// backing job is gone, and decoded model entries whose model is gone
-// (fastserve.go sweepModels — requests not yet running on a dropped
-// entry retry and get a clean 404 rather than a stale or partial
-// response).
+// evicts the server caches it invalidated (sweepCaches).
 // Safe to call periodically while serving.
 func (s *Server) SweepRegistry() (registry.SweepReport, error) {
 	reg := s.registry()
@@ -146,16 +151,28 @@ func (s *Server) SweepRegistry() (registry.SweepReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("webapi: registry sweep: %w", err)
 	}
-	s.artifactDrop(func(jobID string) bool {
-		_, err := reg.Job(jobID)
-		return err == nil
-	})
+	s.sweepCaches(reg)
+	return rep, nil
+}
+
+// sweepCaches evicts server caches that reg no longer backs: cached
+// artifacts whose job or model is gone, and decoded model entries whose
+// model is gone (fastserve.go sweepModels — requests not yet running on
+// a dropped entry retry and get a clean 404 rather than a stale or
+// partial response).
+func (s *Server) sweepCaches(reg *registry.Registry) {
 	alive := make(map[string]bool)
 	for _, m := range reg.Models() {
 		alive[m.Name] = true
 	}
+	s.artifactDrop(func(a *artifact) bool {
+		if a.model != "" {
+			return alive[a.model]
+		}
+		_, err := reg.Job(a.jobID)
+		return err == nil
+	})
 	s.sweepModels(func(name string) bool { return alive[name] })
-	return rep, nil
 }
 
 // streamStoredTrace serves a store-backed job's download in format f:

@@ -204,25 +204,24 @@ type Server struct {
 	// operation. Attach with UseRegistry before serving traffic.
 	reg *registry.Registry
 
-	// FastCacheCap bounds the decoded-model LRU that serves both generate
-	// modes (fastserve.go); 0 selects the default. Set before serving
-	// traffic.
-	FastCacheCap int
-	modelMu      sync.Mutex
-	modelCache   map[string]*list.Element
-	modelLRU     *list.List
+	// modelCache is the decoded-model LRU that serves both generate modes
+	// (fastserve.go).
+	modelMu    sync.Mutex
+	modelCache map[string]*list.Element
+	modelLRU   *list.List
 
-	// ArtifactCacheBytes bounds the encoded-download LRU (tracestore.go):
-	// downloads of store-backed traces, in every format, are cached up to
-	// this many payload bytes. 0 selects the default; negative disables.
+	// ArtifactCacheBytes bounds the encoded-reply LRU (tracestore.go):
+	// downloads of store-backed traces, in every format, and default-mode
+	// generate replies are cached up to this many payload bytes. 0 selects
+	// the default; negative disables.
 	ArtifactCacheBytes int64
 	artMu              sync.Mutex
 	artCache           map[string]*list.Element
 	artLRU             *list.List
 	artSize            int64
 	// genHook, when non-nil, runs before generation: inside each
-	// coalesced fast batch and in each default-mode request — the test
-	// seam for coalescing, panic and sweep tests.
+	// coalesced fast batch and in each default-mode request the reply
+	// cache misses — the test seam for coalescing, panic and sweep tests.
 	genHook func(name string, batchSize int)
 
 	// ingestSrc, when attached, backs GET /api/v1/ingest with live
