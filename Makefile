@@ -63,7 +63,8 @@ test-ingest:
 
 # Short fuzz pass over every fuzz target (trace parsers, flow assembly,
 # the chunk-record reader, the container and lease decoders, and the
-# assembly matmul kernels against their pure-Go reference). Each target needs its own
+# matmul kernels: float64 bit for bit against the pure-Go reference, float32
+# within rounding of the float64 product). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)

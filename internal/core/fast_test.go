@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/mat"
 	"repro/internal/trace"
 )
 
@@ -66,20 +67,26 @@ func TestFastFlowGenerateValidAndExact(t *testing.T) {
 }
 
 // TestFastFlowReproducibleAcrossParallelism: fresh snapshots of the same
-// trained synthesizer emit identical traces at every worker count.
+// trained synthesizer emit identical traces at every worker count. It runs
+// once per matmul kernel set, because the race detector cannot see the
+// memory accesses of the assembly MulInto32.
 func TestFastFlowReproducibleAcrossParallelism(t *testing.T) {
 	syn, _ := trainedSynthesizers(t)
-	ref := syn.Fast()
-	ref.SetParallelism(1)
-	want := ref.GenerateBatch([]int{90, 60})
-	for _, p := range []int{2, 0} {
-		f := syn.Fast()
-		f.SetParallelism(p)
-		got := f.GenerateBatch([]int{90, 60})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Parallelism=%d batch output diverges", p)
-		}
-	}
+	mat.ForEachKernelSet(func(name string) {
+		t.Run(name, func(t *testing.T) {
+			ref := syn.Fast()
+			ref.SetParallelism(1)
+			want := ref.GenerateBatch([]int{90, 60})
+			for _, p := range []int{2, 0} {
+				f := syn.Fast()
+				f.SetParallelism(p)
+				got := f.GenerateBatch([]int{90, 60})
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("Parallelism=%d batch output diverges", p)
+				}
+			}
+		})
+	})
 }
 
 // TestFastFlowGenerateBatchDealsProportionally: every request receives

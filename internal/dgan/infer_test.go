@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -14,8 +15,16 @@ func inferTestModel(t testing.TB) *InferModel {
 
 // TestInferParallelismInvariant: the fast path keeps the reference path's
 // reproducibility structure — same seed, any worker count, same output —
-// even though it does not share the float64 bitwise contract.
+// even though it does not share the float64 bitwise contract. It runs once
+// per matmul kernel set, because the race detector cannot see the memory
+// accesses of the assembly MulInto32 the lot workers share weights through.
 func TestInferParallelismInvariant(t *testing.T) {
+	mat.ForEachKernelSet(func(name string) {
+		t.Run(name, testInferParallelismInvariant)
+	})
+}
+
+func testInferParallelismInvariant(t *testing.T) {
 	const n = 203 // not a multiple of DefaultInferLot: partial final lot
 	ref := inferTestModel(t)
 	ref.SetParallelism(1)

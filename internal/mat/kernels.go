@@ -7,28 +7,35 @@ import (
 )
 
 // kernelSet is one implementation of the three float64 matmul row
-// kernels. Each computes dst rows [lo, hi) of its product; MulInto and
-// MulTransAInto zero dst first and the kernels accumulate into it, while
-// mulTransBRows overwrites its rows. Every set must produce the same bits
-// as goKernels for every input, except that a NaN may carry another
-// payload (see sameBits in the tests). So every output element
-// accumulates over k in ascending order from +0 with one rounded multiply
-// and one rounded add per step (never a fused multiply-add), and mulRows
-// and mulTransARows skip every k whose a element is ±0. Because an
-// element's value never depends on the row split, serial and parallel
-// calls are bitwise identical.
+// kernels and of the float32 product. Each float64 kernel computes dst
+// rows [lo, hi) of its product; MulInto and MulTransAInto zero dst first
+// and the kernels accumulate into it, while mulTransBRows overwrites its
+// rows. Every set's float64 kernels must produce the same bits as
+// goKernels' for every input, except that a NaN may carry another payload
+// (see sameBits in the tests). So every output element accumulates over k
+// in ascending order from +0 with one rounded multiply and one rounded add
+// per step (never a fused multiply-add), and mulRows and mulTransARows
+// skip every k whose a element is ±0. Because an element's value never
+// depends on the row split, serial and parallel calls are bitwise
+// identical.
 type kernelSet struct {
 	name                                  string
 	mulRows, mulTransARows, mulTransBRows func(dst, a, b *Matrix, lo, hi int)
 	// packB, when set, writes bᵀ into a b.Cols×b.Rows scratch matrix;
 	// MulTransBInto then passes mulTransBRows that bᵀ in place of b.
 	packB func(bt, b *Matrix)
+	// mul32 overwrites dst with the float32 product a·b for MulInto32. It
+	// is outside the bit-for-bit rule: sets may round differently (the
+	// fast path is pinned by distribution, DESIGN.md §11). Within one set,
+	// though, an element's bits depend only on its row of a and its column
+	// of b, never on how many rows or columns the call has.
+	mul32 func(dst, a, b *Matrix32)
 }
 
 // goKernels is the pure-Go reference: the fallback on CPUs without an
 // assembly implementation and the oracle the assembly kernels are tested
-// against bit for bit.
-var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil}
+// against.
+var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go}
 
 // packPool recycles the scratch matrices packB fills, so steady-state
 // training allocates none.
@@ -43,10 +50,10 @@ func (m *Matrix) reshape(rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
 }
 
-// kernels is the set MulInto, MulTransAInto and MulTransBInto run. It is
-// chosen once at package init from the CPU (archKernels) and reported by
-// the mat.kernel.avx2 gauge, so a metrics dump shows which kernels
-// produced its numbers.
+// kernels is the set MulInto, MulTransAInto, MulTransBInto and MulInto32
+// run. It is chosen once at package init from the CPU (archKernels) and
+// reported by the mat.kernel.avx2 gauge, so a metrics dump shows which
+// kernels produced its numbers.
 var kernels = goKernels
 
 func init() {
@@ -56,6 +63,32 @@ func init() {
 		avx2 = 1
 	}
 	telemetry.Default.Gauge("mat.kernel.avx2").Set(avx2)
+}
+
+// kernelImpls lists every kernel set this build and CPU can run, the
+// pure-Go reference first.
+func kernelImpls() []kernelSet {
+	impls := []kernelSet{goKernels}
+	if k, ok := archKernels(); ok {
+		impls = append(impls, k)
+	}
+	return impls
+}
+
+// ForEachKernelSet calls f once per kernel set this build and CPU can run,
+// the pure-Go reference first, with that set installed for every matmul
+// entry point, and then restores the set init chose. It exists for tests
+// in other packages: the race detector cannot see memory accesses made by
+// assembly, so a test of concurrent matmul use also runs on the pure-Go
+// set. f must wait for every matmul it starts, and nothing else may call
+// into this package while ForEachKernelSet runs.
+func ForEachKernelSet(f func(name string)) {
+	saved := kernels
+	defer func() { kernels = saved }()
+	for _, ks := range kernelImpls() {
+		kernels = ks
+		f(ks.name)
+	}
 }
 
 // mulRowsGo computes dst rows [lo, hi) of a·b with the ikj loop order:
@@ -121,6 +154,38 @@ func mulTransBRowsGo(dst, a, b *Matrix, lo, hi int) {
 				s += av * brow[k]
 			}
 			drow[j] = s
+		}
+	}
+}
+
+// mul32Go computes dst = a·b in float32, four k-rows of b per pass: each
+// pass over a dst row does 4 multiply-adds per element instead of 1,
+// quartering the dominant dst load/store traffic (inner dims here are
+// small, so the kernel is stream-bound, not cache-bound) and giving the
+// scalar pipeline independent products.
+func mul32Go(dst, a, b *Matrix32) {
+	dst.Zero()
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)[:n]
+		k := 0
+		for ; k+4 <= a.Cols; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			b0 := b.Row(k)[:n]
+			b1 := b.Row(k + 1)[:n]
+			b2 := b.Row(k + 2)[:n]
+			b3 := b.Row(k + 3)[:n]
+			for j := range drow {
+				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; k < a.Cols; k++ {
+			aik := arow[k]
+			brow := b.Row(k)[:n]
+			for j := range drow {
+				drow[j] += aik * brow[j]
+			}
 		}
 	}
 }

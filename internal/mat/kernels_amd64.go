@@ -1,15 +1,16 @@
 package mat
 
 // avx2Kernels run the row kernels in AVX2 assembly (kernels_amd64.s).
-// They vectorize across output columns only: each output element still
-// accumulates over k in ascending order with separate VMULPD and VADDPD
-// (never VFMADD), so their bits equal goKernels' for every input.
-var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2}
+// The float64 kernels vectorize across output columns only: each output
+// element still accumulates over k in ascending order with separate VMULPD
+// and VADDPD (never VFMADD), so their bits equal goKernels' for every
+// input. The float32 kernel, mul32FMA, does use FMA.
+var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA}
 
-// archKernels returns the AVX2 kernels when the CPU has AVX2 and the OS
-// saves the YMM registers.
+// archKernels returns the AVX2 kernels when the CPU has AVX2 and FMA and
+// the OS saves the YMM registers.
 func archKernels() (kernelSet, bool) {
-	if !cpuHasAVX2() {
+	if !cpuHasAVX2FMA() {
 		return kernelSet{}, false
 	}
 	return avx2Kernels, true
@@ -19,24 +20,32 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-func cpuHasAVX2() bool {
-	const (
-		osxsave = 1 << 27 // CPUID.1:ECX
-		avx     = 1 << 28 // CPUID.1:ECX
-		avx2    = 1 << 5  // CPUID.(7,0):EBX
-		ymmXMM  = 0b110   // XCR0: the OS saves SSE and AVX state
-	)
+const (
+	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX
+	cpuidAVX     = 1 << 28 // CPUID.1:ECX
+	cpuidFMA     = 1 << 12 // CPUID.1:ECX
+	cpuidAVX2    = 1 << 5  // CPUID.(7,0):EBX
+	xcr0YMMXMM   = 0b110   // XCR0: the OS saves SSE and AVX state
+)
+
+func cpuHasAVX2FMA() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
+	_, _, ecx1, _ := cpuid(1, 0)
+	if ecx1&(cpuidOSXSAVE|cpuidAVX) != cpuidOSXSAVE|cpuidAVX {
+		return false // without OSXSAVE, XGETBV faults
 	}
-	if xcr0, _ := xgetbv(); xcr0&ymmXMM != ymmXMM {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	xcr0, _ := xgetbv()
+	_, ebx7, _, _ := cpuid(7, 0)
+	return avx2FMAUsable(ecx1, xcr0, ebx7)
+}
+
+// avx2FMAUsable reports, from CPUID.1:ECX, XCR0 and CPUID.(7,0):EBX,
+// whether the CPU has AVX2 and FMA and the OS saves the YMM registers.
+func avx2FMAUsable(ecx1, xcr0, ebx7 uint32) bool {
+	const ecxWant = cpuidOSXSAVE | cpuidAVX | cpuidFMA
+	return ecx1&ecxWant == ecxWant && xcr0&xcr0YMMXMM == xcr0YMMXMM && ebx7&cpuidAVX2 != 0
 }
 
 // axpyRowsAVX2 computes, for each of m rows r, d[r*ldd+j] +=
@@ -111,4 +120,25 @@ func packTransposeAVX2(bt, b *Matrix) {
 			bt.Data[kk*n+j] = b.Data[j*k+kk]
 		}
 	}
+}
+
+// mulRows32FMA computes, for each of m rows r, d[r*n+j] = Σ a[r*k+kk] ·
+// b[kk*n+j] for j < n: one fused multiply-add chain per element over kk
+// ascending from +0, overwriting d. Columns go in blocks of 64 held in
+// Y0-Y7 across the whole kk loop, then blocks of 8, then one at a time;
+// every path rounds the same, so an element's bits do not depend on m, n
+// or the block it falls in. k must be at least 1.
+//
+//go:noescape
+func mulRows32FMA(d, a, b *float32, m, n, k int)
+
+func mul32FMA(dst, a, b *Matrix32) {
+	if a.Rows == 0 || b.Cols == 0 {
+		return
+	}
+	if a.Cols == 0 {
+		dst.Zero()
+		return
+	}
+	mulRows32FMA(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, b.Cols, a.Cols)
 }

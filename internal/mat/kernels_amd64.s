@@ -1,17 +1,23 @@
 #include "textflag.h"
 
-// AVX2 row kernels for the float64 matmuls (see kernels_amd64.go).
+// AVX2 row kernels for the float64 matmuls and an AVX2+FMA kernel for the
+// float32 MulInto32 (see kernels_amd64.go). Package init selects them only
+// on CPUs with both AVX2 and FMA.
 //
-// Bit-exactness rules, kept by every instruction below:
+// Bit-exactness rules for the float64 kernels, kept by every instruction
+// of axpyRowsAVX2 and dotRowsAVX2:
 //   - a multiply and an add are separate VMULPD/VADDPD (VMULSD/VADDSD in
 //     the scalar tail), never a fused multiply-add;
 //   - each output element accumulates over kk in ascending order, and the
 //     kk reduction is never split.
 // Both operations are commutative and correctly rounded, so operand order
 // changes no bits except a NaN's payload, which is outside the contract.
+// The no-FMA rule covers the float64 kernels only: mulRows32FMA, at the
+// end of this file, serves the float32 fast path, which is pinned by
+// distribution rather than bits, and fuses.
 //
-// Both kernels take (d, a, b *float64, m, n, k, ldd, ai, ak, ldb int) and
-// use the same registers:
+// The float64 kernels take (d, a, b *float64, m, n, k, ldd, ai, ak, ldb
+// int) and use the same registers:
 //   DI d row     SI a row      DX b          R8 rows left
 //   R9 n*8       R10 k         R11 ak*8      R12 ldb*8
 //   CX column offset in bytes  AX a cursor   BX b cursor
@@ -318,5 +324,95 @@ transposeTile:
 	JNZ        transposeRows
 
 transposeDone:
+	VZEROUPPER
+	RET
+
+// func mulRows32FMA(d, a, b *float32, m, n, k int)
+// The float32 product for MulInto32, allowed to fuse: each output element
+// is one VFMADD231 chain over kk ascending from +0. Registers as in the
+// float64 kernels, with 4-byte elements: R9 = n*4 is the row stride of d
+// and b, R11 = 4 steps the a cursor along its row and R12 = R9 steps the
+// b cursor down a column. Blocks are 64 floats (Y0-Y7), then 8 (Y0), then
+// one (X0).
+TEXT ·mulRows32FMA(SB), NOSPLIT, $0-48
+	MOVQ  d+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  m+24(FP), R8
+	MOVQ  n+32(FP), R9
+	SHLQ  $2, R9
+	MOVQ  k+40(FP), R10
+	MOVQ  $4, R11
+	MOVQ  R9, R12
+	TESTQ R8, R8
+	JLE   mul32Done
+	TESTQ R10, R10
+	JLE   mul32Done
+
+mul32Row:
+	XORQ CX, CX
+
+mul32Block:
+	MOVQ R9, R14
+	SUBQ CX, R14
+	CMPQ R14, $256
+	JGE  mul32W64
+	CMPQ R14, $32
+	JGE  mul32W8
+	CMPQ R14, $4
+	JGE  mul32W1
+	ADDQ R9, DI
+	LEAQ (SI)(R10*4), SI
+	DECQ R8
+	JNZ  mul32Row
+	JMP  mul32Done
+
+mul32W64:
+	ZERO8
+	BLOCKSTART
+	PCALIGN $32
+
+mul32W64Loop:
+	VBROADCASTSS (AX), Y14
+	VFMADD231PS  0(BX), Y14, Y0
+	VFMADD231PS  32(BX), Y14, Y1
+	VFMADD231PS  64(BX), Y14, Y2
+	VFMADD231PS  96(BX), Y14, Y3
+	VFMADD231PS  128(BX), Y14, Y4
+	VFMADD231PS  160(BX), Y14, Y5
+	VFMADD231PS  192(BX), Y14, Y6
+	VFMADD231PS  224(BX), Y14, Y7
+	NEXTK(mul32W64Loop)
+	STORE8
+	ADDQ $256, CX
+	JMP  mul32Block
+
+mul32W8:
+	VXORPS Y0, Y0, Y0
+	BLOCKSTART
+	PCALIGN $32
+
+mul32W8Loop:
+	VBROADCASTSS (AX), Y14
+	VFMADD231PS  (BX), Y14, Y0
+	NEXTK(mul32W8Loop)
+	VMOVUPS Y0, 0(DI)(CX*1)
+	ADDQ    $32, CX
+	JMP     mul32Block
+
+mul32W1:
+	VXORPS X0, X0, X0
+	BLOCKSTART
+	PCALIGN $32
+
+mul32W1Loop:
+	VMOVSS      (AX), X14
+	VFMADD231SS (BX), X14, X0
+	NEXTK(mul32W1Loop)
+	VMOVSS X0, 0(DI)(CX*1)
+	ADDQ   $4, CX
+	JMP    mul32Block
+
+mul32Done:
 	VZEROUPPER
 	RET

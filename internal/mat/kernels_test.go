@@ -9,27 +9,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// kernelImpls lists every kernel set this build and CPU can run, the
-// pure-Go reference first.
-func kernelImpls() []kernelSet {
-	impls := []kernelSet{goKernels}
-	if k, ok := archKernels(); ok {
-		impls = append(impls, k)
-	}
-	return impls
-}
-
 // forEachKernelSet runs f as one subtest per available kernel set, with
 // that set installed for the public matmul entry points.
 func forEachKernelSet(t *testing.T, f func(t *testing.T)) {
-	for _, ks := range kernelImpls() {
-		t.Run(ks.name, func(t *testing.T) {
-			saved := kernels
-			kernels = ks
-			defer func() { kernels = saved }()
-			f(t)
-		})
-	}
+	ForEachKernelSet(func(name string) { t.Run(name, f) })
 }
 
 // sameBits reports whether x and y have the same bits, or are both NaN.
@@ -131,14 +114,29 @@ func checkKernelsBitwise(t testing.TB, impl kernelSet, r *rand.Rand, m, k, n, sp
 
 // TestKernelGaugeNamesSelection checks that the mat.kernel.avx2 gauge,
 // which tells a metrics reader which kernels produced the numbers, matches
-// the set init picked.
+// the set init picked, and that a gauge reading 1 means MulInto32 fuses
+// its multiply-adds: the avx2 set is picked only on CPUs with FMA.
 func TestKernelGaugeNamesSelection(t *testing.T) {
 	want := 0.0
 	if kernels.name == "avx2" {
 		want = 1
 	}
-	if got, ok := telemetry.Default.Snapshot().Gauges["mat.kernel.avx2"]; !ok || got != want {
+	got, ok := telemetry.Default.Snapshot().Gauges["mat.kernel.avx2"]
+	if !ok || got != want {
 		t.Fatalf("mat.kernel.avx2 = %v (set %v), want %v for kernel set %q", got, ok, want, kernels.name)
+	}
+	if got != 1 {
+		return
+	}
+	// a₁·b₁ = 1 - 2⁻³⁰ exactly, which rounds to 1 on its own, so the
+	// unfused sum a₀·b₀ + a₁·b₁ = -1 + 1 is 0, while a fused multiply-add
+	// onto the -1 from k = 0 keeps -2⁻³⁰.
+	a := &Matrix32{Rows: 1, Cols: 2, Data: []float32{1, 1 + 0x1p-15}}
+	b := &Matrix32{Rows: 2, Cols: 1, Data: []float32{-1, 1 - 0x1p-15}}
+	dst := New32(1, 1)
+	MulInto32(dst, a, b)
+	if dst.Data[0] != -0x1p-30 {
+		t.Fatalf("mat.kernel.avx2 = 1 but the MulInto32 probe = %g, want the fused %g", dst.Data[0], -0x1p-30)
 	}
 }
 
@@ -211,24 +209,30 @@ func transpose(m *Matrix) *Matrix {
 	return t
 }
 
-// FuzzMatKernels compares the assembly kernels with the pure-Go reference
-// bit for bit on fuzzer-chosen shapes, special-value densities and seeds.
+// FuzzMatKernels compares the assembly float64 kernels with the pure-Go
+// reference bit for bit, and every set's float32 mul32 with the float64
+// product within rounding tolerance, on fuzzer-chosen shapes,
+// special-value densities and seeds.
 func FuzzMatKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(102), uint8(32), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(7), uint8(64))
 	f.Add(int64(3), uint8(5), uint8(0), uint8(45), uint8(255))
 	f.Add(int64(4), uint8(1), uint8(33), uint8(3), uint8(16))
+	f.Add(int64(5), uint8(64), uint8(98), uint8(96), uint8(0))
 	impls := kernelImpls()
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n, special uint8) {
-		if len(impls) < 2 {
-			t.Skip("no assembly kernels on this CPU")
-		}
 		r := rand.New(rand.NewSource(seed))
 		// Keep each case small: the value of a case is its shape and
 		// operands, not its size.
 		mm, kk, nn := 1+int(m)%17, int(k)%130, int(n)%130
 		for _, impl := range impls[1:] {
 			checkKernelsBitwise(t, impl, r, mm, kk, nn, int(special))
+		}
+		for _, impl := range impls {
+			a, b := mul32Operands(r, mm, kk, nn, int(special))
+			dst := nanMatrix32(mm, nn)
+			impl.mul32(dst, a, b)
+			checkMul32Close(t, impl.name, a, b, dst)
 		}
 	})
 }
@@ -261,8 +265,12 @@ func TestCompilerDoesNotFuseMultiplyAdd(t *testing.T) {
 }
 
 // BenchmarkKernels times each kernel at the shapes the flow-GAN training
-// loop spends its time in (DefaultConfig), once per available kernel set,
-// on one goroutine. Shapes are m×k×n: an m×n product summed over k.
+// loop spends its time in (DefaultConfig), and MulInto32 at the shapes of
+// the float32 fast path's GRU step on a full 64-row lot of the DefaultConfig
+// flow model (hidden 32, NoiseDim 8 + 90 metadata columns in, 17 feature
+// columns out): x·Wg, h·Uzr, (r⊙h)·Uh and the output projection. It runs
+// once per available kernel set, on one goroutine. Shapes are m×k×n: an
+// m×n product summed over k.
 func BenchmarkKernels(b *testing.B) {
 	shapes := []struct {
 		op      string
@@ -275,6 +283,10 @@ func BenchmarkKernels(b *testing.B) {
 		{"MulTransA", 102, 16, 32},
 		{"MulTransB", 16, 32, 196},
 		{"MulTransB", 16, 32, 102},
+		{"Mul32", 64, 98, 96},
+		{"Mul32", 64, 32, 64},
+		{"Mul32", 64, 32, 32},
+		{"Mul32", 64, 32, 17},
 	}
 	prev := Parallelism()
 	SetParallelism(1)
@@ -293,6 +305,10 @@ func BenchmarkKernels(b *testing.B) {
 		case "MulTransB":
 			x, y := randMat(r, sh.m, sh.k), randMat(r, sh.n, sh.k)
 			run = func() { MulTransBInto(dst, x, y) }
+		case "Mul32":
+			x, y := Compress32(randMat(r, sh.m, sh.k)), Compress32(randMat(r, sh.k, sh.n))
+			dst32 := New32(sh.m, sh.n)
+			run = func() { MulInto32(dst32, x, y) }
 		}
 		for _, ks := range kernelImpls() {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", sh.op, sh.m, sh.k, sh.n, ks.name), func(b *testing.B) {

@@ -54,7 +54,9 @@ func (m *Matrix32) Zero() {
 // fast path parallelizes at lot granularity, so nested parallelism would
 // only add scheduling overhead) and skips the zero-input shortcut: fast
 // inference multiplies dense noise and dense hidden states where zeros are
-// measure-zero, so the branch costs more than it saves.
+// measure-zero, so the branch costs more than it saves. On amd64 CPUs with
+// AVX2 and FMA it runs a fused multiply-add kernel (kernels_amd64.s),
+// elsewhere the pure-Go mul32Go; the two round differently.
 func MulInto32(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul32 inner dims %d != %d", a.Cols, b.Rows))
@@ -62,34 +64,7 @@ func MulInto32(dst, a, b *Matrix32) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: Mul32 dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	dst.Zero()
-	n := b.Cols
-	// Four k-rows of b per pass: each pass over drow does 4 multiply-adds
-	// per element instead of 1, quartering the dominant drow load/store
-	// traffic (inner dims here are small, so the kernel is stream-bound,
-	// not cache-bound) and giving the scalar pipeline independent products.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)[:n]
-		k := 0
-		for ; k+4 <= a.Cols; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Row(k)[:n]
-			b1 := b.Row(k + 1)[:n]
-			b2 := b.Row(k + 2)[:n]
-			b3 := b.Row(k + 3)[:n]
-			for j := range drow {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; k < a.Cols; k++ {
-			aik := arow[k]
-			brow := b.Row(k)[:n]
-			for j := range drow {
-				drow[j] += aik * brow[j]
-			}
-		}
-	}
+	kernels.mul32(dst, a, b)
 }
 
 // AddRowVec adds the length-Cols vector v to every row of m (bias

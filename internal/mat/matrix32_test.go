@@ -6,22 +6,143 @@ import (
 	"testing"
 )
 
-func TestMulInto32MatchesFloat64(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := New(5, 9)
-	b := New(9, 4)
-	a.RandNorm(r, 1)
-	b.RandNorm(r, 1)
-	want := Mul(a, b)
+// mul32Value draws a float32 operand: N(0, 1), or with probability
+// special/256 a ±0, a subnormal or a magnitude near 1e15, chosen so that
+// no product of two operands, nor a sum of up to 130 of them, leaves
+// float32's finite range.
+func mul32Value(r *rand.Rand, special int) float32 {
+	if r.Intn(256) >= special {
+		return float32(r.NormFloat64())
+	}
+	sign := r.Uint32() & (1 << 31)
+	switch r.Intn(3) {
+	case 0:
+		return math.Float32frombits(sign) // ±0
+	case 1: // subnormal
+		return math.Float32frombits(sign | 1 | r.Uint32()&(1<<23-1))
+	default:
+		return float32(r.NormFloat64() * 1e15)
+	}
+}
 
-	a32, b32 := Compress32(a), Compress32(b)
-	dst := New32(5, 4)
-	MulInto32(dst, a32, b32)
-	for i, v := range dst.Data {
-		if math.Abs(float64(v)-want.Data[i]) > 1e-4 {
-			t.Fatalf("element %d: float32 %v vs float64 %v", i, v, want.Data[i])
+// mul32Operands returns random m×k and k×n operands for MulInto32.
+func mul32Operands(r *rand.Rand, m, k, n, special int) (a, b *Matrix32) {
+	a, b = New32(m, k), New32(k, n)
+	for _, x := range [][]float32{a.Data, b.Data} {
+		for i := range x {
+			x[i] = mul32Value(r, special)
 		}
 	}
+	return a, b
+}
+
+// nanMatrix32 returns a rows×cols matrix filled with NaN, so a product
+// written into it shows any element the kernel failed to overwrite.
+func nanMatrix32(rows, cols int) *Matrix32 {
+	m := New32(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = float32(math.NaN())
+	}
+	return m
+}
+
+// checkMul32Close fails unless got = a·b within float32 rounding: each
+// element may differ from the exact product, computed in float64 (exact
+// for products of two float32s), by (k+1)·2⁻²³ times Σ|a_ik·b_kj| — twice
+// the first-order error bound of any k-term float32 dot product, fused or
+// not — plus (k+1)·2⁻¹⁴⁹ for products that underflow.
+func checkMul32Close(t testing.TB, label string, a, b, got *Matrix32) {
+	t.Helper()
+	k := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var want, mag float64
+			for kk := 0; kk < k; kk++ {
+				p := float64(a.Data[i*k+kk]) * float64(b.Data[kk*b.Cols+j])
+				want += p
+				mag += math.Abs(p)
+			}
+			tol := float64(k+1) * (0x1p-23*mag + 0x1p-149)
+			if g := float64(got.Data[i*got.Cols+j]); !(math.Abs(g-want) <= tol) {
+				t.Fatalf("%s m=%d k=%d n=%d: element (%d,%d) = %v, float64 product %v (tolerance %g)",
+					label, a.Rows, k, b.Cols, i, j, g, want, tol)
+			}
+		}
+	}
+}
+
+// TestMulInto32MatchesFloat64 sweeps MulInto32 on every kernel set over
+// shapes that reach each column block of the FMA kernel (64, 8 and the
+// scalar tail, alone and combined), k = 0 and m = 0, into a NaN-filled
+// dst, on whole matrices and on RowsView operands whose neighbouring rows
+// must stay untouched.
+func TestMulInto32MatchesFloat64(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(7))
+		for _, m := range []int{0, 1, 3, 64} {
+			for _, k := range []int{0, 1, 5, 32, 41} {
+				for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 96, 130} {
+					a, b := mul32Operands(r, m, k, n, 8)
+					dst := nanMatrix32(m, n)
+					MulInto32(dst, a, b)
+					checkMul32Close(t, "whole", a, b, dst)
+
+					// The same product through views of rows [1, 1+m) of
+					// larger matrices; the elements just outside dst's view
+					// must keep their values.
+					abig := New32(m+2, k)
+					copy(abig.RowsView(1, 1+m).Data, a.Data)
+					dbig := nanMatrix32(m+2, n)
+					dbig.Row(0)[n-1], dbig.Row(m + 1)[0] = 5, 6
+					dv := dbig.RowsView(1, 1+m)
+					MulInto32(dv, abig.RowsView(1, 1+m), b)
+					checkMul32Close(t, "view", a, b, dv)
+					if dbig.Row(0)[n-1] != 5 || dbig.Row(m + 1)[0] != 6 {
+						t.Fatalf("view m=%d k=%d n=%d: rows outside the view were written", m, k, n)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMulInto32ElementBitsIndependentOfShape pins what keeps the fast path
+// reproducible at any parallelism: within one kernel set, an element's
+// bits depend only on its row of a and column of b. A row computed alone,
+// and the first n columns of a product whose b has extra columns (which
+// moves those columns into other blocks of the FMA kernel), equal the
+// full product bit for bit.
+func TestMulInto32ElementBitsIndependentOfShape(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(11))
+		const m, k = 13, 37
+		for _, n := range []int{1, 9, 33, 64, 70} {
+			for _, extra := range []int{1, 7, 64, 61} {
+				a, bWide := mul32Operands(r, m, k, n+extra, 8)
+				b := New32(k, n)
+				for kk := 0; kk < k; kk++ {
+					copy(b.Row(kk), bWide.Row(kk)[:n])
+				}
+				full := New32(m, n)
+				MulInto32(full, a, b)
+
+				wide := New32(m, n+extra)
+				MulInto32(wide, a, bWide)
+				one := New32(1, n)
+				for i := 0; i < m; i++ {
+					MulInto32(one, a.RowsView(i, i+1), b)
+					for j, want := range full.Row(i) {
+						if g := one.Data[j]; math.Float32bits(g) != math.Float32bits(want) {
+							t.Fatalf("n=%d: row %d alone, element %d = %v, full product %v", n, i, j, g, want)
+						}
+						if g := wide.Row(i)[j]; math.Float32bits(g) != math.Float32bits(want) {
+							t.Fatalf("n=%d extra=%d: element (%d,%d) = %v, full product %v", n, extra, i, j, g, want)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestMatrix32ViewsAndBias(t *testing.T) {
@@ -44,10 +165,21 @@ func TestMatrix32ViewsAndBias(t *testing.T) {
 }
 
 func TestMulInto32ShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch must panic")
-		}
-	}()
-	MulInto32(New32(2, 2), New32(2, 3), New32(2, 2))
+	for _, c := range []struct {
+		name      string
+		dst, a, b *Matrix32
+	}{
+		{"inner dims", New32(2, 2), New32(2, 3), New32(2, 2)},
+		{"dst rows", New32(3, 2), New32(2, 3), New32(3, 2)},
+		{"dst cols", New32(2, 3), New32(2, 3), New32(3, 2)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("shape mismatch must panic")
+				}
+			}()
+			MulInto32(c.dst, c.a, c.b)
+		})
+	}
 }
