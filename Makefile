@@ -18,10 +18,11 @@ test:
 # concurrent chunk fine-tunes, and the lot-parallel generation
 # pipeline: the matmul worker pool, the per-sample DP-SGD fan-out, the
 # plan executor's fine-tune fan-out and its checkpoint/resume records,
-# the generation scratch pool, the durable model registry (DESIGN.md
+# the one lot sampler both generate modes (float64 exact, float32 fast)
+# run and its scratch pool, the durable model registry (DESIGN.md
 # §6–8, §10), and model serving — the decoded-model LRU, concurrent
-# stateless generates, the cross-request batch scheduler, and the
-# lot-parallel float32 sampler (DESIGN.md §11) — plus the columnar trace
+# stateless generates and the cross-request batch scheduler (DESIGN.md
+# §11) — plus the columnar trace
 # store and the webapi artifact cache layered on it, which also holds
 # default-mode generate replies (DESIGN.md §13), and the distributed
 # chunk queue with its worker-kill golden test (DESIGN.md §14).

@@ -234,7 +234,7 @@ func (s *STAN) Generate(n int) *trace.FlowTrace {
 		for k := 0; k < seqLen && len(out.Records) < n; k++ {
 			x := mat.NewFrom(1, s.width, prev)
 			pred := s.head.Forward(s.net.Forward(x))
-			vec := nn.SampleRow(s.schema(), pred.Row(0), false, s.rnd.Float64)
+			vec := nn.SampleRow(s.schema(), pred.Row(0), s.rnd.Float64)
 
 			r := trace.FlowRecord{}
 			r.Tuple.SrcIP = host

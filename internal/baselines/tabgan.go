@@ -201,7 +201,7 @@ func (g *tabularGAN) generate(n int, condFor func(i int) []float64) [][]float64 
 		raw := g.gen.Forward(z)
 		act := g.head.Forward(raw)
 		for i := 0; i < batch; i++ {
-			out = append(out, nn.SampleRow(g.schema, act.Row(i), false, g.rng.Float64))
+			out = append(out, nn.SampleRow(g.schema, act.Row(i), g.rng.Float64))
 		}
 	}
 	return out

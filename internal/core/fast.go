@@ -65,7 +65,7 @@ func (s *FastFlowSynthesizer) Conditional() bool { return s.cfg.Conditional }
 func (s *FastFlowSynthesizer) LabelCatalog() []trace.Label {
 	weights := make([][]float64, 0, len(s.models))
 	for _, m := range s.models {
-		weights = append(weights, m.LabelWeights)
+		weights = append(weights, m.LabelWeights())
 	}
 	return labelCatalog(weights)
 }
@@ -119,7 +119,16 @@ func (s *FastFlowSynthesizer) generateBatch(counts []int, label int) []*trace.Fl
 	}
 	chunkRecs := make([][]trace.FlowRecord, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkRecs[i] = s.generateChunk(s.models[i], chunkTotals[i], label)
+		m := s.models[i]
+		sample := m.Generate
+		if label >= 0 {
+			// Range-checked by GenerateLabeledBatch, so this cannot fail.
+			sample = func(n int) []dgan.Sample {
+				batch, _ := m.GenerateLabeled(n, label)
+				return batch
+			}
+		}
+		chunkRecs[i] = s.codec.fillChunk(sample, dgan.InferLot, chunkTotals[i], label)
 	})
 	outs := make([]*trace.FlowTrace, len(counts))
 	for ri := range outs {
@@ -137,42 +146,6 @@ func (s *FastFlowSynthesizer) generateBatch(counts []int, label int) []*trace.Fl
 		out.SortByStart()
 	}
 	return outs
-}
-
-// generateChunk fills one chunk's record budget, mirroring the reference
-// path's whole-lot batching, overshoot trimming, and pinned-label record
-// stamping.
-func (s *FastFlowSynthesizer) generateChunk(m *dgan.InferModel, budget, label int) []trace.FlowRecord {
-	if budget <= 0 {
-		return nil
-	}
-	out := make([]trace.FlowRecord, 0, budget)
-	for budget > 0 {
-		var batch []dgan.Sample
-		if label >= 0 {
-			// Range-checked by GenerateLabeledBatch, so this cannot fail.
-			batch, _ = m.GenerateLabeled(fullLots(budget, m.Lot), label)
-		} else {
-			batch = m.Generate(fullLots(budget, m.Lot))
-		}
-		if len(batch) == 0 {
-			return out
-		}
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
-		for bi, sample := range batch {
-			for _, r := range s.codec.decodeRecords(sample, tuples[bi]) {
-				if budget == 0 {
-					break
-				}
-				if label >= 0 {
-					r.Label = trace.Label(label)
-				}
-				out = append(out, r)
-				budget--
-			}
-		}
-	}
-	return out
 }
 
 // Stats returns the training cost report captured at snapshot time.
@@ -225,7 +198,7 @@ func (s *FastPacketSynthesizer) GenerateBatch(counts []int) []*trace.PacketTrace
 	}
 	chunkFlows := make([][]*trace.PacketFlow, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkFlows[i] = s.generateChunk(s.models[i], chunkTotals[i])
+		chunkFlows[i] = s.codec.fillChunk(s.models[i].Generate, dgan.InferLot, chunkTotals[i])
 	})
 	perReq := make([][]*trace.PacketFlow, len(counts))
 	for i, flows := range chunkFlows {
@@ -255,30 +228,6 @@ func (s *FastPacketSynthesizer) GenerateBatch(counts []int) []*trace.PacketTrace
 		outs[ri] = trace.AssemblePackets(perReq[ri])
 	}
 	return outs
-}
-
-// generateChunk fills one chunk's packet budget.
-func (s *FastPacketSynthesizer) generateChunk(m *dgan.InferModel, budget int) []*trace.PacketFlow {
-	if budget <= 0 {
-		return nil
-	}
-	var flows []*trace.PacketFlow
-	for budget > 0 {
-		batch := m.Generate(fullLots(budget, m.Lot))
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
-		for bi, sample := range batch {
-			f := s.codec.decodeFlow(sample, tuples[bi])
-			if len(f.Packets) > budget {
-				f.Packets = f.Packets[:budget]
-			}
-			budget -= len(f.Packets)
-			flows = append(flows, f)
-			if budget == 0 {
-				break
-			}
-		}
-	}
-	return flows
 }
 
 // Stats returns the training cost report captured at snapshot time.

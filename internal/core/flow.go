@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dgan"
 	"repro/internal/encoding"
@@ -440,7 +439,14 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 	perChunk := splitCounts(n, s.stats.ChunkSamples)
 	chunkRecs := make([][]trace.FlowRecord, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkRecs[i] = s.generateChunk(s.models[i], genRand(s.cfg, s.models[i], i, fresh), perChunk[i], label)
+		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
+		// The label was range-checked by the caller and the model was
+		// trained conditionally, so sampling cannot fail.
+		sample := func(n int) []dgan.Sample {
+			batch, _ := m.GenerateFrom(r, n, label)
+			return batch
+		}
+		chunkRecs[i] = s.codec.fillChunk(sample, m.Config.Batch, perChunk[i], label)
 	})
 	for _, recs := range chunkRecs {
 		out.Records = append(out.Records, recs...)
@@ -449,28 +455,26 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 	return out
 }
 
-// generateChunk fills one chunk's record budget from the chunk's
-// generation stream r. Samples are flows and records per flow vary, so it
+// fillChunk fills one chunk's record budget from gen, the chunk
+// model's generator. Samples are flows and records per flow vary, so it
 // generates flows until the budget is met — always requesting whole
-// generation lots (partial lots waste a forward pass) and trimming the
-// overshoot.
-// A pinned label (label >= 0) additionally stamps every emitted record
-// with that scenario, making the conditional slice authoritative.
-func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, label int) []trace.FlowRecord {
+// generation lots of lot (partial lots waste a forward pass) and trimming
+// the overshoot. A pinned label (label >= 0) additionally stamps every
+// emitted record with that scenario, making the conditional slice
+// authoritative.
+func (c *flowCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget, label int) []trace.FlowRecord {
 	if budget <= 0 {
 		return nil
 	}
 	out := make([]trace.FlowRecord, 0, budget)
 	for budget > 0 {
-		// The label was range-checked by the caller and the model was
-		// trained conditionally, so this cannot fail.
-		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), label)
+		batch := gen(fullLots(budget, lot))
 		if len(batch) == 0 {
 			return out
 		}
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
+		tuples := decodeTuples(c.embed, c.ipEmbed, batch)
 		for bi, sample := range batch {
-			for _, r := range s.codec.decodeRecords(sample, tuples[bi]) {
+			for _, r := range c.decodeRecords(sample, tuples[bi]) {
 				if budget == 0 {
 					break
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dgan"
 	"repro/internal/encoding"
@@ -217,7 +216,12 @@ func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
 	perChunk := splitCounts(n, s.stats.ChunkSamples)
 	chunkFlows := make([][]*trace.PacketFlow, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkFlows[i] = s.generateChunk(s.models[i], genRand(s.cfg, s.models[i], i, fresh), perChunk[i])
+		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
+		sample := func(n int) []dgan.Sample {
+			batch, _ := m.GenerateFrom(r, n, -1)
+			return batch
+		}
+		chunkFlows[i] = s.codec.fillChunk(sample, m.Config.Batch, perChunk[i])
 	})
 	var flows []*trace.PacketFlow
 	for _, fs := range chunkFlows {
@@ -226,19 +230,19 @@ func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
 	return trace.AssemblePackets(flows)
 }
 
-// generateChunk fills one chunk's packet budget from the chunk's
-// generation stream r, requesting whole generation lots and trimming the
-// overshoot.
-func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget int) []*trace.PacketFlow {
+// fillChunk fills one chunk's packet budget from gen, the chunk
+// model's generator, requesting whole generation lots of lot and trimming
+// the overshoot.
+func (c *packetCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget int) []*trace.PacketFlow {
 	if budget <= 0 {
 		return nil
 	}
 	var flows []*trace.PacketFlow
 	for budget > 0 {
-		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), -1)
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
+		batch := gen(fullLots(budget, lot))
+		tuples := decodeTuples(c.embed, c.ipEmbed, batch)
 		for bi, sample := range batch {
-			f := s.codec.decodeFlow(sample, tuples[bi])
+			f := c.decodeFlow(sample, tuples[bi])
 			if len(f.Packets) > budget {
 				f.Packets = f.Packets[:budget]
 			}

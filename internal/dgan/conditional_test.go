@@ -177,8 +177,8 @@ func TestConditionalInferSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := m.Infer()
-	if im.Labels != 3 || !reflect.DeepEqual(im.LabelWeights, m.LabelWeights()) {
-		t.Fatalf("label block lost: labels=%d weights=%v, want 3 and %v", im.Labels, im.LabelWeights, m.LabelWeights())
+	if im.condW != 3 || !reflect.DeepEqual(im.LabelWeights(), m.LabelWeights()) {
+		t.Fatalf("label block lost: labels=%d weights=%v, want 3 and %v", im.condW, im.LabelWeights(), m.LabelWeights())
 	}
 	im.Reseed(42)
 	samples, err := im.GenerateLabeled(32, 2)

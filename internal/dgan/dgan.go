@@ -120,15 +120,7 @@ var presenceSpec = nn.FieldSpec{Name: "_presence", Kind: nn.FieldContinuous, Siz
 // Model is a trainable DoppelGANger instance.
 type Model struct {
 	Config Config
-
-	metaW, featW int // activated widths (featW includes the presence flag)
-	condW        int // conditioning one-hot width (Config.Labels; 0 = off)
-
-	// labelWeights is the empirical scenario-label distribution of the
-	// training set, fitted by trainLoop and persisted with the model;
-	// unconditional Generate draws each sample's label from it. Nil falls
-	// back to uniform.
-	labelWeights []float64
+	shape
 
 	// Generator.
 	metaGen  *nn.MLP
@@ -148,7 +140,7 @@ type Model struct {
 	// built lazily on the first DP step and reused every step after.
 	dpScratch map[*nn.MLP]*dpScratch
 
-	// Pool of per-worker generation scratch (generate.go).
+	// Pool of per-worker generation scratch (sample.go).
 	genPool sync.Pool
 
 	// Generator forward caches for the backward pass.
@@ -164,12 +156,9 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	featSchema := append(append([]nn.FieldSpec(nil), cfg.FeatureSchema...), presenceSpec)
 	m := &Model{
 		Config:    cfg,
-		metaW:     nn.Width(cfg.MetaSchema),
-		featW:     nn.Width(featSchema),
-		condW:     cfg.Labels,
+		shape:     newShape(cfg),
 		rng:       r,
 		dpScratch: make(map[*nn.MLP]*dpScratch),
 	}
@@ -181,7 +170,7 @@ func New(cfg Config) (*Model, error) {
 	nn.InitXavier(m.seqProj, r)
 	m.seqHeads = make([]*nn.OutputHead, cfg.MaxLen)
 	for t := range m.seqHeads {
-		m.seqHeads[t] = nn.NewOutputHead(featSchema)
+		m.seqHeads[t] = nn.NewOutputHead(m.featSchema)
 	}
 	inW := m.condW + m.metaW + cfg.MaxLen*m.featW
 	m.critic = nn.NewMLP("d.main", []int{inW, cfg.Hidden, cfg.Hidden, 1}, nn.LeakyReLU, nn.Identity, r)
@@ -244,15 +233,6 @@ func (m *Model) noise(batch, dim int) *mat.Matrix {
 // Conditional reports whether the model carries a scenario-conditioning
 // vector.
 func (m *Model) Conditional() bool { return m.condW > 0 }
-
-// LabelWeights returns a copy of the fitted scenario-label distribution
-// (nil before training or on unconditional models).
-func (m *Model) LabelWeights() []float64 {
-	if m.labelWeights == nil {
-		return nil
-	}
-	return append([]float64(nil), m.labelWeights...)
-}
 
 // drawLabel samples a scenario label from the fitted training
 // distribution (uniform before fitting) using one uniform draw.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -30,8 +31,17 @@ func genTestModel(t testing.TB, parallelism int) *Model {
 
 // TestGenerateParallelismInvariant is the package-level golden check: the
 // same weights and generation seed must emit bitwise-identical samples at
-// every worker count, including n not a multiple of the lot size.
+// every worker count, including n not a multiple of the lot size. It runs
+// once per matmul kernel set, because the race detector cannot see the
+// memory accesses of the assembly kernels the lot workers share weights
+// through.
 func TestGenerateParallelismInvariant(t *testing.T) {
+	mat.ForEachKernelSet(func(name string) {
+		t.Run(name, testGenerateParallelismInvariant)
+	})
+}
+
+func testGenerateParallelismInvariant(t *testing.T) {
 	const n = 45 // not a multiple of Batch: exercises the partial final lot
 	want := genTestModel(t, 1)
 	want.Reseed(99)

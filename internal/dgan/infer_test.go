@@ -25,7 +25,7 @@ func TestInferParallelismInvariant(t *testing.T) {
 }
 
 func testInferParallelismInvariant(t *testing.T) {
-	const n = 203 // not a multiple of DefaultInferLot: partial final lot
+	const n = 203 // not a multiple of InferLot: partial final lot
 	ref := inferTestModel(t)
 	ref.SetParallelism(1)
 	ref.Reseed(99)
@@ -50,14 +50,14 @@ func TestInferSampleShapes(t *testing.T) {
 	im := inferTestModel(t)
 	im.Reseed(5)
 	samples := im.Generate(130)
-	metaW := nn.Width(im.MetaSchema)
-	featW := nn.Width(im.FeatureSchema)
+	metaW := nn.Width(im.metaSchema)
+	featW := im.featW - 1 // presence flag stripped
 	for i, s := range samples {
 		if len(s.Meta) != metaW {
 			t.Fatalf("sample %d meta width %d, want %d", i, len(s.Meta), metaW)
 		}
-		if len(s.Features) < 1 || len(s.Features) > im.MaxLen {
-			t.Fatalf("sample %d has %d steps, want 1..%d", i, len(s.Features), im.MaxLen)
+		if len(s.Features) < 1 || len(s.Features) > im.maxLen {
+			t.Fatalf("sample %d has %d steps, want 1..%d", i, len(s.Features), im.maxLen)
 		}
 		// m1 is a 4-way categorical occupying meta columns 2..6.
 		var hot int

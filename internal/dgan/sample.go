@@ -1,0 +1,279 @@
+package dgan
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/telemetry"
+)
+
+// Generation is organized in fixed-size lots. Each lot draws all of its
+// randomness from a private stream derived from a single base value taken
+// off the caller's RNG, and writes a disjoint span of the output slice, so
+// the emitted samples are identical for every worker count — lots simply
+// run on more or fewer goroutines. A call advances the caller's RNG by
+// exactly one draw regardless of n or worker count, keeping generation
+// streams aligned across train/save/load (DESIGN.md §8).
+//
+// sampleLots is the one lot driver behind both generate modes: Model runs
+// it with the float64 forward (bitwise equal to training's forward pass,
+// lots of Config.Batch) and InferModel with the float32 serving forward
+// (DESIGN.md §11, lots of InferLot). Everything but the three network
+// operations of forward is shared.
+
+// shape is the generator geometry the lot driver reads. Model builds it
+// from its Config; InferModel copies it from the Model it snapshots.
+type shape struct {
+	metaSchema []nn.FieldSpec
+	featSchema []nn.FieldSpec // the feature schema plus the presence flag
+	maxLen     int
+	noiseDim   int
+	hidden     int
+
+	metaW, featW int // activated widths (featW includes the presence flag)
+	condW        int // conditioning one-hot width (Config.Labels; 0 = off)
+
+	// labelWeights is the empirical scenario-label distribution of the
+	// training set, fitted by trainLoop and persisted with the model;
+	// unconditional generation draws each sample's label from it. Nil
+	// falls back to uniform.
+	labelWeights []float64
+}
+
+func newShape(cfg Config) shape {
+	feat := append(append([]nn.FieldSpec(nil), cfg.FeatureSchema...), presenceSpec)
+	return shape{
+		metaSchema: cfg.MetaSchema,
+		featSchema: feat,
+		maxLen:     cfg.MaxLen,
+		noiseDim:   cfg.NoiseDim,
+		hidden:     cfg.Hidden,
+		metaW:      nn.Width(cfg.MetaSchema),
+		featW:      nn.Width(feat),
+		condW:      cfg.Labels,
+	}
+}
+
+// LabelWeights returns a copy of the fitted scenario-label distribution
+// (nil before training or on unconditional models).
+func (g *shape) LabelWeights() []float64 {
+	if g.labelWeights == nil {
+		return nil
+	}
+	return append([]float64(nil), g.labelWeights...)
+}
+
+// checkLabel validates a pinned scenario label.
+func (g *shape) checkLabel(label int) error {
+	if g.condW == 0 {
+		return fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
+	}
+	if label < 0 || label >= g.condW {
+		return fmt.Errorf("dgan: label %d out of range 0..%d", label, g.condW-1)
+	}
+	return nil
+}
+
+// forward is what one element type supplies to the lot driver: the
+// generator's three network operations on row-major rows×cols spans of the
+// lot scratch. N is the forward's own per-worker scratch. Implementations
+// read weights only, so one forward serves every worker of a call.
+type forward[F float32 | float64, N any] interface {
+	// meta returns the activated metadata (rows × metaW) of the metadata
+	// generator's input in.
+	meta(sc *N, in []F, rows int) []F
+	// step writes the GRU's next hidden state for inputs x and hidden
+	// states h into hNext.
+	step(sc *N, x, h, hNext []F, rows int)
+	// project writes the activated output projection of h into out.
+	project(sc *N, h, out []F, rows int)
+}
+
+// lotScratch is one worker's reusable sampler state: noise, conditioned
+// metadata input, GRU input, ping-pong hidden states, projected step
+// output, the live-row map and the labels, all sized for a full lot and
+// re-sliced for a partial one, plus the forward's own scratch.
+type lotScratch[F float32 | float64, N any] struct {
+	net                   N
+	z, zc, x, h, h2, proj []F
+	idx, labels           []int
+}
+
+// lotTel is the telemetry one generate mode records per lot; nil handles
+// record nothing.
+type lotTel struct {
+	lots, samples, stepsSaved *telemetry.Counter
+	depth                     *telemetry.Histogram
+}
+
+// sampleLots produces n samples in lots of lot on up to workers
+// goroutines. label < 0 draws each sample's label from the fitted
+// distribution; label >= 0 pins every sample's label (checked here) and
+// takes no label draws. The single base draw comes from src.
+func sampleLots[F float32 | float64, N any](g *shape, fw forward[F, N], pool *sync.Pool, tel *lotTel,
+	src interface{ Int63() int64 }, lot, workers, n, label int) ([]Sample, error) {
+	if label >= 0 {
+		if err := g.checkLabel(label); err != nil {
+			return nil, err
+		}
+	}
+	if n <= 0 {
+		return nil, nil
+	}
+	base := src.Int63()
+	numLots := (n + lot - 1) / lot
+	out := make([]Sample, n)
+
+	runSpan := func(loLot, hiLot int) {
+		sc, _ := pool.Get().(*lotScratch[F, N])
+		if sc == nil {
+			sc = new(lotScratch[F, N])
+		}
+		defer pool.Put(sc)
+		for j := loLot; j < hiLot; j++ {
+			lo, hi := j*lot, min((j+1)*lot, n)
+			depth := sampleLot(g, fw, sc, rng.New(rng.Derive(base, int64(j))), out[lo:hi], label)
+			tel.lots.Inc()
+			tel.samples.Add(int64(hi - lo))
+			tel.depth.Observe(float64(depth))
+			tel.stepsSaved.Add(int64(g.maxLen - depth))
+		}
+	}
+
+	workers = min(workers, numLots)
+	if workers <= 1 {
+		runSpan(0, numLots)
+		return out, nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*numLots/workers, (w+1)*numLots/workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			runSpan(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+	return out, nil
+}
+
+// sampleLot fills out (one lot of samples) from r, the lot's private
+// stream, and returns the number of GRU steps it ran. The draw order is
+// fixed — label uniforms (mixture lots only), meta noise, meta sampling
+// uniforms, then per executed step: noise for the full lot followed by the
+// live rows' sampling uniforms in ascending row order — so a lot's content
+// depends only on (weights, lot stream), never on which worker ran it.
+//
+// Live rows are compacted to the front of the step buffers as rows
+// terminate, so the per-step matmuls shrink with the live count; every
+// forward row depends only on its own inputs, so compaction changes no
+// value. The unroll stops as soon as every row has terminated.
+func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotScratch[F, N], r *rand.Rand, out []Sample, label int) int {
+	rows := len(out)
+	nd, hid, metaW, featW := g.noiseDim, g.hidden, g.metaW, g.featW
+	inW := nd + metaW // GRU input: step noise ++ activated metadata
+	sc.z = grow(sc.z, rows*nd)
+	sc.x = grow(sc.x, rows*inW)
+	sc.h = grow(sc.h, rows*hid)
+	sc.h2 = grow(sc.h2, rows*hid)
+	sc.proj = grow(sc.proj, rows*featW)
+	sc.idx = grow(sc.idx, rows)
+
+	// Conditional lots fix each row's label before any noise is drawn: a
+	// pinned label takes no draws, a mixture draw one uniform per row.
+	if g.condW > 0 {
+		sc.labels = grow(sc.labels, rows)
+		for i := range sc.labels {
+			if label >= 0 {
+				sc.labels[i] = label
+			} else {
+				sc.labels[i] = drawLabelFrom(g.labelWeights, g.condW, r.Float64())
+			}
+		}
+	}
+
+	randNorm(sc.z, r)
+	metaIn := sc.z
+	if g.condW > 0 {
+		cw := nd + g.condW
+		sc.zc = grow(sc.zc, rows*cw)
+		for i, l := range sc.labels {
+			row := rowOf(sc.zc, i, cw)
+			copy(row, rowOf(sc.z, i, nd))
+			clear(row[nd:])
+			row[nd+l] = 1
+		}
+		metaIn = sc.zc
+	}
+	meta := fw.meta(&sc.net, metaIn, rows)
+	idx := sc.idx
+	for i := range out {
+		out[i].Meta = nn.SampleRow(g.metaSchema, rowOf(meta, i, metaW), r.Float64)
+		out[i].Features = out[i].Features[:0]
+		if g.condW > 0 {
+			out[i].Label = sc.labels[i]
+		}
+		idx[i] = i
+	}
+
+	h, hNext := sc.h, sc.h2
+	clear(h)
+	depth := 0
+	for t := 0; t < g.maxLen && len(idx) > 0; t++ {
+		depth = t + 1
+		live := len(idx)
+		randNorm(sc.z, r)
+		x := sc.x[:live*inW]
+		for c, i := range idx {
+			row := rowOf(x, c, inW)
+			copy(row, rowOf(sc.z, i, nd))
+			copy(row[nd:], rowOf(meta, i, metaW))
+		}
+		fw.step(&sc.net, x, h[:live*hid], hNext[:live*hid], live)
+		h, hNext = hNext, h
+		proj := sc.proj[:live*featW]
+		fw.project(&sc.net, h[:live*hid], proj, live)
+		w := 0
+		for c, i := range idx {
+			row := rowOf(proj, c, featW)
+			if t > 0 && row[featW-1] < 0.5 {
+				continue
+			}
+			full := nn.SampleRow(g.featSchema, row, r.Float64)
+			out[i].Features = append(out[i].Features, full[:featW-1])
+			if w != c {
+				copy(rowOf(h, w, hid), rowOf(h, c, hid))
+			}
+			idx[w] = i
+			w++
+		}
+		idx = idx[:w]
+	}
+	return depth
+}
+
+// randNorm fills z with N(0,1) draws, one NormFloat64 per element, so both
+// element types consume the same stream layout.
+func randNorm[F float32 | float64](z []F, r *rand.Rand) {
+	for i := range z {
+		z[i] = F(r.NormFloat64())
+	}
+}
+
+// rowOf returns row i of the row-major buffer b with w columns.
+func rowOf[F any](b []F, i, w int) []F { return b[i*w : (i+1)*w] }
+
+// grow returns b resized to n elements, reallocating only when too small.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}

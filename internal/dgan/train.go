@@ -226,10 +226,6 @@ func (m *Model) generatorStep() (float64, float64) {
 	return loss, gradNorm
 }
 
-func (m *Model) featSchema() []nn.FieldSpec {
-	return append(append([]nn.FieldSpec(nil), m.Config.FeatureSchema...), presenceSpec)
-}
-
 // Rand exposes the model's seeded source for callers that need coordinated
 // sampling (e.g. post-processing draws).
 func (m *Model) Rand() *rand.Rand { return m.rng }

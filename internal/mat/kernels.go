@@ -41,15 +41,6 @@ var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil
 // training allocates none.
 var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 
-// reshape makes scratch matrix m rows×cols, growing its storage only when
-// it is too small. The contents are undefined.
-func (m *Matrix) reshape(rows, cols int) {
-	if cap(m.Data) < rows*cols {
-		m.Data = make([]float64, rows*cols)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
-}
-
 // kernels is the set MulInto, MulTransAInto, MulTransBInto and MulInto32
 // run. It is chosen once at package init from the CPU (archKernels) and
 // reported by the mat.kernel.avx2 gauge, so a metrics dump shows which

@@ -63,6 +63,18 @@ func (m *Matrix) RowsView(lo, hi int) *Matrix {
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
+// Reshape makes scratch matrix m rows×cols, growing its storage only when
+// it is too small, and returns m. The contents are undefined. Scratch
+// holders keep Matrix values and reshape them in place, so resizing a
+// buffer per call allocates no header.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float64, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // CopyFrom copies src's contents into m. Shapes must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
@@ -164,7 +176,7 @@ func MulTransBInto(dst, a, b *Matrix) {
 	if pack := kernels.packB; pack != nil {
 		bt := packPool.Get().(*Matrix)
 		defer packPool.Put(bt)
-		bt.reshape(b.Cols, b.Rows)
+		bt.Reshape(b.Cols, b.Rows)
 		pack(bt, b)
 		b = bt
 	}

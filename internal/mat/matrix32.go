@@ -42,6 +42,16 @@ func (m *Matrix32) RowsView(lo, hi int) *Matrix32 {
 	return &Matrix32{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
+// Reshape makes scratch matrix m rows×cols, growing its storage only when
+// it is too small, and returns m. The contents are undefined.
+func (m *Matrix32) Reshape(rows, cols int) *Matrix32 {
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float32, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // Zero sets every element of m to 0.
 func (m *Matrix32) Zero() {
 	for i := range m.Data {

@@ -127,38 +127,31 @@ func (h *OutputHead) Backward(dout *mat.Matrix) *mat.Matrix {
 	return dx
 }
 
-// Sample converts one activated output row into a concrete sample:
-// continuous columns pass through; each categorical group becomes a one-hot
-// vector, either of the argmax (greedy=true) or of a draw from the softmax
-// distribution using u (one uniform variate per categorical group,
-// consumed in schema order).
-func SampleRow(schema []FieldSpec, row []float64, greedy bool, u func() float64) []float64 {
+// SampleRow converts one activated output row into a concrete float64
+// sample: continuous columns pass through (widened from float32 rows, so
+// fast-path samples flow through the same decode pipeline as reference
+// samples); each categorical group becomes the one-hot of a draw from its
+// softmax distribution, taking one uniform variate from u per group in
+// schema order. The cumulative sum is float64 for both element types.
+func SampleRow[F float32 | float64](schema []FieldSpec, row []F, u func() float64) []float64 {
 	out := make([]float64, len(row))
 	col := 0
 	for _, f := range schema {
 		switch f.Kind {
 		case FieldContinuous:
-			copy(out[col:col+f.Size], row[col:col+f.Size])
+			for j := col; j < col+f.Size; j++ {
+				out[j] = float64(row[j])
+			}
 		case FieldCategorical:
 			probs := row[col : col+f.Size]
-			pick := 0
-			if greedy {
-				best := probs[0]
-				for j, p := range probs {
-					if p > best {
-						best, pick = p, j
-					}
-				}
-			} else {
-				target := u()
-				var acc float64
-				pick = len(probs) - 1
-				for j, p := range probs {
-					acc += p
-					if target <= acc {
-						pick = j
-						break
-					}
+			target := u()
+			var acc float64
+			pick := len(probs) - 1
+			for j, p := range probs {
+				acc += float64(p)
+				if target <= acc {
+					pick = j
+					break
 				}
 			}
 			out[col+pick] = 1

@@ -8,9 +8,9 @@ import (
 )
 
 // Float32 inference modules (DESIGN.md §11). These are one-way snapshots
-// compressed from trained float64 modules: weights are narrowed once, gate
-// matrices are packed so a GRU step runs three matmuls instead of six, and
-// the saturating activations use a polynomial approximation instead of
+// compressed from trained float64 modules: weights are narrowed once (the
+// GRU from its packed FusedGRU form, three matmuls per step), and the
+// saturating activations use a polynomial approximation instead of
 // math.Tanh. Nothing here participates in training or in the bitwise-
 // deterministic generation contract — the fast path's correctness is pinned
 // distributionally by internal/conformance, not by golden bytes.
@@ -112,27 +112,18 @@ func CompressMLP(m *MLP) *MLP32 {
 // MLP32Scratch holds per-layer output buffers for MLP32.InferInto; the
 // zero value is ready to use.
 type MLP32Scratch struct {
-	bufs []*mat.Matrix32
+	bufs []mat.Matrix32
 }
 
-func (sc *MLP32Scratch) buf(i, rows, cols int) *mat.Matrix32 {
-	for len(sc.bufs) <= i {
-		sc.bufs = append(sc.bufs, nil)
-	}
-	b := sc.bufs[i]
-	if b == nil || b.Cols != cols || b.Rows < rows {
-		b = mat.New32(rows, cols)
-		sc.bufs[i] = b
-	}
-	return b.RowsView(0, rows)
-}
-
-// InferInto runs the batch through the MLP using sc's buffers, returning a
-// view of the last one (valid until the next call with the same scratch).
+// InferInto runs the batch through the MLP using sc's buffers, returning
+// the last one (valid until the next call with the same scratch).
 func (m *MLP32) InferInto(x *mat.Matrix32, sc *MLP32Scratch) *mat.Matrix32 {
+	if len(sc.bufs) < len(m.Layers) {
+		sc.bufs = make([]mat.Matrix32, len(m.Layers))
+	}
 	h := x
 	for i, l := range m.Layers {
-		y := sc.buf(i, h.Rows, l.Out)
+		y := sc.bufs[i].Reshape(h.Rows, l.Out)
 		l.InferInto(h, y)
 		applyActKind32(m.Acts[i], y)
 		h = y
@@ -140,37 +131,26 @@ func (m *MLP32) InferInto(x *mat.Matrix32, sc *MLP32Scratch) *mat.Matrix32 {
 	return h
 }
 
-// FusedGRU32 is a float32 GRU snapshot with packed gate weights: the three
-// input projections share one In×3H matrix (column blocks z|r|ĥ) and the z/r
-// recurrent projections share one H×2H matrix, so a step costs three matmuls
-// — x·Wg, h·Uzr, (r⊙h)·Uh — instead of the reference path's six, and the
-// per-gate matrices are never materialized.
+// FusedGRU32 is the float32 narrowing of a FusedGRU: the same packed
+// layout (Wg columns [Wz | Wr | Wh], Uzr columns [Uz | Ur]), three matmuls
+// per step.
 type FusedGRU32 struct {
-	In, Hidden int
-	Wg         *mat.Matrix32 // In × 3H, columns [Wz | Wr | Wh]
-	Uzr        *mat.Matrix32 // H × 2H, columns [Uz | Ur]
-	Uh         *mat.Matrix32 // H × H
-	Bz, Br, Bh []float32
+	In, Hidden  int
+	Wg, Uzr, Uh *mat.Matrix32
+	Bz, Br, Bh  []float32
 }
 
-// CompressGRU packs and narrows a trained GRU's weights.
-func CompressGRU(g *GRU) *FusedGRU32 {
-	in, hid := g.In, g.Hidden
-	f := &FusedGRU32{
-		In: in, Hidden: hid,
-		Wg:  mat.New32(in, 3*hid),
-		Uzr: mat.New32(hid, 2*hid),
-		Uh:  mat.Compress32(g.Uh.W),
-		Bz:  narrow32(g.Bz.W.Data),
-		Br:  narrow32(g.Br.W.Data),
-		Bh:  narrow32(g.Bh.W.Data),
+// CompressGRU narrows a packed GRU's weights.
+func CompressGRU(f *FusedGRU) *FusedGRU32 {
+	return &FusedGRU32{
+		In: f.In, Hidden: f.Hidden,
+		Wg:  mat.Compress32(f.Wg),
+		Uzr: mat.Compress32(f.Uzr),
+		Uh:  mat.Compress32(f.Uh),
+		Bz:  narrow32(f.Bz),
+		Br:  narrow32(f.Br),
+		Bh:  narrow32(f.Bh),
 	}
-	packCols(f.Wg, 0, g.Wz.W)
-	packCols(f.Wg, hid, g.Wr.W)
-	packCols(f.Wg, 2*hid, g.Wh.W)
-	packCols(f.Uzr, 0, g.Uz.W)
-	packCols(f.Uzr, hid, g.Ur.W)
-	return f
 }
 
 func narrow32(xs []float64) []float32 {
@@ -181,47 +161,23 @@ func narrow32(xs []float64) []float32 {
 	return out
 }
 
-// packCols copies src into dst starting at column off.
-func packCols(dst *mat.Matrix32, off int, src *mat.Matrix) {
-	for i := 0; i < src.Rows; i++ {
-		drow := dst.Row(i)
-		for j, v := range src.Row(i) {
-			drow[off+j] = float32(v)
-		}
-	}
-}
-
 // FusedGRU32Scratch holds the fused step's intermediates; the zero value is
 // ready to use.
 type FusedGRU32Scratch struct {
-	g, hu, rh, hc *mat.Matrix32
-}
-
-func (sc *FusedGRU32Scratch) ensure(rows, hidden int) (g, hu, rh, hc *mat.Matrix32) {
-	grow := func(b *mat.Matrix32, cols int) *mat.Matrix32 {
-		if b == nil || b.Cols != cols || b.Rows < rows {
-			b = mat.New32(rows, cols)
-		}
-		return b
-	}
-	sc.g = grow(sc.g, 3*hidden)
-	sc.hu = grow(sc.hu, 2*hidden)
-	sc.rh = grow(sc.rh, hidden)
-	sc.hc = grow(sc.hc, hidden)
-	return sc.g.RowsView(0, rows), sc.hu.RowsView(0, rows),
-		sc.rh.RowsView(0, rows), sc.hc.RowsView(0, rows)
+	g, hu, rh, hc mat.Matrix32
 }
 
 // StepInfer advances the GRU one timestep: reads x and h, writes hNext.
-// hNext must not alias x or h. The gate math matches GRU.StepInfer up to
-// float32 rounding and the Tanh32/Sigmoid32 approximations.
+// hNext must not alias x or h. The gate math matches FusedGRU.StepInfer up
+// to float32 rounding and the Tanh32/Sigmoid32 approximations.
 func (f *FusedGRU32) StepInfer(x, h, hNext *mat.Matrix32, sc *FusedGRU32Scratch) {
 	if x.Rows != h.Rows || hNext.Rows != h.Rows || h.Cols != f.Hidden || hNext.Cols != f.Hidden {
 		panic(fmt.Sprintf("nn: StepInfer32 shapes x=%dx%d h=%dx%d hNext=%dx%d",
 			x.Rows, x.Cols, h.Rows, h.Cols, hNext.Rows, hNext.Cols))
 	}
 	rows, hid := h.Rows, f.Hidden
-	g, hu, rh, hc := sc.ensure(rows, hid)
+	g, hu := sc.g.Reshape(rows, 3*hid), sc.hu.Reshape(rows, 2*hid)
+	rh, hc := sc.rh.Reshape(rows, hid), sc.hc.Reshape(rows, hid)
 	mat.MulInto32(g, x, f.Wg)
 	mat.MulInto32(hu, h, f.Uzr)
 	for i := 0; i < rows; i++ {
@@ -283,36 +239,4 @@ func ActivateRows32(schema []FieldSpec, x *mat.Matrix32) {
 		}
 		col += f.Size
 	}
-}
-
-// SampleRow32 converts one activated float32 row into a concrete sample,
-// widening to float64 so fast-path samples flow through the same decode
-// pipeline as reference samples. One uniform variate is consumed per
-// categorical group, in schema order, exactly like SampleRow.
-func SampleRow32(schema []FieldSpec, row []float32, u func() float64) []float64 {
-	out := make([]float64, len(row))
-	col := 0
-	for _, f := range schema {
-		switch f.Kind {
-		case FieldContinuous:
-			for j := col; j < col+f.Size; j++ {
-				out[j] = float64(row[j])
-			}
-		case FieldCategorical:
-			probs := row[col : col+f.Size]
-			target := u()
-			var acc float64
-			pick := len(probs) - 1
-			for j, p := range probs {
-				acc += float64(p)
-				if target <= acc {
-					pick = j
-					break
-				}
-			}
-			out[col+pick] = 1
-		}
-		col += f.Size
-	}
-	return out
 }

@@ -33,12 +33,13 @@ func TestFusedGRU32MatchesReference(t *testing.T) {
 	const in, hid, batch, steps = 7, 13, 5, 6
 	g := NewGRU("t.gru", in, hid)
 	InitXavier(g, r)
-	fused := CompressGRU(g)
+	ref := FuseGRU(g)
+	fused := CompressGRU(ref)
 
 	x := mat.New(batch, in)
 	h := mat.New(batch, hid)
 	hNext := mat.New(batch, hid)
-	var sc GRUScratch
+	var sc FusedGRUScratch
 
 	x32 := mat.New32(batch, in)
 	h32 := mat.New32(batch, hid)
@@ -50,7 +51,7 @@ func TestFusedGRU32MatchesReference(t *testing.T) {
 		for i, v := range x.Data {
 			x32.Data[i] = float32(v)
 		}
-		g.StepInfer(x, h, hNext, &sc)
+		ref.StepInfer(x, h, hNext, &sc)
 		fused.StepInfer(x32, h32, hNext32, &sc32)
 		h, hNext = hNext, h
 		h32, hNext32 = hNext32, h32
@@ -113,9 +114,10 @@ func TestActivateRows32MatchesReference(t *testing.T) {
 	}
 }
 
-// TestSampleRow32MatchesSampleRow checks both samplers pick the same
-// category for the same uniform draw on the same distribution.
-func TestSampleRow32MatchesSampleRow(t *testing.T) {
+// TestSampleRowFloat32MatchesFloat64 checks SampleRow picks the same
+// category from float32 and float64 rows for the same uniform draw on the
+// same distribution.
+func TestSampleRowFloat32MatchesFloat64(t *testing.T) {
 	schema := []FieldSpec{
 		{Name: "c", Kind: FieldContinuous, Size: 1},
 		{Name: "k", Kind: FieldCategorical, Size: 3},
@@ -123,11 +125,11 @@ func TestSampleRow32MatchesSampleRow(t *testing.T) {
 	row := []float64{0.25, 0.2, 0.5, 0.3}
 	row32 := []float32{0.25, 0.2, 0.5, 0.3}
 	for _, u := range []float64{0.05, 0.3, 0.69, 0.71, 0.99} {
-		a := SampleRow(schema, row, false, func() float64 { return u })
-		b := SampleRow32(schema, row32, func() float64 { return u })
+		a := SampleRow(schema, row, func() float64 { return u })
+		b := SampleRow(schema, row32, func() float64 { return u })
 		for i := range a {
 			if math.Abs(a[i]-b[i]) > 1e-6 {
-				t.Fatalf("u=%v: SampleRow %v vs SampleRow32 %v", u, a, b)
+				t.Fatalf("u=%v: float64 row %v vs float32 row %v", u, a, b)
 			}
 		}
 	}

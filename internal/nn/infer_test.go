@@ -33,6 +33,10 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	}
 }
 
+// TestGRUStepInferMatchesStep pins the packed inference step to the
+// training step bit for bit, including a chained second step on fewer rows
+// through the same scratch: the shape the lot sampler's live-row
+// compaction produces.
 func TestGRUStepInferMatchesStep(t *testing.T) {
 	r := rng.New(2)
 	g := NewGRU("t", 4, 6)
@@ -42,20 +46,23 @@ func TestGRUStepInferMatchesStep(t *testing.T) {
 	h := mat.New(3, 6)
 	h.RandNorm(r, 1)
 
+	f := FuseGRU(g)
 	want := g.Step(x, h.Clone())
-	var sc GRUScratch
+	var sc FusedGRUScratch
 	got := mat.New(3, 6)
-	g.StepInfer(x, h, got, &sc)
+	f.StepInfer(x, h, got, &sc)
 	if !reflect.DeepEqual(want.Data, got.Data) {
 		t.Fatal("StepInfer diverges from Step")
 	}
 
-	// A second step chained through the inference path must also agree.
-	want2 := g.Step(x, want)
-	got2 := mat.New(3, 6)
-	g.StepInfer(x, got, got2, &sc)
+	// A second step on the first two rows only, chained through the
+	// inference path, must also agree.
+	x2 := x.RowsView(0, 2)
+	want2 := g.Step(x2, want.RowsView(0, 2))
+	got2 := mat.New(2, 6)
+	f.StepInfer(x2, got.RowsView(0, 2), got2, &sc)
 	if !reflect.DeepEqual(want2.Data, got2.Data) {
-		t.Fatal("chained StepInfer diverges")
+		t.Fatal("chained StepInfer on fewer rows diverges")
 	}
 }
 

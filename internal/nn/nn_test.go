@@ -227,20 +227,16 @@ func TestSampleRow(t *testing.T) {
 		{Name: "k", Kind: FieldCategorical, Size: 3},
 	}
 	row := []float64{0.42, 0.1, 0.7, 0.2}
-	got := SampleRow(schema, row, true, nil)
+	// u=0.05 lands in the first bucket.
+	got := SampleRow(schema, row, func() float64 { return 0.05 })
 	if got[0] != 0.42 {
 		t.Fatal("continuous value must pass through")
 	}
-	if got[1] != 0 || got[2] != 1 || got[3] != 0 {
-		t.Fatalf("greedy pick = %v, want one-hot argmax", got[1:])
-	}
-	// Stochastic: u=0.05 lands in the first bucket.
-	got = SampleRow(schema, row, false, func() float64 { return 0.05 })
 	if got[1] != 1 {
 		t.Fatalf("stochastic pick = %v, want bucket 0", got[1:])
 	}
 	// u=0.99 lands in the last bucket.
-	got = SampleRow(schema, row, false, func() float64 { return 0.99 })
+	got = SampleRow(schema, row, func() float64 { return 0.99 })
 	if got[3] != 1 {
 		t.Fatalf("stochastic pick = %v, want bucket 2", got[1:])
 	}

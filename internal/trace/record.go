@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Label classifies a flow record as benign or one of the attack classes the
@@ -116,7 +117,7 @@ type PacketTrace struct {
 // SortByTime orders packets by timestamp (stable), the post-processing step
 // that reassembles generated flows into a trace.
 func (t *PacketTrace) SortByTime() {
-	sort.SliceStable(t.Packets, func(i, j int) bool { return t.Packets[i].Time < t.Packets[j].Time })
+	slices.SortStableFunc(t.Packets, func(a, b Packet) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Duration returns the trace's time span in microseconds.
@@ -143,7 +144,7 @@ type FlowTrace struct {
 
 // SortByStart orders records by flow start time (stable).
 func (t *FlowTrace) SortByStart() {
-	sort.SliceStable(t.Records, func(i, j int) bool { return t.Records[i].Start < t.Records[j].Start })
+	slices.SortStableFunc(t.Records, func(a, b FlowRecord) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 // Duration returns the span from earliest start to latest end, microseconds.

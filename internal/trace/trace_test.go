@@ -337,6 +337,23 @@ func TestFlowTraceDuration(t *testing.T) {
 	}
 }
 
+// TestSortByStartIsStable: records with equal Start keep their input
+// order, which is what makes a merged chunk trace's order reproducible.
+func TestSortByStartIsStable(t *testing.T) {
+	tr := &FlowTrace{}
+	for i := 0; i < 40; i++ {
+		// Starts cycle through 3, 2, 1, 0; Packets records input order.
+		tr.Records = append(tr.Records, FlowRecord{Start: int64(3 - i%4), Packets: int64(i)})
+	}
+	tr.SortByStart()
+	for i := 1; i < len(tr.Records); i++ {
+		a, b := tr.Records[i-1], tr.Records[i]
+		if a.Start > b.Start || a.Start == b.Start && a.Packets > b.Packets {
+			t.Fatalf("records %d and %d out of order: %+v then %+v", i-1, i, a, b)
+		}
+	}
+}
+
 func TestFlowEpochsAndAssembly(t *testing.T) {
 	tpl := ft(1, 2, 3, 4, TCP)
 	other := ft(5, 6, 7, 8, UDP)
