@@ -1,9 +1,16 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster test-e2ebench fuzz bench bench-smoke staticcheck govulncheck ci clean
+.PHONY: all fmt build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster test-e2ebench fuzz bench bench-smoke staticcheck govulncheck ci clean
 
 all: build
+
+# Formatting gate: fails when gofmt would change any Go file of the root
+# module or of e2ebench/ (hidden directories such as .bench_build/ are
+# skipped). It only lists the files; it never rewrites them.
+fmt:
+	@out=$$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -156,7 +163,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-smoke test-e2ebench
+ci: fmt vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-smoke test-e2ebench
 
 clean:
 	$(GO) clean ./...

@@ -11,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// fastFixture trains each synthesizer once and shares it across the fast-
-// path tests (training dominates their runtime; the snapshot under test is
-// cheap to rebuild per test).
+// fastFixture trains each synthesizer once and shares it across this
+// file's tests (training dominates their runtime; the snapshot under test
+// is cheap to rebuild per test).
 var fastFixture struct {
 	once sync.Once
 	flow *FlowSynthesizer
@@ -47,12 +47,10 @@ func trainedSynthesizers(t *testing.T) (*FlowSynthesizer, *PacketSynthesizer) {
 	return fastFixture.flow, fastFixture.pkt
 }
 
-func TestFastFlowGenerateValidAndExact(t *testing.T) {
-	syn, _ := trainedSynthesizers(t)
-	gen := syn.Fast().Generate(250)
-	if len(gen.Records) != 250 {
-		t.Fatalf("generated %d records, want 250", len(gen.Records))
-	}
+// validFlows fails unless every record of gen has positive counts, a
+// non-negative duration and start order, and returns the record count.
+func validFlows(t *testing.T, gen *trace.FlowTrace) int {
+	t.Helper()
 	for i, r := range gen.Records {
 		if r.Packets < 1 || r.Bytes < 1 {
 			t.Fatalf("record %d has non-positive counts: %+v", i, r)
@@ -64,6 +62,52 @@ func TestFastFlowGenerateValidAndExact(t *testing.T) {
 			t.Fatal("generated records must be start sorted")
 		}
 	}
+	return len(gen.Records)
+}
+
+// validPackets fails unless every packet of gen has a valid size and time
+// order, and returns the packet count.
+func validPackets(t *testing.T, gen *trace.PacketTrace) int {
+	t.Helper()
+	for i, p := range gen.Packets {
+		if p.Size < trace.MinPacketSize(p.Tuple.Proto) || p.Size > trace.MaxPacket {
+			t.Fatalf("packet %d size %d outside valid range", i, p.Size)
+		}
+		if i > 0 && p.Time < gen.Packets[i-1].Time {
+			t.Fatal("assembled packets must be time sorted")
+		}
+	}
+	return len(gen.Packets)
+}
+
+// checkGenerateCounts asks gen for n items and for the counts 0, -1 and -n,
+// and fails unless each trace holds exactly max(count, 0): the shared chunk
+// fan-out clamps the count for both generate modes.
+func checkGenerateCounts(t *testing.T, n int, gen func(n int) int) {
+	t.Helper()
+	for _, c := range []int{n, 0, -1, -n} {
+		if got, want := gen(c), max(c, 0); got != want {
+			t.Fatalf("Generate(%d) gave %d, want %d", c, got, want)
+		}
+	}
+}
+
+// TestExactGenerateValidAndExact: the exact mode of both trace kinds emits
+// exactly the requested number of valid, time-sorted records or packets.
+func TestExactGenerateValidAndExact(t *testing.T) {
+	flow, pkt := trainedSynthesizers(t)
+	t.Run("flow", func(t *testing.T) {
+		checkGenerateCounts(t, 250, func(n int) int { return validFlows(t, flow.Generate(n)) })
+	})
+	t.Run("packet", func(t *testing.T) {
+		checkGenerateCounts(t, 220, func(n int) int { return validPackets(t, pkt.Generate(n)) })
+	})
+}
+
+func TestFastFlowGenerateValidAndExact(t *testing.T) {
+	syn, _ := trainedSynthesizers(t)
+	fast := syn.Fast()
+	checkGenerateCounts(t, 250, func(n int) int { return validFlows(t, fast.Generate(n)) })
 }
 
 // TestFastFlowReproducibleAcrossParallelism: fresh snapshots of the same
@@ -126,18 +170,8 @@ func TestFastFlowSaveLoadRoundTrip(t *testing.T) {
 
 func TestFastPacketGenerateValidAndExact(t *testing.T) {
 	_, syn := trainedSynthesizers(t)
-	gen := syn.Fast().Generate(220)
-	if len(gen.Packets) != 220 {
-		t.Fatalf("generated %d packets, want 220", len(gen.Packets))
-	}
-	for i, p := range gen.Packets {
-		if p.Size < trace.MinPacketSize(p.Tuple.Proto) || p.Size > trace.MaxPacket {
-			t.Fatalf("packet %d size %d outside valid range", i, p.Size)
-		}
-		if i > 0 && p.Time < gen.Packets[i-1].Time {
-			t.Fatal("assembled packets must be time sorted")
-		}
-	}
+	fast := syn.Fast()
+	checkGenerateCounts(t, 220, func(n int) int { return validPackets(t, fast.Generate(n)) })
 }
 
 func TestFastPacketGenerateBatchExactCounts(t *testing.T) {

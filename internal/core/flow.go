@@ -243,10 +243,7 @@ func (c *flowCodec) decodeRecords(s dgan.Sample, ft trace.FiveTuple) []trace.Flo
 
 // FlowSynthesizer is a trained NetShare model for NetFlow traces.
 type FlowSynthesizer struct {
-	cfg    Config
-	codec  *flowCodec
-	models []*dgan.Model
-	stats  Stats
+	synthesizer[*flowCodec, *dgan.Model]
 }
 
 // TrainFlowSynthesizer runs the full NetShare pipeline on a flow trace:
@@ -360,41 +357,6 @@ func (s *FlowSynthesizer) Generate(n int) *trace.FlowTrace {
 	return s.generate(n, -1, false)
 }
 
-// Conditional reports whether the model was trained with scenario-label
-// conditioning (Config.Conditional).
-func (s *FlowSynthesizer) Conditional() bool { return s.cfg.Conditional }
-
-// LabelCatalog returns the scenario labels observed during training — the
-// union of labels with positive fitted weight across the chunk models, in
-// ascending order. It is empty on unconditional models.
-func (s *FlowSynthesizer) LabelCatalog() []trace.Label {
-	weights := make([][]float64, 0, len(s.models))
-	for _, m := range s.models {
-		weights = append(weights, m.LabelWeights())
-	}
-	return labelCatalog(weights)
-}
-
-// labelCatalog merges per-chunk fitted label distributions into the sorted
-// set of labels any chunk saw during training.
-func labelCatalog(weights [][]float64) []trace.Label {
-	var seen [trace.NumLabels]bool
-	for _, w := range weights {
-		for l, p := range w {
-			if p > 0 && l < int(trace.NumLabels) {
-				seen[l] = true
-			}
-		}
-	}
-	var out []trace.Label
-	for l := trace.Label(0); l < trace.NumLabels; l++ {
-		if seen[l] {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // GenerateLabeled produces approximately n synthetic flow records all
 // conditioned on (and stamped with) the given scenario label. It fails on
 // models trained without Config.Conditional and on out-of-range labels.
@@ -420,39 +382,52 @@ func (s *FlowSynthesizer) GenerateFresh(n, label int) (*trace.FlowTrace, error) 
 	return s.generate(n, label, true), nil
 }
 
-func (s *FlowSynthesizer) checkLabel(label int) error {
-	if !s.cfg.Conditional {
-		return fmt.Errorf("core: GenerateLabeled requires a model trained with Config.Conditional")
-	}
-	if label < 0 || label >= int(trace.NumLabels) {
-		return fmt.Errorf("core: label %d out of range 0..%d", label, trace.NumLabels-1)
-	}
-	return nil
-}
-
-// generate is the shared chunk fan-out; label -1 is unconditional mixture
-// generation, label >= 0 pins every chunk's draw to one scenario. fresh
-// selects per-call copies of the generation streams (genRand).
+// generate runs the flow fan-out as one request on the float64 chunk
+// models; label -1 is unconditional mixture generation, label >= 0 pins
+// every chunk's draw to one scenario. fresh selects per-call copies of the
+// generation streams (genRand).
 func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
-	defer telGeneratePhase.Start().Stop()
-	out := &trace.FlowTrace{}
-	perChunk := splitCounts(n, s.stats.ChunkSamples)
-	chunkRecs := make([][]trace.FlowRecord, len(s.models))
-	forEachChunk(s.cfg, len(s.models), func(i int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, label, func(i int) (func(int) []dgan.Sample, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
 		// The label was range-checked by the caller and the model was
 		// trained conditionally, so sampling cannot fail.
-		sample := func(n int) []dgan.Sample {
+		return func(n int) []dgan.Sample {
 			batch, _ := m.GenerateFrom(r, n, label)
 			return batch
-		}
-		chunkRecs[i] = s.codec.fillChunk(sample, m.Config.Batch, perChunk[i], label)
+		}, m.Config.Batch
+	})[0]
+}
+
+// generate is the flow kind's one chunk fan-out, run by both generate
+// modes: each request's count is split across the chunks (fillChunks),
+// each chunk's summed quota is filled from sample(i), and every request
+// receives its quota of each chunk's records in chunk order, sorted by
+// start time. Request ri's trace depends only on the seed, counts and ri:
+// it gets its proportional share of every chunk (the chunk mixture a solo
+// request would get), not a contiguous slice of a merged pool. The exact
+// mode passes one count, whose quota is each chunk's whole budget.
+func (c *flowCodec) generate(cfg Config, shares, counts []int, label int, sample chunkSampler) []*trace.FlowTrace {
+	defer telGeneratePhase.Start().Stop()
+	quotas, chunkRecs := fillChunks(cfg, shares, counts, func(i, budget int) []trace.FlowRecord {
+		gen, lot := sample(i)
+		return c.fillChunk(gen, lot, budget, label)
 	})
-	for _, recs := range chunkRecs {
-		out.Records = append(out.Records, recs...)
+	outs := make([]*trace.FlowTrace, len(counts))
+	for ri := range outs {
+		outs[ri] = &trace.FlowTrace{}
 	}
-	out.SortByStart()
-	return out
+	for i, recs := range chunkRecs {
+		for ri, out := range outs {
+			// fillChunk stops short only if a sampler returns nothing.
+			q := min(quotas[ri][i], len(recs))
+			out.Records = append(out.Records, recs[:q]...)
+			recs = recs[q:]
+		}
+	}
+	for _, out := range outs {
+		out.SortByStart()
+	}
+	return outs
 }
 
 // fillChunk fills one chunk's record budget from gen, the chunk
@@ -463,9 +438,6 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 // emitted record with that scenario, making the conditional slice
 // authoritative.
 func (c *flowCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget, label int) []trace.FlowRecord {
-	if budget <= 0 {
-		return nil
-	}
 	out := make([]trace.FlowRecord, 0, budget)
 	for budget > 0 {
 		batch := gen(fullLots(budget, lot))
@@ -487,19 +459,6 @@ func (c *flowCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget, label 
 		}
 	}
 	return out
-}
-
-// Stats returns the training cost report.
-func (s *FlowSynthesizer) Stats() Stats { return s.stats }
-
-// SetParallelism retargets the generation (and any further training) worker
-// count of every chunk model: 0 = NumCPU, 1 = serial. Output is bitwise
-// independent of the setting.
-func (s *FlowSynthesizer) SetParallelism(n int) {
-	s.cfg.Parallelism = n
-	for _, m := range s.models {
-		m.SetParallelism(n)
-	}
 }
 
 // TransformIPs remaps every generated address into the given base/mask

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -19,7 +18,7 @@ import (
 // in a test start from identical RNG state.
 func reseedGen(models []*dgan.Model, seed int64) {
 	for i, m := range models {
-		m.Reseed(rng.Derive(seed, genStream+int64(i)))
+		m.Reseed(genSeed(seed, genStream, i))
 	}
 }
 

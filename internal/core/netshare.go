@@ -19,16 +19,12 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
 	"repro/internal/privacy"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -198,7 +194,7 @@ func (c Config) NoiseForTargetEpsilon(targetEps, delta float64, n int) float64 {
 // from chunk 0 is the rate of the trained chunk by construction, not an
 // approximation.
 func dpSampleRate(batch, n int) float64 {
-	rate := float64(batch) / float64(maxInt(n, batch))
+	rate := float64(batch) / float64(max(n, batch))
 	if rate > 1 {
 		rate = 1
 	}
@@ -373,88 +369,4 @@ func (c Config) hash() uint64 {
 			c.DP.NoiseMultiplier, c.DP.ClipNorm, c.DP.Delta, c.DP.Pretrain, c.DP.PretrainSteps)
 	}
 	return h.Sum64()
-}
-
-// genRand returns chunk model m's (index i) generation stream: its own
-// RNG, or with fresh a new copy of the canonical stream that training and
-// loading reseed it to, so fresh generation replays a just-loaded model.
-func genRand(cfg Config, m *dgan.Model, i int, fresh bool) *rand.Rand {
-	if fresh {
-		return rng.New(rng.Derive(cfg.Seed, genStream+int64(i)))
-	}
-	return m.Rand()
-}
-
-// dpNoiseStream is the rng.Derive stream index reserved for the DP-SGD
-// Gaussian noise source, outside the chunk-index stream range;
-// genStream+idx are the reserved post-training generation streams.
-const (
-	dpNoiseStream = 1 << 32
-	genStream     = 1 << 33
-)
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// fullLots sizes a generation request for a remaining record budget: aim for
-// budget/2 flows (flows carry at least one record each, usually more), but
-// never issue less than one lot, and round up to whole lots so the GAN's
-// batched forward passes always run full (a partial lot costs the same
-// matmuls for fewer samples). The overshoot is trimmed by the caller.
-func fullLots(budget, lot int) int {
-	want := maxInt(budget/2, 1)
-	return (want + lot - 1) / lot * lot
-}
-
-// forEachChunk runs fn(i) for every chunk index, concurrently when the
-// configuration enables parallelism and there is more than one chunk. Each
-// fn must touch only chunk i's state (plus read-only shared data, like the
-// fitted codec), which is what keeps
-// parallel and serial generation byte-identical.
-func forEachChunk(cfg Config, n int, fn func(int)) {
-	if !cfg.Parallel || cfg.Parallelism == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// splitCounts apportions n generated samples across chunks proportionally
-// to their real sample counts (empty chunks get none).
-func splitCounts(n int, chunkSizes []int) []int {
-	var total int
-	for _, c := range chunkSizes {
-		total += c
-	}
-	out := make([]int, len(chunkSizes))
-	if total == 0 {
-		return out
-	}
-	assigned := 0
-	for i, c := range chunkSizes {
-		out[i] = n * c / total
-		assigned += out[i]
-	}
-	// Distribute the remainder to the largest chunks first.
-	for i := 0; assigned < n; i = (i + 1) % len(chunkSizes) {
-		if chunkSizes[i] > 0 {
-			out[i]++
-			assigned++
-		}
-	}
-	return out
 }

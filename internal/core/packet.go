@@ -123,10 +123,7 @@ func (c *packetCodec) decodeFlow(s dgan.Sample, ft trace.FiveTuple) *trace.Packe
 
 // PacketSynthesizer is a trained NetShare model for PCAP traces.
 type PacketSynthesizer struct {
-	cfg    Config
-	codec  *packetCodec
-	models []*dgan.Model
-	stats  Stats
+	synthesizer[*packetCodec, *dgan.Model]
 }
 
 // TrainPacketSynthesizer runs the full NetShare pipeline on a packet trace
@@ -211,32 +208,61 @@ func (s *PacketSynthesizer) GenerateFresh(n int) *trace.PacketTrace {
 	return s.generate(n, true)
 }
 
+// generate runs the packet fan-out as one request on the float64 chunk
+// models; fresh selects per-call copies of the generation streams.
 func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
-	defer telGeneratePhase.Start().Stop()
-	perChunk := splitCounts(n, s.stats.ChunkSamples)
-	chunkFlows := make([][]*trace.PacketFlow, len(s.models))
-	forEachChunk(s.cfg, len(s.models), func(i int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, func(i int) (func(int) []dgan.Sample, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
-		sample := func(n int) []dgan.Sample {
+		return func(n int) []dgan.Sample {
 			batch, _ := m.GenerateFrom(r, n, -1)
 			return batch
-		}
-		chunkFlows[i] = s.codec.fillChunk(sample, m.Config.Batch, perChunk[i])
+		}, m.Config.Batch
+	})[0]
+}
+
+// generate is the packet kind's one chunk fan-out, run by both generate
+// modes, with the per-request chunk quotas of flowCodec.generate. A
+// generated flow straddling two requests' shares is split at the packet
+// boundary (both halves keep the five-tuple), so every request receives
+// exactly its count; each request's flows are assembled into a
+// time-sorted trace.
+func (c *packetCodec) generate(cfg Config, shares, counts []int, sample chunkSampler) []*trace.PacketTrace {
+	defer telGeneratePhase.Start().Stop()
+	quotas, chunkFlows := fillChunks(cfg, shares, counts, func(i, budget int) []*trace.PacketFlow {
+		gen, lot := sample(i)
+		return c.fillChunk(gen, lot, budget)
 	})
-	var flows []*trace.PacketFlow
-	for _, fs := range chunkFlows {
-		flows = append(flows, fs...)
+	perReq := make([][]*trace.PacketFlow, len(counts))
+	for i, flows := range chunkFlows {
+		fi, pi := 0, 0
+		for ri := range counts {
+			need := quotas[ri][i]
+			for need > 0 && fi < len(flows) {
+				f := flows[fi]
+				take := min(len(f.Packets)-pi, need)
+				perReq[ri] = append(perReq[ri], &trace.PacketFlow{
+					Tuple:   f.Tuple,
+					Packets: f.Packets[pi : pi+take],
+				})
+				need -= take
+				pi += take
+				if pi == len(f.Packets) {
+					fi, pi = fi+1, 0
+				}
+			}
+		}
 	}
-	return trace.AssemblePackets(flows)
+	outs := make([]*trace.PacketTrace, len(counts))
+	for ri := range outs {
+		outs[ri] = trace.AssemblePackets(perReq[ri])
+	}
+	return outs
 }
 
 // fillChunk fills one chunk's packet budget from gen, the chunk
 // model's generator, requesting whole generation lots of lot and trimming
 // the overshoot.
 func (c *packetCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget int) []*trace.PacketFlow {
-	if budget <= 0 {
-		return nil
-	}
 	var flows []*trace.PacketFlow
 	for budget > 0 {
 		batch := gen(fullLots(budget, lot))
@@ -254,19 +280,6 @@ func (c *packetCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget int) 
 		}
 	}
 	return flows
-}
-
-// Stats returns the training cost report.
-func (s *PacketSynthesizer) Stats() Stats { return s.stats }
-
-// SetParallelism retargets the generation (and any further training) worker
-// count of every chunk model: 0 = NumCPU, 1 = serial. Output is bitwise
-// independent of the setting.
-func (s *PacketSynthesizer) SetParallelism(n int) {
-	s.cfg.Parallelism = n
-	for _, m := range s.models {
-		m.SetParallelism(n)
-	}
 }
 
 // Headers materializes valid IPv4 headers (with checksums) for every

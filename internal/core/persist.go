@@ -11,7 +11,6 @@ import (
 	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
-	"repro/internal/rng"
 )
 
 // Model persistence: a trained synthesizer (chunk models, port embedding,
@@ -154,6 +153,35 @@ func validateModels(models [][]byte, cfg Config) error {
 	return nil
 }
 
+// encodeModels encodes every chunk model for the wire, in chunk order.
+func encodeModels(models []*dgan.Model) ([][]byte, error) {
+	out := make([][]byte, len(models))
+	for i, m := range models {
+		enc, err := m.Encode()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = enc
+	}
+	return out, nil
+}
+
+// decodeModels decodes the persisted chunk models and reseeds each to the
+// canonical generation stream plan assembly uses, so a loaded model's
+// first Generate matches the freshly trained one's.
+func decodeModels(encoded [][]byte, cfg Config) ([]*dgan.Model, error) {
+	models := make([]*dgan.Model, len(encoded))
+	for i, enc := range encoded {
+		m, err := dgan.DecodeModel(enc)
+		if err != nil {
+			return nil, err
+		}
+		m.Reseed(genSeed(cfg.Seed, genStream, i))
+		models[i] = m
+	}
+	return models, nil
+}
+
 // flowSynWire is the gob wire form of a FlowSynthesizer.
 type flowSynWire struct {
 	Config Config
@@ -190,12 +218,8 @@ func (s *FlowSynthesizer) Save(w io.Writer) error {
 	if wire.Byt, err = captureRange(s.codec.bytNorm); err != nil {
 		return err
 	}
-	for _, m := range s.models {
-		enc, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		wire.Models = append(wire.Models, enc)
+	if wire.Models, err = encodeModels(s.models); err != nil {
+		return err
 	}
 	return saveContainer(w, container.KindFlowModel, wire)
 }
@@ -234,19 +258,12 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 	codec.durNorm.RestoreRange(wire.Dur.Lo, wire.Dur.Hi)
 	codec.pktNorm.RestoreRange(wire.Pkt.Lo, wire.Pkt.Hi)
 	codec.bytNorm.RestoreRange(wire.Byt.Lo, wire.Byt.Hi)
-
-	s := &FlowSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	for i, enc := range wire.Models {
-		m, err := dgan.DecodeModel(enc)
-		if err != nil {
-			return nil, err
-		}
-		// Same canonical generation stream as plan assembly, so a loaded
-		// model's first Generate matches the freshly trained one's.
-		m.Reseed(rng.Derive(wire.Config.Seed, genStream+int64(i)))
-		s.models = append(s.models, m)
+	models, err := decodeModels(wire.Models, wire.Config)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &FlowSynthesizer{synthesizer[*flowCodec, *dgan.Model]{
+		cfg: wire.Config, codec: codec, models: models, stats: wire.Stats}}, nil
 }
 
 // packetSynWire is the gob wire form of a PacketSynthesizer.
@@ -276,12 +293,8 @@ func (s *PacketSynthesizer) Save(w io.Writer) error {
 	if wire.Size, err = captureRange(s.codec.sizeNorm); err != nil {
 		return err
 	}
-	for _, m := range s.models {
-		enc, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		wire.Models = append(wire.Models, enc)
+	if wire.Models, err = encodeModels(s.models); err != nil {
+		return err
 	}
 	return saveContainer(w, container.KindPacketMdl, wire)
 }
@@ -309,15 +322,10 @@ func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 	codec := &packetCodec{cfg: wire.Config, embed: embed, sizeNorm: newScalarCodec(wire.Config)}
 	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
 	codec.sizeNorm.RestoreRange(wire.Size.Lo, wire.Size.Hi)
-
-	s := &PacketSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	for i, enc := range wire.Models {
-		m, err := dgan.DecodeModel(enc)
-		if err != nil {
-			return nil, err
-		}
-		m.Reseed(rng.Derive(wire.Config.Seed, genStream+int64(i)))
-		s.models = append(s.models, m)
+	models, err := decodeModels(wire.Models, wire.Config)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &PacketSynthesizer{synthesizer[*packetCodec, *dgan.Model]{
+		cfg: wire.Config, codec: codec, models: models, stats: wire.Stats}}, nil
 }

@@ -225,7 +225,7 @@ func (p *chunkPlan) assemble(encoded [][]byte) ([]*dgan.Model, Stats, error) {
 // draws from the same derived stream.
 func (p *chunkPlan) finish(models []*dgan.Model) {
 	for i, m := range models {
-		m.Reseed(rng.Derive(p.cfg.Seed, genStream+int64(i)))
+		m.Reseed(genSeed(p.cfg.Seed, genStream, i))
 		m.SetParallelism(p.cfg.Parallelism)
 	}
 }
@@ -302,7 +302,7 @@ func (p *FlowPlan) Assemble(encoded [][]byte) (*FlowSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &FlowSynthesizer{synthesizer[*flowCodec, *dgan.Model]{cfg: p.cfg, codec: p.codec, models: models, stats: st}}, nil
 }
 
 // Train runs every chunk task in this process under ex and assembles
@@ -312,7 +312,7 @@ func (p *FlowPlan) Train(ex Executor) (*FlowSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &FlowSynthesizer{synthesizer[*flowCodec, *dgan.Model]{cfg: p.cfg, codec: p.codec, models: models, stats: st}}, nil
 }
 
 // PacketPlan is a training plan for PCAP traces.
@@ -346,7 +346,7 @@ func (p *PacketPlan) Assemble(encoded [][]byte) (*PacketSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PacketSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &PacketSynthesizer{synthesizer[*packetCodec, *dgan.Model]{cfg: p.cfg, codec: p.codec, models: models, stats: st}}, nil
 }
 
 // Train runs every chunk task in this process under ex; see
@@ -356,5 +356,5 @@ func (p *PacketPlan) Train(ex Executor) (*PacketSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PacketSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &PacketSynthesizer{synthesizer[*packetCodec, *dgan.Model]{cfg: p.cfg, codec: p.codec, models: models, stats: st}}, nil
 }

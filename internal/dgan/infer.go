@@ -20,8 +20,9 @@ import (
 // distributions are pinned (internal/conformance).
 type InferModel struct {
 	shape
-	// Parallelism is the generation worker count (0 = NumCPU, 1 = serial).
-	Parallelism int
+	// parallelism is the generation worker count (0 = NumCPU, 1 = serial),
+	// set by Infer and SetParallelism.
+	parallelism int
 
 	metaNet *nn.MLP32
 	gru     *nn.FusedGRU32
@@ -44,7 +45,7 @@ const InferLot = 64
 func (m *Model) Infer() *InferModel {
 	im := &InferModel{
 		shape:       m.shape,
-		Parallelism: m.Config.Parallelism,
+		parallelism: m.Config.Parallelism,
 		metaNet:     nn.CompressMLP(m.metaGen),
 		gru:         nn.CompressGRU(nn.FuseGRU(m.seqGRU)),
 		proj:        nn.CompressTimeDense(m.seqProj),
@@ -67,13 +68,13 @@ func (im *InferModel) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
 	}
-	im.Parallelism = n
+	im.parallelism = n
 }
 
 // Generate produces n synthetic samples on the fast path: one base draw
 // off the canonical RNG per call, each lot on its own derived stream
 // writing a disjoint span, so repeated calls from a fixed seed are
-// reproducible at any Parallelism. On conditional snapshots each sample's
+// reproducible at any parallelism. On conditional snapshots each sample's
 // label is drawn from the fitted label distribution.
 func (im *InferModel) Generate(n int) []Sample {
 	out, _ := im.generate(n, -1)
@@ -91,7 +92,7 @@ func (im *InferModel) GenerateLabeled(n, label int) ([]Sample, error) {
 }
 
 func (im *InferModel) generate(n, label int) ([]Sample, error) {
-	workers := Config{Parallelism: im.Parallelism}.workers()
+	workers := Config{Parallelism: im.parallelism}.workers()
 	return sampleLots[float32, fastScratch](&im.shape, im, &im.pool, &inferTel,
 		&im.rng, InferLot, workers, n, label)
 }
