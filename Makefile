@@ -12,8 +12,12 @@ fmt:
 	@out=$$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +) || exit 1; \
 	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
+# The arm64 build type-checks and compiles the !amd64 fallback
+# (internal/mat/kernels_noasm.go: the pure-Go kernel set) that no amd64
+# build compiles.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -70,9 +74,10 @@ test-ingest:
 	$(GO) test ./internal/webapi -run TestIngestEndpoint
 
 # Short fuzz pass over every fuzz target (trace parsers, flow assembly,
-# the chunk-record reader, the container and lease decoders, and the
-# matmul kernels: float64 bit for bit against the pure-Go reference, float32
-# within rounding of the float64 product). Each target needs its own
+# the chunk-record reader, the container and lease decoders, the matmul
+# kernels: float64 bit for bit against the pure-Go reference, float32
+# within rounding of the float64 product, and the nearest-word decode
+# kernel, bit for bit). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)
@@ -89,6 +94,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzQueryFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseLease -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzMatKernels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzNearestKernels -fuzztime $(FUZZTIME)
 
 # Distributed training subsystem (DESIGN.md §14): the durable chunk
 # queue's lease/reclaim/retry matrix, the plan API's

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
+	"repro/internal/mat"
 	"repro/internal/trace"
 )
 
@@ -141,6 +142,15 @@ func TestDecodeTuplesMatchesPerSample(t *testing.T) {
 	if !reflect.DeepEqual(tuples, again) {
 		t.Fatal("second decode pass diverges")
 	}
+}
+
+// TestDecodeTuplesEveryKernelSet runs TestDecodeTuplesMatchesPerSample once
+// per kernel set. The batched decode runs the assembly nearest-word kernel
+// where the CPU has one, while the per-sample reference decodes one-row
+// batches, which every set scores in Go; and the race detector cannot see
+// the assembly's memory accesses.
+func TestDecodeTuplesEveryKernelSet(t *testing.T) {
+	mat.ForEachKernelSet(func(name string) { t.Run(name, TestDecodeTuplesMatchesPerSample) })
 }
 
 // TestDecodeEmptyKindFallbacks: a dictionary missing a whole word kind must

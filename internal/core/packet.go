@@ -15,16 +15,14 @@ import (
 // metadata is the encoded five-tuple plus flow tags, the measurement
 // sequence is one element per packet (timestamp, size, TTL) per §4.1.
 type packetCodec struct {
-	cfg     Config
-	embed   *portEmbedding
-	ipEmbed *ipEmbedding // non-nil only under the IPVectorEncoding ablation
+	tupleCodec
 
 	timeNorm encoding.MinMax
 	sizeNorm scalarCodec
 }
 
 func newPacketCodec(cfg Config, embed *portEmbedding, t *trace.PacketTrace) *packetCodec {
-	c := &packetCodec{cfg: cfg, embed: embed, sizeNorm: newScalarCodec(cfg)}
+	c := &packetCodec{tupleCodec: tupleCodec{cfg: cfg, embed: embed}, sizeNorm: newScalarCodec(cfg)}
 	times := make([]float64, 0, len(t.Packets))
 	sizes := make([]float64, 0, len(t.Packets))
 	for _, p := range t.Packets {
@@ -36,37 +34,12 @@ func newPacketCodec(cfg Config, embed *portEmbedding, t *trace.PacketTrace) *pac
 	return c
 }
 
-func (c *packetCodec) metaSchema() []nn.FieldSpec {
-	return metaSchemaFor(c.cfg, c.ipEmbed != nil)
-}
-
 func (c *packetCodec) featureSchema() []nn.FieldSpec {
 	return []nn.FieldSpec{
 		{Name: "time", Kind: nn.FieldContinuous, Size: 1},
 		{Name: "size", Kind: nn.FieldContinuous, Size: 1},
 		{Name: "ttl", Kind: nn.FieldContinuous, Size: 1},
 	}
-}
-
-func (c *packetCodec) encodeMeta(ft trace.FiveTuple, tags trace.FlowTags) []float64 {
-	out := make([]float64, 0, nn.Width(c.metaSchema()))
-	out = appendIP(out, ft.SrcIP, c.ipEmbed)
-	out = appendIP(out, ft.DstIP, c.ipEmbed)
-	out = append(out, c.embed.encodePort(ft.SrcPort)...)
-	out = append(out, c.embed.encodePort(ft.DstPort)...)
-	out = append(out, c.embed.encodeProto(ft.Proto)...)
-	return append(out, encodeTags(c.cfg, tags)...)
-}
-
-func (c *packetCodec) decodeMeta(meta []float64) trace.FiveTuple {
-	d := c.cfg.EmbedDim
-	var ft trace.FiveTuple
-	var off int
-	ft.SrcIP, ft.DstIP, off = decodeIPs(meta, c.ipEmbed)
-	ft.SrcPort = c.embed.decodePort(meta[off : off+d])
-	ft.DstPort = c.embed.decodePort(meta[off+d : off+2*d])
-	ft.Proto = c.embed.decodeProto(meta[off+2*d : off+3*d])
-	return ft
 }
 
 func (c *packetCodec) encode(t *trace.TaggedPacketFlow) dgan.Sample {

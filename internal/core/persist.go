@@ -249,10 +249,10 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 		return nil, err
 	}
 	codec := &flowCodec{
-		cfg: wire.Config, embed: embed,
-		durNorm: newScalarCodec(wire.Config),
-		pktNorm: newScalarCodec(wire.Config),
-		bytNorm: newScalarCodec(wire.Config),
+		tupleCodec: tupleCodec{cfg: wire.Config, embed: embed},
+		durNorm:    newScalarCodec(wire.Config),
+		pktNorm:    newScalarCodec(wire.Config),
+		bytNorm:    newScalarCodec(wire.Config),
 	}
 	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
 	codec.durNorm.RestoreRange(wire.Dur.Lo, wire.Dur.Hi)
@@ -319,7 +319,7 @@ func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := &packetCodec{cfg: wire.Config, embed: embed, sizeNorm: newScalarCodec(wire.Config)}
+	codec := &packetCodec{tupleCodec: tupleCodec{cfg: wire.Config, embed: embed}, sizeNorm: newScalarCodec(wire.Config)}
 	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
 	codec.sizeNorm.RestoreRange(wire.Size.Lo, wire.Size.Hi)
 	models, err := decodeModels(wire.Models, wire.Config)

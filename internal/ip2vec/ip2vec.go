@@ -215,10 +215,8 @@ func (m *Model) Words(kind WordKind) []Word {
 }
 
 // searcher is the decode index for one word kind: the kind's embeddings laid
-// out as a contiguous V×Dim matrix plus precomputed squared norms, so that
-// nearest-neighbour over a query batch Q is one matmul Q·Wᵀ followed by an
-// argmin of ‖w_i‖² − 2·(q·w_i) per row (the ‖q‖² term is constant per query
-// and cannot change the argmin).
+// out as a contiguous V×Dim matrix plus precomputed squared norms, the
+// operands of mat.NearestRows.
 type searcher struct {
 	words []Word      // kind's vocabulary, in model insertion order
 	emb   *mat.Matrix // V×Dim, row i is the embedding of words[i]
@@ -262,109 +260,50 @@ func (m *Model) searcherFor(kind WordKind) *searcher {
 	return s
 }
 
-// dotKernel is the one dot product shared by every decode path, so single
-// and batched lookups score each (query, word) pair bitwise-identically and
-// always pick the same vocabulary entry. The four independent accumulators
-// break the floating-point add dependency chain (a strictly sequential sum
-// is latency-bound at one add every ~4 cycles); because Go may not
-// reassociate FP sums, the fixed grouping below is itself deterministic.
-func dotKernel(a, b []float64) float64 {
-	switch len(a) {
-	case 8:
-		x, y := (*[8]float64)(a), (*[8]float64)(b[:8])
-		return (x[0]*y[0] + x[4]*y[4]) + (x[1]*y[1] + x[5]*y[5]) +
-			(x[2]*y[2] + x[6]*y[6]) + (x[3]*y[3] + x[7]*y[7])
-	case 16:
-		x, y := (*[16]float64)(a), (*[16]float64)(b[:16])
-		d0 := x[0]*y[0] + x[4]*y[4] + x[8]*y[8] + x[12]*y[12]
-		d1 := x[1]*y[1] + x[5]*y[5] + x[9]*y[9] + x[13]*y[13]
-		d2 := x[2]*y[2] + x[6]*y[6] + x[10]*y[10] + x[14]*y[14]
-		d3 := x[3]*y[3] + x[7]*y[7] + x[11]*y[11] + x[15]*y[15]
-		return (d0 + d1) + (d2 + d3)
-	}
-	b = b[:len(a)]
-	var d0, d1, d2, d3 float64
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		d0 += a[k] * b[k]
-		d1 += a[k+1] * b[k+1]
-		d2 += a[k+2] * b[k+2]
-		d3 += a[k+3] * b[k+3]
-	}
-	dot := (d0 + d1) + (d2 + d3)
-	for ; k < len(a); k++ {
-		dot += a[k] * b[k]
-	}
-	return dot
-}
-
-// argminRow returns the index minimizing sq[i] − 2·scores[i], ties broken
-// toward the lowest index. Shared by Nearest and NearestBatch so the single-
-// and batched decode paths pick identical words.
-func (s *searcher) argminRow(scores []float64) int {
-	best := math.Inf(1)
-	pick := 0
-	for i, dot := range scores {
-		if d := s.sq[i] - 2*dot; d < best {
-			best, pick = d, i
-		}
-	}
-	return pick
-}
+// pickPool recycles NearestBatch's pick scratch, so a batched decode
+// allocates only the []Word it returns.
+var pickPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Nearest returns the vocabulary word of the given kind whose embedding is
-// closest (Euclidean) to v — the paper's post-processing decode step.
+// closest (Euclidean) to v — the paper's post-processing decode step. It is
+// a one-row NearestBatch, so the two always pick the same word.
 func (m *Model) Nearest(kind WordKind, v []float64) (Word, bool) {
 	s := m.searcherFor(kind)
 	if s == nil {
 		return Word{}, false
 	}
 	telNearestQueries.Inc()
-	scores := make([]float64, len(s.words))
-	for i := range s.words {
-		scores[i] = dotKernel(s.emb.Row(i), v)
-	}
-	return s.words[s.argminRow(scores)], true
+	var pick [1]int
+	mat.NearestRows(pick[:], &mat.Matrix{Rows: 1, Cols: m.Dim, Data: v[:m.Dim]}, s.emb, s.sq)
+	return s.words[pick[0]], true
 }
 
 // NearestBatch decodes every row of queries (n×Dim) to its nearest vocabulary
-// word of the given kind in one pass over the embedding matrix: the Q·Wᵀ
-// matmul is fused with the per-row argmin of ‖w‖² − 2·dot, iterating
-// vocabulary-outer/query-inner so the V×Dim matrix is streamed exactly once
-// (the query block stays cache-resident) and no n×V score matrix is ever
-// materialized. Each (query, word) pair runs the same sequential dot and
-// comparison as Nearest, so the two paths pick identical words. It returns
+// word of the given kind with one mat.NearestRows call: the Q·Wᵀ scores are
+// fused with the per-row argmin of ‖w‖² − 2·dot, so no n×V score matrix is
+// ever materialized, and on CPUs with AVX2 a Dim 8 batch runs an assembly
+// kernel that picks the same words as the pure-Go reference. It returns
 // found=false when the kind has no vocabulary entries (out is nil then).
 func (m *Model) NearestBatch(kind WordKind, queries *mat.Matrix) ([]Word, bool) {
 	s := m.searcherFor(kind)
 	if s == nil {
 		return nil, false
 	}
-	if queries.Cols != m.Dim {
-		panic(fmt.Sprintf("ip2vec: NearestBatch query dim %d, model dim %d", queries.Cols, m.Dim))
-	}
 	n := queries.Rows
 	telNearestBatches.Inc()
 	telNearestQueries.Add(int64(n))
 	telBatchSize.Observe(float64(n))
-	best := make([]float64, n)
-	pick := make([]int, n)
-	for i := range best {
-		best[i] = math.Inf(1)
+	p := pickPool.Get().(*[]int)
+	if cap(*p) < n {
+		*p = make([]int, n)
 	}
-	for j := range s.words {
-		wrow := s.emb.Row(j)
-		sq := s.sq[j]
-		for i := 0; i < n; i++ {
-			if d := sq - 2*dotKernel(wrow, queries.Row(i)); d < best[i] {
-				best[i], pick[i] = d, j
-			}
-		}
-	}
+	pick := (*p)[:n]
+	mat.NearestRows(pick, queries, s.emb, s.sq)
 	out := make([]Word, n)
 	for i, j := range pick {
 		out[i] = s.words[j]
 	}
+	pickPool.Put(p)
 	return out, true
 }
 

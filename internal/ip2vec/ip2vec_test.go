@@ -1,6 +1,7 @@
 package ip2vec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,10 @@ import (
 	"repro/internal/mat"
 	"repro/internal/trace"
 )
+
+// raceEnabled reports a -race build (race_test.go), where sync.Pool drops
+// items at random, so allocation counts are not exact.
+var raceEnabled bool
 
 // corpus builds sentences where port 80 and 443 co-occur with TCP, and 53
 // with UDP, so the embedding should place 80 nearer 443 than 53.
@@ -200,23 +205,26 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestNearestBatchMatchesScan checks NearestBatch against Nearest and the
+// exact-distance NearestScan for every word kind, at the serving Dim 8 (the
+// one the assembly decode serves) and at DefaultConfig's Dim 16, with a
+// ragged batch (67 rows), once per kernel set: the race detector cannot
+// see the assembly's memory accesses.
 func TestNearestBatchMatchesScan(t *testing.T) {
-	public := datasets.CAIDAChicago(2000, 7)
-	cfg := DefaultConfig()
-	cfg.Epochs = 2
-	m, err := Train(PacketSentences(public), cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, dim := range []int{8, 16} {
+		m := publicModel(t, dim)
+		const n = 67
+		queries := randomQueries(rand.New(rand.NewSource(11)), n, m.Dim, 0.2)
+		mat.ForEachKernelSet(func(name string) {
+			t.Run(fmt.Sprintf("dim%d/%s", dim, name), func(t *testing.T) {
+				checkBatchMatchesScan(t, m, queries)
+			})
+		})
 	}
-	r := rand.New(rand.NewSource(11))
-	const n = 64
-	queries := mat.New(n, m.Dim)
-	for i := 0; i < n; i++ {
-		row := queries.Row(i)
-		for j := range row {
-			row[j] = r.NormFloat64() * 0.2
-		}
-	}
+}
+
+func checkBatchMatchesScan(t *testing.T, m *Model, queries *mat.Matrix) {
+	n := queries.Rows
 	for _, kind := range []WordKind{KindIP, KindPort, KindProto} {
 		batch, ok := m.NearestBatch(kind, queries)
 		if !ok || len(batch) != n {
@@ -247,6 +255,46 @@ func TestNearestBatchMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// publicModel trains a dim-dimensional embedding on a small public corpus.
+func publicModel(t testing.TB, dim int) *Model {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Dim = dim
+	cfg.Epochs = 2
+	m, err := Train(PacketSentences(datasets.CAIDAChicago(2000, 7)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// randomQueries returns n rows of dim N(0, scale²) coordinates.
+func randomQueries(r *rand.Rand, n, dim int, scale float64) *mat.Matrix {
+	q := mat.New(n, dim)
+	for i := range q.Data {
+		q.Data[i] = r.NormFloat64() * scale
+	}
+	return q
+}
+
+// TestNearestBatchAllocatesOnlyResult: once its pooled scratch has grown, a
+// batched decode of one serve_large request's port queries (20000 rows at
+// Dim 8) allocates only the []Word it returns, on every kernel set.
+func TestNearestBatchAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	m := publicModel(t, 8)
+	queries := randomQueries(rand.New(rand.NewSource(5)), 20000, m.Dim, 0.3)
+	mat.ForEachKernelSet(func(name string) {
+		t.Run(name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(10, func() { m.NearestBatch(KindPort, queries) }); n > 1 {
+				t.Fatalf("NearestBatch of %d rows makes %v allocations, want at most 1 (the result)", queries.Rows, n)
+			}
+		})
+	})
 }
 
 func sqDist(m *Model, w Word, v []float64) float64 {
@@ -315,22 +363,26 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkNearestBatch times decoding 256 embedding rows to their nearest
-// port words in one batch, the shape the flow synthesizer's decode issues.
+// BenchmarkNearestBatch times decoding a query batch to its nearest port
+// words in one call: 256 rows at DefaultConfig's Dim 16, and 256 rows (the
+// shape the flow synthesizer's decode used to issue) and 20000 rows (the
+// port queries of one 10000-record generate) at core's serving Dim 8, once
+// per kernel set. Only Dim 8 has an assembly kernel.
 func BenchmarkNearestBatch(b *testing.B) {
-	m, err := Train(PacketSentences(datasets.CAIDAChicago(2000, 7)), DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, m *Model, n int) {
+		queries := randomQueries(rand.New(rand.NewSource(11)), n, m.Dim, 0.3)
+		m.NearestBatch(KindPort, queries) // build the searcher and scratch outside the timer
+		b.ReportAllocs()
+		for b.Loop() {
+			m.NearestBatch(KindPort, queries)
+		}
 	}
-	r := rand.New(rand.NewSource(11))
-	queries := mat.New(256, m.Dim)
-	for i := range queries.Data {
-		queries.Data[i] = r.NormFloat64() * 0.3
-	}
-	m.NearestBatch(KindPort, queries) // build the searcher outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.NearestBatch(KindPort, queries)
+	m16 := publicModel(b, 16)
+	b.Run("dim16/256", func(b *testing.B) { run(b, m16, 256) })
+	m8 := publicModel(b, 8)
+	for _, n := range []int{256, 20000} {
+		mat.ForEachKernelSet(func(name string) {
+			b.Run(fmt.Sprintf("dim8/%d/%s", n, name), func(b *testing.B) { run(b, m8, n) })
+		})
 	}
 }

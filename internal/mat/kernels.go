@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -30,21 +31,31 @@ type kernelSet struct {
 	// though, an element's bits depend only on its row of a and its column
 	// of b, never on how many rows or columns the call has.
 	mul32 func(dst, a, b *Matrix32)
+	// nearest is the nearest-word decode behind NearestRows: for each row
+	// i of q it sets best[i] and pick[i] to the smallest sq[j] − 2·(w_j·q_i)
+	// over the rows j of w and the first j that attains it. Like the
+	// float64 matmuls it must match goKernels' bits exactly (nearestGo).
+	nearest func(pick []int, best []float64, q, w *Matrix, sq []float64)
 }
 
 // goKernels is the pure-Go reference: the fallback on CPUs without an
 // assembly implementation and the oracle the assembly kernels are tested
 // against.
-var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go}
+var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go, nearestGo}
 
-// packPool recycles the scratch matrices packB fills, so steady-state
-// training allocates none.
-var packPool = sync.Pool{New: func() any { return new(Matrix) }}
+// packPool recycles scratch matrices — the bᵀ packB fills and the
+// nearest-word decode's transposed queries — so steady-state training and
+// decoding allocate none. distPool holds NearestRows' best distances apart
+// from them, so the two scratch sizes of one decode never trade places.
+var (
+	packPool = sync.Pool{New: func() any { return new(Matrix) }}
+	distPool = sync.Pool{New: func() any { return new(Matrix) }}
+)
 
-// kernels is the set MulInto, MulTransAInto, MulTransBInto and MulInto32
-// run. It is chosen once at package init from the CPU (archKernels) and
-// reported by the mat.kernel.avx2 gauge, so a metrics dump shows which
-// kernels produced its numbers.
+// kernels is the set MulInto, MulTransAInto, MulTransBInto, MulInto32 and
+// NearestRows run. It is chosen once at package init from the CPU
+// (archKernels) and reported by the mat.kernel.avx2 gauge, so a metrics
+// dump shows which kernels produced its numbers.
 var kernels = goKernels
 
 func init() {
@@ -68,7 +79,7 @@ func kernelImpls() []kernelSet {
 
 // ForEachKernelSet calls f once per kernel set this build and CPU can run,
 // the pure-Go reference first, with that set installed for every matmul
-// entry point, and then restores the set init chose. It exists for tests
+// entry point and NearestRows, and then restores the set init chose. It exists for tests
 // in other packages: the race detector cannot see memory accesses made by
 // assembly, so a test of concurrent matmul use also runs on the pure-Go
 // set. f must wait for every matmul it starts, and nothing else may call
@@ -179,4 +190,58 @@ func mul32Go(dst, a, b *Matrix32) {
 			}
 		}
 	}
+}
+
+// nearestGo is the pure-Go reference of kernelSet.nearest. Each query row
+// scans the rows of w in ascending order from best = +Inf, pick = 0 and
+// takes a row only when its distance is strictly smaller, so the first
+// minimal row wins, a NaN distance never wins, and a query whose distances
+// are all NaN or +Inf picks row 0.
+func nearestGo(pick []int, best []float64, q, w *Matrix, sq []float64) {
+	for i := 0; i < q.Rows; i++ {
+		qi := q.Row(i)
+		b, p := math.Inf(1), 0
+		for j, s := range sq {
+			if d := s - 2*dot(w.Row(j), qi); d < b {
+				b, p = d, j
+			}
+		}
+		best[i], pick[i] = b, p
+	}
+}
+
+// dot is the dot product the nearest-word decode scores with. The four
+// independent accumulators break the floating-point add dependency chain (a
+// strictly sequential sum is latency-bound at one add every ~4 cycles);
+// because Go may not reassociate FP sums, the fixed grouping below is
+// itself deterministic, and the assembly decode kernel repeats the case 8
+// grouping exactly.
+func dot(a, b []float64) float64 {
+	switch len(a) {
+	case 8:
+		x, y := (*[8]float64)(a), (*[8]float64)(b[:8])
+		return (x[0]*y[0] + x[4]*y[4]) + (x[1]*y[1] + x[5]*y[5]) +
+			(x[2]*y[2] + x[6]*y[6]) + (x[3]*y[3] + x[7]*y[7])
+	case 16:
+		x, y := (*[16]float64)(a), (*[16]float64)(b[:16])
+		d0 := x[0]*y[0] + x[4]*y[4] + x[8]*y[8] + x[12]*y[12]
+		d1 := x[1]*y[1] + x[5]*y[5] + x[9]*y[9] + x[13]*y[13]
+		d2 := x[2]*y[2] + x[6]*y[6] + x[10]*y[10] + x[14]*y[14]
+		d3 := x[3]*y[3] + x[7]*y[7] + x[11]*y[11] + x[15]*y[15]
+		return (d0 + d1) + (d2 + d3)
+	}
+	b = b[:len(a)]
+	var d0, d1, d2, d3 float64
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		d0 += a[k] * b[k]
+		d1 += a[k+1] * b[k+1]
+		d2 += a[k+2] * b[k+2]
+		d3 += a[k+3] * b[k+3]
+	}
+	dot := (d0 + d1) + (d2 + d3)
+	for ; k < len(a); k++ {
+		dot += a[k] * b[k]
+	}
+	return dot
 }

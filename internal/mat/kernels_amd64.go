@@ -4,8 +4,9 @@ package mat
 // The float64 kernels vectorize across output columns only: each output
 // element still accumulates over k in ascending order with separate VMULPD
 // and VADDPD (never VFMADD), so their bits equal goKernels' for every
-// input. The float32 kernel, mul32FMA, does use FMA.
-var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA}
+// input. So does the nearest-word decode, nearestAVX2. The float32 kernel,
+// mul32FMA, does use FMA.
+var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA, nearestAVX2}
 
 // archKernels returns the AVX2 kernels when the CPU has AVX2 and FMA and
 // the OS saves the YMM registers.
@@ -141,4 +142,31 @@ func mul32FMA(dst, a, b *Matrix32) {
 		return
 	}
 	mulRows32FMA(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, b.Cols, a.Cols)
+}
+
+// nearest8AVX2 is kernelSet.nearest for n queries of dimension 8 (n a
+// positive multiple of 4) against words ≥ 1 rows of w, from qt, the 8×n
+// transpose of the queries. Four queries share each YMM register; for each
+// word it forms dot's case 8 sum with separate VMULPD and VADDPD (never
+// FMA), then sq[j] − (dot+dot), and blends it and j into best and pick
+// where it is strictly smaller (ordered compare, so a NaN never wins).
+//
+//go:noescape
+func nearest8AVX2(pick *int, best, qt, w, sq *float64, n, words int)
+
+// nearestAVX2 runs nearest8AVX2 on the whole 4-query groups of a dimension
+// 8 batch, through a transposed copy of the queries in pooled scratch, and
+// the Go reference on the ragged tail rows and on every other dimension.
+func nearestAVX2(pick []int, best []float64, q, w *Matrix, sq []float64) {
+	n4 := q.Rows &^ 3
+	if q.Cols != 8 || n4 == 0 || w.Rows == 0 {
+		nearestGo(pick, best, q, w, sq)
+		return
+	}
+	qt := packPool.Get().(*Matrix).Reshape(8, n4)
+	transposeAVX2(&qt.Data[0], &q.Data[0], n4, 8, n4, 8)
+	nearest8AVX2(&pick[0], &best[0], &qt.Data[0], &w.Data[0], &sq[0], n4, w.Rows)
+	packPool.Put(qt)
+	tail := Matrix{Rows: q.Rows - n4, Cols: 8, Data: q.Data[n4*8:]}
+	nearestGo(pick[n4:], best[n4:], &tail, w, sq)
 }

@@ -1,23 +1,25 @@
 #include "textflag.h"
 
-// AVX2 row kernels for the float64 matmuls and an AVX2+FMA kernel for the
-// float32 MulInto32 (see kernels_amd64.go). Package init selects them only
-// on CPUs with both AVX2 and FMA.
+// AVX2 row kernels for the float64 matmuls, an AVX2 kernel for the
+// float64 nearest-word decode and an AVX2+FMA kernel for the float32
+// MulInto32 (see kernels_amd64.go). Package init selects them only on CPUs
+// with both AVX2 and FMA.
 //
 // Bit-exactness rules for the float64 kernels, kept by every instruction
-// of axpyRowsAVX2 and dotRowsAVX2:
+// of axpyRowsAVX2, dotRowsAVX2 and nearest8AVX2:
 //   - a multiply and an add are separate VMULPD/VADDPD (VMULSD/VADDSD in
 //     the scalar tail), never a fused multiply-add;
-//   - each output element accumulates over kk in ascending order, and the
-//     kk reduction is never split.
+//   - each output element is summed in the Go reference's order: over kk
+//     ascending for the matmuls, whose kk reduction is never split, and in
+//     dot's case 8 grouping for the decode.
 // Both operations are commutative and correctly rounded, so operand order
 // changes no bits except a NaN's payload, which is outside the contract.
-// The no-FMA rule covers the float64 kernels only: mulRows32FMA, at the
-// end of this file, serves the float32 fast path, which is pinned by
-// distribution rather than bits, and fuses.
+// The no-FMA rule covers every float64 kernel: only mulRows32FMA, at the
+// end of this file, fuses, because it serves the float32 fast path, which
+// is pinned by distribution rather than bits.
 //
-// The float64 kernels take (d, a, b *float64, m, n, k, ldd, ai, ak, ldb
-// int) and use the same registers:
+// The float64 matmul kernels take (d, a, b *float64, m, n, k, ldd, ai,
+// ak, ldb int) and use the same registers:
 //   DI d row     SI a row      DX b          R8 rows left
 //   R9 n*8       R10 k         R11 ak*8      R12 ldb*8
 //   CX column offset in bytes  AX a cursor   BX b cursor
@@ -324,6 +326,101 @@ transposeTile:
 	JNZ        transposeRows
 
 transposeDone:
+	VZEROUPPER
+	RET
+
+DATA nearestInf<>+0(SB)/8, $0x7ff0000000000000
+GLOBL nearestInf<>(SB), RODATA|NOPTR, $8
+DATA nearestOne<>+0(SB)/8, $1
+GLOBL nearestOne<>(SB), RODATA|NOPTR, $8
+
+// MULW: t = w[off/8] broadcast times query dimension q, four queries wide.
+#define MULW(off, q, t) \
+	VBROADCASTSD off(BX), t; \
+	VMULPD       q, t, t
+
+// func nearest8AVX2(pick *int, best, qt, w, sq *float64, n, words int)
+// Queries go four at a time, their 8 dimensions in Y0-Y7 across the whole
+// word loop; Y8 holds the four best distances, Y9 their picks as int64
+// lanes, Y10 the current word index and Y11 the index step. Per word,
+// Y12 = (((x0y0+x4y4) + (x1y1+x5y5)) + (x2y2+x6y6)) + (x3y3+x7y7), dot's
+// case 8 order, then Y13 = sq[j] - (Y12+Y12), exactly sq[j] - 2*dot.
+//   DI pick    SI best    DX qt      R8 w       R9 sq
+//   R10 queries left      R11 words  R12 qt row stride in bytes
+//   R13 3*R12  CX group offset in bytes   BX w cursor   R14 sq cursor
+//   AX qt cursor, then words left
+TEXT ·nearest8AVX2(SB), NOSPLIT, $0-56
+	MOVQ  pick+0(FP), DI
+	MOVQ  best+8(FP), SI
+	MOVQ  qt+16(FP), DX
+	MOVQ  w+24(FP), R8
+	MOVQ  sq+32(FP), R9
+	MOVQ  n+40(FP), R10
+	MOVQ  words+48(FP), R11
+	MOVQ  R10, R12
+	SHLQ  $3, R12
+	LEAQ  (R12)(R12*2), R13
+	TESTQ R10, R10
+	JLE   nearestDone
+	TESTQ R11, R11
+	JLE   nearestDone
+	VBROADCASTSD nearestInf<>(SB), Y15
+	VPBROADCASTQ nearestOne<>(SB), Y11
+	XORQ  CX, CX
+
+nearestGroup:
+	LEAQ    (DX)(CX*1), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R12*1), Y1
+	VMOVUPD (AX)(R12*2), Y2
+	VMOVUPD (AX)(R13*1), Y3
+	LEAQ    (AX)(R12*4), AX
+	VMOVUPD (AX), Y4
+	VMOVUPD (AX)(R12*1), Y5
+	VMOVUPD (AX)(R12*2), Y6
+	VMOVUPD (AX)(R13*1), Y7
+	VMOVAPD Y15, Y8
+	VPXOR   Y9, Y9, Y9
+	VPXOR   Y10, Y10, Y10
+	MOVQ    R8, BX
+	MOVQ    R9, R14
+	MOVQ    R11, AX
+	PCALIGN $32
+
+nearestWord:
+	MULW(0, Y0, Y12)
+	MULW(32, Y4, Y13)
+	VADDPD Y13, Y12, Y12
+	MULW(8, Y1, Y13)
+	MULW(40, Y5, Y14)
+	VADDPD Y14, Y13, Y13
+	VADDPD Y13, Y12, Y12
+	MULW(16, Y2, Y13)
+	MULW(48, Y6, Y14)
+	VADDPD Y14, Y13, Y13
+	VADDPD Y13, Y12, Y12
+	MULW(24, Y3, Y13)
+	MULW(56, Y7, Y14)
+	VADDPD Y14, Y13, Y13
+	VADDPD Y13, Y12, Y12
+	VADDPD Y12, Y12, Y12
+	VBROADCASTSD (R14), Y13
+	VSUBPD Y12, Y13, Y13
+	VCMPPD $0x11, Y8, Y13, Y14 // LT_OQ: Y14 = Y13 < Y8, false on NaN
+	VBLENDVPD Y14, Y13, Y8, Y8
+	VBLENDVPD Y14, Y10, Y9, Y9
+	VPADDQ Y11, Y10, Y10
+	ADDQ   $64, BX
+	ADDQ   $8, R14
+	DECQ   AX
+	JNZ    nearestWord
+	VMOVUPD Y8, (SI)(CX*1)
+	VMOVDQU Y9, (DI)(CX*1)
+	ADDQ    $32, CX
+	SUBQ    $4, R10
+	JNZ     nearestGroup
+
+nearestDone:
 	VZEROUPPER
 	RET
 

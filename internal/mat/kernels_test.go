@@ -75,7 +75,9 @@ func kernelMat(r *rand.Rand, rows, cols, special int) *Matrix {
 // checkKernelsBitwise runs each kernel of impl and of goKernels on the same
 // m×k by k×n problem — a random row range of a destination pre-filled with
 // random values, so accumulation into dst and untouched rows are checked
-// too — and fails at the first element whose bits differ (sameBits).
+// too — and fails at the first element whose bits differ (sameBits). It
+// then checks the nearest-word decode on m queries against n words of the
+// dimension its assembly serves, 8.
 func checkKernelsBitwise(t testing.TB, impl kernelSet, r *rand.Rand, m, k, n, special int) {
 	t.Helper()
 	a := kernelMat(r, m, k, special)
@@ -108,6 +110,48 @@ func checkKernelsBitwise(t testing.TB, impl kernelSet, r *rand.Rand, m, k, n, sp
 				t.Fatalf("%s %s m=%d k=%d n=%d rows [%d,%d): element (%d,%d) = %#016x (%v), go reference %#016x (%v)",
 					impl.name, c.name, m, k, n, lo, hi, i/n, i%n, math.Float64bits(g), g, math.Float64bits(w), w)
 			}
+		}
+	}
+	checkNearestBitwise(t, impl, r, m, 8, n, special)
+}
+
+// checkNearestBitwise runs impl's and goKernels' nearest-word decode on the
+// same n queries against words rows of dimension dim and fails at the first
+// pick or best distance that differs. The words carry their true squared
+// norms; some words repeat an earlier one, so two words tie exactly, and
+// some queries copy a word, so a distance is exactly −‖w‖². Operands come
+// from kernelValue, so ±0, ±Inf, NaN, subnormals and overflowing products
+// appear at the given density.
+func checkNearestBitwise(t testing.TB, impl kernelSet, r *rand.Rand, n, dim, words, special int) {
+	t.Helper()
+	w := kernelMat(r, words, dim, special)
+	q := kernelMat(r, n, dim, special)
+	sq := make([]float64, words)
+	for j := range sq {
+		if j > 0 && r.Intn(4) == 0 {
+			copy(w.Row(j), w.Row(r.Intn(j)))
+		}
+		for _, x := range w.Row(j) {
+			sq[j] += x * x
+		}
+	}
+	for i := 0; i < n && words > 0; i++ {
+		if r.Intn(4) == 0 {
+			copy(q.Row(i), w.Row(r.Intn(words)))
+		}
+	}
+	gotPick, wantPick := make([]int, n), make([]int, n)
+	gotBest, wantBest := make([]float64, n), make([]float64, n)
+	for i := range gotPick {
+		gotPick[i], gotBest[i] = -1, math.NaN()
+	}
+	impl.nearest(gotPick, gotBest, q, w, sq)
+	goKernels.nearest(wantPick, wantBest, q, w, sq)
+	for i := range wantPick {
+		if gotPick[i] != wantPick[i] || math.Float64bits(gotBest[i]) != math.Float64bits(wantBest[i]) {
+			t.Fatalf("%s nearest n=%d dim=%d words=%d: query %d picks %d at %v (%#016x), go reference %d at %v (%#016x)",
+				impl.name, n, dim, words, i, gotPick[i], gotBest[i], math.Float64bits(gotBest[i]),
+				wantPick[i], wantBest[i], math.Float64bits(wantBest[i]))
 		}
 	}
 }
@@ -233,6 +277,32 @@ func FuzzMatKernels(f *testing.F) {
 			dst := nanMatrix32(mm, nn)
 			impl.mul32(dst, a, b)
 			checkMul32Close(t, impl.name, a, b, dst)
+		}
+	})
+}
+
+// FuzzNearestKernels compares every assembly nearest-word decode with the
+// pure-Go reference — picks and best distances, bit for bit — on
+// fuzzer-chosen query and word counts, dimensions (mostly 8, the one the
+// assembly serves), special-value densities and seeds; checkNearestBitwise
+// adds exact ties and word-copying queries.
+func FuzzNearestKernels(f *testing.F) {
+	f.Add(int64(1), uint16(4099), uint16(334), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(7), uint16(3), uint8(0), uint8(64))
+	f.Add(int64(3), uint16(4), uint16(1), uint8(0), uint8(255))
+	f.Add(int64(4), uint16(13), uint16(40), uint8(3), uint8(16))
+	f.Add(int64(5), uint16(0), uint16(5), uint8(0), uint8(32))
+	impls := kernelImpls()
+	f.Fuzz(func(t *testing.T, seed int64, n, words uint16, dim, special uint8) {
+		r := rand.New(rand.NewSource(seed))
+		// Dimensions other than 8 take the Go path in every set; they are
+		// kept to check that fallback.
+		d := 8
+		if dim%4 == 3 {
+			d = 1 + int(dim)%20
+		}
+		for _, impl := range impls[1:] {
+			checkNearestBitwise(t, impl, r, int(n)%4100, d, int(words)%400, int(special))
 		}
 	})
 }

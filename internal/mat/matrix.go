@@ -194,6 +194,26 @@ func MulTransB(a, b *Matrix) *Matrix {
 	return dst
 }
 
+// NearestRows is the nearest-word decode: for each row q_i of q it sets
+// pick[i] to the index j of the row of w closest to q_i, as the argmin of
+// sq[j] − 2·(w_j·q_i), where sq[j] must be ‖w_j‖² (‖q_i‖² is the same for
+// every j, so it cannot change the argmin). Ties go to the lowest j, and a
+// query whose distances are all NaN or +Inf picks 0. Every kernel set
+// picks the same rows. pick must have q.Rows entries; a call allocates
+// nothing once its pooled scratch has grown to the batch.
+func NearestRows(pick []int, q, w *Matrix, sq []float64) {
+	if q.Cols != w.Cols {
+		panic(fmt.Sprintf("mat: NearestRows query dim %d, word dim %d", q.Cols, w.Cols))
+	}
+	if len(sq) != w.Rows || len(pick) != q.Rows {
+		panic(fmt.Sprintf("mat: NearestRows %d norms for %d words, %d picks for %d queries",
+			len(sq), w.Rows, len(pick), q.Rows))
+	}
+	best := distPool.Get().(*Matrix)
+	kernels.nearest(pick, best.Reshape(1, q.Rows).Data, q, w, sq)
+	distPool.Put(best)
+}
+
 // Add computes m += other, element-wise.
 func (m *Matrix) Add(other *Matrix) {
 	m.assertSameShape(other, "Add")
