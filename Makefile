@@ -56,13 +56,14 @@ test-crash:
 	$(GO) test ./internal/cluster -run 'TestWorkerCrashRecoveryBitwiseIdentical'
 
 # Telemetry subsystem (DESIGN.md §9): race pass over the registry and the
-# web API that serves it, the zero-allocation hot-path proof, and the
+# web API that serves it, the zero-allocation hot-path proofs (telemetry
+# recording, and the warm generator forward in both precisions), and the
 # strictly-observational contract — training and generation are
 # bit-identical with recording on and off — and the deterministic-serving
 # contract: the stateless generate equals a fresh load's first generate.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry/... ./internal/webapi/...
-	$(GO) test ./internal/telemetry -run TestHotPathZeroAllocs
+	$(GO) test ./internal/telemetry ./internal/dgan -run 'TestHotPathZeroAllocs|TestWarmForwardZeroAllocs'
 	$(GO) test ./internal/core -run 'TestTelemetryStrictlyObservational|TestFlowGenerateGolden|GenerateFreshMatchesFreshLoad'
 
 # Live-ingestion subsystem (DESIGN.md §12): the streaming pcap reader's

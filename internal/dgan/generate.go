@@ -3,7 +3,6 @@ package dgan
 import (
 	"math/rand"
 
-	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -37,47 +36,17 @@ func (m *Model) GenerateFrom(r *rand.Rand, n, label int) ([]Sample, error) {
 	return m.generate(r, n, label)
 }
 
-// generate packs the GRU's gates once for the call, shared read-only by
-// every worker, and runs the lot driver on the float64 forward.
+// generate builds the float64 forward once for the call, shared
+// read-only by every worker, and runs the lot driver on it.
 func (m *Model) generate(r *rand.Rand, n, label int) ([]Sample, error) {
-	fw := &exactForward{m: m, gru: nn.FuseGRU(m.seqGRU)}
-	return sampleLots[float64, exactScratch](&m.shape, fw, &m.genPool, &exactTel,
+	return sampleLots(&m.shape, m.net(), &m.genPool, &exactTel,
 		r, m.Config.Batch, m.Config.workers(), n, label)
 }
 
-// exactForward is the float64 generator forward, bitwise equal to the
-// training forward pass (nn's inference forwards are pinned to it).
-type exactForward struct {
-	m   *Model
-	gru *nn.FusedGRU
-}
-
-// exactScratch is one worker's float64 forward scratch, including the
-// matrix headers the lot scratch's spans are viewed through.
-type exactScratch struct {
-	mlp                  nn.MLPScratch
-	gru                  nn.FusedGRUScratch
-	in, x, h, hNext, out mat.Matrix
-}
-
-func (f *exactForward) meta(sc *exactScratch, in []float64, rows int) []float64 {
-	meta := f.m.metaGen.InferInto(view(&sc.in, in, rows), &sc.mlp)
-	nn.ActivateRows(f.m.metaSchema, meta)
-	return meta.Data
-}
-
-func (f *exactForward) step(sc *exactScratch, x, h, hNext []float64, rows int) {
-	f.gru.StepInfer(view(&sc.x, x, rows), view(&sc.h, h, rows), view(&sc.hNext, hNext, rows), &sc.gru)
-}
-
-func (f *exactForward) project(sc *exactScratch, h, out []float64, rows int) {
-	o := view(&sc.out, out, rows)
-	f.m.seqProj.InferStepInto(view(&sc.h, h, rows), o)
-	nn.ActivateRows(f.m.featSchema, o)
-}
-
-// view points the header m at data as a rows-row matrix.
-func view(m *mat.Matrix, data []float64, rows int) *mat.Matrix {
-	*m = mat.Matrix{Rows: rows, Cols: len(data) / rows, Data: data}
-	return m
+// net returns the generator's float64 inference forward, bitwise equal to
+// the training forward pass (nn's float64 inference modules are pinned to
+// it). The GRU's gate weights are packed from their current values, so
+// it is built per call, never kept across training steps.
+func (m *Model) net() *net[float64] {
+	return &net[float64]{meta: m.metaGen.Infer(), gru: nn.FuseGRU(m.seqGRU), proj: m.seqProj.Infer()}
 }

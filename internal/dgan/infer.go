@@ -3,9 +3,6 @@ package dgan
 import (
 	"math/rand"
 	"sync"
-
-	"repro/internal/mat"
-	"repro/internal/nn"
 )
 
 // InferModel is a float32, generator-only snapshot of a trained Model: the
@@ -24,9 +21,7 @@ type InferModel struct {
 	// set by Infer and SetParallelism.
 	parallelism int
 
-	metaNet *nn.MLP32
-	gru     *nn.FusedGRU32
-	proj    *nn.Dense32
+	net *net[float32]
 
 	rng  lockedRand
 	pool sync.Pool
@@ -46,9 +41,7 @@ func (m *Model) Infer() *InferModel {
 	im := &InferModel{
 		shape:       m.shape,
 		parallelism: m.Config.Parallelism,
-		metaNet:     nn.CompressMLP(m.metaGen),
-		gru:         nn.CompressGRU(nn.FuseGRU(m.seqGRU)),
-		proj:        nn.CompressTimeDense(m.seqProj),
+		net:         m.net().narrow(),
 	}
 	im.labelWeights = m.LabelWeights()
 	im.Reseed(m.Config.Seed)
@@ -93,7 +86,7 @@ func (im *InferModel) GenerateLabeled(n, label int) ([]Sample, error) {
 
 func (im *InferModel) generate(n, label int) ([]Sample, error) {
 	workers := Config{Parallelism: im.parallelism}.workers()
-	return sampleLots[float32, fastScratch](&im.shape, im, &im.pool, &inferTel,
+	return sampleLots(&im.shape, im.net, &im.pool, &inferTel,
 		&im.rng, InferLot, workers, n, label)
 }
 
@@ -107,34 +100,4 @@ func (l *lockedRand) Int63() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.r.Int63()
-}
-
-// fastScratch is one worker's float32 forward scratch, including the
-// matrix headers the lot scratch's spans are viewed through.
-type fastScratch struct {
-	mlp                  nn.MLP32Scratch
-	gru                  nn.FusedGRU32Scratch
-	in, x, h, hNext, out mat.Matrix32
-}
-
-func (im *InferModel) meta(sc *fastScratch, in []float32, rows int) []float32 {
-	meta := im.metaNet.InferInto(view32(&sc.in, in, rows), &sc.mlp)
-	nn.ActivateRows32(im.metaSchema, meta)
-	return meta.Data
-}
-
-func (im *InferModel) step(sc *fastScratch, x, h, hNext []float32, rows int) {
-	im.gru.StepInfer(view32(&sc.x, x, rows), view32(&sc.h, h, rows), view32(&sc.hNext, hNext, rows), &sc.gru)
-}
-
-func (im *InferModel) project(sc *fastScratch, h, out []float32, rows int) {
-	o := view32(&sc.out, out, rows)
-	im.proj.InferInto(view32(&sc.h, h, rows), o)
-	nn.ActivateRows32(im.featSchema, o)
-}
-
-// view32 points the header m at data as a rows-row matrix.
-func view32(m *mat.Matrix32, data []float32, rows int) *mat.Matrix32 {
-	*m = mat.Matrix32{Rows: rows, Cols: len(data) / rows, Data: data}
-	return m
 }

@@ -1,6 +1,7 @@
 package dgan
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -92,5 +93,42 @@ func TestInferGenerateRepeatable(t *testing.T) {
 	b := im.Generate(77)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("reseeded fast-path generation must repeat exactly")
+	}
+}
+
+// TestWarmForwardZeroAllocs: on warm scratch, one lot's metadata MLP, GRU
+// step and projection allocate nothing in either precision, so the leaves
+// table dispatch neither boxes a value nor lets a matrix header escape to
+// the heap. The float64 case runs with serial matmuls, because MulInto's
+// parallel fork allocates by design.
+func TestWarmForwardZeroAllocs(t *testing.T) {
+	m := genTestModel(t, 1)
+	prev := mat.Parallelism()
+	mat.SetParallelism(1)
+	defer mat.SetParallelism(prev)
+	t.Run("float64", func(t *testing.T) { checkWarmForwardAllocs(t, &m.shape, m.net()) })
+	t.Run("float32", func(t *testing.T) { checkWarmForwardAllocs(t, &m.shape, m.Infer().net) })
+}
+
+func checkWarmForwardAllocs[F nn.Float](t *testing.T, g *shape, fw *net[F]) {
+	const rows = 16
+	r := rand.New(rand.NewSource(1))
+	in := make([]F, rows*(g.noiseDim+g.condW))
+	x := make([]F, rows*(g.noiseDim+g.metaW))
+	h, hNext := make([]F, rows*g.hidden), make([]F, rows*g.hidden)
+	randNorm(in, r)
+	randNorm(x, r)
+	randNorm(h, r)
+	var sc lotScratch[F]
+	lot := func() {
+		meta := fw.meta.InferInto(in, rows, &sc.meta)
+		nn.ActivateRows(g.metaSchema, meta, rows)
+		fw.gru.StepInfer(x, h, hNext, rows, &sc.gru)
+		proj := fw.proj.InferInto(hNext, rows, &sc.proj)
+		nn.ActivateRows(g.featSchema, proj, rows)
+	}
+	lot()
+	if n := testing.AllocsPerRun(20, lot); n != 0 {
+		t.Fatalf("warm forward allocates %v times per lot, want 0", n)
 	}
 }

@@ -19,10 +19,9 @@ import (
 // streams aligned across train/save/load (DESIGN.md §8).
 //
 // sampleLots is the one lot driver behind both generate modes: Model runs
-// it with the float64 forward (bitwise equal to training's forward pass,
-// lots of Config.Batch) and InferModel with the float32 serving forward
-// (DESIGN.md §11, lots of InferLot). Everything but the three network
-// operations of forward is shared.
+// it with the float64 net (bitwise equal to training's forward pass, lots
+// of Config.Batch) and InferModel with the float32 serving net (DESIGN.md
+// §11, lots of InferLot).
 
 // shape is the generator geometry the lot driver reads. Model builds it
 // from its Config; InferModel copies it from the Model it snapshots.
@@ -77,29 +76,31 @@ func (g *shape) checkLabel(label int) error {
 	return nil
 }
 
-// forward is what one element type supplies to the lot driver: the
-// generator's three network operations on row-major rows×cols spans of the
-// lot scratch. N is the forward's own per-worker scratch. Implementations
-// read weights only, so one forward serves every worker of a call.
-type forward[F float32 | float64, N any] interface {
-	// meta returns the activated metadata (rows × metaW) of the metadata
-	// generator's input in.
-	meta(sc *N, in []F, rows int) []F
-	// step writes the GRU's next hidden state for inputs x and hidden
-	// states h into hNext.
-	step(sc *N, x, h, hNext []F, rows int)
-	// project writes the activated output projection of h into out.
-	project(sc *N, h, out []F, rows int)
+// net is the generator's inference forward in one element type: the
+// metadata MLP, the fused GRU and the output projection. Model.generate
+// builds a float64 one per call; InferModel keeps its float32 narrowing. It
+// reads weights only, so one net serves every worker of a call.
+type net[F nn.Float] struct {
+	meta *nn.Layers[F]
+	gru  *nn.FusedGRU[F]
+	proj *nn.Layers[F]
+}
+
+// narrow returns the float32 snapshot of n, the fast path's weights.
+func (n *net[F]) narrow() *net[float32] {
+	return &net[float32]{meta: n.meta.Narrow(), gru: n.gru.Narrow(), proj: n.proj.Narrow()}
 }
 
 // lotScratch is one worker's reusable sampler state: noise, conditioned
-// metadata input, GRU input, ping-pong hidden states, projected step
-// output, the live-row map and the labels, all sized for a full lot and
-// re-sliced for a partial one, plus the forward's own scratch.
-type lotScratch[F float32 | float64, N any] struct {
-	net                   N
-	z, zc, x, h, h2, proj []F
-	idx, labels           []int
+// metadata input, GRU input, ping-pong hidden states, the live-row map and
+// the labels, all sized for a full lot and re-sliced for a partial one,
+// plus the network modules' scratch (which owns the metadata and projected
+// step outputs).
+type lotScratch[F nn.Float] struct {
+	meta, proj      nn.LayersScratch[F]
+	gru             nn.FusedGRUScratch[F]
+	z, zc, x, h, h2 []F
+	idx, labels     []int
 }
 
 // lotTel is the telemetry one generate mode records per lot; nil handles
@@ -113,7 +114,7 @@ type lotTel struct {
 // goroutines. label < 0 draws each sample's label from the fitted
 // distribution; label >= 0 pins every sample's label (checked here) and
 // takes no label draws. The single base draw comes from src.
-func sampleLots[F float32 | float64, N any](g *shape, fw forward[F, N], pool *sync.Pool, tel *lotTel,
+func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
 	src interface{ Int63() int64 }, lot, workers, n, label int) ([]Sample, error) {
 	if label >= 0 {
 		if err := g.checkLabel(label); err != nil {
@@ -128,9 +129,9 @@ func sampleLots[F float32 | float64, N any](g *shape, fw forward[F, N], pool *sy
 	out := make([]Sample, n)
 
 	runSpan := func(loLot, hiLot int) {
-		sc, _ := pool.Get().(*lotScratch[F, N])
+		sc, _ := pool.Get().(*lotScratch[F])
 		if sc == nil {
-			sc = new(lotScratch[F, N])
+			sc = new(lotScratch[F])
 		}
 		defer pool.Put(sc)
 		for j := loLot; j < hiLot; j++ {
@@ -175,7 +176,7 @@ func sampleLots[F float32 | float64, N any](g *shape, fw forward[F, N], pool *sy
 // terminate, so the per-step matmuls shrink with the live count; every
 // forward row depends only on its own inputs, so compaction changes no
 // value. The unroll stops as soon as every row has terminated.
-func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotScratch[F, N], r *rand.Rand, out []Sample, label int) int {
+func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand, out []Sample, label int) int {
 	rows := len(out)
 	nd, hid, metaW, featW := g.noiseDim, g.hidden, g.metaW, g.featW
 	inW := nd + metaW // GRU input: step noise ++ activated metadata
@@ -183,7 +184,6 @@ func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotSc
 	sc.x = grow(sc.x, rows*inW)
 	sc.h = grow(sc.h, rows*hid)
 	sc.h2 = grow(sc.h2, rows*hid)
-	sc.proj = grow(sc.proj, rows*featW)
 	sc.idx = grow(sc.idx, rows)
 
 	// Conditional lots fix each row's label before any noise is drawn: a
@@ -212,7 +212,8 @@ func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotSc
 		}
 		metaIn = sc.zc
 	}
-	meta := fw.meta(&sc.net, metaIn, rows)
+	meta := fw.meta.InferInto(metaIn, rows, &sc.meta)
+	nn.ActivateRows(g.metaSchema, meta, rows)
 	idx := sc.idx
 	for i := range out {
 		out[i].Meta = nn.SampleRow(g.metaSchema, rowOf(meta, i, metaW), r.Float64)
@@ -236,10 +237,10 @@ func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotSc
 			copy(row, rowOf(sc.z, i, nd))
 			copy(row[nd:], rowOf(meta, i, metaW))
 		}
-		fw.step(&sc.net, x, h[:live*hid], hNext[:live*hid], live)
+		fw.gru.StepInfer(x, h[:live*hid], hNext[:live*hid], live, &sc.gru)
 		h, hNext = hNext, h
-		proj := sc.proj[:live*featW]
-		fw.project(&sc.net, h[:live*hid], proj, live)
+		proj := fw.proj.InferInto(h[:live*hid], live, &sc.proj)
+		nn.ActivateRows(g.featSchema, proj, live)
 		w := 0
 		for c, i := range idx {
 			row := rowOf(proj, c, featW)
@@ -261,7 +262,7 @@ func sampleLot[F float32 | float64, N any](g *shape, fw forward[F, N], sc *lotSc
 
 // randNorm fills z with N(0,1) draws, one NormFloat64 per element, so both
 // element types consume the same stream layout.
-func randNorm[F float32 | float64](z []F, r *rand.Rand) {
+func randNorm[F nn.Float](z []F, r *rand.Rand) {
 	for i := range z {
 		z[i] = F(r.NormFloat64())
 	}

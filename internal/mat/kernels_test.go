@@ -376,7 +376,7 @@ func BenchmarkKernels(b *testing.B) {
 			x, y := randMat(r, sh.m, sh.k), randMat(r, sh.n, sh.k)
 			run = func() { MulTransBInto(dst, x, y) }
 		case "Mul32":
-			x, y := Compress32(randMat(r, sh.m, sh.k)), Compress32(randMat(r, sh.k, sh.n))
+			x, y := mul32Operands(r, sh.m, sh.k, sh.n, 0)
 			dst32 := New32(sh.m, sh.n)
 			run = func() { MulInto32(dst32, x, y) }
 		}

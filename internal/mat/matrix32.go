@@ -20,37 +20,8 @@ func New32(rows, cols int) *Matrix32 {
 	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// Compress32 converts a float64 matrix to float32, the one-way weight
-// narrowing step of the inference snapshot. Values outside float32 range
-// saturate to ±Inf; trained GAN weights are far inside it.
-func Compress32(m *Matrix) *Matrix32 {
-	out := New32(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = float32(v)
-	}
-	return out
-}
-
 // Row returns a slice aliasing row i. Mutating it mutates the matrix.
 func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// RowsView returns a matrix aliasing rows [lo, hi) of m; no data is copied.
-func (m *Matrix32) RowsView(lo, hi int) *Matrix32 {
-	if lo < 0 || hi < lo || hi > m.Rows {
-		panic(fmt.Sprintf("mat: RowsView [%d, %d) of %d rows", lo, hi, m.Rows))
-	}
-	return &Matrix32{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// Reshape makes scratch matrix m rows×cols, growing its storage only when
-// it is too small, and returns m. The contents are undefined.
-func (m *Matrix32) Reshape(rows, cols int) *Matrix32 {
-	if cap(m.Data) < rows*cols {
-		m.Data = make([]float32, rows*cols)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
-	return m
-}
 
 // Zero sets every element of m to 0.
 func (m *Matrix32) Zero() {
@@ -75,18 +46,4 @@ func MulInto32(dst, a, b *Matrix32) {
 		panic(fmt.Sprintf("mat: Mul32 dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	kernels.mul32(dst, a, b)
-}
-
-// AddRowVec adds the length-Cols vector v to every row of m (bias
-// broadcast).
-func (m *Matrix32) AddRowVec(v []float32) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: AddRowVec32 len %d != cols %d", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
 }

@@ -54,28 +54,7 @@ func (a *Activation) Params() []*Param { return nil }
 // Forward applies the activation to x, returning a new matrix.
 func (a *Activation) Forward(x *mat.Matrix) *mat.Matrix {
 	y := x.Clone()
-	switch a.Kind {
-	case ReLU:
-		y.Apply(func(v float64) float64 {
-			if v < 0 {
-				return 0
-			}
-			return v
-		})
-	case LeakyReLU:
-		y.Apply(func(v float64) float64 {
-			if v < 0 {
-				return leakySlope * v
-			}
-			return v
-		})
-	case Tanh:
-		y.Apply(math.Tanh)
-	case Sigmoid:
-		y.Apply(sigmoid)
-	case Identity:
-		// no-op
-	}
+	applyActKind(a.Kind, y.Data)
 	a.lastY = y
 	return y
 }
@@ -120,27 +99,4 @@ func sigmoid(v float64) float64 {
 	}
 	e := math.Exp(v)
 	return e / (1 + e)
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row slice
-// [start, end) of x in place.
-func SoftmaxRows(x *mat.Matrix, start, end int) {
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)[start:end]
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
 }

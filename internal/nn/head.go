@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -60,33 +61,54 @@ func (h *OutputHead) Params() []*Param { return nil }
 // Forward applies the per-field activations to x.
 func (h *OutputHead) Forward(x *mat.Matrix) *mat.Matrix {
 	y := x.Clone()
-	ActivateRows(h.Schema, y)
+	ActivateRows(h.Schema, y.Data, y.Rows)
 	h.lastY = y
 	return y
 }
 
-// ActivateRows applies a schema's per-field activations to x in place:
-// sigmoid on continuous columns, softmax within each categorical group. It
-// is the allocation-free core of OutputHead.Forward, used directly by the
-// generation pipeline on reusable scratch rows.
-func ActivateRows(schema []FieldSpec, x *mat.Matrix) {
-	if x.Cols != Width(schema) {
-		panic(fmt.Sprintf("nn: head input width %d, want %d", x.Cols, Width(schema)))
+// ActivateRows applies a schema's per-field activations in place to x, a
+// row-major batch of rows rows: sigmoid on continuous columns, a
+// numerically stable softmax within each categorical group. It is the
+// allocation-free core of OutputHead.Forward, used directly by the
+// generation pipeline on reusable scratch rows in either precision.
+func ActivateRows[F Float](schema []FieldSpec, x []F, rows int) {
+	w := Width(schema)
+	if len(x) != rows*w {
+		panic(fmt.Sprintf("nn: head input length %d, want %d rows of %d", len(x), rows, w))
 	}
-	col := 0
-	for _, f := range schema {
-		switch f.Kind {
-		case FieldContinuous:
-			for i := 0; i < x.Rows; i++ {
-				row := x.Row(i)
-				for j := col; j < col+f.Size; j++ {
-					row[j] = sigmoid(row[j])
+	lv := leavesOf[F]()
+	for i := 0; i < rows; i++ {
+		row := x[i*w : (i+1)*w]
+		// Adjacent continuous fields form one run, activated in one call.
+		run, col := 0, 0
+		for _, f := range schema {
+			if f.Kind != FieldContinuous {
+				lv.sigmoid(row[run:col])
+				run = col + f.Size
+			}
+			if f.Kind == FieldCategorical {
+				seg := row[col : col+f.Size]
+				mx := F(math.Inf(-1))
+				for _, v := range seg {
+					if v > mx {
+						mx = v
+					}
+				}
+				for j, v := range seg {
+					seg[j] = v - mx
+				}
+				lv.exp(seg)
+				var sum F
+				for _, e := range seg {
+					sum += e
+				}
+				for j := range seg {
+					seg[j] /= sum
 				}
 			}
-		case FieldCategorical:
-			SoftmaxRows(x, col, col+f.Size)
+			col += f.Size
 		}
-		col += f.Size
+		lv.sigmoid(row[run:])
 	}
 }
 

@@ -34,28 +34,28 @@ func TestFusedGRU32MatchesReference(t *testing.T) {
 	g := NewGRU("t.gru", in, hid)
 	InitXavier(g, r)
 	ref := FuseGRU(g)
-	fused := CompressGRU(ref)
+	fused := ref.Narrow()
 
 	x := mat.New(batch, in)
 	h := mat.New(batch, hid)
 	hNext := mat.New(batch, hid)
-	var sc FusedGRUScratch
+	var sc FusedGRUScratch[float64]
 
-	x32 := mat.New32(batch, in)
-	h32 := mat.New32(batch, hid)
-	hNext32 := mat.New32(batch, hid)
-	var sc32 FusedGRU32Scratch
+	x32 := make([]float32, batch*in)
+	h32 := make([]float32, batch*hid)
+	hNext32 := make([]float32, batch*hid)
+	var sc32 FusedGRUScratch[float32]
 
 	for s := 0; s < steps; s++ {
 		x.RandNorm(r, 1)
 		for i, v := range x.Data {
-			x32.Data[i] = float32(v)
+			x32[i] = float32(v)
 		}
-		ref.StepInfer(x, h, hNext, &sc)
-		fused.StepInfer(x32, h32, hNext32, &sc32)
+		ref.StepInfer(x.Data, h.Data, hNext.Data, batch, &sc)
+		fused.StepInfer(x32, h32, hNext32, batch, &sc32)
 		h, hNext = hNext, h
 		h32, hNext32 = hNext32, h32
-		for i, v := range h32.Data {
+		for i, v := range h32 {
 			if math.Abs(float64(v)-h.Data[i]) > 1e-3 {
 				t.Fatalf("step %d hidden[%d]: fused %v vs reference %v", s, i, v, h.Data[i])
 			}
@@ -63,22 +63,28 @@ func TestFusedGRU32MatchesReference(t *testing.T) {
 	}
 }
 
+// TestMLP32MatchesReference bounds the drift of the narrowed layer
+// modules: an MLP and the output projection (one Identity layer).
 func TestMLP32MatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	m := NewMLP("t.mlp", []int{6, 16, 16, 5}, ReLU, Identity, r)
-	m32 := CompressMLP(m)
-
 	x := mat.New(4, 6)
 	x.RandNorm(r, 1)
-	var sc MLPScratch
-	want := m.InferInto(x, &sc)
+	proj := NewTimeDense("t.proj", 6, 5)
+	InitXavier(proj, r)
 
-	x32 := mat.Compress32(x)
-	var sc32 MLP32Scratch
-	got := m32.InferInto(x32, &sc32)
-	for i, v := range got.Data {
-		if math.Abs(float64(v)-want.Data[i]) > 1e-3 {
-			t.Fatalf("output %d: %v vs %v", i, v, want.Data[i])
+	for _, c := range []struct {
+		name string
+		ref  *Layers[float64]
+	}{{"mlp", m.Infer()}, {"projection", proj.Infer()}} {
+		var sc LayersScratch[float64]
+		want := c.ref.InferInto(x.Data, x.Rows, &sc)
+		var sc32 LayersScratch[float32]
+		got := c.ref.Narrow().InferInto(narrowVec(x.Data), x.Rows, &sc32)
+		for i, v := range got {
+			if math.Abs(float64(v)-want[i]) > 1e-3 {
+				t.Fatalf("%s output %d: %v vs %v", c.name, i, v, want[i])
+			}
 		}
 	}
 }
@@ -91,10 +97,10 @@ func TestActivateRows32MatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	x := mat.New(3, Width(schema))
 	x.RandNorm(r, 2)
-	x32 := mat.Compress32(x)
-	ActivateRows(schema, x)
-	ActivateRows32(schema, x32)
-	for i, v := range x32.Data {
+	x32 := narrowVec(x.Data)
+	ActivateRows(schema, x.Data, x.Rows)
+	ActivateRows(schema, x32, x.Rows)
+	for i, v := range x32 {
 		if math.Abs(float64(v)-x.Data[i]) > 1e-3 {
 			t.Fatalf("element %d: %v vs %v", i, v, x.Data[i])
 		}
@@ -102,7 +108,7 @@ func TestActivateRows32MatchesReference(t *testing.T) {
 	// Softmax groups must remain proper distributions.
 	for i := 0; i < 3; i++ {
 		var sum float32
-		for _, p := range x32.Row(i)[2:6] {
+		for _, p := range x32[i*6+2 : i*6+6] {
 			if p < 0 {
 				t.Fatal("negative probability")
 			}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -18,17 +19,17 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	x.RandNorm(r, 1)
 
 	want := m.Forward(x)
-	var sc MLPScratch
-	got := m.InferInto(x, &sc)
-	if !reflect.DeepEqual(want.Data, got.Data) {
+	var sc LayersScratch[float64]
+	got := m.Infer().InferInto(x.Data, x.Rows, &sc)
+	if !reflect.DeepEqual(want.Data, got) {
 		t.Fatal("InferInto diverges from Forward")
 	}
 
 	// Scratch reuse with a smaller batch must not read stale rows.
 	x2 := x.RowsView(0, 2)
 	want2 := m.Forward(x2)
-	got2 := m.InferInto(x2, &sc)
-	if !reflect.DeepEqual(want2.Data, got2.Data) {
+	got2 := m.Infer().InferInto(x2.Data, x2.Rows, &sc)
+	if !reflect.DeepEqual(want2.Data, got2) {
 		t.Fatal("InferInto diverges after scratch reuse")
 	}
 }
@@ -48,9 +49,9 @@ func TestGRUStepInferMatchesStep(t *testing.T) {
 
 	f := FuseGRU(g)
 	want := g.Step(x, h.Clone())
-	var sc FusedGRUScratch
+	var sc FusedGRUScratch[float64]
 	got := mat.New(3, 6)
-	f.StepInfer(x, h, got, &sc)
+	f.StepInfer(x.Data, h.Data, got.Data, 3, &sc)
 	if !reflect.DeepEqual(want.Data, got.Data) {
 		t.Fatal("StepInfer diverges from Step")
 	}
@@ -60,7 +61,7 @@ func TestGRUStepInferMatchesStep(t *testing.T) {
 	x2 := x.RowsView(0, 2)
 	want2 := g.Step(x2, want.RowsView(0, 2))
 	got2 := mat.New(2, 6)
-	f.StepInfer(x2, got.RowsView(0, 2), got2, &sc)
+	f.StepInfer(x2.Data, got.RowsView(0, 2).Data, got2.Data, 2, &sc)
 	if !reflect.DeepEqual(want2.Data, got2.Data) {
 		t.Fatal("chained StepInfer on fewer rows diverges")
 	}
@@ -74,10 +75,10 @@ func TestTimeDenseInferStepMatchesForward(t *testing.T) {
 	x.RandNorm(r, 1)
 
 	want := d.Forward([]*mat.Matrix{x})[0]
-	got := mat.New(7, 4)
-	d.InferStepInto(x, got)
-	if !reflect.DeepEqual(want.Data, got.Data) {
-		t.Fatal("InferStepInto diverges from Forward")
+	var sc LayersScratch[float64]
+	got := d.Infer().InferInto(x.Data, x.Rows, &sc)
+	if !reflect.DeepEqual(want.Data, got) {
+		t.Fatal("projection InferInto diverges from Forward")
 	}
 }
 
@@ -94,12 +95,14 @@ func TestActivateRowsMatchesHeadForward(t *testing.T) {
 	head := NewOutputHead(schema)
 	want := head.Forward(x)
 	got := x.Clone()
-	ActivateRows(schema, got)
+	ActivateRows(schema, got.Data, got.Rows)
 	if !reflect.DeepEqual(want.Data, got.Data) {
 		t.Fatal("ActivateRows diverges from OutputHead.Forward")
 	}
 }
 
+// TestApplyActKindMatchesActivation pins the float64 activation switch to
+// Activation.Forward bit for bit and bounds the float32 one's error.
 func TestApplyActKindMatchesActivation(t *testing.T) {
 	r := rng.New(5)
 	for _, kind := range []ActKind{ReLU, LeakyReLU, Tanh, Sigmoid, Identity} {
@@ -107,9 +110,18 @@ func TestApplyActKindMatchesActivation(t *testing.T) {
 		x.RandNorm(r, 1.5)
 		want := NewActivation(kind).Forward(x)
 		got := x.Clone()
-		applyActKind(kind, got)
+		applyActKind(kind, got.Data)
 		if !reflect.DeepEqual(want.Data, got.Data) {
 			t.Fatalf("%v: applyActKind diverges from Activation.Forward", kind)
+		}
+
+		// The float32 instance agrees within its leaves' approximation.
+		got32 := narrowVec(x.Data)
+		applyActKind(kind, got32)
+		for i, v := range got32 {
+			if math.Abs(float64(v)-want.Data[i]) > 1e-3 {
+				t.Fatalf("%v: float32 element %d = %v, float64 %v", kind, i, v, want.Data[i])
+			}
 		}
 	}
 }
