@@ -77,7 +77,8 @@ test-ingest:
 # Short fuzz pass over every fuzz target (trace parsers, flow assembly,
 # the chunk-record reader, the container and lease decoders, the matmul
 # kernels: float64 bit for bit against the pure-Go reference, float32
-# within rounding of the float64 product, and the nearest-word decode
+# within rounding of the float64 product and, row by row, bit for bit
+# against the same row computed alone, and the nearest-word decode
 # kernel, bit for bit). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:

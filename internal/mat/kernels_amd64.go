@@ -125,10 +125,13 @@ func packTransposeAVX2(bt, b *Matrix) {
 
 // mulRows32FMA computes, for each of m rows r, d[r*n+j] = Σ a[r*k+kk] ·
 // b[kk*n+j] for j < n: one fused multiply-add chain per element over kk
-// ascending from +0, overwriting d. Columns go in blocks of 64 held in
-// Y0-Y7 across the whole kk loop, then blocks of 8, then one at a time;
-// every path rounds the same, so an element's bits do not depend on m, n
-// or the block it falls in. k must be at least 1.
+// ascending from +0, overwriting d. It works in tiles of 4 rows × 16
+// columns held in Y0-Y7 across the whole kk loop, so each b vector it
+// loads feeds four rows; then the last 1 to 15 columns in 4-row blocks of
+// up to 8, masked to the columns left. Leftover rows of the last tile
+// repeat row m-1. Every element rounds the same in every tile and block,
+// so its bits do not depend on m, n or where it falls. k must be at
+// least 1.
 //
 //go:noescape
 func mulRows32FMA(d, a, b *float32, m, n, k int)

@@ -424,91 +424,170 @@ nearestDone:
 	VZEROUPPER
 	RET
 
+// mul32Mask is 8 all-ones lanes, then 8 zero lanes: the 8 lanes from byte
+// 32-w on mask the first w bytes of a vector.
+DATA mul32Mask<>+0(SB)/8, $-1
+DATA mul32Mask<>+8(SB)/8, $-1
+DATA mul32Mask<>+16(SB)/8, $-1
+DATA mul32Mask<>+24(SB)/8, $-1
+DATA mul32Mask<>+32(SB)/8, $0
+DATA mul32Mask<>+40(SB)/8, $0
+DATA mul32Mask<>+48(SB)/8, $0
+DATA mul32Mask<>+56(SB)/8, $0
+GLOBL mul32Mask<>(SB), RODATA|NOPTR, $64
+
+// TILEROW points tile row i at row min(R9+i, m-1), with DX = m-1: areg
+// at the end of that row of a, and the local dslot at its row of d.
+#define TILEROW(i, areg, dslot) \
+	LEAQ    i(R9), AX; \
+	CMPQ    AX, DX; \
+	CMOVQGT DX, AX; \
+	MOVQ    AX, R14; \
+	IMULQ   R12, R14; \
+	ADDQ    d+0(FP), R14; \
+	MOVQ    R14, dslot; \
+	INCQ    AX; \
+	IMULQ   SI, AX; \
+	MOVQ    a+8(FP), areg; \
+	SUBQ    AX, areg
+
+// FMA16: lo, hi += the a element at aoff of row arow times the 16 b
+// floats in Y8, Y9.
+#define FMA16(aoff, arow, lo, hi) \
+	VBROADCASTSS aoff(arow)(AX*1), Y10; \
+	VFMADD231PS  Y8, Y10, lo; \
+	VFMADD231PS  Y9, Y10, hi
+
+// STEP16 adds one kk to the 4×16 tile: the b row's 16 floats at b0 and
+// b1, the four rows' a elements at aoff.
+#define STEP16(b0, b1, aoff) \
+	VMOVUPS b0, Y8; \
+	VMOVUPS b1, Y9; \
+	FMA16(aoff, R8, Y0, Y1); \
+	FMA16(aoff, R10, Y2, Y3); \
+	FMA16(aoff, R11, Y4, Y5); \
+	FMA16(aoff, R13, Y6, Y7)
+
+// FMA8: acc += the a element of row arow times the 8 b floats in Y8.
+#define FMA8(arow, acc) \
+	VBROADCASTSS (arow)(AX*1), Y10; \
+	VFMADD231PS  Y8, Y10, acc
+
+#define STORE16(dslot, lo, hi) \
+	MOVQ    dslot, R14; \
+	VMOVUPS lo, (R14)(CX*1); \
+	VMOVUPS hi, 32(R14)(CX*1)
+
+#define STORE8MASKED(dslot, acc) \
+	MOVQ       dslot, R14; \
+	VMASKMOVPS acc, Y15, (R14)(CX*1)
+
 // func mulRows32FMA(d, a, b *float32, m, n, k int)
 // The float32 product for MulInto32, allowed to fuse: each output element
-// is one VFMADD231 chain over kk ascending from +0. Registers as in the
-// float64 kernels, with 4-byte elements: R9 = n*4 is the row stride of d
-// and b, R11 = 4 steps the a cursor along its row and R12 = R9 steps the
-// b cursor down a column. Blocks are 64 floats (Y0-Y7), then 8 (Y0), then
-// one (X0).
-TEXT ·mulRows32FMA(SB), NOSPLIT, $0-48
-	MOVQ  d+0(FP), DI
-	MOVQ  a+8(FP), SI
-	MOVQ  b+16(FP), DX
-	MOVQ  m+24(FP), R8
-	MOVQ  n+32(FP), R9
-	SHLQ  $2, R9
-	MOVQ  k+40(FP), R10
-	MOVQ  $4, R11
-	MOVQ  R9, R12
-	TESTQ R8, R8
-	JLE   mul32Done
-	TESTQ R10, R10
+// is one VFMADD231PS chain over kk ascending from +0. Rows go in tiles of
+// four; when m is not a multiple of 4, the last tile's leftover rows
+// repeat row m-1, whose duplicate chains store the same bits. Each tile
+// runs blocks of 16 columns, its 4×16 floats in Y0-Y7 across the whole kk
+// loop, so each loaded b vector feeds four FMAs; the kk loop runs two kk
+// per pass, after one lone kk when k is odd. Then the last 1 to 15
+// columns in blocks of up to 8, in Y0-Y3, whose b loads and d stores are
+// masked to the columns left (Y15, from mul32Mask).
+//   R8 R10 R11 R13 the tile's four rows of a, each at the end of its row
+//   AX kk offset in bytes, from -k*4 up to 0      SI -k*4
+//   DI b       BX b cursor    R12 n*4, the row stride of d and b
+//   CX column offset in bytes R9 first row of the tile
+//   DX m-1, then the masked block's width in bytes
+//   R14 scratch               d0-d3 the tile's four rows of d
+TEXT ·mulRows32FMA(SB), NOSPLIT, $32-48
+	MOVQ  n+32(FP), R12
+	SHLQ  $2, R12
+	MOVQ  b+16(FP), DI
+	XORQ  R9, R9
+	MOVQ  k+40(FP), SI
+	SHLQ  $2, SI
+	NEGQ  SI
+	JGE   mul32Done
+	CMPQ  m+24(FP), $0
 	JLE   mul32Done
 
-mul32Row:
+mul32Tile:
+	MOVQ m+24(FP), DX
+	DECQ DX
+	TILEROW(0, R8, d0-32(SP))
+	TILEROW(1, R10, d1-24(SP))
+	TILEROW(2, R11, d2-16(SP))
+	TILEROW(3, R13, d3-8(SP))
 	XORQ CX, CX
 
 mul32Block:
-	MOVQ R9, R14
-	SUBQ CX, R14
-	CMPQ R14, $256
-	JGE  mul32W64
-	CMPQ R14, $32
-	JGE  mul32W8
-	CMPQ R14, $4
-	JGE  mul32W1
-	ADDQ R9, DI
-	LEAQ (SI)(R10*4), SI
-	DECQ R8
-	JNZ  mul32Row
-	JMP  mul32Done
+	MOVQ  R12, R14
+	SUBQ  CX, R14
+	CMPQ  R14, $64
+	JGE   mul32W16
+	TESTQ R14, R14
+	JG    mul32Tail
+	ADDQ  $4, R9
+	CMPQ  R9, m+24(FP)
+	JLT   mul32Tile
+	JMP   mul32Done
 
-mul32W64:
+mul32W16:
 	ZERO8
-	BLOCKSTART
+	MOVQ  SI, AX
+	LEAQ  (DI)(CX*1), BX
+	TESTQ $4, AX
+	JZ    mul32W16Loop
+	STEP16((BX), 32(BX), 0)
+	ADDQ  R12, BX
+	ADDQ  $4, AX
+	JZ    mul32W16Store
 	PCALIGN $32
 
-mul32W64Loop:
-	VBROADCASTSS (AX), Y14
-	VFMADD231PS  0(BX), Y14, Y0
-	VFMADD231PS  32(BX), Y14, Y1
-	VFMADD231PS  64(BX), Y14, Y2
-	VFMADD231PS  96(BX), Y14, Y3
-	VFMADD231PS  128(BX), Y14, Y4
-	VFMADD231PS  160(BX), Y14, Y5
-	VFMADD231PS  192(BX), Y14, Y6
-	VFMADD231PS  224(BX), Y14, Y7
-	NEXTK(mul32W64Loop)
-	STORE8
-	ADDQ $256, CX
-	JMP  mul32Block
+mul32W16Loop:
+	STEP16((BX), 32(BX), 0)
+	STEP16((BX)(R12*1), 32(BX)(R12*1), 4)
+	LEAQ (BX)(R12*2), BX
+	ADDQ $8, AX
+	JNZ  mul32W16Loop
 
-mul32W8:
-	VXORPS Y0, Y0, Y0
-	BLOCKSTART
-	PCALIGN $32
-
-mul32W8Loop:
-	VBROADCASTSS (AX), Y14
-	VFMADD231PS  (BX), Y14, Y0
-	NEXTK(mul32W8Loop)
-	VMOVUPS Y0, 0(DI)(CX*1)
-	ADDQ    $32, CX
+mul32W16Store:
+	STORE16(d0-32(SP), Y0, Y1)
+	STORE16(d1-24(SP), Y2, Y3)
+	STORE16(d2-16(SP), Y4, Y5)
+	STORE16(d3-8(SP), Y6, Y7)
+	ADDQ    $64, CX
 	JMP     mul32Block
 
-mul32W1:
-	VXORPS X0, X0, X0
-	BLOCKSTART
+mul32Tail:
+	MOVQ    $32, DX
+	CMPQ    R14, DX
+	CMOVQLT R14, DX
+	LEAQ    mul32Mask<>+32(SB), BX
+	SUBQ    DX, BX
+	VMOVUPS (BX), Y15
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	MOVQ    SI, AX
+	LEAQ    (DI)(CX*1), BX
 	PCALIGN $32
 
-mul32W1Loop:
-	VMOVSS      (AX), X14
-	VFMADD231SS (BX), X14, X0
-	NEXTK(mul32W1Loop)
-	VMOVSS X0, 0(DI)(CX*1)
-	ADDQ   $4, CX
-	JMP    mul32Block
+mul32TailLoop:
+	VMASKMOVPS (BX), Y15, Y8
+	FMA8(R8, Y0)
+	FMA8(R10, Y1)
+	FMA8(R11, Y2)
+	FMA8(R13, Y3)
+	ADDQ       R12, BX
+	ADDQ       $4, AX
+	JNZ        mul32TailLoop
+	STORE8MASKED(d0-32(SP), Y0)
+	STORE8MASKED(d1-24(SP), Y1)
+	STORE8MASKED(d2-16(SP), Y2)
+	STORE8MASKED(d3-8(SP), Y3)
+	ADDQ       DX, CX
+	JMP        mul32Block
 
 mul32Done:
 	VZEROUPPER

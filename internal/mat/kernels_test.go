@@ -177,7 +177,7 @@ func TestKernelGaugeNamesSelection(t *testing.T) {
 	// onto the -1 from k = 0 keeps -2⁻³⁰.
 	a := &Matrix32{Rows: 1, Cols: 2, Data: []float32{1, 1 + 0x1p-15}}
 	b := &Matrix32{Rows: 2, Cols: 1, Data: []float32{-1, 1 - 0x1p-15}}
-	dst := New32(1, 1)
+	dst := new32(1, 1)
 	MulInto32(dst, a, b)
 	if dst.Data[0] != -0x1p-30 {
 		t.Fatalf("mat.kernel.avx2 = 1 but the MulInto32 probe = %g, want the fused %g", dst.Data[0], -0x1p-30)
@@ -256,13 +256,16 @@ func transpose(m *Matrix) *Matrix {
 // FuzzMatKernels compares the assembly float64 kernels with the pure-Go
 // reference bit for bit, and every set's float32 mul32 with the float64
 // product within rounding tolerance, on fuzzer-chosen shapes,
-// special-value densities and seeds.
+// special-value densities and seeds. It also checks that each row of the
+// float32 product, computed alone, equals the full product's row bit for
+// bit, so no row depends on the rows it shares a tile with.
 func FuzzMatKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(102), uint8(32), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(7), uint8(64))
 	f.Add(int64(3), uint8(5), uint8(0), uint8(45), uint8(255))
 	f.Add(int64(4), uint8(1), uint8(33), uint8(3), uint8(16))
 	f.Add(int64(5), uint8(64), uint8(98), uint8(96), uint8(0))
+	f.Add(int64(6), uint8(7), uint8(37), uint8(23), uint8(8))
 	impls := kernelImpls()
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n, special uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -277,6 +280,16 @@ func FuzzMatKernels(f *testing.F) {
 			dst := nanMatrix32(mm, nn)
 			impl.mul32(dst, a, b)
 			checkMul32Close(t, impl.name, a, b, dst)
+			one := nanMatrix32(1, nn)
+			for i := 0; i < mm; i++ {
+				impl.mul32(one, rowsView32(a, i, i+1), b)
+				for j, want := range dst.Row(i) {
+					if g := one.Data[j]; math.Float32bits(g) != math.Float32bits(want) {
+						t.Fatalf("%s m=%d k=%d n=%d: row %d alone, element %d = %v, full product %v",
+							impl.name, mm, kk, nn, i, j, g, want)
+					}
+				}
+			}
 		}
 	})
 }
@@ -336,11 +349,14 @@ func TestCompilerDoesNotFuseMultiplyAdd(t *testing.T) {
 
 // BenchmarkKernels times each kernel at the shapes the flow-GAN training
 // loop spends its time in (DefaultConfig), and MulInto32 at the shapes of
-// the float32 fast path's GRU step on a full 64-row lot of the DefaultConfig
-// flow model (hidden 32, NoiseDim 8 + 90 metadata columns in, 17 feature
-// columns out): x·Wg, h·Uzr, (r⊙h)·Uh and the output projection. It runs
-// once per available kernel set, on one goroutine. Shapes are m×k×n: an
-// m×n product summed over k.
+// the float32 fast path's generator on a full 64-row lot of the
+// DefaultConfig flow model served by the end-to-end benchmark (hidden 32,
+// NoiseDim 8, 94 metadata columns, 17 feature columns): the GRU step's
+// x·Wg (k = 8 + 94), h·Uzr, and (r⊙h)·Uh with the metadata MLP's hidden
+// layer, the MLP's input and output layers and the output projection,
+// plus (r⊙h)·Uh on a 37-row lot that live-row compaction left ragged. It
+// runs once per available kernel set, on one goroutine. Shapes are m×k×n:
+// an m×n product summed over k.
 func BenchmarkKernels(b *testing.B) {
 	shapes := []struct {
 		op      string
@@ -353,10 +369,13 @@ func BenchmarkKernels(b *testing.B) {
 		{"MulTransA", 102, 16, 32},
 		{"MulTransB", 16, 32, 196},
 		{"MulTransB", 16, 32, 102},
-		{"Mul32", 64, 98, 96},
+		{"Mul32", 64, 102, 96},
 		{"Mul32", 64, 32, 64},
 		{"Mul32", 64, 32, 32},
+		{"Mul32", 64, 8, 32},
+		{"Mul32", 64, 32, 94},
 		{"Mul32", 64, 32, 17},
+		{"Mul32", 37, 32, 32},
 	}
 	prev := Parallelism()
 	SetParallelism(1)
@@ -377,7 +396,7 @@ func BenchmarkKernels(b *testing.B) {
 			run = func() { MulTransBInto(dst, x, y) }
 		case "Mul32":
 			x, y := mul32Operands(r, sh.m, sh.k, sh.n, 0)
-			dst32 := New32(sh.m, sh.n)
+			dst32 := new32(sh.m, sh.n)
 			run = func() { MulInto32(dst32, x, y) }
 		}
 		for _, ks := range kernelImpls() {

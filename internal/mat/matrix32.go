@@ -12,14 +12,6 @@ type Matrix32 struct {
 	Data       []float32 // len == Rows*Cols, row-major
 }
 
-// New32 returns a zero-initialized rows×cols float32 matrix.
-func New32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimensions %dx%d", rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
 // Row returns a slice aliasing row i. Mutating it mutates the matrix.
 func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 

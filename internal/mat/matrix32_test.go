@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// new32 returns a zero rows×cols float32 matrix.
+func new32(rows, cols int) *Matrix32 {
+	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+}
+
 // mul32Value draws a float32 operand: N(0, 1), or with probability
 // special/256 a ±0, a subnormal or a magnitude near 1e15, chosen so that
 // no product of two operands, nor a sum of up to 130 of them, leaves
@@ -27,7 +32,7 @@ func mul32Value(r *rand.Rand, special int) float32 {
 
 // mul32Operands returns random m×k and k×n operands for MulInto32.
 func mul32Operands(r *rand.Rand, m, k, n, special int) (a, b *Matrix32) {
-	a, b = New32(m, k), New32(k, n)
+	a, b = new32(m, k), new32(k, n)
 	for _, x := range [][]float32{a.Data, b.Data} {
 		for i := range x {
 			x[i] = mul32Value(r, special)
@@ -44,7 +49,7 @@ func rowsView32(m *Matrix32, lo, hi int) *Matrix32 {
 // nanMatrix32 returns a rows×cols matrix filled with NaN, so a product
 // written into it shows any element the kernel failed to overwrite.
 func nanMatrix32(rows, cols int) *Matrix32 {
-	m := New32(rows, cols)
+	m := new32(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = float32(math.NaN())
 	}
@@ -77,15 +82,18 @@ func checkMul32Close(t testing.TB, label string, a, b, got *Matrix32) {
 }
 
 // TestMulInto32MatchesFloat64 sweeps MulInto32 on every kernel set over
-// shapes that reach each column block of the FMA kernel (64, 8 and the
-// scalar tail, alone and combined), k = 0 and m = 0, into a NaN-filled
-// dst, on whole matrices and on row-view operands whose neighbouring rows
-// must stay untouched.
+// shapes that reach each block of the FMA kernel (4-row tiles alone, with
+// leftover rows and as fewer than four rows; 16-column blocks and the
+// masked blocks of up to 8 columns after them, alone and combined), k = 0,
+// k of every residue mod 4 (the tile loop takes two kk per pass after a
+// lone one when k is odd) and m = 0, into a NaN-filled dst, on whole
+// matrices and on row-view operands whose neighbouring rows must stay
+// untouched.
 func TestMulInto32MatchesFloat64(t *testing.T) {
 	forEachKernelSet(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(7))
-		for _, m := range []int{0, 1, 3, 64} {
-			for _, k := range []int{0, 1, 5, 32, 41} {
+		for _, m := range []int{0, 1, 3, 4, 5, 7, 64} {
+			for _, k := range []int{0, 1, 2, 3, 5, 32, 41, 102} {
 				for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 96, 130} {
 					a, b := mul32Operands(r, m, k, n, 8)
 					dst := nanMatrix32(m, n)
@@ -95,7 +103,7 @@ func TestMulInto32MatchesFloat64(t *testing.T) {
 					// The same product through views of rows [1, 1+m) of
 					// larger matrices; the elements just outside dst's view
 					// must keep their values.
-					abig := New32(m+2, k)
+					abig := new32(m+2, k)
 					copy(rowsView32(abig, 1, 1+m).Data, a.Data)
 					dbig := nanMatrix32(m+2, n)
 					dbig.Row(0)[n-1], dbig.Row(m + 1)[0] = 5, 6
@@ -113,35 +121,41 @@ func TestMulInto32MatchesFloat64(t *testing.T) {
 
 // TestMulInto32ElementBitsIndependentOfShape pins what keeps the fast path
 // reproducible at any parallelism: within one kernel set, an element's
-// bits depend only on its row of a and column of b. A row computed alone,
-// and the first n columns of a product whose b has extra columns (which
-// moves those columns into other blocks of the FMA kernel), equal the
-// full product bit for bit.
+// bits depend only on its row of a and column of b. A row computed alone
+// (which moves it from a 4-row tile of the FMA kernel into a tile of
+// repeats of one row), and the first n columns of a product whose b has
+// extra columns (which moves those columns into other column blocks),
+// equal the full product bit for bit. n reaches every tail width past a
+// 16- and an 8-column block and the fast path's widths 32, 94 and 96; m
+// reaches whole tiles and 1 to 3 leftover rows.
 func TestMulInto32ElementBitsIndependentOfShape(t *testing.T) {
 	forEachKernelSet(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(11))
-		const m, k = 13, 37
-		for _, n := range []int{1, 9, 33, 64, 70} {
-			for _, extra := range []int{1, 7, 64, 61} {
-				a, bWide := mul32Operands(r, m, k, n+extra, 8)
-				b := New32(k, n)
-				for kk := 0; kk < k; kk++ {
-					copy(b.Row(kk), bWide.Row(kk)[:n])
-				}
-				full := New32(m, n)
-				MulInto32(full, a, b)
+		const k = 37
+		widths := []int{1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 23, 31, 32, 33, 64, 70, 94, 96}
+		for _, m := range []int{4, 5, 7, 13} {
+			for _, n := range widths {
+				for _, extra := range []int{1, 7, 64, 61} {
+					a, bWide := mul32Operands(r, m, k, n+extra, 8)
+					b := new32(k, n)
+					for kk := 0; kk < k; kk++ {
+						copy(b.Row(kk), bWide.Row(kk)[:n])
+					}
+					full := new32(m, n)
+					MulInto32(full, a, b)
 
-				wide := New32(m, n+extra)
-				MulInto32(wide, a, bWide)
-				one := New32(1, n)
-				for i := 0; i < m; i++ {
-					MulInto32(one, rowsView32(a, i, i+1), b)
-					for j, want := range full.Row(i) {
-						if g := one.Data[j]; math.Float32bits(g) != math.Float32bits(want) {
-							t.Fatalf("n=%d: row %d alone, element %d = %v, full product %v", n, i, j, g, want)
-						}
-						if g := wide.Row(i)[j]; math.Float32bits(g) != math.Float32bits(want) {
-							t.Fatalf("n=%d extra=%d: element (%d,%d) = %v, full product %v", n, extra, i, j, g, want)
+					wide := new32(m, n+extra)
+					MulInto32(wide, a, bWide)
+					one := new32(1, n)
+					for i := 0; i < m; i++ {
+						MulInto32(one, rowsView32(a, i, i+1), b)
+						for j, want := range full.Row(i) {
+							if g := one.Data[j]; math.Float32bits(g) != math.Float32bits(want) {
+								t.Fatalf("n=%d: row %d alone, element %d = %v, full product %v", n, i, j, g, want)
+							}
+							if g := wide.Row(i)[j]; math.Float32bits(g) != math.Float32bits(want) {
+								t.Fatalf("n=%d extra=%d: element (%d,%d) = %v, full product %v", n, extra, i, j, g, want)
+							}
 						}
 					}
 				}
@@ -154,7 +168,7 @@ func TestMulInto32ElementBitsIndependentOfShape(t *testing.T) {
 // rows of a larger matrix (the shape MulInto32's dst takes in the row-view
 // tests above) stay inside those rows.
 func TestMatrix32Views(t *testing.T) {
-	m := New32(4, 3)
+	m := new32(4, 3)
 	for i := range m.Data {
 		m.Data[i] = float32(i)
 	}
@@ -173,9 +187,9 @@ func TestMulInto32ShapePanics(t *testing.T) {
 		name      string
 		dst, a, b *Matrix32
 	}{
-		{"inner dims", New32(2, 2), New32(2, 3), New32(2, 2)},
-		{"dst rows", New32(3, 2), New32(2, 3), New32(3, 2)},
-		{"dst cols", New32(2, 3), New32(2, 3), New32(3, 2)},
+		{"inner dims", new32(2, 2), new32(2, 3), new32(2, 2)},
+		{"dst rows", new32(3, 2), new32(2, 3), new32(3, 2)},
+		{"dst cols", new32(2, 3), new32(2, 3), new32(3, 2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
