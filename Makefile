@@ -25,9 +25,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages with parallel kernels, the
-# concurrent chunk fine-tunes, and the lot-parallel generation
-# pipeline: the matmul worker pool, the per-sample DP-SGD fan-out, the
+# Race-detector pass over the concurrent chunk fine-tunes and the
+# lot-parallel generation pipeline: matmuls issued from many goroutines
+# at once and their shared scratch pool, the per-sample DP-SGD fan-out, the
 # plan executor's fine-tune fan-out and its checkpoint/resume records,
 # the one lot sampler both generate modes (float64 exact, float32 fast)
 # run and its scratch pool, the durable model registry (DESIGN.md

@@ -109,3 +109,34 @@ func TestTrainingGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTrainedTraceIndependentOfParallelism trains the same flow model at
+// Parallelism 1 and 2, with concurrent chunk fine-tunes and with DP-SGD
+// sample lanes, and requires byte-identical generated CSVs.
+func TestTrainedTraceIndependentOfParallelism(t *testing.T) {
+	real := datasets.UGR16(150, 51)
+	public := datasets.CAIDAChicago(400, 52)
+	for name, mod := range map[string]func(*Config){
+		"chunks": func(c *Config) { c.Parallel = true },
+		"dp":     dpGolden(false),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want []byte
+			for _, p := range []int{1, 2} {
+				cfg := crashConfig()
+				mod(&cfg)
+				cfg.Parallelism = p
+				syn, err := TrainFlowSynthesizer(real, public, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := flowCSV(t, syn, 200)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("Parallelism %d trace differs from Parallelism 1", p)
+				}
+			}
+		})
+	}
+}

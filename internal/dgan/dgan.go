@@ -35,11 +35,11 @@ type Config struct {
 	GPWeight      float64        // gradient-penalty λ
 	LR            float64        // Adam learning rate
 	Seed          int64
-	// Parallelism is the worker count for intra-step data parallelism
-	// (per-sample DP-SGD gradient accumulation): 0 selects
-	// runtime.NumCPU(), 1 forces serial execution. Both paths share the
-	// same fixed-order tree reduction, so trained weights are bitwise
-	// identical at every setting.
+	// Parallelism is the worker count for the per-sample DP-SGD gradient
+	// lanes and for generate lots: 0 selects runtime.NumCPU(), 1 forces
+	// serial execution. Every lane count shares the same fixed-order tree
+	// reduction, so trained weights are bitwise identical at every
+	// setting.
 	Parallelism int
 	// Labels is the width of the one-hot scenario-label conditioning
 	// vector. 0 (the default) builds an unconditional model whose

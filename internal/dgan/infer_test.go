@@ -99,13 +99,9 @@ func TestInferGenerateRepeatable(t *testing.T) {
 // TestWarmForwardZeroAllocs: on warm scratch, one lot's metadata MLP, GRU
 // step and projection allocate nothing in either precision, so the leaves
 // table dispatch neither boxes a value nor lets a matrix header escape to
-// the heap. The float64 case runs with serial matmuls, because MulInto's
-// parallel fork allocates by design.
+// the heap.
 func TestWarmForwardZeroAllocs(t *testing.T) {
 	m := genTestModel(t, 1)
-	prev := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(prev)
 	t.Run("float64", func(t *testing.T) { checkWarmForwardAllocs(t, &m.shape, m.net()) })
 	t.Run("float32", func(t *testing.T) { checkWarmForwardAllocs(t, &m.shape, m.Infer().net) })
 }

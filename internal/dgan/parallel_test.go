@@ -7,23 +7,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mat"
 	"repro/internal/privacy"
 )
 
-// trainedWeights trains a fresh model at the given parallelism (both the
-// dgan worker count and the mat kernel worker count, with the dispatch
-// threshold lowered so the small test matrices actually take the parallel
-// path) and returns the flattened final weights.
+// trainedWeights trains a fresh model at the given parallelism (the
+// number of DP-SGD sample lanes) and returns the flattened final weights.
 func trainedWeights(t *testing.T, parallelism int, dp bool) []float64 {
 	t.Helper()
-	mat.SetParallelism(parallelism)
-	mat.SetParallelThreshold(1)
-	t.Cleanup(func() {
-		mat.SetParallelism(1)
-		mat.SetParallelThreshold(0)
-	})
-
 	cfg := toyConfig()
 	cfg.Batch = 8
 	cfg.Seed = 17
@@ -58,8 +48,8 @@ func trainedWeights(t *testing.T, parallelism int, dp bool) []float64 {
 // TestTrainBitwiseDeterministicAcrossParallelism is the headline guarantee
 // of the parallel training layer: the same seed produces bitwise-identical
 // model weights at parallelism 1, 2, and 4, for both the plain WGAN-GP path
-// (parallel matmul kernels) and the DP-SGD path (per-worker critic replicas
-// merged by the fixed-order tree reduction).
+// (which ignores the setting) and the DP-SGD path (per-worker critic
+// replicas merged by the fixed-order tree reduction).
 func TestTrainBitwiseDeterministicAcrossParallelism(t *testing.T) {
 	for _, dp := range []bool{false, true} {
 		name := "wgan-gp"
@@ -85,15 +75,9 @@ func TestTrainBitwiseDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestConcurrentChunkFineTunes exercises the executor-style fine-tune fan-out
-// (several models training at once, each with internal parallelism) under
+// (several models training at once, each configured for 2 workers) under
 // the race detector.
 func TestConcurrentChunkFineTunes(t *testing.T) {
-	mat.SetParallelism(2)
-	mat.SetParallelThreshold(1)
-	t.Cleanup(func() {
-		mat.SetParallelism(1)
-		mat.SetParallelThreshold(0)
-	})
 	cfg := toyConfig()
 	cfg.Batch = 8
 	cfg.Parallelism = 2
@@ -160,15 +144,13 @@ func TestParallelDPTrainingUnderRace(t *testing.T) {
 }
 
 // BenchmarkCriticStep times one critic update round (both critics), with
-// and without DP-SGD, serially and at every CPU. Allocations are reported
-// because the DP path's per-worker scratch is meant to be reused.
+// and without DP-SGD, with one worker and with one per CPU (the setting
+// only fans out the DP-SGD sample lanes). Allocations are reported because
+// the DP path's per-worker scratch is meant to be reused.
 func BenchmarkCriticStep(b *testing.B) {
 	for _, dp := range []bool{false, true} {
 		for _, p := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("dp=%v/p=%d", dp, p), func(b *testing.B) {
-				prev := mat.Parallelism()
-				mat.SetParallelism(p)
-				b.Cleanup(func() { mat.SetParallelism(prev) })
 				cfg := toyConfig()
 				cfg.Parallelism = p
 				m, err := New(cfg)

@@ -16,9 +16,8 @@ import (
 // (see sameBits in the tests). So every output element accumulates over k
 // in ascending order from +0 with one rounded multiply and one rounded add
 // per step (never a fused multiply-add), and mulRows and mulTransARows
-// skip every k whose a element is ±0. Because an element's value never
-// depends on the row split, serial and parallel calls are bitwise
-// identical.
+// skip every k whose a element is ±0, so an element's value never
+// depends on which row span a call covers.
 type kernelSet struct {
 	name                                  string
 	mulRows, mulTransARows, mulTransBRows func(dst, a, b *Matrix, lo, hi int)

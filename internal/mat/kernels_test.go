@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
 )
+
+// raceEnabled reports a -race build (race_test.go), where sync.Pool drops
+// items at random, so allocation counts are not exact.
+var raceEnabled bool
 
 // forEachKernelSet runs f as one subtest per available kernel set, with
 // that set installed for the public matmul entry points.
@@ -347,6 +352,97 @@ func TestCompilerDoesNotFuseMultiplyAdd(t *testing.T) {
 	}
 }
 
+func randMat(r *rand.Rand, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	m.RandNorm(r, 1)
+	return m
+}
+
+// TestConcurrentMulIntoDisjointDsts runs matmuls from many goroutines at
+// once into disjoint destinations, the pattern the per-chunk fine-tuning
+// fan-out in internal/core produces, so the race detector sees the shared
+// packB scratch pool. The race detector does not see the memory accesses
+// of assembly kernels, so the run per kernel set also checks that
+// concurrent calls on the assembly kernels return the single-call result.
+func TestConcurrentMulIntoDisjointDsts(t *testing.T) {
+	forEachKernelSet(t, testConcurrentMulIntoDisjointDsts)
+}
+
+func testConcurrentMulIntoDisjointDsts(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const goroutines = 8
+	const iters = 25
+	as := make([]*Matrix, goroutines)
+	bs := make([]*Matrix, goroutines)
+	wants := make([]*Matrix, goroutines)
+	bts := make([]*Matrix, goroutines)
+	wantsT := make([]*Matrix, goroutines)
+	for g := range as {
+		as[g] = randMat(r, 13, 17)
+		bs[g] = randMat(r, 17, 11)
+		wants[g] = Mul(as[g], bs[g])
+		bts[g] = randMat(r, 37, 17)
+		wantsT[g] = MulTransB(as[g], bts[g])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := New(13, 11)
+			dstT := New(13, 37)
+			for it := 0; it < iters; it++ {
+				MulInto(dst, as[g], bs[g])
+				MulTransAInto(New(17, 11), as[g].Clone(), wantsShape(as[g].Rows, 11, wants[g]))
+				MulTransBInto(dstT, as[g], bts[g])
+				if !bitsEqual(dst.Data, wants[g].Data) || !bitsEqual(dstT.Data, wantsT[g].Data) {
+					t.Errorf("goroutine %d iter %d: result diverged", g, it)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// wantsShape returns a rows×cols matrix reusing src values (cycled), giving
+// the stress test varied operands without extra RNG coordination.
+func wantsShape(rows, cols int, src *Matrix) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = src.Data[i%len(src.Data)]
+	}
+	return m
+}
+
+// TestMatmulZeroAllocs: a warm float64 matmul at training shapes (the
+// generator's 16×196×32 meta-hidden product and the 64×102×96 GRU input
+// product) allocates nothing on any kernel set. MulTransBInto's bᵀ
+// scratch comes from a pool, so it is warm after the first call.
+func TestMatmulZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	forEachKernelSet(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(3))
+		for _, sh := range [][3]int{{16, 196, 32}, {64, 102, 96}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			a, b := randMat(r, m, k), randMat(r, k, n)
+			at, bt := randMat(r, k, m), randMat(r, n, k)
+			dst := New(m, n)
+			for name, run := range map[string]func(){
+				"MulInto":       func() { MulInto(dst, a, b) },
+				"MulTransAInto": func() { MulTransAInto(dst, at, b) },
+				"MulTransBInto": func() { MulTransBInto(dst, a, bt) },
+			} {
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s %dx%dx%d: %v allocations per call, want 0", name, m, k, n, allocs)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkKernels times each kernel at the shapes the flow-GAN training
 // loop spends its time in (DefaultConfig), and MulInto32 at the shapes of
 // the float32 fast path's generator on a full 64-row lot of the
@@ -377,9 +473,6 @@ func BenchmarkKernels(b *testing.B) {
 		{"Mul32", 64, 32, 17},
 		{"Mul32", 37, 32, 32},
 	}
-	prev := Parallelism()
-	SetParallelism(1)
-	b.Cleanup(func() { SetParallelism(prev) })
 	r := rand.New(rand.NewSource(1))
 	for _, sh := range shapes {
 		dst := New(sh.m, sh.n)

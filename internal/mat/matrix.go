@@ -123,12 +123,7 @@ func MulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("mat: Mul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	rows := kernels.mulRows
-	if parallelizable(a.Rows*a.Cols*b.Cols, a.Rows) {
-		ParallelFor(a.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
-		return
-	}
-	rows(dst, a, b, 0, a.Rows)
+	kernels.mulRows(dst, a, b, 0, a.Rows)
 }
 
 // Mul returns a·b.
@@ -147,12 +142,7 @@ func MulTransAInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("mat: MulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
-	rows := kernels.mulTransARows
-	if parallelizable(a.Rows*a.Cols*b.Cols, dst.Rows) {
-		ParallelFor(dst.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
-		return
-	}
-	rows(dst, a, b, 0, dst.Rows)
+	kernels.mulTransARows(dst, a, b, 0, dst.Rows)
 }
 
 // MulTransA returns aᵀ·b.
@@ -171,8 +161,6 @@ func MulTransBInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	cost := a.Rows * a.Cols * b.Rows
-	rows := kernels.mulTransBRows
 	if pack := kernels.packB; pack != nil {
 		bt := packPool.Get().(*Matrix)
 		defer packPool.Put(bt)
@@ -180,11 +168,7 @@ func MulTransBInto(dst, a, b *Matrix) {
 		pack(bt, b)
 		b = bt
 	}
-	if parallelizable(cost, a.Rows) {
-		ParallelFor(a.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
-		return
-	}
-	rows(dst, a, b, 0, a.Rows)
+	kernels.mulTransBRows(dst, a, b, 0, a.Rows)
 }
 
 // MulTransB returns a·bᵀ.

@@ -23,13 +23,12 @@ func (m *Matrix32) Zero() {
 }
 
 // MulInto32 computes dst = a·b. dst must be a.Rows×b.Cols and must not
-// alias a or b. Unlike the float64 MulInto it never forks goroutines (the
-// fast path parallelizes at lot granularity, so nested parallelism would
-// only add scheduling overhead) and skips the zero-input shortcut: fast
-// inference multiplies dense noise and dense hidden states where zeros are
-// measure-zero, so the branch costs more than it saves. On amd64 CPUs with
-// AVX2 and FMA it runs a fused multiply-add kernel (kernels_amd64.s),
-// elsewhere the pure-Go mul32Go; the two round differently.
+// alias a or b. Unlike the float64 MulInto it skips the zero-input
+// shortcut: fast inference multiplies dense noise and dense hidden states
+// where zeros are measure-zero, so the branch costs more than it saves.
+// On amd64 CPUs with AVX2 and FMA it runs a fused multiply-add kernel
+// (kernels_amd64.s), elsewhere the pure-Go mul32Go; the two round
+// differently.
 func MulInto32(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul32 inner dims %d != %d", a.Cols, b.Rows))

@@ -115,8 +115,7 @@ func TestMLPGradCheck(t *testing.T) {
 	}
 }
 
-func runGRUGradCheck(t *testing.T) {
-	t.Helper()
+func TestGRUGradCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	g := NewGRU("g", 3, 4)
 	InitXavier(g, r)
@@ -153,109 +152,68 @@ func runGRUGradCheck(t *testing.T) {
 	checkGrads(t, g, analytic, forward, 1e-4)
 }
 
-func TestGRUGradCheck(t *testing.T) { runGRUGradCheck(t) }
-
-// withMatParallelism forces the mat kernels onto the parallel path (worker
-// count par, dispatch threshold 1 so even tiny test matrices fan out) for
-// the duration of the test.
-func withMatParallelism(t *testing.T, par int) {
-	t.Helper()
-	mat.SetParallelism(par)
-	mat.SetParallelThreshold(1)
-	t.Cleanup(func() {
-		mat.SetParallelism(1)
-		mat.SetParallelThreshold(0)
-	})
-}
-
-// TestGRUGradCheckParallel repeats the GRU gradient check with the matmul
-// kernels running serially and with 4 workers: the parallel kernels must
-// produce gradients that pass the same finite-difference test.
-func TestGRUGradCheckParallel(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(parName(par), func(t *testing.T) {
-			withMatParallelism(t, par)
-			runGRUGradCheck(t)
-		})
-	}
-}
-
-func parName(par int) string {
-	if par == 1 {
-		return "serial"
-	}
-	return "parallel"
-}
-
 // TestGradientPenaltyGradCheck verifies that GradientPenalty accumulates
 // exactly the θ-gradient of its frozen surrogate loss
 //
 //	L̃(θ) = λ/(n·h) · Σ_i scale_i · (D_θ(pert_i) − D_θ(interp_i))
 //
 // where interp, pert = interp + h·∇x̂D, and scale are all evaluated at the
-// starting parameters θ0 and then held fixed. The check runs with the mat
-// kernels both serial and parallel.
+// starting parameters θ0 and then held fixed.
 func TestGradientPenaltyGradCheck(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(parName(par), func(t *testing.T) {
-			withMatParallelism(t, par)
+	r := rand.New(rand.NewSource(11))
+	critic := NewMLP("c", []int{3, 5, 1}, LeakyReLU, Identity, r)
+	const n, lambda = 4, 10.0
+	real := mat.New(n, 3)
+	real.RandNorm(r, 1)
+	fake := mat.New(n, 3)
+	fake.RandNorm(r, 1)
 
-			r := rand.New(rand.NewSource(11))
-			critic := NewMLP("c", []int{3, 5, 1}, LeakyReLU, Identity, r)
-			const n, lambda = 4, 10.0
-			real := mat.New(n, 3)
-			real.RandNorm(r, 1)
-			fake := mat.New(n, 3)
-			fake.RandNorm(r, 1)
-
-			// Reconstruct the frozen surrogate at θ0, replaying the same
-			// interpolation draws GradientPenalty will see.
-			uSeed := int64(77)
-			u2 := rand.New(rand.NewSource(uSeed))
-			interp := mat.New(n, 3)
-			for i := 0; i < n; i++ {
-				ti := u2.Float64()
-				rr, fr, ir := real.Row(i), fake.Row(i), interp.Row(i)
-				for j := range ir {
-					ir[j] = rr[j] + ti*(fr[j]-rr[j])
-				}
-			}
-			ZeroGrads(critic)
-			out := critic.Forward(interp)
-			ones := mat.New(out.Rows, out.Cols)
-			ones.Fill(1)
-			gIn := critic.Backward(ones).Clone()
-			ZeroGrads(critic) // discard probe-pass parameter gradients
-
-			const h = 1e-2 // must match GradientPenalty's internal step
-			const eps = 1e-12
-			scale := make([]float64, n)
-			for i := 0; i < n; i++ {
-				norm := mat.VecNorm(gIn.Row(i))
-				scale[i] = 2 * (norm - 1) / math.Max(norm, eps)
-			}
-			pert := interp.Clone()
-			pert.AddScaled(gIn, h)
-
-			surrogate := func() float64 {
-				var s float64
-				op := critic.Forward(pert)
-				for i := 0; i < n; i++ {
-					s += scale[i] * op.At(i, 0)
-				}
-				oi := critic.Forward(interp)
-				for i := 0; i < n; i++ {
-					s -= scale[i] * oi.At(i, 0)
-				}
-				return lambda * s / (n * h)
-			}
-			analytic := func() {
-				u := rand.New(rand.NewSource(uSeed))
-				GradientPenalty(critic, real, fake, lambda, u.Float64)
-			}
-			checkGrads(t, critic, analytic, surrogate, 1e-3)
-		})
+	// Reconstruct the frozen surrogate at θ0, replaying the same
+	// interpolation draws GradientPenalty will see.
+	uSeed := int64(77)
+	u2 := rand.New(rand.NewSource(uSeed))
+	interp := mat.New(n, 3)
+	for i := 0; i < n; i++ {
+		ti := u2.Float64()
+		rr, fr, ir := real.Row(i), fake.Row(i), interp.Row(i)
+		for j := range ir {
+			ir[j] = rr[j] + ti*(fr[j]-rr[j])
+		}
 	}
+	ZeroGrads(critic)
+	out := critic.Forward(interp)
+	ones := mat.New(out.Rows, out.Cols)
+	ones.Fill(1)
+	gIn := critic.Backward(ones).Clone()
+	ZeroGrads(critic) // discard probe-pass parameter gradients
+
+	const h = 1e-2 // must match GradientPenalty's internal step
+	const eps = 1e-12
+	scale := make([]float64, n)
+	for i := 0; i < n; i++ {
+		norm := mat.VecNorm(gIn.Row(i))
+		scale[i] = 2 * (norm - 1) / math.Max(norm, eps)
+	}
+	pert := interp.Clone()
+	pert.AddScaled(gIn, h)
+
+	surrogate := func() float64 {
+		var s float64
+		op := critic.Forward(pert)
+		for i := 0; i < n; i++ {
+			s += scale[i] * op.At(i, 0)
+		}
+		oi := critic.Forward(interp)
+		for i := 0; i < n; i++ {
+			s -= scale[i] * oi.At(i, 0)
+		}
+		return lambda * s / (n * h)
+	}
+	analytic := func() {
+		u := rand.New(rand.NewSource(uSeed))
+		GradientPenalty(critic, real, fake, lambda, u.Float64)
+	}
+	checkGrads(t, critic, analytic, surrogate, 1e-3)
 }
 
 func TestGRUInputGradCheck(t *testing.T) {
