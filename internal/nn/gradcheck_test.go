@@ -158,62 +158,65 @@ func TestGRUGradCheck(t *testing.T) {
 //	L̃(θ) = λ/(n·h) · Σ_i scale_i · (D_θ(pert_i) − D_θ(interp_i))
 //
 // where interp, pert = interp + h·∇x̂D, and scale are all evaluated at the
-// starting parameters θ0 and then held fixed.
+// starting parameters θ0 and then held fixed. Every mat kernel runs its
+// rows in one serial pass, so the check runs once, as the serial case.
 func TestGradientPenaltyGradCheck(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	critic := NewMLP("c", []int{3, 5, 1}, LeakyReLU, Identity, r)
-	const n, lambda = 4, 10.0
-	real := mat.New(n, 3)
-	real.RandNorm(r, 1)
-	fake := mat.New(n, 3)
-	fake.RandNorm(r, 1)
+	t.Run("serial", func(t *testing.T) {
+		r := rand.New(rand.NewSource(11))
+		critic := NewMLP("c", []int{3, 5, 1}, LeakyReLU, Identity, r)
+		const n, lambda = 4, 10.0
+		real := mat.New(n, 3)
+		real.RandNorm(r, 1)
+		fake := mat.New(n, 3)
+		fake.RandNorm(r, 1)
 
-	// Reconstruct the frozen surrogate at θ0, replaying the same
-	// interpolation draws GradientPenalty will see.
-	uSeed := int64(77)
-	u2 := rand.New(rand.NewSource(uSeed))
-	interp := mat.New(n, 3)
-	for i := 0; i < n; i++ {
-		ti := u2.Float64()
-		rr, fr, ir := real.Row(i), fake.Row(i), interp.Row(i)
-		for j := range ir {
-			ir[j] = rr[j] + ti*(fr[j]-rr[j])
-		}
-	}
-	ZeroGrads(critic)
-	out := critic.Forward(interp)
-	ones := mat.New(out.Rows, out.Cols)
-	ones.Fill(1)
-	gIn := critic.Backward(ones).Clone()
-	ZeroGrads(critic) // discard probe-pass parameter gradients
-
-	const h = 1e-2 // must match GradientPenalty's internal step
-	const eps = 1e-12
-	scale := make([]float64, n)
-	for i := 0; i < n; i++ {
-		norm := mat.VecNorm(gIn.Row(i))
-		scale[i] = 2 * (norm - 1) / math.Max(norm, eps)
-	}
-	pert := interp.Clone()
-	pert.AddScaled(gIn, h)
-
-	surrogate := func() float64 {
-		var s float64
-		op := critic.Forward(pert)
+		// Reconstruct the frozen surrogate at θ0, replaying the same
+		// interpolation draws GradientPenalty will see.
+		uSeed := int64(77)
+		u2 := rand.New(rand.NewSource(uSeed))
+		interp := mat.New(n, 3)
 		for i := 0; i < n; i++ {
-			s += scale[i] * op.At(i, 0)
+			ti := u2.Float64()
+			rr, fr, ir := real.Row(i), fake.Row(i), interp.Row(i)
+			for j := range ir {
+				ir[j] = rr[j] + ti*(fr[j]-rr[j])
+			}
 		}
-		oi := critic.Forward(interp)
+		ZeroGrads(critic)
+		out := critic.Forward(interp)
+		ones := mat.New(out.Rows, out.Cols)
+		ones.Fill(1)
+		gIn := critic.Backward(ones).Clone()
+		ZeroGrads(critic) // discard probe-pass parameter gradients
+
+		const h = 1e-2 // must match GradientPenalty's internal step
+		const eps = 1e-12
+		scale := make([]float64, n)
 		for i := 0; i < n; i++ {
-			s -= scale[i] * oi.At(i, 0)
+			norm := mat.VecNorm(gIn.Row(i))
+			scale[i] = 2 * (norm - 1) / math.Max(norm, eps)
 		}
-		return lambda * s / (n * h)
-	}
-	analytic := func() {
-		u := rand.New(rand.NewSource(uSeed))
-		GradientPenalty(critic, real, fake, lambda, u.Float64)
-	}
-	checkGrads(t, critic, analytic, surrogate, 1e-3)
+		pert := interp.Clone()
+		pert.AddScaled(gIn, h)
+
+		surrogate := func() float64 {
+			var s float64
+			op := critic.Forward(pert)
+			for i := 0; i < n; i++ {
+				s += scale[i] * op.At(i, 0)
+			}
+			oi := critic.Forward(interp)
+			for i := 0; i < n; i++ {
+				s -= scale[i] * oi.At(i, 0)
+			}
+			return lambda * s / (n * h)
+		}
+		analytic := func() {
+			u := rand.New(rand.NewSource(uSeed))
+			GradientPenalty(critic, real, fake, lambda, u.Float64)
+		}
+		checkGrads(t, critic, analytic, surrogate, 1e-3)
+	})
 }
 
 func TestGRUInputGradCheck(t *testing.T) {
