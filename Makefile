@@ -78,8 +78,9 @@ test-ingest:
 # the chunk-record reader, the container and lease decoders, the matmul
 # kernels: float64 bit for bit against the pure-Go reference, float32
 # within rounding of the float64 product and, row by row, bit for bit
-# against the same row computed alone, and the nearest-word decode
-# kernel, bit for bit). Each target needs its own
+# against the same row computed alone, the nearest-word decode kernel,
+# bit for bit, and FuzzActivationKernels: the float32 sigmoid, tanh and
+# exp leaves, bit for bit). Each target needs its own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseLease -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzMatKernels -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzNearestKernels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzActivationKernels -fuzztime $(FUZZTIME)
 
 # Distributed training subsystem (DESIGN.md §14): the durable chunk
 # queue's lease/reclaim/retry matrix, the plan API's

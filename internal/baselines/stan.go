@@ -223,6 +223,7 @@ func (s *STAN) TrainTime() time.Duration { return s.dur }
 func (s *STAN) Generate(n int) *trace.FlowTrace {
 	out := &trace.FlowTrace{Records: make([]trace.FlowRecord, 0, n)}
 	hostPick := rng.NewCategorical(s.hostFreq)
+	vec := make([]float64, s.width)
 	for len(out.Records) < n {
 		host := s.hosts[hostPick.Draw(s.rnd)]
 		seqLen := int(s.recsPerHost[s.rnd.Intn(len(s.recsPerHost))])
@@ -234,7 +235,7 @@ func (s *STAN) Generate(n int) *trace.FlowTrace {
 		for k := 0; k < seqLen && len(out.Records) < n; k++ {
 			x := mat.NewFrom(1, s.width, prev)
 			pred := s.head.Forward(s.net.Forward(x))
-			vec := nn.SampleRow(s.schema(), pred.Row(0), s.rnd.Float64)
+			nn.SampleRow(vec, s.schema(), pred.Row(0), s.rnd.Float64)
 
 			r := trace.FlowRecord{}
 			r.Tuple.SrcIP = host

@@ -201,7 +201,9 @@ func (g *tabularGAN) generate(n int, condFor func(i int) []float64) [][]float64 
 		raw := g.gen.Forward(z)
 		act := g.head.Forward(raw)
 		for i := 0; i < batch; i++ {
-			out = append(out, nn.SampleRow(g.schema, act.Row(i), g.rng.Float64))
+			row := make([]float64, act.Cols)
+			nn.SampleRow(row, g.schema, act.Row(i), g.rng.Float64)
+			out = append(out, row)
 		}
 	}
 	return out

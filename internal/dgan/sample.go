@@ -215,8 +215,13 @@ func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand
 	meta := fw.meta.InferInto(metaIn, rows, &sc.meta)
 	nn.ActivateRows(g.metaSchema, meta, rows)
 	idx := sc.idx
+	// Samples escape to the caller, so each lot's metadata rows and each
+	// step's feature rows are carved from one fresh slab, not from the
+	// pooled scratch.
+	metaSlab := make([]float64, rows*metaW)
 	for i := range out {
-		out[i].Meta = nn.SampleRow(g.metaSchema, rowOf(meta, i, metaW), r.Float64)
+		out[i].Meta = metaSlab[i*metaW : (i+1)*metaW : (i+1)*metaW]
+		nn.SampleRow(out[i].Meta, g.metaSchema, rowOf(meta, i, metaW), r.Float64)
 		out[i].Features = out[i].Features[:0]
 		if g.condW > 0 {
 			out[i].Label = sc.labels[i]
@@ -241,14 +246,24 @@ func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand
 		h, hNext = hNext, h
 		proj := fw.proj.InferInto(h[:live*hid], live, &sc.proj)
 		nn.ActivateRows(g.featSchema, proj, live)
+		// A row whose stop flag fell below 0.5 after the first step
+		// terminates its sequence without emitting this step.
+		stops := func(c int) bool { return t > 0 && proj[(c+1)*featW-1] < 0.5 }
+		kept := 0
+		for c := range idx {
+			if !stops(c) {
+				kept++
+			}
+		}
+		featSlab := make([]float64, kept*featW)
 		w := 0
 		for c, i := range idx {
-			row := rowOf(proj, c, featW)
-			if t > 0 && row[featW-1] < 0.5 {
+			if stops(c) {
 				continue
 			}
-			full := nn.SampleRow(g.featSchema, row, r.Float64)
-			out[i].Features = append(out[i].Features, full[:featW-1])
+			full := rowOf(featSlab, w, featW)
+			nn.SampleRow(full, g.featSchema, rowOf(proj, c, featW), r.Float64)
+			out[i].Features = append(out[i].Features, full[:featW-1:featW-1])
 			if w != c {
 				copy(rowOf(h, w, hid), rowOf(h, c, hid))
 			}

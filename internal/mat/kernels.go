@@ -8,7 +8,8 @@ import (
 )
 
 // kernelSet is one implementation of the three float64 matmul row
-// kernels and of the float32 product. Each float64 kernel computes dst
+// kernels, the float32 product, the nearest-word decode and the float32
+// activation leaves. Each float64 kernel computes dst
 // rows [lo, hi) of its product; MulInto and MulTransAInto zero dst first
 // and the kernels accumulate into it, while mulTransBRows overwrites its
 // rows. Every set's float64 kernels must produce the same bits as
@@ -35,12 +36,19 @@ type kernelSet struct {
 	// over the rows j of w and the first j that attains it. Like the
 	// float64 matmuls it must match goKernels' bits exactly (nearestGo).
 	nearest func(pick []int, best []float64, q, w *Matrix, sq []float64)
+	// sigmoid32, tanh32 and exp32 are the float32 activation leaves
+	// behind Sigmoid32, Tanh32 and Exp32 (activation32.go): each sets
+	// every element x of row to its function of x. Unlike mul32 they must
+	// match goKernels' bits exactly, a NaN's payload aside, so the fast
+	// path's outputs do not depend on the CPU's activations.
+	sigmoid32, tanh32, exp32 func(row []float32)
 }
 
 // goKernels is the pure-Go reference: the fallback on CPUs without an
 // assembly implementation and the oracle the assembly kernels are tested
 // against.
-var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go, nearestGo}
+var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go, nearestGo,
+	sigmoid32Go, tanh32Go, exp32Go}
 
 // packPool recycles scratch matrices — the bᵀ packB fills and the
 // nearest-word decode's transposed queries — so steady-state training and
@@ -51,10 +59,11 @@ var (
 	distPool = sync.Pool{New: func() any { return new(Matrix) }}
 )
 
-// kernels is the set MulInto, MulTransAInto, MulTransBInto, MulInto32 and
-// NearestRows run. It is chosen once at package init from the CPU
-// (archKernels) and reported by the mat.kernel.avx2 gauge, so a metrics
-// dump shows which kernels produced its numbers.
+// kernels is the set MulInto, MulTransAInto, MulTransBInto, MulInto32,
+// NearestRows and the float32 activations run. It is chosen once at
+// package init from the CPU (archKernels) and reported by the
+// mat.kernel.avx2 gauge, so a metrics dump shows which kernels produced
+// its numbers.
 var kernels = goKernels
 
 func init() {
@@ -78,11 +87,12 @@ func kernelImpls() []kernelSet {
 
 // ForEachKernelSet calls f once per kernel set this build and CPU can run,
 // the pure-Go reference first, with that set installed for every matmul
-// entry point and NearestRows, and then restores the set init chose. It exists for tests
-// in other packages: the race detector cannot see memory accesses made by
-// assembly, so a test of concurrent matmul use also runs on the pure-Go
-// set. f must wait for every matmul it starts, and nothing else may call
-// into this package while ForEachKernelSet runs.
+// entry point, NearestRows and the float32 activations, and then restores
+// the set init chose. It exists for tests in other packages: the race
+// detector cannot see memory accesses made by assembly, so a test of
+// concurrent matmul use also runs on the pure-Go set. f must wait for
+// every matmul it starts, and nothing else may call into this package
+// while ForEachKernelSet runs.
 func ForEachKernelSet(f func(name string)) {
 	saved := kernels
 	defer func() { kernels = saved }()

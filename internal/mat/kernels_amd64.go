@@ -4,9 +4,12 @@ package mat
 // The float64 kernels vectorize across output columns only: each output
 // element still accumulates over k in ascending order with separate VMULPD
 // and VADDPD (never VFMADD), so their bits equal goKernels' for every
-// input. So does the nearest-word decode, nearestAVX2. The float32 kernel,
-// mul32FMA, does use FMA.
-var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA, nearestAVX2}
+// input. So do the nearest-word decode, nearestAVX2, and the float32
+// activation leaves, which evaluate the Go references' float32 operations
+// in the same order with separate VMULPS, VADDPS and VDIVPS. The float32
+// matmul, mul32FMA, does use FMA.
+var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA, nearestAVX2,
+	sigmoid32AVX2, tanh32AVX2, exp32AVX2}
 
 // archKernels returns the AVX2 kernels when the CPU has AVX2 and FMA and
 // the OS saves the YMM registers.
@@ -172,4 +175,48 @@ func nearestAVX2(pick []int, best []float64, q, w *Matrix, sq []float64) {
 	packPool.Put(qt)
 	tail := Matrix{Rows: q.Rows - n4, Cols: 8, Data: q.Data[n4*8:]}
 	nearestGo(pick[n4:], best[n4:], &tail, w, sq)
+}
+
+// sigmoid32Rows, tanh32Rows and exp32Rows run sigmoid32, tanh32 and exp32
+// on 8 lanes at a time over a row of at least 8 elements; a row whose
+// length is not a multiple of 8 ends with a vector that overlaps the one
+// before it.
+//
+//go:noescape
+func sigmoid32Rows(row []float32)
+
+//go:noescape
+func tanh32Rows(row []float32)
+
+//go:noescape
+func exp32Rows(row []float32)
+
+// sigmoid32AVX2, tanh32AVX2 and exp32AVX2 are the avx2 set's activation
+// leaves. A row shorter than one vector (the fast path's feature row has
+// runs of 4 and 1) takes the Go reference, which computes the same bits:
+// one vector is one long dependency chain, while the Go loop's
+// per-element chains overlap, so on 1 to 7 elements the Go loop is the
+// faster of the two.
+func sigmoid32AVX2(row []float32) {
+	if len(row) < 8 {
+		sigmoid32Go(row)
+		return
+	}
+	sigmoid32Rows(row)
+}
+
+func tanh32AVX2(row []float32) {
+	if len(row) < 8 {
+		tanh32Go(row)
+		return
+	}
+	tanh32Rows(row)
+}
+
+func exp32AVX2(row []float32) {
+	if len(row) < 8 {
+		exp32Go(row)
+		return
+	}
+	exp32Rows(row)
 }

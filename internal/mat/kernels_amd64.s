@@ -1,22 +1,29 @@
 #include "textflag.h"
 
 // AVX2 row kernels for the float64 matmuls, an AVX2 kernel for the
-// float64 nearest-word decode and an AVX2+FMA kernel for the float32
-// MulInto32 (see kernels_amd64.go). Package init selects them only on CPUs
-// with both AVX2 and FMA.
+// float64 nearest-word decode, an AVX2+FMA kernel for the float32
+// MulInto32 and AVX2 float32 sigmoid, tanh and exp row leaves (see
+// kernels_amd64.go). Package init selects them only on CPUs with both
+// AVX2 and FMA.
 //
-// Bit-exactness rules for the float64 kernels, kept by every instruction
-// of axpyRowsAVX2, dotRowsAVX2 and nearest8AVX2:
+// Bit-exactness rules for the float64 kernels and the activation leaves,
+// kept by every instruction of axpyRowsAVX2, dotRowsAVX2, nearest8AVX2,
+// sigmoid32Rows, tanh32Rows and exp32Rows:
 //   - a multiply and an add are separate VMULPD/VADDPD (VMULSD/VADDSD in
-//     the scalar tail), never a fused multiply-add;
+//     the scalar tail; VMULPS/VADDPS/VSUBPS and a correctly rounded
+//     VDIVPS in the leaves), never a fused multiply-add;
 //   - each output element is summed in the Go reference's order: over kk
 //     ascending for the matmuls, whose kk reduction is never split, and in
-//     dot's case 8 grouping for the decode.
-// Both operations are commutative and correctly rounded, so operand order
-// changes no bits except a NaN's payload, which is outside the contract.
-// The no-FMA rule covers every float64 kernel: only mulRows32FMA, at the
-// end of this file, fuses, because it serves the float32 fast path, which
-// is pinned by distribution rather than bits.
+//     dot's case 8 grouping for the decode;
+//   - each activation lane runs its Go reference's float32 operations in
+//     the same order, and each branch of the reference (tanh32's ±4.97
+//     clamps, exp32's +Inf, +0 and NaN cases) becomes an ordered or
+//     unordered VCMPPS and a VBLENDVPS.
+// Multiply and add are commutative and correctly rounded, so operand
+// order changes no bits except a NaN's payload, which is outside the
+// contract. The no-FMA rule covers every kernel but mulRows32FMA, which
+// fuses because it serves the float32 fast path, which is pinned by
+// distribution rather than bits.
 //
 // The float64 matmul kernels take (d, a, b *float64, m, n, k, ldd, ai,
 // ak, ldb int) and use the same registers:
@@ -592,3 +599,193 @@ mul32TailLoop:
 mul32Done:
 	VZEROUPPER
 	RET
+
+// Constants of the float32 activation leaves, as float32 bits (act32ExpBias
+// is the int32 exponent bias). Each is broadcast to all 8 lanes where it is
+// used.
+DATA act32<>+0(SB)/4, $0x3f000000  // 0.5
+DATA act32<>+4(SB)/4, $0x3f800000  // 1
+DATA act32<>+8(SB)/4, $0xbf800000  // -1
+DATA act32<>+12(SB)/4, $0x409f0a3d // 4.97
+DATA act32<>+16(SB)/4, $0xc09f0a3d // -4.97
+DATA act32<>+20(SB)/4, $0x43bd0000 // 378
+DATA act32<>+24(SB)/4, $0x46875a00 // 17325
+DATA act32<>+28(SB)/4, $0x4803f7c0 // 135135
+DATA act32<>+32(SB)/4, $0x41e00000 // 28
+DATA act32<>+36(SB)/4, $0x4544e000 // 3150
+DATA act32<>+40(SB)/4, $0x4773a200 // 62370
+DATA act32<>+44(SB)/4, $0x3fb8aa3b // expLog2e
+DATA act32<>+48(SB)/4, $0x4b400000 // expRound
+DATA act32<>+52(SB)/4, $0x3f318000 // expLn2Hi
+DATA act32<>+56(SB)/4, $0xb95e8083 // expLn2Lo
+DATA act32<>+60(SB)/4, $0x39506967 // expP0
+DATA act32<>+64(SB)/4, $0x3ab743ce // expP1
+DATA act32<>+68(SB)/4, $0x3c088908 // expP2
+DATA act32<>+72(SB)/4, $0x3d2aa9c1 // expP3
+DATA act32<>+76(SB)/4, $0x3e2aaaaa // expP4
+DATA act32<>+80(SB)/4, $0x3f000000 // expP5
+DATA act32<>+84(SB)/4, $0x42b17217 // expHi
+DATA act32<>+88(SB)/4, $0xc2cff1b4 // expLo
+DATA act32<>+92(SB)/4, $0x7f800000 // +Inf
+DATA act32<>+96(SB)/4, $127        // act32ExpBias
+GLOBL act32<>(SB), RODATA|NOPTR, $100
+
+#define act32Half act32<>+0(SB)
+#define act32One act32<>+4(SB)
+#define act32NegOne act32<>+8(SB)
+#define act32Clamp act32<>+12(SB)
+#define act32NegClamp act32<>+16(SB)
+#define act32P378 act32<>+20(SB)
+#define act32P17325 act32<>+24(SB)
+#define act32P135135 act32<>+28(SB)
+#define act32Q28 act32<>+32(SB)
+#define act32Q3150 act32<>+36(SB)
+#define act32Q62370 act32<>+40(SB)
+#define act32ExpLog2e act32<>+44(SB)
+#define act32ExpRound act32<>+48(SB)
+#define act32ExpLn2Hi act32<>+52(SB)
+#define act32ExpLn2Lo act32<>+56(SB)
+#define act32ExpP0 act32<>+60(SB)
+#define act32ExpP1 act32<>+64(SB)
+#define act32ExpP2 act32<>+68(SB)
+#define act32ExpP3 act32<>+72(SB)
+#define act32ExpP4 act32<>+76(SB)
+#define act32ExpP5 act32<>+80(SB)
+#define act32ExpHi act32<>+84(SB)
+#define act32ExpLo act32<>+88(SB)
+#define act32Inf act32<>+92(SB)
+#define act32ExpBias act32<>+96(SB)
+
+// HORNER: acc = acc·x + the constant c, broadcast into t.
+#define HORNER(acc, x, c, t) \
+	VMULPS       x, acc, acc; \
+	VBROADCASTSS c, t; \
+	VADDPS       t, acc, acc
+
+// TANH32 sets each lane of Y0 to tanh32 of it, using Y1-Y5:
+// Y1 = x², Y2 = p = x·(135135 + x²(17325 + x²(378 + x²))),
+// Y4 = q = 135135 + x²(62370 + x²(3150 + 28x²)), then p/q, and ±1 where
+// x > 4.97 or x < -4.97 (ordered compares: a NaN lane keeps p/q, a NaN).
+#define TANH32 \
+	VMULPS       Y0, Y0, Y1; \
+	VBROADCASTSS act32P378, Y2; \
+	VADDPS       Y1, Y2, Y2; \
+	HORNER(Y2, Y1, act32P17325, Y3); \
+	HORNER(Y2, Y1, act32P135135, Y3); \
+	VMULPS       Y0, Y2, Y2; \
+	VBROADCASTSS act32Q28, Y4; \
+	VMULPS       Y1, Y4, Y4; \
+	VBROADCASTSS act32Q3150, Y5; \
+	VADDPS       Y5, Y4, Y4; \
+	HORNER(Y4, Y1, act32Q62370, Y5); \
+	VMULPS       Y1, Y4, Y4; \
+	VADDPS       Y3, Y4, Y4; \
+	VDIVPS       Y4, Y2, Y2; \
+	VBROADCASTSS act32Clamp, Y1; \
+	VCMPPS       $0x1e, Y1, Y0, Y3; \
+	VBROADCASTSS act32One, Y4; \
+	VBLENDVPS    Y3, Y4, Y2, Y2; \
+	VBROADCASTSS act32NegClamp, Y1; \
+	VCMPPS       $0x11, Y1, Y0, Y3; \
+	VBROADCASTSS act32NegOne, Y4; \
+	VBLENDVPS    Y3, Y4, Y2, Y0
+
+// SIGMOID32 sets each lane of Y0 to sigmoid32 of it, 0.5 + 0.5·tanh32(0.5·x),
+// using Y1-Y6.
+#define SIGMOID32 \
+	VBROADCASTSS act32Half, Y6; \
+	VMULPS       Y6, Y0, Y0; \
+	TANH32; \
+	VMULPS       Y6, Y0, Y0; \
+	VADDPS       Y6, Y0, Y0
+
+// EXP32 sets each lane of Y0 to exp32 of it, using Y1-Y5: t = x·log2e +
+// expRound, n = t - expRound and its integer ni = bits(t) - bits(expRound)
+// in Y1, r in Y2, r² in Y3, the polynomial in Y4; then the two powers of
+// two 2^(ni>>1) and 2^(ni - ni>>1) built in the exponent bits; then +Inf
+// where x > expHi, +0 where x < expLo and x itself where x is NaN.
+#define EXP32 \
+	VBROADCASTSS act32ExpLog2e, Y1; \
+	VMULPS       Y1, Y0, Y1; \
+	VBROADCASTSS act32ExpRound, Y2; \
+	VADDPS       Y2, Y1, Y1; \
+	VSUBPS       Y2, Y1, Y3; \
+	VPSUBD       Y2, Y1, Y1; \
+	VBROADCASTSS act32ExpLn2Hi, Y2; \
+	VMULPS       Y3, Y2, Y2; \
+	VSUBPS       Y2, Y0, Y2; \
+	VBROADCASTSS act32ExpLn2Lo, Y4; \
+	VMULPS       Y3, Y4, Y4; \
+	VSUBPS       Y4, Y2, Y2; \
+	VMULPS       Y2, Y2, Y3; \
+	VBROADCASTSS act32ExpP0, Y4; \
+	VMULPS       Y2, Y4, Y4; \
+	VBROADCASTSS act32ExpP1, Y5; \
+	VADDPS       Y5, Y4, Y4; \
+	HORNER(Y4, Y2, act32ExpP2, Y5); \
+	HORNER(Y4, Y2, act32ExpP3, Y5); \
+	HORNER(Y4, Y2, act32ExpP4, Y5); \
+	HORNER(Y4, Y2, act32ExpP5, Y5); \
+	VMULPS       Y3, Y4, Y4; \
+	VADDPS       Y2, Y4, Y4; \
+	VBROADCASTSS act32One, Y5; \
+	VADDPS       Y5, Y4, Y4; \
+	VPSRAD       $1, Y1, Y2; \
+	VPSUBD       Y2, Y1, Y1; \
+	VPBROADCASTD act32ExpBias, Y5; \
+	VPADDD       Y5, Y2, Y2; \
+	VPSLLD       $23, Y2, Y2; \
+	VMULPS       Y2, Y4, Y4; \
+	VPADDD       Y5, Y1, Y1; \
+	VPSLLD       $23, Y1, Y1; \
+	VMULPS       Y1, Y4, Y4; \
+	VBROADCASTSS act32ExpHi, Y1; \
+	VCMPPS       $0x1e, Y1, Y0, Y2; \
+	VBROADCASTSS act32Inf, Y1; \
+	VBLENDVPS    Y2, Y1, Y4, Y4; \
+	VBROADCASTSS act32ExpLo, Y1; \
+	VCMPPS       $0x11, Y1, Y0, Y2; \
+	VXORPS       Y1, Y1, Y1; \
+	VBLENDVPS    Y2, Y1, Y4, Y4; \
+	VCMPPS       $0x03, Y0, Y0, Y2; \
+	VBLENDVPS    Y2, Y0, Y4, Y0
+
+// ROW32 applies the leaf macro F in place to the float32 slice argument
+// row, which must hold at least 8 elements: first to its last 8, whose
+// result waits in Y15 (F must leave Y15 alone), then to each whole 8 from
+// the start, and only then is Y15 stored. Elements that the last 8 share
+// with a whole 8 are computed twice from the same original value and get
+// the same bits both times, so no tail needs a mask.
+//   DI row cursor   CX elements left   SI the last 8
+#define ROW32(F, loop, done) \
+	MOVQ    row_base+0(FP), DI; \
+	MOVQ    row_len+8(FP), CX; \
+	LEAQ    -32(DI)(CX*4), SI; \
+	VMOVUPS (SI), Y0; \
+	F; \
+	VMOVAPS Y0, Y15; \
+	SUBQ    $8, CX; \
+	JLE     done; \
+loop: \
+	VMOVUPS (DI), Y0; \
+	F; \
+	VMOVUPS Y0, (DI); \
+	ADDQ    $32, DI; \
+	SUBQ    $8, CX; \
+	JG      loop; \
+done: \
+	VMOVUPS Y15, (SI); \
+	VZEROUPPER; \
+	RET
+
+// func sigmoid32Rows(row []float32)
+TEXT ·sigmoid32Rows(SB), NOSPLIT, $0-24
+	ROW32(SIGMOID32, sigmoidLoop, sigmoidDone)
+
+// func tanh32Rows(row []float32)
+TEXT ·tanh32Rows(SB), NOSPLIT, $0-24
+	ROW32(TANH32, tanhLoop, tanhDone)
+
+// func exp32Rows(row []float32)
+TEXT ·exp32Rows(SB), NOSPLIT, $0-24
+	ROW32(EXP32, expLoop, expDone)

@@ -450,9 +450,12 @@ func TestMatmulZeroAllocs(t *testing.T) {
 // NoiseDim 8, 94 metadata columns, 17 feature columns): the GRU step's
 // x·Wg (k = 8 + 94), h·Uzr, and (r⊙h)·Uh with the metadata MLP's hidden
 // layer, the MLP's input and output layers and the output projection,
-// plus (r⊙h)·Uh on a 37-row lot that live-row compaction left ragged. It
-// runs once per available kernel set, on one goroutine. Shapes are m×k×n:
-// an m×n product summed over k.
+// plus (r⊙h)·Uh on a 37-row lot that live-row compaction left ragged; and
+// the float32 activation leaves at the row lengths the fast path calls
+// them on: 64 (the GRU's z|r gates), 32 (its candidate ĥ), 94 (the
+// metadata row), 4 and 1 (the feature row's continuous runs) and 12 (the
+// label softmax, trace.NumLabels). It runs once per available kernel set,
+// on one goroutine. Shapes are m×k×n: an m×n product summed over k.
 func BenchmarkKernels(b *testing.B) {
 	shapes := []struct {
 		op      string
@@ -494,13 +497,40 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		for _, ks := range kernelImpls() {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", sh.op, sh.m, sh.k, sh.n, ks.name), func(b *testing.B) {
-				saved := kernels
-				kernels = ks
-				defer func() { kernels = saved }()
-				for b.Loop() {
-					run()
-				}
+				benchmarkKernelSet(b, ks, run)
 			})
 		}
+	}
+	for _, leaf := range []struct {
+		op  string
+		run func([]float32)
+	}{{"Sigmoid32", Sigmoid32}, {"Tanh32", Tanh32}, {"Exp32", Exp32}} {
+		for _, n := range []int{64, 32, 94, 4, 1, 12} {
+			in := make([]float32, n)
+			for i := range in {
+				in[i] = float32(r.NormFloat64())
+			}
+			row := make([]float32, n)
+			for _, ks := range kernelImpls() {
+				b.Run(fmt.Sprintf("%s/%d/%s", leaf.op, n, ks.name), func(b *testing.B) {
+					// Each call starts from the same operands, so the
+					// leaf never iterates on its own saturated output.
+					benchmarkKernelSet(b, ks, func() {
+						copy(row, in)
+						leaf.run(row)
+					})
+				})
+			}
+		}
+	}
+}
+
+// benchmarkKernelSet times run with ks installed as the kernel set.
+func benchmarkKernelSet(b *testing.B, ks kernelSet, run func()) {
+	saved := kernels
+	kernels = ks
+	defer func() { kernels = saved }()
+	for b.Loop() {
+		run()
 	}
 }

@@ -150,19 +150,20 @@ func (h *OutputHead) Backward(dout *mat.Matrix) *mat.Matrix {
 }
 
 // SampleRow converts one activated output row into a concrete float64
-// sample: continuous columns pass through (widened from float32 rows, so
-// fast-path samples flow through the same decode pipeline as reference
-// samples); each categorical group becomes the one-hot of a draw from its
-// softmax distribution, taking one uniform variate from u per group in
-// schema order. The cumulative sum is float64 for both element types.
-func SampleRow[F float32 | float64](schema []FieldSpec, row []F, u func() float64) []float64 {
-	out := make([]float64, len(row))
+// sample written to dst, which must be as long as row: continuous columns
+// pass through (widened from float32 rows, so fast-path samples flow
+// through the same decode pipeline as reference samples); each categorical
+// group becomes the one-hot of a draw from its softmax distribution,
+// taking one uniform variate from u per group in schema order. The
+// cumulative sum is float64 for both element types.
+func SampleRow[F float32 | float64](dst []float64, schema []FieldSpec, row []F, u func() float64) {
+	dst = dst[:len(row)]
 	col := 0
 	for _, f := range schema {
 		switch f.Kind {
 		case FieldContinuous:
 			for j := col; j < col+f.Size; j++ {
-				out[j] = float64(row[j])
+				dst[j] = float64(row[j])
 			}
 		case FieldCategorical:
 			probs := row[col : col+f.Size]
@@ -176,9 +177,9 @@ func SampleRow[F float32 | float64](schema []FieldSpec, row []F, u func() float6
 					break
 				}
 			}
-			out[col+pick] = 1
+			clear(dst[col : col+f.Size])
+			dst[col+pick] = 1
 		}
 		col += f.Size
 	}
-	return out
 }

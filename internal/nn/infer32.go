@@ -1,62 +1,24 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // The float32 leaves and weight narrowing of the inference modules
 // (DESIGN.md §11). A float32 instance is a one-way snapshot narrowed from a
 // trained float64 one: the same modules and the same arithmetic, but the
-// products run on mat.MulInto32 and the saturating activations use a
-// polynomial approximation instead of math.Tanh. Nothing here participates
-// in training or in the bitwise-deterministic generation contract — the
-// fast path's correctness is pinned distributionally by internal/conformance,
-// not by golden bytes.
-
-// Tanh32 approximates tanh with the 7th-order Lambert continued-fraction
-// expansion, accurate to ~1e-6 over the unclamped range. Beyond |x| > 4.97
-// it saturates to ±1 (true tanh is within 1e-4 of ±1 there), which also
-// keeps the rational form from diverging for large inputs.
-func Tanh32(x float32) float32 {
-	if x > 4.97 {
-		return 1
-	}
-	if x < -4.97 {
-		return -1
-	}
-	x2 := x * x
-	p := x * (135135 + x2*(17325+x2*(378+x2)))
-	q := 135135 + x2*(62370+x2*(3150+28*x2))
-	return p / q
-}
-
-// Sigmoid32 is the logistic function via its tanh identity, inheriting
-// Tanh32's accuracy.
-func Sigmoid32(x float32) float32 {
-	return 0.5 + 0.5*Tanh32(0.5*x)
-}
+// products run on mat.MulInto32 and the activations on mat's float32 row
+// leaves — a rational tanh approximation (sigmoid through its tanh
+// identity) and a range-reduced polynomial exp — instead of math.Tanh and
+// math.Exp. Nothing here participates in training or in the
+// bitwise-deterministic generation contract — the fast path's correctness
+// is pinned distributionally by internal/conformance, not by golden bytes.
 
 var leaves32 = leaves[float32]{
 	mul: func(dst, a, b *matrix[float32]) {
 		mat.MulInto32((*mat.Matrix32)(dst), (*mat.Matrix32)(a), (*mat.Matrix32)(b))
 	},
-	sigmoid: func(row []float32) {
-		for i, v := range row {
-			row[i] = Sigmoid32(v)
-		}
-	},
-	tanh: func(row []float32) {
-		for i, v := range row {
-			row[i] = Tanh32(v)
-		}
-	},
-	exp: func(row []float32) {
-		for i, v := range row {
-			row[i] = float32(math.Exp(float64(v)))
-		}
-	},
+	sigmoid: mat.Sigmoid32,
+	tanh:    mat.Tanh32,
+	exp:     mat.Exp32,
 }
 
 // Narrow returns the float32 snapshot of a float64 inference module. Only

@@ -228,7 +228,8 @@ func TestSampleRow(t *testing.T) {
 	}
 	row := []float64{0.42, 0.1, 0.7, 0.2}
 	// u=0.05 lands in the first bucket.
-	got := SampleRow(schema, row, func() float64 { return 0.05 })
+	got := make([]float64, len(row))
+	SampleRow(got, schema, row, func() float64 { return 0.05 })
 	if got[0] != 0.42 {
 		t.Fatal("continuous value must pass through")
 	}
@@ -236,8 +237,8 @@ func TestSampleRow(t *testing.T) {
 		t.Fatalf("stochastic pick = %v, want bucket 0", got[1:])
 	}
 	// u=0.99 lands in the last bucket.
-	got = SampleRow(schema, row, func() float64 { return 0.99 })
-	if got[3] != 1 {
+	SampleRow(got, schema, row, func() float64 { return 0.99 })
+	if got[3] != 1 || got[1] != 0 {
 		t.Fatalf("stochastic pick = %v, want bucket 2", got[1:])
 	}
 }
