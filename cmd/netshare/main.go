@@ -80,7 +80,7 @@ func run(args []string) error {
 		dpTarget  = fs.Float64("target-epsilon", 0, "calibrate sigma for this target epsilon (overrides -epsilon-noise)")
 		dpPre     = fs.Bool("dp-pretrain", true, "pre-train on public data before DP fine-tuning")
 		ipBase    = fs.String("ip-transform", "", "optional CIDR-style base (e.g. 10.0.0.0/8) to remap generated IPs into")
-		par       = fs.Int("parallelism", 0, "workers for generate lots and DP-SGD sample lanes (0 = all CPUs); 1 also fine-tunes chunks one at a time; any value yields bitwise-identical output for a given -seed")
+		par       = fs.Int("parallelism", 0, "worker count for chunk fine-tunes, generate lots and DP-SGD sample lanes (0 = all CPUs, 1 = serial); any value yields bitwise-identical output for a given -seed")
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-chunk training checkpoints (empty disables)")
 		resume    = fs.Bool("resume", false, "resume training from -checkpoint-dir, skipping completed chunks")
 		maxRetry  = fs.Int("max-retries", 0, "with -role coordinator, the job's per-chunk re-lease budget: a chunk whose worker crashes or fails is leased again up to this many times before the job fails")

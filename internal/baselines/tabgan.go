@@ -27,6 +27,11 @@ type tabularGAN struct {
 
 	noiseDim int
 	batch    int
+
+	// Training workspace, reused by every step: real and fake critic
+	// inputs, the bare conditioning block, generator noise, the score
+	// gradient and the generator-output gradient.
+	real, fake, condM, z, grad, dOut mat.Matrix
 }
 
 // tabularConfig parameterizes the engine.
@@ -105,8 +110,8 @@ func (g *tabularGAN) train(rows [][]float64, conds [][]float64, steps int) error
 // critic input, plus the bare conditioning block for the generator.
 func (g *tabularGAN) sampleBatch(rows, conds [][]float64) (*mat.Matrix, *mat.Matrix) {
 	w := nn.Width(g.schema)
-	real := mat.New(g.batch, w+g.cond)
-	condM := mat.New(g.batch, g.cond)
+	real := g.real.Reshape(g.batch, w+g.cond)
+	condM := g.condM.Reshape(g.batch, g.cond)
 	for i := 0; i < g.batch; i++ {
 		idx := g.rng.Intn(len(rows))
 		row := real.Row(i)
@@ -119,22 +124,25 @@ func (g *tabularGAN) sampleBatch(rows, conds [][]float64) (*mat.Matrix, *mat.Mat
 	return real, condM
 }
 
-// fakeBatch generates a batch of activated fake rows with the given
-// conditioning, returning critic input (cond ++ row).
-func (g *tabularGAN) fakeBatch(condM *mat.Matrix) *mat.Matrix {
-	z := mat.New(g.batch, g.noiseDim+g.cond)
-	for i := 0; i < g.batch; i++ {
+// noise fills the generator input: N(0,1) noise ++ each row of the
+// conditioning block condM.
+func (g *tabularGAN) noise(condM *mat.Matrix) *mat.Matrix {
+	z := g.z.Reshape(condM.Rows, g.noiseDim+g.cond)
+	for i := 0; i < condM.Rows; i++ {
 		row := z.Row(i)
 		for j := 0; j < g.noiseDim; j++ {
 			row[j] = g.rng.NormFloat64()
 		}
-		if g.cond > 0 {
-			copy(row[g.noiseDim:], condM.Row(i))
-		}
+		copy(row[g.noiseDim:], condM.Row(i))
 	}
-	raw := g.gen.Forward(z)
-	out := g.head.Forward(raw)
-	fake := mat.New(g.batch, out.Cols+g.cond)
+	return z
+}
+
+// fakeBatch generates a batch of activated fake rows with the given
+// conditioning, returning critic input (cond ++ row).
+func (g *tabularGAN) fakeBatch(condM *mat.Matrix) *mat.Matrix {
+	out := g.head.Forward(g.gen.Forward(g.noise(condM)))
+	fake := g.fake.Reshape(g.batch, out.Cols+g.cond)
 	for i := 0; i < g.batch; i++ {
 		row := fake.Row(i)
 		if g.cond > 0 {
@@ -145,37 +153,33 @@ func (g *tabularGAN) fakeBatch(condM *mat.Matrix) *mat.Matrix {
 	return fake
 }
 
+// criticStep runs one WGAN-GP critic update. Each batch's scores come from
+// the forward its backward follows.
 func (g *tabularGAN) criticStep(rows, conds [][]float64) {
 	real, condM := g.sampleBatch(rows, conds)
 	fake := g.fakeBatch(condM)
 
-	outR := g.critic.Forward(real)
-	outF := g.critic.Forward(fake)
-	_, gr, gf := nn.WassersteinCriticLoss(outR, outF)
-	g.critic.Forward(real)
-	g.critic.Backward(gr)
-	g.critic.Forward(fake)
-	g.critic.Backward(gf)
+	g.critic.Backward(nn.ScoreGrad(&g.grad, g.critic.Forward(real), -1))
+	g.critic.Backward(nn.ScoreGrad(&g.grad, g.critic.Forward(fake), 1))
 	nn.GradientPenalty(g.critic, real, fake, 10, g.rng.Float64)
 	g.optD.Step(g.critic)
 }
 
+// generatorStep runs one generator update through the critic, whose
+// backward is input-only: its parameter gradients are left as the last
+// critic update zeroed them.
 func (g *tabularGAN) generatorStep(rows, conds [][]float64) {
 	_, condM := g.sampleBatch(rows, conds)
 	fake := g.fakeBatch(condM)
 
-	out := g.critic.Forward(fake)
-	_, grad := nn.WassersteinGenLoss(out)
-	dIn := g.critic.Backward(grad)
-	nn.ZeroGrads(g.critic)
+	dIn := g.critic.BackwardInput(nn.ScoreGrad(&g.grad, g.critic.Forward(fake), -1))
 
 	// Strip the conditioning columns; they carry no generator gradient.
-	dOut := mat.New(g.batch, nn.Width(g.schema))
+	dOut := g.dOut.Reshape(g.batch, nn.Width(g.schema))
 	for i := 0; i < g.batch; i++ {
 		copy(dOut.Row(i), dIn.Row(i)[g.cond:])
 	}
-	dRaw := g.head.Backward(dOut)
-	g.gen.Backward(dRaw)
+	g.gen.Backward(g.head.Backward(dOut))
 	g.optG.Step(g.gen)
 }
 

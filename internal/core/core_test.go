@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,6 +61,37 @@ func TestSplitCounts(t *testing.T) {
 	}
 	if sum := splitCounts(5, []int{0, 0}); sum[0]+sum[1] != 0 {
 		t.Fatal("all-empty chunks must receive nothing")
+	}
+}
+
+// TestForEachChunkBoundedByParallelism: with Parallel set, Parallelism 2
+// and 7 chunks, at most 2 callbacks run at once and every chunk runs
+// exactly once.
+func TestForEachChunkBoundedByParallelism(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Parallel, cfg.Parallelism = true, 2
+	const n = 7
+	var running, peak atomic.Int32
+	var calls [n]atomic.Int32
+	forEachChunk(cfg, n, func(i int) {
+		cur := running.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		calls[i].Add(1)
+		running.Add(-1)
+	})
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("%d callbacks ran at once, want at most 2", p)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("chunk %d ran %d times, want 1", i, c)
+		}
 	}
 }
 

@@ -46,10 +46,10 @@ type Config struct {
 	FineTuneSteps int
 	// Parallel fine-tunes non-seed chunks concurrently.
 	Parallel bool
-	// Parallelism is the worker count of generate lots and of the
-	// per-sample DP-SGD lanes: 0 selects runtime.NumCPU(), 1 forces serial
-	// execution, which also runs Parallel chunk fine-tunes one after
-	// another. Trained weights are bitwise identical at every setting.
+	// Parallelism is the worker count of Parallel chunk fine-tunes and
+	// chunk generates, of generate lots and of the per-sample DP-SGD lanes:
+	// 0 selects runtime.NumCPU(), 1 forces serial execution. Trained
+	// weights are bitwise identical at every setting.
 	Parallelism int
 
 	// EmbedDim is the IP2Vec embedding width for ports and protocols.

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dgan"
 	"repro/internal/rng"
@@ -136,25 +138,33 @@ func splitCounts(n int, chunkSizes []int) []int {
 	return out
 }
 
-// forEachChunk runs fn(i) for every chunk index, concurrently when the
-// configuration enables parallelism and there is more than one chunk. Each
-// fn must touch only chunk i's state (plus read-only shared data, like the
-// fitted codec), which is what keeps
-// parallel and serial generation byte-identical.
+// forEachChunk runs fn(i) for every chunk index, on up to the resolved
+// Parallelism worker count of goroutines (0 = NumCPU) when the
+// configuration enables parallelism and there is more than one chunk. The
+// workers take chunk indices in order. Each fn must touch only chunk i's
+// state (plus read-only shared data, like the fitted codec), which is what
+// keeps parallel and serial generation byte-identical.
 func forEachChunk(cfg Config, n int, fn func(int)) {
-	if !cfg.Parallel || cfg.Parallelism == 1 || n <= 1 {
+	workers := cfg.Parallelism
+	if workers == 0 {
+		workers = runtime.NumCPU()
+	}
+	if !cfg.Parallel || workers == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			fn(i)
-		}(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -36,8 +36,9 @@ type Config struct {
 	LR            float64        // Adam learning rate
 	Seed          int64
 	// Parallelism is the worker count for the per-sample DP-SGD gradient
-	// lanes and for generate lots: 0 selects runtime.NumCPU(), 1 forces
-	// serial execution. Every lane count shares the same fixed-order tree
+	// lanes and for generate lots (core runs at most this many chunk
+	// models at once, too): 0 selects runtime.NumCPU(), 1 forces serial
+	// execution. Every lane count shares the same fixed-order tree
 	// reduction, so trained weights are bitwise identical at every
 	// setting.
 	Parallelism int
@@ -143,11 +144,12 @@ type Model struct {
 	// Pool of per-worker generation scratch (sample.go).
 	genPool sync.Pool
 
-	// Generator forward caches for the backward pass.
-	lastZMeta *mat.Matrix
-	lastMeta  *mat.Matrix
-	lastFeats []*mat.Matrix
-	lastCond  *mat.Matrix // batch × condW one-hot labels of the last fake batch
+	// The last fake batch's label one-hots (batch × condW), read by the
+	// critic inputs; it lives in tb.
+	lastCond *mat.Matrix
+
+	// Training workspace (train.go), sized on first training use.
+	tb trainBufs
 }
 
 // New builds a model from cfg.
@@ -223,13 +225,6 @@ func (m *Model) Warmstart(src *Model) error {
 	return nil
 }
 
-// noise fills a fresh batch×dim matrix with N(0,1).
-func (m *Model) noise(batch, dim int) *mat.Matrix {
-	z := mat.New(batch, dim)
-	z.RandNorm(m.rng, 1)
-	return z
-}
-
 // Conditional reports whether the model carries a scenario-conditioning
 // vector.
 func (m *Model) Conditional() bool { return m.condW > 0 }
@@ -262,75 +257,78 @@ func drawLabelFrom(weights []float64, n int, u float64) int {
 
 // forwardGenerator runs the full generator for a batch, caching everything
 // backwardGenerator needs. It returns the activated metadata and per-step
-// activated features (soft categorical probabilities). On conditional
-// models each fake sample's label is drawn from the fitted training
-// distribution first and its one-hot cached in lastCond for the critic
-// inputs.
+// activated features (soft categorical probabilities), valid until the
+// next forwardGenerator. On conditional models each fake sample's label is
+// drawn from the fitted training distribution first and its one-hot cached
+// in lastCond for the critic inputs.
 func (m *Model) forwardGenerator(batch int) (*mat.Matrix, []*mat.Matrix) {
-	cfg := m.Config
-	zIn := m.noise(batch, cfg.NoiseDim)
-	m.lastZMeta = zIn
+	cfg, tb := m.Config, &m.tb
+	nd := cfg.NoiseDim
+	zIn := tb.z.Reshape(batch, nd)
+	zIn.RandNorm(m.rng, 1)
 	if m.condW > 0 {
-		m.lastCond = mat.New(batch, m.condW)
+		m.lastCond = tb.cond.Reshape(batch, m.condW)
+		m.lastCond.Zero()
 		for i := 0; i < batch; i++ {
 			m.lastCond.Row(i)[m.drawLabel(m.rng.Float64)] = 1
 		}
-		zc := mat.New(batch, cfg.NoiseDim+m.condW)
+		zc := tb.zCond.Reshape(batch, nd+m.condW)
 		for i := 0; i < batch; i++ {
 			row := zc.Row(i)
-			copy(row[:cfg.NoiseDim], zIn.Row(i))
-			copy(row[cfg.NoiseDim:], m.lastCond.Row(i))
+			copy(row[:nd], zIn.Row(i))
+			copy(row[nd:], m.lastCond.Row(i))
 		}
 		zIn = zc
 	}
-	metaRaw := m.metaGen.Forward(zIn)
-	meta := m.metaHead.Forward(metaRaw)
-	m.lastMeta = meta
+	meta := m.metaHead.Forward(m.metaGen.Forward(zIn))
 
-	xs := make([]*mat.Matrix, cfg.MaxLen)
+	// Each step's GRU input is fresh N(0,1) noise ++ the metadata, the
+	// noise drawn row by row as RandNorm would.
+	if tb.xs == nil {
+		tb.xs = make([]mat.Matrix, cfg.MaxLen)
+	}
+	tb.xPtrs = tb.xPtrs[:0]
 	for t := 0; t < cfg.MaxLen; t++ {
-		z := m.noise(batch, cfg.NoiseDim)
-		x := mat.New(batch, cfg.NoiseDim+m.metaW)
+		x := tb.xs[t].Reshape(batch, nd+m.metaW)
 		for i := 0; i < batch; i++ {
-			copy(x.Row(i)[:cfg.NoiseDim], z.Row(i))
-			copy(x.Row(i)[cfg.NoiseDim:], meta.Row(i))
+			row := x.Row(i)
+			for j := range row[:nd] {
+				row[j] = m.rng.NormFloat64()
+			}
+			copy(row[nd:], meta.Row(i))
 		}
-		xs[t] = x
+		tb.xPtrs = append(tb.xPtrs, x)
 	}
-	hs := m.seqGRU.Forward(xs, nil)
-	raws := m.seqProj.Forward(hs)
-	feats := make([]*mat.Matrix, cfg.MaxLen)
-	for t := range raws {
-		feats[t] = m.seqHeads[t].Forward(raws[t])
+	raws := m.seqProj.Forward(m.seqGRU.Forward(tb.xPtrs, nil))
+	tb.feats = tb.feats[:0]
+	for t, raw := range raws {
+		tb.feats = append(tb.feats, m.seqHeads[t].Forward(raw))
 	}
-	m.lastFeats = feats
-	return meta, feats
+	return meta, tb.feats
 }
 
 // backwardGenerator propagates dMeta (gradient on activated metadata from
-// every consumer) and dFeats (per-step gradients on activated features)
-// through the whole generator, accumulating parameter gradients.
+// every consumer; it is accumulated into in place) and dFeats (per-step
+// gradients on activated features) through the whole generator,
+// accumulating parameter gradients.
 func (m *Model) backwardGenerator(dMeta *mat.Matrix, dFeats []*mat.Matrix) {
-	cfg := m.Config
-	dRaws := make([]*mat.Matrix, cfg.MaxLen)
-	for t := range dFeats {
-		dRaws[t] = m.seqHeads[t].Backward(dFeats[t])
+	tb := &m.tb
+	tb.dRaws = tb.dRaws[:0]
+	for t, d := range dFeats {
+		tb.dRaws = append(tb.dRaws, m.seqHeads[t].Backward(d))
 	}
-	dHs := m.seqProj.Backward(dRaws)
-	dXs := m.seqGRU.Backward(dHs)
+	dXs := m.seqGRU.Backward(m.seqProj.Backward(tb.dRaws))
 
-	dMetaTotal := dMeta.Clone()
 	for _, dx := range dXs {
 		for i := 0; i < dx.Rows; i++ {
-			src := dx.Row(i)[cfg.NoiseDim:]
-			dst := dMetaTotal.Row(i)
+			src := dx.Row(i)[m.Config.NoiseDim:]
+			dst := dMeta.Row(i)
 			for j, v := range src {
 				dst[j] += v
 			}
 		}
 	}
-	dMetaRaw := m.metaHead.Backward(dMetaTotal)
-	m.metaGen.Backward(dMetaRaw)
+	m.metaGen.Backward(m.metaHead.Backward(dMeta))
 }
 
 // flatten packs metadata plus padded features into critic input rows. On
@@ -338,7 +336,7 @@ func (m *Model) backwardGenerator(dMeta *mat.Matrix, dFeats []*mat.Matrix) {
 // so the critic scores (label, metadata, sequence) jointly.
 func (m *Model) flatten(meta *mat.Matrix, feats []*mat.Matrix) *mat.Matrix {
 	batch := meta.Rows
-	out := mat.New(batch, m.condW+m.metaW+m.Config.MaxLen*m.featW)
+	out := m.tb.fake.Reshape(batch, m.condW+m.metaW+m.Config.MaxLen*m.featW)
 	for i := 0; i < batch; i++ {
 		row := out.Row(i)
 		if m.condW > 0 {
@@ -357,21 +355,24 @@ func (m *Model) flatten(meta *mat.Matrix, feats []*mat.Matrix) *mat.Matrix {
 // feature gradients. The conditioning prefix is an input, not a generator
 // output, so its gradient columns are discarded.
 func (m *Model) unflatten(d *mat.Matrix) (*mat.Matrix, []*mat.Matrix) {
-	batch := d.Rows
-	dMeta := mat.New(batch, m.metaW)
-	dFeats := make([]*mat.Matrix, m.Config.MaxLen)
-	for t := range dFeats {
-		dFeats[t] = mat.New(batch, m.featW)
+	batch, tb := d.Rows, &m.tb
+	dMeta := tb.dMeta.Reshape(batch, m.metaW)
+	if tb.dFeats == nil {
+		tb.dFeats = make([]mat.Matrix, m.Config.MaxLen)
+	}
+	tb.dFeatPtrs = tb.dFeatPtrs[:0]
+	for t := 0; t < m.Config.MaxLen; t++ {
+		tb.dFeatPtrs = append(tb.dFeatPtrs, tb.dFeats[t].Reshape(batch, m.featW))
 	}
 	for i := 0; i < batch; i++ {
 		row := d.Row(i)
 		copy(dMeta.Row(i), row[m.condW:m.condW+m.metaW])
-		for t := 0; t < m.Config.MaxLen; t++ {
+		for t, df := range tb.dFeatPtrs {
 			base := m.condW + m.metaW + t*m.featW
-			copy(dFeats[t].Row(i), row[base:base+m.featW])
+			copy(df.Row(i), row[base:base+m.featW])
 		}
 	}
-	return dMeta, dFeats
+	return dMeta, tb.dFeatPtrs
 }
 
 // encodeReal packs a real sample into a critic-input row: the label
@@ -379,6 +380,7 @@ func (m *Model) unflatten(d *mat.Matrix) (*mat.Matrix, []*mat.Matrix) {
 // features with a trailing presence flag (1 for real steps, 0 padding).
 func (m *Model) encodeReal(s Sample, row []float64) {
 	if m.condW > 0 {
+		clear(row[:m.condW])
 		row[s.Label] = 1
 	}
 	copy(row[m.condW:m.condW+m.metaW], s.Meta)
@@ -397,7 +399,7 @@ func (m *Model) encodeReal(s Sample, row []float64) {
 
 // realBatch assembles a random minibatch of real samples as critic input.
 func (m *Model) realBatch(samples []Sample, batch int) *mat.Matrix {
-	out := mat.New(batch, m.condW+m.metaW+m.Config.MaxLen*m.featW)
+	out := m.tb.real.Reshape(batch, m.condW+m.metaW+m.Config.MaxLen*m.featW)
 	for i := 0; i < batch; i++ {
 		s := samples[m.rng.Intn(len(samples))]
 		m.encodeReal(s, out.Row(i))
@@ -408,7 +410,7 @@ func (m *Model) realBatch(samples []Sample, batch int) *mat.Matrix {
 // metaSlice extracts the (conditioning ++ metadata) columns of
 // critic-input rows — the auxiliary critic's input.
 func (m *Model) metaSlice(x *mat.Matrix) *mat.Matrix {
-	out := mat.New(x.Rows, m.condW+m.metaW)
+	out := m.tb.realMeta.Reshape(x.Rows, m.condW+m.metaW)
 	for i := 0; i < x.Rows; i++ {
 		copy(out.Row(i), x.Row(i)[:m.condW+m.metaW])
 	}
@@ -422,7 +424,7 @@ func (m *Model) condMeta(meta *mat.Matrix) *mat.Matrix {
 	if m.condW == 0 {
 		return meta
 	}
-	out := mat.New(meta.Rows, m.condW+m.metaW)
+	out := m.tb.fakeMeta.Reshape(meta.Rows, m.condW+m.metaW)
 	for i := 0; i < meta.Rows; i++ {
 		row := out.Row(i)
 		copy(row[:m.condW], m.lastCond.Row(i))

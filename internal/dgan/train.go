@@ -117,50 +117,62 @@ func (m *Model) fitLabelWeights(samples []Sample) {
 	m.labelWeights = counts
 }
 
-// criticStep performs one WGAN-GP update of both critics. When dp is
-// non-nil the data-dependent gradients are accumulated per sample through
-// DP-SGD before the optimizer step.
+// trainBufs is the model's training workspace: every matrix the critic and
+// generator steps build — real and fake critic inputs, noise, per-step GRU
+// inputs, the split critic-input gradient and the score gradients. Like
+// the nn modules' own buffers it is sized on first use and reused by every
+// step after, so a model that only decodes or generates never grows it,
+// and a warm training step allocates no matrix.
+type trainBufs struct {
+	real, fake         mat.Matrix // main-critic inputs
+	realMeta, fakeMeta mat.Matrix // auxiliary-critic inputs
+	z, zCond, cond     mat.Matrix // metadata noise, with label prefix; label one-hots
+	xs                 []mat.Matrix
+	xPtrs, feats       []*mat.Matrix
+	dMeta, dMetaAux    mat.Matrix
+	dFeats             []mat.Matrix
+	dFeatPtrs, dRaws   []*mat.Matrix
+	grad               mat.Matrix // score gradient (nn.ScoreGrad)
+}
+
+// criticStep performs one WGAN-GP update of both critics and returns the
+// main critic's Wasserstein loss. When dp is non-nil the data-dependent
+// gradients are accumulated per sample through DP-SGD before the
+// optimizer step.
 func (m *Model) criticStep(samples []Sample, dp *privacy.DPSGD) float64 {
 	batch := m.Config.Batch
 	real := m.realBatch(samples, batch)
 	meta, feats := m.forwardGenerator(batch)
 	fake := m.flatten(meta, feats)
+	realMeta, fakeMeta := m.metaSlice(real), m.condMeta(meta)
 
-	var loss float64
-	if dp == nil {
-		outR := m.critic.Forward(real)
-		outF := m.critic.Forward(fake)
-		l, gr, gf := nn.WassersteinCriticLoss(outR, outF)
-		loss = l
-		// Backward passes must each follow their own forward.
-		m.critic.Forward(real)
-		m.critic.Backward(gr)
-		m.critic.Forward(fake)
-		m.critic.Backward(gf)
-		nn.GradientPenalty(m.critic, real, fake, m.Config.GPWeight, m.rng.Float64)
-		m.optD.Step(m.critic)
-
-		realMeta := m.metaSlice(real)
-		fakeMeta := m.condMeta(meta)
-		outRM := m.auxCritic.Forward(realMeta)
-		outFM := m.auxCritic.Forward(fakeMeta)
-		_, grm, gfm := nn.WassersteinCriticLoss(outRM, outFM)
-		m.auxCritic.Forward(realMeta)
-		m.auxCritic.Backward(grm)
-		m.auxCritic.Forward(fakeMeta)
-		m.auxCritic.Backward(gfm)
-		nn.GradientPenalty(m.auxCritic, realMeta, fakeMeta, m.Config.GPWeight, m.rng.Float64)
-		m.optAux.Step(m.auxCritic)
+	if dp != nil {
+		// DP path: per-sample gradients for the real-data terms, clipped
+		// and noised; the fake-data and penalty terms are data independent
+		// given the generator, so they are applied normally after Finalize.
+		loss := m.dpCriticUpdate(m.critic, m.optD, real, fake, dp)
+		m.dpCriticUpdate(m.auxCritic, m.optAux, realMeta, fakeMeta, dp)
 		return loss
 	}
-
-	// DP path: per-sample gradients for the real-data terms, clipped and
-	// noised; the fake-data and penalty terms are data independent given
-	// the generator, so they are applied normally after Finalize.
-	loss = m.dpCriticUpdate(m.critic, real, fake, dp)
-	realMeta := m.metaSlice(real)
-	m.dpCriticUpdate(m.auxCritic, realMeta, m.condMeta(meta), dp)
+	loss := m.wganCriticUpdate(m.critic, m.optD, real, fake)
+	m.wganCriticUpdate(m.auxCritic, m.optAux, realMeta, fakeMeta)
 	return loss
+}
+
+// wganCriticUpdate runs one WGAN-GP update of critic on a real and a fake
+// batch and returns the Wasserstein loss mean(D(fake)) − mean(D(real)).
+// Each batch's scores come from the forward its backward follows, so the
+// loss costs no extra pass.
+func (m *Model) wganCriticUpdate(critic *nn.MLP, opt *nn.Adam, real, fake *mat.Matrix) float64 {
+	outR := critic.Forward(real)
+	meanR := nn.MeanScore(outR)
+	critic.Backward(nn.ScoreGrad(&m.tb.grad, outR, -1))
+	outF := critic.Forward(fake)
+	meanF := nn.MeanScore(outF)
+	critic.Backward(nn.ScoreGrad(&m.tb.grad, outF, 1))
+	nn.GradientPenalty(critic, real, fake, m.Config.GPWeight, m.rng.Float64)
+	opt.Step(critic)
+	return meanF - meanR
 }
 
 // dpCriticUpdate updates one critic under DP-SGD and returns the
@@ -168,7 +180,7 @@ func (m *Model) criticStep(samples []Sample, dp *privacy.DPSGD) float64 {
 // per-worker critic replicas (Config.Parallelism lanes), clipped locally,
 // and merged by a fixed-order tree reduction, so the update is bitwise
 // identical at every parallelism level.
-func (m *Model) dpCriticUpdate(critic *nn.MLP, real, fake *mat.Matrix, dp *privacy.DPSGD) float64 {
+func (m *Model) dpCriticUpdate(critic *nn.MLP, opt *nn.Adam, real, fake *mat.Matrix, dp *privacy.DPSGD) float64 {
 	batch := real.Rows
 	// Per-sample real gradients → clip per sample → tree-reduce → accumulate.
 	sum := m.accumulatePerSample(critic, real, dp.Config.ClipNorm)
@@ -176,43 +188,37 @@ func (m *Model) dpCriticUpdate(critic *nn.MLP, real, fake *mat.Matrix, dp *priva
 	dp.Finalize(critic, batch)
 	// Fake term and gradient penalty are post-processing w.r.t. the private
 	// data; add their gradients on top of the noised real-term gradient.
+	// The critic maximizes D(real)−D(fake): the fake term is +mean. No step
+	// below changes a weight before opt.Step, so these fake scores are the
+	// loss's too.
 	outF := critic.Forward(fake)
-	_, gf := nn.WassersteinGenLoss(outF)
-	gf.Scale(-1) // critic maximizes D(real)−D(fake): fake term is +mean
-	critic.Backward(gf)
+	meanF := nn.MeanScore(outF)
+	critic.Backward(nn.ScoreGrad(&m.tb.grad, outF, 1))
 	nn.GradientPenalty(critic, fake, fake, m.Config.GPWeight, m.rng.Float64)
 
-	outR := critic.Forward(real)
-	outF2 := critic.Forward(fake)
-	l, _, _ := nn.WassersteinCriticLoss(outR, outF2)
-	opt := m.optD
-	if critic == m.auxCritic {
-		opt = m.optAux
-	}
+	meanR := nn.MeanScore(critic.Forward(real))
 	opt.Step(critic)
-	return l
+	return meanF - meanR
 }
 
 // generatorStep performs one generator update against both critics and
-// returns the generator loss and the pre-update gradient L2 norm.
+// returns the generator loss and the pre-update gradient L2 norm. The
+// critics' backward passes are input-only: their parameter gradients are
+// not this step's to change (every critic update ends by zeroing them).
 func (m *Model) generatorStep() (float64, float64) {
-	batch := m.Config.Batch
+	batch, tb := m.Config.Batch, &m.tb
 	meta, feats := m.forwardGenerator(batch)
 	fake := m.flatten(meta, feats)
 
 	out := m.critic.Forward(fake)
-	loss, g := nn.WassersteinGenLoss(out)
-	dInput := m.critic.Backward(g)
-	nn.ZeroGrads(m.critic) // discard critic pollution from this pass
-	dMeta, dFeats := m.unflatten(dInput)
+	loss := -nn.MeanScore(out)
+	dMeta, dFeats := m.unflatten(m.critic.BackwardInput(nn.ScoreGrad(&tb.grad, out, -1)))
 
 	outAux := m.auxCritic.Forward(m.condMeta(meta))
-	_, gAux := nn.WassersteinGenLoss(outAux)
-	dMetaAux := m.auxCritic.Backward(gAux)
-	nn.ZeroGrads(m.auxCritic)
+	dMetaAux := m.auxCritic.BackwardInput(nn.ScoreGrad(&tb.grad, outAux, -1))
 	if m.condW > 0 {
 		// Drop the gradient on the conditioning prefix: it is an input.
-		stripped := mat.New(dMetaAux.Rows, m.metaW)
+		stripped := tb.dMetaAux.Reshape(dMetaAux.Rows, m.metaW)
 		for i := 0; i < dMetaAux.Rows; i++ {
 			copy(stripped.Row(i), dMetaAux.Row(i)[m.condW:])
 		}

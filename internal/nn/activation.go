@@ -38,59 +38,54 @@ func (k ActKind) String() string {
 
 const leakySlope = 0.2
 
-// Activation is a stateless elementwise nonlinearity with cached output
-// for the backward pass.
-type Activation struct {
-	Kind  ActKind
+// activation is an MLP layer's elementwise nonlinearity. It is applied in
+// place on the Dense output it follows and caches that output for the
+// backward pass.
+type activation struct {
+	kind  ActKind
 	lastY *mat.Matrix
 }
 
-// NewActivation returns an Activation of the given kind.
-func NewActivation(kind ActKind) *Activation { return &Activation{Kind: kind} }
-
-// Params implements Module; activations are parameter-free.
-func (a *Activation) Params() []*Param { return nil }
-
-// Forward applies the activation to x, returning a new matrix.
-func (a *Activation) Forward(x *mat.Matrix) *mat.Matrix {
-	y := x.Clone()
-	applyActKind(a.Kind, y.Data)
+// forward activates y in place, caches it and returns it.
+func (a *activation) forward(y *mat.Matrix) *mat.Matrix {
+	applyActKind(a.kind, y.Data)
 	a.lastY = y
 	return y
 }
 
-// Backward returns ∂L/∂X given dout = ∂L/∂Y, using the cached output.
-func (a *Activation) Backward(dout *mat.Matrix) *mat.Matrix {
+// backward turns d from ∂L/∂Y into ∂L/∂X in place, using the cached
+// output, and returns it.
+func (a *activation) backward(d *mat.Matrix) *mat.Matrix {
 	if a.lastY == nil {
-		panic("nn: Activation.Backward before Forward")
+		panic("nn: activation backward before forward")
 	}
-	dx := dout.Clone()
-	y := a.lastY
-	switch a.Kind {
+	dx := d.Data
+	y := a.lastY.Data[:len(dx)]
+	switch a.kind {
 	case ReLU:
-		for i, v := range y.Data {
+		for i, v := range y {
 			if v <= 0 {
-				dx.Data[i] = 0
+				dx[i] = 0
 			}
 		}
 	case LeakyReLU:
-		for i, v := range y.Data {
+		for i, v := range y {
 			if v <= 0 {
-				dx.Data[i] *= leakySlope
+				dx[i] *= leakySlope
 			}
 		}
 	case Tanh:
-		for i, v := range y.Data {
-			dx.Data[i] *= 1 - v*v
+		for i, v := range y {
+			dx[i] *= 1 - v*v
 		}
 	case Sigmoid:
-		for i, v := range y.Data {
-			dx.Data[i] *= v * (1 - v)
+		for i, v := range y {
+			dx[i] *= v * (1 - v)
 		}
 	case Identity:
 		// gradient passes through unchanged
 	}
-	return dx
+	return d
 }
 
 func sigmoid(v float64) float64 {

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // GRU is a single-layer gated recurrent unit processing whole sequences.
 // Input at each timestep is a batch×In matrix; the hidden state is
@@ -15,6 +11,12 @@ import (
 //	r_t = σ(x_t·Wr + h_{t-1}·Ur + br)
 //	ĥ_t = tanh(x_t·Wh + (r_t ⊙ h_{t-1})·Uh + bh)
 //	h_t = (1−z_t) ⊙ h_{t-1} + z_t ⊙ ĥ_t
+//
+// Training runs the fused inference step (FusedGRU.StepInfer) on gate
+// weights packed into GRU-owned buffers, with one scratch per timestep: its
+// z|r|ĥ block and r⊙h are the backward caches. Every pass writes into
+// buffers the GRU owns, so returned matrices are valid until its next
+// Forward or Backward.
 type GRU struct {
 	In, Hidden int
 
@@ -22,8 +24,23 @@ type GRU struct {
 	Wr, Ur, Br *Param
 	Wh, Uh, Bh *Param
 
-	// caches, one entry per timestep
-	xs, hPrev, zs, rs, hhats []*mat.Matrix
+	fused FusedGRU[float64]          // [Wz|Wr|Wh] and [Uz|Ur], repacked every Forward
+	steps []FusedGRUScratch[float64] // per-timestep gates and r⊙h
+
+	// Forward caches and outputs.
+	xs    []*mat.Matrix
+	h0    *mat.Matrix // initial state of the last Forward
+	zero  mat.Matrix  // the zero initial state when Forward gets none
+	hs    []mat.Matrix
+	hsOut []*mat.Matrix
+
+	// Backward workspace.
+	dh, dhPrev            mat.Matrix // ping-pong ∂L/∂h buffers
+	daZ, daR, daH, drh    mat.Matrix // gate pre-activation gradients; drh also holds dhPrev's products
+	da, dzr               mat.Matrix // [daZ|daR|daH] and [daZ|daR]
+	dwIn, dwU, dwUh, prod mat.Matrix
+	dxs                   []mat.Matrix
+	dxOut                 []*mat.Matrix
 }
 
 // NewGRU returns a GRU with zero weights; call InitXavier on the owning
@@ -48,68 +65,48 @@ func (g *GRU) Params() []*Param {
 	return []*Param{g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wh, g.Uh, g.Bh}
 }
 
-// Reset clears the step caches. Call before reusing the GRU for a new
-// sequence if Forward is invoked step by step.
-func (g *GRU) Reset() {
-	g.xs, g.hPrev, g.zs, g.rs, g.hhats = nil, nil, nil, nil, nil
-}
-
-// Step advances the GRU one timestep from hidden state h with input x and
-// returns the next hidden state, caching intermediates for Backward.
-func (g *GRU) Step(x, h *mat.Matrix) *mat.Matrix {
-	batch := x.Rows
-	gate := func(w, u, b *Param, act func(float64) float64, hIn *mat.Matrix) *mat.Matrix {
-		a := mat.Mul(x, w.W)
-		hu := mat.Mul(hIn, u.W)
-		a.Add(hu)
-		a.AddRowVec(b.W.Data)
-		a.Apply(act)
-		return a
-	}
-	z := gate(g.Wz, g.Uz, g.Bz, sigmoid, h)
-	r := gate(g.Wr, g.Ur, g.Br, sigmoid, h)
-	rh := h.Clone()
-	rh.Hadamard(r)
-	hhat := gate(g.Wh, g.Uh, g.Bh, math.Tanh, rh)
-	// Note: gate() multiplies its hIn argument by U; for the candidate we
-	// pass r⊙h so ĥ = tanh(xWh + (r⊙h)Uh + bh).
-
-	hNext := mat.New(batch, g.Hidden)
-	for i := range hNext.Data {
-		hNext.Data[i] = (1-z.Data[i])*h.Data[i] + z.Data[i]*hhat.Data[i]
-	}
-
-	g.xs = append(g.xs, x)
-	g.hPrev = append(g.hPrev, h)
-	g.zs = append(g.zs, z)
-	g.rs = append(g.rs, r)
-	g.hhats = append(g.hhats, hhat)
-	return hNext
-}
-
 // Forward runs the GRU over the sequence xs starting from h0 (zero state if
-// nil) and returns the hidden state at every timestep.
+// nil) and returns the hidden state at every timestep. The inputs and h0
+// must stay unchanged until the matching Backward.
 func (g *GRU) Forward(xs []*mat.Matrix, h0 *mat.Matrix) []*mat.Matrix {
-	g.Reset()
+	g.xs = append(g.xs[:0], xs...)
 	if len(xs) == 0 {
 		return nil
 	}
+	rows, hid := xs[0].Rows, g.Hidden
+	packGRU(&g.fused, g)
+	if h0 == nil {
+		h0 = g.zero.Reshape(rows, hid)
+		h0.Zero()
+	}
+	g.h0 = h0
+	if len(g.steps) < len(xs) {
+		g.steps = append(g.steps, make([]FusedGRUScratch[float64], len(xs)-len(g.steps))...)
+	}
+	g.hs = growMats(g.hs, len(xs))
+	g.hsOut = g.hsOut[:0]
 	h := h0
-	if h == nil {
-		h = mat.New(xs[0].Rows, g.Hidden)
-	}
-	hs := make([]*mat.Matrix, len(xs))
 	for t, x := range xs {
-		h = g.Step(x, h)
-		hs[t] = h
+		next := g.hs[t].Reshape(rows, hid)
+		g.fused.StepInfer(x.Data, h.Data, next.Data, rows, &g.steps[t])
+		g.hsOut = append(g.hsOut, next)
+		h = next
 	}
-	return hs
+	return g.hsOut
 }
 
 // Backward runs BPTT given dhs, the gradient of the loss with respect to
 // each timestep's hidden state (entries may be nil for steps without direct
 // loss). It accumulates parameter gradients and returns the gradient with
 // respect to each timestep's input.
+//
+// The weight gradients come from two packed products per step,
+// xᵀ·[daZ|daR|daH] and hPrevᵀ·[daZ|daR], plus (r⊙hPrev)ᵀ·daH. Each column of
+// a MulTransA product depends only on that column of its right operand, so
+// packing changes no bit; each product still lands in its own buffer before
+// it is added into G. The input and hidden-state gradients keep one product
+// per gate, summed in the order daH, daZ, daR: a packed a·bᵀ would reorder
+// those sums.
 func (g *GRU) Backward(dhs []*mat.Matrix) []*mat.Matrix {
 	T := len(g.xs)
 	if len(dhs) != T {
@@ -118,75 +115,98 @@ func (g *GRU) Backward(dhs []*mat.Matrix) []*mat.Matrix {
 	if T == 0 {
 		return nil
 	}
-	batch := g.xs[0].Rows
-	dxs := make([]*mat.Matrix, T)
-	dhNext := mat.New(batch, g.Hidden) // gradient flowing from step t+1 into h_t
+	rows, hid := g.xs[0].Rows, g.Hidden
+	g.dxs = growMats(g.dxs, T)
+	if cap(g.dxOut) < T {
+		g.dxOut = make([]*mat.Matrix, T)
+	}
+	g.dxOut = g.dxOut[:T]
+	// dNext is the gradient flowing from step t+1 into h_t; it becomes dh,
+	// and the step's dhPrev becomes the next dNext.
+	dNext, dPrev := g.dh.Reshape(rows, hid), g.dhPrev.Reshape(rows, hid)
+	dNext.Zero()
+	daZ, daR, daH := g.daZ.Reshape(rows, hid), g.daR.Reshape(rows, hid), g.daH.Reshape(rows, hid)
+	drh := g.drh.Reshape(rows, hid)
+	da, dzr := g.da.Reshape(rows, 3*hid), g.dzr.Reshape(rows, 2*hid)
 
 	for t := T - 1; t >= 0; t-- {
-		dh := dhNext.Clone()
+		dh := dNext
 		if dhs[t] != nil {
 			dh.Add(dhs[t])
 		}
-		x, hPrev, z, r, hhat := g.xs[t], g.hPrev[t], g.zs[t], g.rs[t], g.hhats[t]
-
-		dz := mat.New(batch, g.Hidden)
-		dhhat := mat.New(batch, g.Hidden)
-		dhPrev := mat.New(batch, g.Hidden)
-		for i := range dh.Data {
-			dz.Data[i] = dh.Data[i] * (hhat.Data[i] - hPrev.Data[i])
-			dhhat.Data[i] = dh.Data[i] * z.Data[i]
-			dhPrev.Data[i] = dh.Data[i] * (1 - z.Data[i])
+		x, hPrev, sc := g.xs[t], g.h0, &g.steps[t]
+		if t > 0 {
+			hPrev = &g.hs[t-1]
 		}
 
-		// Candidate gate: ĥ = tanh(aH), aH = xWh + (r⊙hPrev)Uh + bh
-		daH := dhhat
-		for i, v := range hhat.Data {
-			daH.Data[i] *= 1 - v*v
+		// Elementwise gate gradients. The cached z|r|ĥ rows are the step's
+		// activated gates.
+		for i := 0; i < rows; i++ {
+			gates := sc.g.row(i)
+			z, hhat := gates[:hid], gates[2*hid:][:hid]
+			dhr, hp := dh.Row(i)[:hid], hPrev.Row(i)[:hid]
+			dz, dc, dp := daZ.Row(i)[:hid], daH.Row(i)[:hid], dPrev.Row(i)[:hid]
+			for j, zj := range z {
+				dz[j] = dhr[j] * (hhat[j] - hp[j]) * (zj * (1 - zj))
+				dc[j] = dhr[j] * zj * (1 - hhat[j]*hhat[j])
+				dp[j] = dhr[j] * (1 - zj)
+			}
 		}
-		rh := hPrev.Clone()
-		rh.Hadamard(r)
-		g.Wh.G.Add(mat.MulTransA(x, daH))
-		g.Uh.G.Add(mat.MulTransA(rh, daH))
-		addColSums(g.Bh.G, daH)
-		dx := mat.MulTransB(daH, g.Wh.W)
-		drh := mat.MulTransB(daH, g.Uh.W)
-		dr := drh.Clone()
-		dr.Hadamard(hPrev)
-		for i := range dhPrev.Data {
-			dhPrev.Data[i] += drh.Data[i] * r.Data[i]
+		// Candidate gate: ĥ = tanh(aH), aH = xWh + (r⊙hPrev)Uh + bh.
+		mat.MulTransBInto(drh, daH, g.Uh.W)
+		// Reset gate: r = σ(aR); dr = drh ⊙ hPrev.
+		for i := 0; i < rows; i++ {
+			r := sc.g.row(i)[hid:][:hid]
+			d, hp, dr, dp := drh.Row(i)[:hid], hPrev.Row(i)[:hid], daR.Row(i)[:hid], dPrev.Row(i)[:hid]
+			for j, rj := range r {
+				dr[j] = d[j] * hp[j] * (rj * (1 - rj))
+				dp[j] += d[j] * rj
+			}
 		}
 
-		// Update gate: z = σ(aZ)
-		daZ := dz
-		for i, v := range z.Data {
-			daZ.Data[i] *= v * (1 - v)
-		}
-		g.Wz.G.Add(mat.MulTransA(x, daZ))
-		g.Uz.G.Add(mat.MulTransA(hPrev, daZ))
-		addColSums(g.Bz.G, daZ)
-		dx.Add(mat.MulTransB(daZ, g.Wz.W))
-		dhPrev.Add(mat.MulTransB(daZ, g.Uz.W))
+		packCols((*matrix[float64])(da), daZ, daR, daH)
+		packCols((*matrix[float64])(dzr), daZ, daR)
+		dwIn := g.dwIn.Reshape(g.In, 3*hid)
+		mat.MulTransAInto(dwIn, x, da)
+		addCols(dwIn, g.Wz.G, g.Wr.G, g.Wh.G)
+		dwU := g.dwU.Reshape(hid, 2*hid)
+		mat.MulTransAInto(dwU, hPrev, dzr)
+		addCols(dwU, g.Uz.G, g.Ur.G)
+		dwUh := g.dwUh.Reshape(hid, hid)
+		mat.MulTransAInto(dwUh, (*mat.Matrix)(&sc.rh), daH)
+		g.Uh.G.Add(dwUh)
+		addColSums(g.Bz.G.Data, daZ)
+		addColSums(g.Br.G.Data, daR)
+		addColSums(g.Bh.G.Data, daH)
 
-		// Reset gate: r = σ(aR)
-		daR := dr
-		for i, v := range r.Data {
-			daR.Data[i] *= v * (1 - v)
-		}
-		g.Wr.G.Add(mat.MulTransA(x, daR))
-		g.Ur.G.Add(mat.MulTransA(hPrev, daR))
-		addColSums(g.Br.G, daR)
-		dx.Add(mat.MulTransB(daR, g.Wr.W))
-		dhPrev.Add(mat.MulTransB(daR, g.Ur.W))
+		dx, prod := g.dxs[t].Reshape(rows, g.In), g.prod.Reshape(rows, g.In)
+		mat.MulTransBInto(dx, daH, g.Wh.W)
+		mat.MulTransBInto(prod, daZ, g.Wz.W)
+		dx.Add(prod)
+		mat.MulTransBInto(prod, daR, g.Wr.W)
+		dx.Add(prod)
+		mat.MulTransBInto(drh, daZ, g.Uz.W)
+		dPrev.Add(drh)
+		mat.MulTransBInto(drh, daR, g.Ur.W)
+		dPrev.Add(drh)
 
-		dxs[t] = dx
-		dhNext = dhPrev
+		g.dxOut[t] = dx
+		dNext, dPrev = dPrev, dNext
 	}
-	return dxs
+	return g.dxOut
 }
 
-func addColSums(dst *mat.Matrix, src *mat.Matrix) {
-	sums := src.ColSums()
-	for j, s := range sums {
-		dst.Data[j] += s
+// addCols adds src's column blocks, left to right, into dsts (each as
+// wide as its block).
+func addCols(src *mat.Matrix, dsts ...*mat.Matrix) {
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)
+		for _, d := range dsts {
+			dr := d.Row(i)
+			for j, v := range row[:len(dr)] {
+				dr[j] += v
+			}
+			row = row[len(dr):]
+		}
 	}
 }

@@ -36,10 +36,13 @@ func Width(schema []FieldSpec) int {
 
 // OutputHead applies per-field activations to a generator's raw output:
 // sigmoid to continuous columns, softmax within each categorical group.
-// It is parameter-free but caches its output for the backward pass.
+// It is parameter-free but caches its output for the backward pass, and
+// writes into buffers it owns: a returned matrix is valid until the head's
+// next Forward or Backward.
 type OutputHead struct {
 	Schema []FieldSpec
 	lastY  *mat.Matrix
+	y, dx  mat.Matrix
 }
 
 // NewOutputHead returns a head for schema.
@@ -58,9 +61,10 @@ func NewOutputHead(schema []FieldSpec) *OutputHead {
 // Params implements Module.
 func (h *OutputHead) Params() []*Param { return nil }
 
-// Forward applies the per-field activations to x.
+// Forward applies the per-field activations to a copy of x.
 func (h *OutputHead) Forward(x *mat.Matrix) *mat.Matrix {
-	y := x.Clone()
+	y := h.y.Reshape(x.Rows, x.Cols)
+	copy(y.Data, x.Data)
 	ActivateRows(h.Schema, y.Data, y.Rows)
 	h.lastY = y
 	return y
@@ -119,7 +123,8 @@ func (h *OutputHead) Backward(dout *mat.Matrix) *mat.Matrix {
 		panic("nn: OutputHead.Backward before Forward")
 	}
 	y := h.lastY
-	dx := dout.Clone()
+	dx := h.dx.Reshape(dout.Rows, dout.Cols)
+	copy(dx.Data, dout.Data)
 	col := 0
 	for _, f := range h.Schema {
 		switch f.Kind {

@@ -9,11 +9,11 @@ import (
 
 // Inference-only forward passes with caller-owned scratch, written once for
 // both precisions. The training Forward methods cache activations for
-// Backward and allocate fresh matrices on every call; the generation hot
-// path needs neither, so these modules write into reusable buffers and
-// never touch a training module's caches. They read parameters only, so
-// distinct scratch holders may drive the same module from concurrent
-// goroutines.
+// Backward in buffers the module owns, so one module serves one pass at a
+// time; the generation hot path needs no caches, so these modules write
+// into caller-owned scratch and never touch a training module's state.
+// They read parameters only, so distinct scratch holders may drive the
+// same module from concurrent goroutines.
 //
 // Each module is generic over its element type. The float64 instances
 // (MLP.Infer, TimeDense.Infer, FuseGRU) alias or pack the live training
@@ -133,7 +133,7 @@ type Layers[F Float] struct {
 func (m *MLP) Infer() *Layers[float64] {
 	out := &Layers[float64]{layers: make([]layer[float64], len(m.layers))}
 	for i, l := range m.layers {
-		out.layers[i] = denseLayer(l.Weight, l.Bias, m.acts[i].Kind)
+		out.layers[i] = denseLayer(l.Weight, l.Bias, m.acts[i].kind)
 	}
 	return out
 }
@@ -186,10 +186,11 @@ func (l *Layers[F]) InferInto(x []F, rows int, sc *LayersScratch[F]) []F {
 // FusedGRU is a GRU's weights packed for inference: the three input
 // projections share one In×3H matrix (column blocks z|r|ĥ) and the z/r
 // recurrent projections one H×2H matrix, so a step costs three matmuls —
-// x·Wg, h·Uzr, (r⊙h)·Uh — instead of GRU.Step's six. Every output element
-// of a packed product accumulates the same terms in the same order as its
-// per-gate product, and each gate adds (x·W + h·U) + b as Step does, so the
-// float64 StepInfer is bitwise equal to Step.
+// x·Wg, h·Uzr, (r⊙h)·Uh — instead of six per-gate products. Every output
+// element of a packed product accumulates the same terms in the same order
+// as its per-gate product, and each gate adds (x·W + h·U) + b, so the
+// float64 StepInfer is bitwise equal to the unfused step. GRU.Forward
+// trains through it.
 type FusedGRU[F Float] struct {
 	In, Hidden  int
 	wg, uzr, uh *matrix[F]
@@ -200,17 +201,24 @@ type FusedGRU[F Float] struct {
 // biases alias the GRU's parameters: it is a view of the weights at the
 // time it was packed, not a cache to keep across training steps.
 func FuseGRU(g *GRU) *FusedGRU[float64] {
-	in, hid := g.In, g.Hidden
-	f := &FusedGRU[float64]{
-		In: in, Hidden: hid,
-		wg:  (*matrix[float64])(mat.New(in, 3*hid)),
-		uzr: (*matrix[float64])(mat.New(hid, 2*hid)),
-		uh:  (*matrix[float64])(g.Uh.W),
-		bz:  g.Bz.W.Data, br: g.Br.W.Data, bh: g.Bh.W.Data,
-	}
-	packCols(f.wg, g.Wz.W, g.Wr.W, g.Wh.W)
-	packCols(f.uzr, g.Uz.W, g.Ur.W)
+	f := new(FusedGRU[float64])
+	packGRU(f, g)
 	return f
+}
+
+// packGRU copies g's gate weights into f's packed buffers, allocating them
+// only when f has none, and aliases Uh and the biases. GRU.Forward repacks
+// its own instance this way on every call.
+func packGRU(f *FusedGRU[float64], g *GRU) {
+	in, hid := g.In, g.Hidden
+	f.In, f.Hidden = in, hid
+	if f.wg == nil {
+		f.wg, f.uzr = new(matrix[float64]), new(matrix[float64])
+	}
+	packCols(f.wg.reshape(in, 3*hid), g.Wz.W, g.Wr.W, g.Wh.W)
+	packCols(f.uzr.reshape(hid, 2*hid), g.Uz.W, g.Ur.W)
+	f.uh = (*matrix[float64])(g.Uh.W)
+	f.bz, f.br, f.bh = g.Bz.W.Data, g.Br.W.Data, g.Bh.W.Data
 }
 
 // packCols writes srcs side by side into dst's column blocks.

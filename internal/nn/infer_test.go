@@ -34,10 +34,34 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	}
 }
 
+// unfusedStep is the GRU step as six per-gate products, the form the fused
+// step replaced: z = σ(x·Wz + h·Uz + bz), r likewise, ĥ = tanh(x·Wh +
+// (r⊙h)·Uh + bh), h' = (1−z)⊙h + z⊙ĥ, each gate summed (x·W + h·U) + b.
+func unfusedStep(g *GRU, x, h *mat.Matrix) *mat.Matrix {
+	gate := func(w, u, b *Param, act func(float64) float64, hIn *mat.Matrix) *mat.Matrix {
+		a := mat.Mul(x, w.W)
+		a.Add(mat.Mul(hIn, u.W))
+		a.AddRowVec(b.W.Data)
+		a.Apply(act)
+		return a
+	}
+	z := gate(g.Wz, g.Uz, g.Bz, sigmoid, h)
+	r := gate(g.Wr, g.Ur, g.Br, sigmoid, h)
+	rh := h.Clone()
+	rh.Hadamard(r)
+	hhat := gate(g.Wh, g.Uh, g.Bh, math.Tanh, rh)
+	next := mat.New(x.Rows, g.Hidden)
+	for i := range next.Data {
+		next.Data[i] = (1-z.Data[i])*h.Data[i] + z.Data[i]*hhat.Data[i]
+	}
+	return next
+}
+
 // TestGRUStepInferMatchesStep pins the packed inference step to the
-// training step bit for bit, including a chained second step on fewer rows
-// through the same scratch: the shape the lot sampler's live-row
-// compaction produces.
+// unfused per-gate step bit for bit, including a chained second step on
+// fewer rows through the same scratch (the shape the lot sampler's live-row
+// compaction produces), and the training Forward to chained StepInfer
+// calls.
 func TestGRUStepInferMatchesStep(t *testing.T) {
 	r := rng.New(2)
 	g := NewGRU("t", 4, 6)
@@ -48,22 +72,45 @@ func TestGRUStepInferMatchesStep(t *testing.T) {
 	h.RandNorm(r, 1)
 
 	f := FuseGRU(g)
-	want := g.Step(x, h.Clone())
+	want := unfusedStep(g, x, h)
 	var sc FusedGRUScratch[float64]
 	got := mat.New(3, 6)
 	f.StepInfer(x.Data, h.Data, got.Data, 3, &sc)
 	if !reflect.DeepEqual(want.Data, got.Data) {
-		t.Fatal("StepInfer diverges from Step")
+		t.Fatal("StepInfer diverges from the unfused step")
 	}
 
 	// A second step on the first two rows only, chained through the
 	// inference path, must also agree.
 	x2 := x.RowsView(0, 2)
-	want2 := g.Step(x2, want.RowsView(0, 2))
+	want2 := unfusedStep(g, x2, want.RowsView(0, 2))
 	got2 := mat.New(2, 6)
 	f.StepInfer(x2.Data, got.RowsView(0, 2).Data, got2.Data, 2, &sc)
 	if !reflect.DeepEqual(want2.Data, got2.Data) {
 		t.Fatal("chained StepInfer on fewer rows diverges")
+	}
+
+	// The training Forward runs the same step: a four-step sequence from
+	// h and from the zero state equals StepInfer chained by hand.
+	xs := make([]*mat.Matrix, 4)
+	for i := range xs {
+		xs[i] = mat.New(3, 4)
+		xs[i].RandNorm(r, 1)
+	}
+	for _, h0 := range []*mat.Matrix{h, nil} {
+		hs := g.Forward(xs, h0)
+		prev := mat.New(3, 6)
+		if h0 != nil {
+			prev = h0.Clone()
+		}
+		for i, xi := range xs {
+			next := mat.New(3, 6)
+			f.StepInfer(xi.Data, prev.Data, next.Data, 3, &sc)
+			if !reflect.DeepEqual(hs[i].Data, next.Data) {
+				t.Fatalf("Forward step %d diverges from chained StepInfer (h0 nil: %v)", i, h0 == nil)
+			}
+			prev = next
+		}
 	}
 }
 
@@ -102,17 +149,18 @@ func TestActivateRowsMatchesHeadForward(t *testing.T) {
 }
 
 // TestApplyActKindMatchesActivation pins the float64 activation switch to
-// Activation.Forward bit for bit and bounds the float32 one's error.
+// an MLP layer's activation forward bit for bit and bounds the float32
+// one's error.
 func TestApplyActKindMatchesActivation(t *testing.T) {
 	r := rng.New(5)
 	for _, kind := range []ActKind{ReLU, LeakyReLU, Tanh, Sigmoid, Identity} {
 		x := mat.New(4, 6)
 		x.RandNorm(r, 1.5)
-		want := NewActivation(kind).Forward(x)
+		want := (&activation{kind: kind}).forward(x.Clone())
 		got := x.Clone()
 		applyActKind(kind, got.Data)
 		if !reflect.DeepEqual(want.Data, got.Data) {
-			t.Fatalf("%v: applyActKind diverges from Activation.Forward", kind)
+			t.Fatalf("%v: applyActKind diverges from the activation forward", kind)
 		}
 
 		// The float32 instance agrees within its leaves' approximation.

@@ -20,22 +20,6 @@ func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
 	return loss / n, grad
 }
 
-// BCELoss returns the mean binary cross-entropy between probabilities pred
-// (in (0,1)) and targets in {0,1}, with gradient ∂L/∂pred.
-func BCELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	const eps = 1e-7
-	n := float64(len(pred.Data))
-	grad := mat.New(pred.Rows, pred.Cols)
-	var loss float64
-	for i := range pred.Data {
-		p := math.Min(math.Max(pred.Data[i], eps), 1-eps)
-		t := target.Data[i]
-		loss += -(t*math.Log(p) + (1-t)*math.Log(1-p))
-		grad.Data[i] = (p - t) / (p * (1 - p)) / n
-	}
-	return loss / n, grad
-}
-
 // CrossEntropyLoss computes the mean categorical cross-entropy between
 // softmax probabilities pred (rows sum to 1) and one-hot targets, with
 // gradient ∂L/∂pred.
@@ -54,46 +38,32 @@ func CrossEntropyLoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
 	return loss / n, grad
 }
 
-// WassersteinCriticLoss returns the WGAN critic loss
-// mean(D(fake)) − mean(D(real)) and the gradients with respect to the
-// critic scores of real and fake batches.
-func WassersteinCriticLoss(dReal, dFake *mat.Matrix) (float64, *mat.Matrix, *mat.Matrix) {
-	nr := float64(dReal.Rows)
-	nf := float64(dFake.Rows)
-	var mr, mf float64
-	for _, v := range dReal.Data {
-		mr += v
+// MeanScore returns the mean of a batch of critic scores (one row per
+// sample). The WGAN losses are built from it: the critic loss is
+// MeanScore(D(fake)) − MeanScore(D(real)) and the generator loss
+// −MeanScore(D(fake)).
+func MeanScore(scores *mat.Matrix) float64 {
+	var s float64
+	for _, v := range scores.Data {
+		s += v
 	}
-	for _, v := range dFake.Data {
-		mf += v
-	}
-	loss := mf/nf - mr/nr
-	gr := mat.New(dReal.Rows, dReal.Cols)
-	gr.Fill(-1 / nr)
-	gf := mat.New(dFake.Rows, dFake.Cols)
-	gf.Fill(1 / nf)
-	return loss, gr, gf
+	return s / float64(scores.Rows)
 }
 
-// WassersteinGenLoss returns the WGAN generator loss −mean(D(fake)) and the
-// gradient with respect to the critic scores.
-func WassersteinGenLoss(dFake *mat.Matrix) (float64, *mat.Matrix) {
-	n := float64(dFake.Rows)
-	var m float64
-	for _, v := range dFake.Data {
-		m += v
-	}
-	g := mat.New(dFake.Rows, dFake.Cols)
-	g.Fill(-1 / n)
-	return -m / n, g
+// ScoreGrad writes into g, reshaped to scores' shape, the gradient of
+// sign·MeanScore(scores) with respect to the scores — sign/rows in every
+// element — and returns g. sign is −1 for a term the critic or generator
+// maximizes, +1 for one it minimizes.
+func ScoreGrad(g, scores *mat.Matrix, sign float64) *mat.Matrix {
+	g.Reshape(scores.Rows, scores.Cols)
+	g.Fill(sign / float64(scores.Rows))
+	return g
 }
 
-// CriticNet is the interface gradient-penalty computation needs from a
-// critic: a forward pass and a backward pass returning input gradients.
-type CriticNet interface {
-	Module
-	Forward(x *mat.Matrix) *mat.Matrix
-	Backward(dout *mat.Matrix) *mat.Matrix
+// penaltyScratch is GradientPenalty's workspace, owned by the critic and
+// sized on its first penalty.
+type penaltyScratch struct {
+	interp, pert, ones, scale, dout mat.Matrix
 }
 
 // GradientPenalty computes the WGAN-GP penalty λ·E[(‖∇x̂ D(x̂)‖−1)²] on
@@ -107,12 +77,13 @@ type CriticNet interface {
 // loss with a scaled second forward/backward pass. In practice (and in our
 // tests) this keeps critic input gradients near unit norm exactly as the
 // analytic penalty does.
-func GradientPenalty(critic CriticNet, real, fake *mat.Matrix, lambda float64, u func() float64) float64 {
+func GradientPenalty(critic *MLP, real, fake *mat.Matrix, lambda float64, u func() float64) float64 {
 	if real.Rows != fake.Rows || real.Cols != fake.Cols {
 		panic("nn: GradientPenalty shape mismatch")
 	}
+	sc := &critic.gp
 	n := real.Rows
-	interp := mat.New(n, real.Cols)
+	interp := sc.interp.Reshape(n, real.Cols)
 	for i := 0; i < n; i++ {
 		t := u()
 		rr, fr, ir := real.Row(i), fake.Row(i), interp.Row(i)
@@ -121,18 +92,17 @@ func GradientPenalty(critic CriticNet, real, fake *mat.Matrix, lambda float64, u
 		}
 	}
 
-	// First pass: input gradients g = ∇x̂ D(x̂).
+	// First pass: input gradients g = ∇x̂ D(x̂). The probe leaves the
+	// parameter gradients alone.
 	out := critic.Forward(interp)
-	ones := mat.New(out.Rows, out.Cols)
+	ones := sc.ones.Reshape(out.Rows, out.Cols)
 	ones.Fill(1)
-	// Discard the parameter gradients of this probe pass: save and restore.
-	saved := saveGrads(critic)
-	gIn := critic.Backward(ones)
-	restoreGrads(critic, saved)
+	gIn := critic.BackwardInput(ones)
 
 	// Penalty value and per-row scale for the surrogate pass.
 	var penalty float64
-	scale := mat.New(out.Rows, out.Cols)
+	scale := sc.scale.Reshape(out.Rows, out.Cols)
+	scale.Zero()
 	const eps = 1e-12
 	for i := 0; i < n; i++ {
 		norm := mat.VecNorm(gIn.Row(i))
@@ -148,33 +118,20 @@ func GradientPenalty(critic CriticNet, real, fake *mat.Matrix, lambda float64, u
 
 	// Surrogate pass: x̂ + h·g, backward with per-row scale.
 	const h = 1e-2
-	pert := interp.Clone()
+	pert := sc.pert.Reshape(n, real.Cols)
+	copy(pert.Data, interp.Data)
 	pert.AddScaled(gIn, h)
 	critic.Forward(pert)
-	dout := scale.Clone()
+	dout := sc.dout.Reshape(scale.Rows, scale.Cols)
+	copy(dout.Data, scale.Data)
 	dout.Scale(lambda / (float64(n) * h))
 	critic.Backward(dout)
 	// Baseline pass at x̂ with the opposite sign completes the finite
 	// difference (D(x̂+h·g) − D(x̂))/h.
 	critic.Forward(interp)
-	dout2 := scale.Clone()
-	dout2.Scale(-lambda / (float64(n) * h))
-	critic.Backward(dout2)
+	copy(dout.Data, scale.Data)
+	dout.Scale(-lambda / (float64(n) * h))
+	critic.Backward(dout)
 
 	return penalty
-}
-
-func saveGrads(m Module) []*mat.Matrix {
-	ps := m.Params()
-	out := make([]*mat.Matrix, len(ps))
-	for i, p := range ps {
-		out[i] = p.G.Clone()
-	}
-	return out
-}
-
-func restoreGrads(m Module, saved []*mat.Matrix) {
-	for i, p := range m.Params() {
-		p.G.CopyFrom(saved[i])
-	}
 }

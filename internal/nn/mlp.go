@@ -9,9 +9,16 @@ import (
 // MLP is a multi-layer perceptron: Dense layers interleaved with a hidden
 // activation, with a configurable output activation (often Identity for
 // WGAN critics).
+//
+// Its training passes run in the layers' own buffers (each activation is
+// applied in place on its Dense output), so a returned matrix is valid
+// until the MLP's next Forward or Backward.
 type MLP struct {
 	layers []*Dense
-	acts   []*Activation
+	acts   []activation
+
+	dOut mat.Matrix     // copy of Backward's dout for a non-identity output activation
+	gp   penaltyScratch // GradientPenalty's workspace
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes =
@@ -29,7 +36,7 @@ func NewMLP(name string, sizes []int, hidden, out ActKind, r *rand.Rand) *MLP {
 		if i == len(sizes)-2 {
 			kind = out
 		}
-		m.acts = append(m.acts, NewActivation(kind))
+		m.acts = append(m.acts, activation{kind: kind})
 	}
 	InitXavier(m, r)
 	return m
@@ -59,33 +66,53 @@ func (m *MLP) Params() []*Param {
 }
 
 // Clone returns an independent replica of the MLP: identical architecture
-// and weights, fresh gradients and activation caches. Replicas back the
+// and weights, fresh gradients, caches and buffers. Replicas back the
 // per-worker critics of parallel DP-SGD.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{}
 	for i, l := range m.layers {
 		c.layers = append(c.layers, l.Clone())
-		c.acts = append(c.acts, NewActivation(m.acts[i].Kind))
+		c.acts = append(c.acts, activation{kind: m.acts[i].kind})
 	}
 	return c
 }
 
-// Forward runs the batch x through all layers.
+// Forward runs the batch x through all layers. x must stay unchanged until
+// the matching Backward.
 func (m *MLP) Forward(x *mat.Matrix) *mat.Matrix {
 	h := x
 	for i, l := range m.layers {
-		h = m.acts[i].Forward(l.Forward(h))
+		h = m.acts[i].forward(l.Forward(h))
 	}
 	return h
 }
 
 // Backward propagates dout (∂L/∂output) through the network, accumulating
-// parameter gradients, and returns ∂L/∂input.
-func (m *MLP) Backward(dout *mat.Matrix) *mat.Matrix {
+// parameter gradients, and returns ∂L/∂input. dout is left unchanged.
+func (m *MLP) Backward(dout *mat.Matrix) *mat.Matrix { return m.backward(dout, true) }
+
+// BackwardInput returns ∂L/∂input for dout like Backward, but leaves every
+// parameter gradient untouched: the pass for a gradient with respect to
+// the input only (a penalty probe, or a generator step through a frozen
+// critic).
+func (m *MLP) BackwardInput(dout *mat.Matrix) *mat.Matrix { return m.backward(dout, false) }
+
+func (m *MLP) backward(dout *mat.Matrix, params bool) *mat.Matrix {
 	d := dout
+	if m.acts[len(m.acts)-1].kind != Identity {
+		d = m.dOut.Reshape(dout.Rows, dout.Cols)
+		copy(d.Data, dout.Data)
+	}
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		d = m.acts[i].Backward(d)
-		d = m.layers[i].Backward(d)
+		// d is changed in place: below the top it is layer i+1's
+		// input-gradient buffer, and at the top it is the caller's dout
+		// only under an identity, which leaves it unchanged.
+		d = m.acts[i].backward(d)
+		if params {
+			d = m.layers[i].Backward(d)
+		} else {
+			d = m.layers[i].backwardInput(d)
+		}
 	}
 	return d
 }

@@ -6,45 +6,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Optimizer applies accumulated gradients to a module's parameters.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated in
-	// the module's parameters, then zeroes them.
-	Step(m Module)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Param]*mat.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*mat.Matrix)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(m Module) {
-	for _, p := range m.Params() {
-		if s.Momentum == 0 {
-			p.W.AddScaled(p.G, -s.LR)
-		} else {
-			v := s.vel[p]
-			if v == nil {
-				v = mat.New(p.W.Rows, p.W.Cols)
-				s.vel[p] = v
-			}
-			v.Scale(s.Momentum)
-			v.AddScaled(p.G, 1)
-			p.W.AddScaled(v, -s.LR)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). The paper's GAN
 // training (DoppelGANger, WGAN-GP baselines) uses Adam throughout.
 type Adam struct {
@@ -65,7 +26,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update using the gradients accumulated in m's
+// parameters, then zeroes them.
 func (a *Adam) Step(m Module) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))

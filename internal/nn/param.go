@@ -2,15 +2,13 @@
 // provides exactly what GAN-based trace generation needs: dense and GRU
 // layers with manual backpropagation, composite output heads that apply
 // per-field activations (sigmoid for continuous fields, softmax for
-// categorical groups), SGD and Adam optimizers, WGAN-GP gradient-penalty
+// categorical groups), the Adam optimizer, WGAN-GP gradient-penalty
 // support, and parameter snapshots for fine-tuning (NetShare Insights 3
 // and 4 transfer model weights between chunks and from public to private
 // models).
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -134,24 +132,6 @@ func (s *Snapshot) Restore(m Module) error {
 		copy(p.W.Data, s.Data[i])
 	}
 	return nil
-}
-
-// Encode serializes the snapshot with gob.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("nn: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot deserializes a snapshot produced by Encode.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: decode snapshot: %w", err)
-	}
-	return &s, nil
 }
 
 // InitXavier applies Glorot-uniform initialization to every 2-D weight of m
