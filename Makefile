@@ -79,8 +79,10 @@ test-ingest:
 # kernels: float64 bit for bit against the pure-Go reference, float32
 # within rounding of the float64 product and, row by row, bit for bit
 # against the same row computed alone, the nearest-word decode kernel,
-# bit for bit, and FuzzActivationKernels: the float32 sigmoid, tanh and
-# exp leaves, bit for bit). Each target needs its own
+# bit for bit, and FuzzActivationKernels: the float32 sigmoid, tanh, exp
+# and ReLU leaves, the float64 sigmoid, tanh, exp and ReLU leaves with the
+# ReLU gradients, and the Adam update, bit for bit). Each target needs its
+# own
 # invocation: `go test -fuzz` accepts exactly one target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPCAP -fuzztime $(FUZZTIME)
@@ -151,8 +153,9 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # One iteration of every package benchmark under internal/ (the kernel,
-# critic-step, sampler, nearest-word and store-query rows), so a
-# benchmark that stops compiling or starts failing breaks ci.
+# critic-step, train-step, Adam-step, sampler, nearest-word and
+# store-query rows), so a benchmark that stops compiling or starts
+# failing breaks ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 

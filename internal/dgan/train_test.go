@@ -89,9 +89,10 @@ func newTrainShapeModel(tb testing.TB, batch int) (*Model, []Sample) {
 }
 
 // maxTrainStepAllocs bounds a warm critic+generator round: what remains
-// are the parameter lists the optimizers and the gradient norm build, never
-// a matrix.
-const maxTrainStepAllocs = 32
+// are the generator's parameter list, which the gradient norm builds, and
+// the lists it is built from, never a matrix. The optimizers build none:
+// each captured its module's list on its first step.
+const maxTrainStepAllocs = 6
 
 // TestTrainStepAllocs: once warm, a critic step plus a generator step
 // allocates the same small number of times at batch 16 and at batch 64,

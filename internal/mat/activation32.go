@@ -3,10 +3,12 @@ package mat
 import "math"
 
 // Row-wise float32 activations of the serving fast path (DESIGN.md §11):
-// the GRU's gates, the metadata MLP's and output head's sigmoids and the
-// softmax's exponentials. Each runs its kernel set's leaf once per row, in
-// place. Every set computes the same bits as the pure-Go references below
-// (tanh32, sigmoid32, exp32), except that a NaN may carry another payload.
+// the GRU's gates, the metadata MLP's ReLUs and sigmoids, the output
+// head's sigmoids and the softmax's exponentials. Each runs its kernel
+// set's leaf once per row, in place. Every set computes the same bits as
+// the pure-Go references (tanh32, sigmoid32 and exp32 below, reluGo and
+// leakyReluGo in activation64.go), except that a NaN may carry another
+// payload.
 
 // Sigmoid32 sets each element x of row to sigmoid32(x).
 func Sigmoid32(row []float32) { kernels.sigmoid32(row) }
@@ -16,6 +18,13 @@ func Tanh32(row []float32) { kernels.tanh32(row) }
 
 // Exp32 sets each element x of row to exp32(x).
 func Exp32(row []float32) { kernels.exp32(row) }
+
+// ReLU32 sets each element of row that is less than +0 to +0.
+func ReLU32(row []float32) { kernels.relu32(row) }
+
+// LeakyReLU32 multiplies each element of row that is less than +0 by
+// slope.
+func LeakyReLU32(row []float32, slope float32) { kernels.leakyRelu32(row, slope) }
 
 // tanh32 approximates tanh with the 7th-order Lambert continued-fraction
 // expansion. Beyond |x| > 4.97 it saturates to ±1, which also keeps the

@@ -8,10 +8,11 @@ import (
 
 // activationNames names the float32 activation leaves activationLeaves
 // returns.
-var activationNames = []string{"sigmoid32", "tanh32", "exp32"}
+var activationNames = []string{"sigmoid32", "tanh32", "exp32", "relu32", "leakyRelu32"}
 
 func activationLeaves(ks kernelSet) []func(row []float32) {
-	return []func(row []float32){ks.sigmoid32, ks.tanh32, ks.exp32}
+	return []func(row []float32){ks.sigmoid32, ks.tanh32, ks.exp32, ks.relu32,
+		func(row []float32) { ks.leakyRelu32(row, testSlope) }}
 }
 
 // activationEdges are the float32 operands where a leaf changes branch:
@@ -78,18 +79,23 @@ func checkActivationsBitwise(t testing.TB, impl kernelSet, r *rand.Rand, n, off,
 }
 
 // TestActivationKernelsMatchGoReference compares every kernel set's
-// float32 sigmoid, tanh and exp leaves with the pure-Go reference bit for
-// bit, at every row length up to two full vectors plus a tail, the
-// lengths around 32 and the fast path's 64 and 94, on rows at the start
-// of their buffer and on one that starts a float32 into it, with operands
-// from dense N(0, σ) to mostly specials and clamp edges. It has its own
-// seed, so the draws of the other kernel tests stay as they are.
+// activation leaves of both precisions, the float64 gradient leaves and
+// the Adam leaf with the pure-Go reference bit for bit: the float32 ones
+// at every row length up to two full vectors plus a tail, the lengths
+// around 32 and the fast path's 64 and 94, the float64 ones at lengths 0
+// to 9, 31 to 33, 64 and 96, all on rows at the start of their buffer and
+// on one that starts an element into it, with operands from dense
+// N(0, σ) to mostly specials and branch edges; then every float64 leaf on
+// at least 2²⁴ operands more (checkLeaves64Dense). It has its own seeds,
+// so the draws of the other kernel tests stay as they are.
 func TestActivationKernelsMatchGoReference(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	lengths := []int{31, 32, 33, 64, 94}
 	for n := 0; n <= 17; n++ {
 		lengths = append(lengths, n)
 	}
+	lengths64 := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 96}
+	r64 := rand.New(rand.NewSource(30))
 	for _, impl := range kernelImpls()[1:] {
 		for trial := 0; trial < 80; trial++ {
 			special := []int{0, 16, 128, 256}[trial%4]
@@ -97,13 +103,19 @@ func TestActivationKernelsMatchGoReference(t *testing.T) {
 				checkActivationsBitwise(t, impl, r, n, 0, special)
 			}
 			checkActivationsBitwise(t, impl, r, 37, 1, special)
+			for _, n := range lengths64 {
+				checkLeaves64Bitwise(t, impl, r64, n, 0, special)
+			}
+			checkLeaves64Bitwise(t, impl, r64, 37, 1, special)
 		}
+		checkLeaves64Dense(t, impl)
 	}
 }
 
-// FuzzActivationKernels compares every kernel set's activation leaves
-// with the pure-Go reference bit for bit on fuzzer-chosen seeds, row
-// lengths, offsets into the buffer and special-value densities.
+// FuzzActivationKernels compares every kernel set's activation, gradient
+// and Adam leaves with the pure-Go reference bit for bit on fuzzer-chosen
+// seeds, row lengths, offsets into the buffer and special-value
+// densities.
 func FuzzActivationKernels(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(7), uint8(1), uint8(255))
@@ -114,6 +126,7 @@ func FuzzActivationKernels(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		for _, impl := range impls[1:] {
 			checkActivationsBitwise(t, impl, r, int(n), int(off)%8, int(special))
+			checkLeaves64Bitwise(t, impl, r, int(n), int(off)%4, int(special))
 		}
 	})
 }
@@ -193,16 +206,39 @@ func TestActivationKernelsAccuracy(t *testing.T) {
 	})
 }
 
-// TestActivationKernelsZeroAllocs: a warm activation leaf allocates
-// nothing on any kernel set.
+// TestActivationKernelsZeroAllocs: a warm activation, gradient or Adam
+// leaf allocates nothing on any kernel set, also when a float64 row holds
+// operands exp and sigmoid hand to the Go reference.
 func TestActivationKernelsZeroAllocs(t *testing.T) {
 	forEachKernelSet(t, func(t *testing.T) {
 		row := make([]float32, 94)
 		for i := range row {
 			row[i] = float32(i)/8 - 6
 		}
-		for name, leaf := range map[string]func([]float32){"Sigmoid32": Sigmoid32, "Tanh32": Tanh32, "Exp32": Exp32} {
+		for name, leaf := range map[string]func([]float32){
+			"Sigmoid32": Sigmoid32, "Tanh32": Tanh32, "Exp32": Exp32, "ReLU32": ReLU32,
+			"LeakyReLU32": func(row []float32) { LeakyReLU32(row, testSlope) },
+		} {
 			if allocs := testing.AllocsPerRun(20, func() { leaf(row) }); allocs != 0 {
+				t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+			}
+		}
+		var bufs [4][]float64
+		for b := range bufs {
+			bufs[b] = make([]float64, 96)
+			for i := range bufs[b] {
+				bufs[b][i] = float64(i)/8 - 6
+			}
+		}
+		bufs[0][50], bufs[0][93] = math.NaN(), -720
+		w, y, m1, m2 := bufs[0], bufs[1], bufs[2], bufs[3]
+		for name, leaf := range map[string]func(){
+			"Sigmoid": func() { Sigmoid(w) }, "Tanh": func() { Tanh(w) }, "Exp": func() { Exp(w) },
+			"ReLU": func() { ReLU(w) }, "LeakyReLU": func() { LeakyReLU(w, testSlope) },
+			"ReLUGrad": func() { ReLUGrad(w, y) }, "LeakyReLUGrad": func() { LeakyReLUGrad(w, y, testSlope) },
+			"AdamUpdate": func() { AdamUpdate(w, y, m1, m2, &testAdam) },
+		} {
+			if allocs := testing.AllocsPerRun(20, leaf); allocs != 0 {
 				t.Errorf("%s: %v allocations per call, want 0", name, allocs)
 			}
 		}

@@ -8,17 +8,17 @@ import (
 )
 
 // kernelSet is one implementation of the three float64 matmul row
-// kernels, the float32 product, the nearest-word decode and the float32
-// activation leaves. Each float64 kernel computes dst
-// rows [lo, hi) of its product; MulInto and MulTransAInto zero dst first
-// and the kernels accumulate into it, while mulTransBRows overwrites its
-// rows. Every set's float64 kernels must produce the same bits as
+// kernels, the float32 product, the nearest-word decode, the activation
+// leaves of both precisions and the Adam update. Each float64 kernel
+// computes dst rows [lo, hi) of its product; MulInto and MulTransAInto
+// zero dst first and the kernels accumulate into it, while mulTransBRows
+// overwrites its rows. Every entry but mul32 must produce the same bits as
 // goKernels' for every input, except that a NaN may carry another payload
-// (see sameBits in the tests). So every output element accumulates over k
-// in ascending order from +0 with one rounded multiply and one rounded add
-// per step (never a fused multiply-add), and mulRows and mulTransARows
-// skip every k whose a element is ±0, so an element's value never
-// depends on which row span a call covers.
+// (see sameBits in the tests). So every output element of a float64
+// matmul accumulates over k in ascending order from +0 with one rounded
+// multiply and one rounded add per step (never a fused multiply-add), and
+// mulRows and mulTransARows skip every k whose a element is ±0, so an
+// element's value never depends on which row span a call covers.
 type kernelSet struct {
 	name                                  string
 	mulRows, mulTransARows, mulTransBRows func(dst, a, b *Matrix, lo, hi int)
@@ -36,19 +36,43 @@ type kernelSet struct {
 	// over the rows j of w and the first j that attains it. Like the
 	// float64 matmuls it must match goKernels' bits exactly (nearestGo).
 	nearest func(pick []int, best []float64, q, w *Matrix, sq []float64)
-	// sigmoid32, tanh32 and exp32 are the float32 activation leaves
-	// behind Sigmoid32, Tanh32 and Exp32 (activation32.go): each sets
-	// every element x of row to its function of x. Unlike mul32 they must
-	// match goKernels' bits exactly, a NaN's payload aside, so the fast
-	// path's outputs do not depend on the CPU's activations.
-	sigmoid32, tanh32, exp32 func(row []float32)
+	// sigmoid32, tanh32, exp32, relu32 and leakyRelu32 are the float32
+	// activation leaves behind Sigmoid32, Tanh32, Exp32, ReLU32 and
+	// LeakyReLU32 (activation32.go): each sets every element x of row to
+	// its function of x. Unlike mul32 they must match goKernels' bits
+	// exactly, so the fast path's outputs do not depend on the CPU's
+	// activations.
+	sigmoid32, tanh32, exp32, relu32 func(row []float32)
+	leakyRelu32                      func(row []float32, slope float32)
+	// sigmoid, tanh, exp, relu and leakyRelu are the float64 activation
+	// leaves of training behind Sigmoid, Tanh, Exp, ReLU and LeakyReLU, and
+	// reluGrad and leakyReluGrad their backward passes behind ReLUGrad and
+	// LeakyReLUGrad (activation64.go); y is as long as dx. goKernels' exp
+	// and tanh are math.Exp and math.Tanh themselves, so every set's
+	// training bits are those of the Go math package.
+	sigmoid, tanh, exp, relu func(row []float64)
+	leakyRelu                func(row []float64, slope float64)
+	reluGrad                 func(dx, y []float64)
+	leakyReluGrad            func(dx, y []float64, slope float64)
+	// adam is the Adam update behind AdamUpdate (adam.go), over slices of
+	// one length.
+	adam func(w, g, m1, m2 []float64, c *AdamCoeffs)
 }
 
 // goKernels is the pure-Go reference: the fallback on CPUs without an
 // assembly implementation and the oracle the assembly kernels are tested
 // against.
-var goKernels = kernelSet{"go", mulRowsGo, mulTransARowsGo, mulTransBRowsGo, nil, mul32Go, nearestGo,
-	sigmoid32Go, tanh32Go, exp32Go}
+var goKernels = kernelSet{
+	name:    "go",
+	mulRows: mulRowsGo, mulTransARows: mulTransARowsGo, mulTransBRows: mulTransBRowsGo,
+	mul32: mul32Go, nearest: nearestGo,
+	sigmoid32: sigmoid32Go, tanh32: tanh32Go, exp32: exp32Go,
+	relu32: reluGo[float32], leakyRelu32: leakyReluGo[float32],
+	sigmoid: sigmoidGo, tanh: tanhGo, exp: expGo,
+	relu: reluGo[float64], leakyRelu: leakyReluGo[float64],
+	reluGrad: reluGradGo, leakyReluGrad: leakyReluGradGo,
+	adam: adamGo,
+}
 
 // packPool recycles scratch matrices — the bᵀ packB fills and the
 // nearest-word decode's transposed queries — so steady-state training and
@@ -60,7 +84,7 @@ var (
 )
 
 // kernels is the set MulInto, MulTransAInto, MulTransBInto, MulInto32,
-// NearestRows and the float32 activations run. It is chosen once at
+// NearestRows, the activation leaves and AdamUpdate run. It is chosen once at
 // package init from the CPU (archKernels) and reported by the
 // mat.kernel.avx2 gauge, so a metrics dump shows which kernels produced
 // its numbers.
@@ -87,8 +111,8 @@ func kernelImpls() []kernelSet {
 
 // ForEachKernelSet calls f once per kernel set this build and CPU can run,
 // the pure-Go reference first, with that set installed for every matmul
-// entry point, NearestRows and the float32 activations, and then restores
-// the set init chose. It exists for tests in other packages: the race
+// entry point, NearestRows, the activation leaves and AdamUpdate, and then
+// restores the set init chose. It exists for tests in other packages: the race
 // detector cannot see memory accesses made by assembly, so a test of
 // concurrent matmul use also runs on the pure-Go set. f must wait for
 // every matmul it starts, and nothing else may call into this package

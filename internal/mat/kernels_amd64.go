@@ -4,15 +4,30 @@ package mat
 // The float64 kernels vectorize across output columns only: each output
 // element still accumulates over k in ascending order with separate VMULPD
 // and VADDPD (never VFMADD), so their bits equal goKernels' for every
-// input. So do the nearest-word decode, nearestAVX2, and the float32
+// input. So do the nearest-word decode, nearestAVX2, the float32
 // activation leaves, which evaluate the Go references' float32 operations
-// in the same order with separate VMULPS, VADDPS and VDIVPS. The float32
-// matmul, mul32FMA, does use FMA.
-var avx2Kernels = kernelSet{"avx2", mulRowsAVX2, mulTransARowsAVX2, mulTransBRowsAVX2, packTransposeAVX2, mul32FMA, nearestAVX2,
-	sigmoid32AVX2, tanh32AVX2, exp32AVX2}
+// in the same order with separate VMULPS, VADDPS and VDIVPS, and the Adam
+// update. The float32 matmul, mul32FMA, does use FMA, and so do the
+// float64 exp, sigmoid and tanh leaves, because the reference they repeat,
+// math.Exp, does: see archKernels.
+var avx2Kernels = kernelSet{
+	name:    "avx2",
+	mulRows: mulRowsAVX2, mulTransARows: mulTransARowsAVX2, mulTransBRows: mulTransBRowsAVX2,
+	packB: packTransposeAVX2, mul32: mul32FMA, nearest: nearestAVX2,
+	sigmoid32: sigmoid32AVX2, tanh32: tanh32AVX2, exp32: exp32AVX2,
+	relu32: relu32AVX2, leakyRelu32: leakyRelu32AVX2,
+	sigmoid: sigmoidAVX2, tanh: tanhAVX2, exp: expAVX2,
+	relu: reluAVX2, leakyRelu: leakyReluAVX2,
+	reluGrad: reluGradAVX2, leakyReluGrad: leakyReluGradAVX2,
+	adam: adamAVX2,
+}
 
 // archKernels returns the AVX2 kernels when the CPU has AVX2 and FMA and
-// the OS saves the YMM registers.
+// the OS saves the YMM registers. That condition implies math's useFMA
+// (AVX and FMA, each with the OS saving the YMM registers), so wherever
+// the avx2 set runs, math.Exp takes the avxfma branch of
+// math/exp_amd64.s, whose fused multiply-adds expRows repeats lane by
+// lane.
 func archKernels() (kernelSet, bool) {
 	if !cpuHasAVX2FMA() {
 		return kernelSet{}, false
@@ -219,4 +234,141 @@ func exp32AVX2(row []float32) {
 		return
 	}
 	exp32Rows(row)
+}
+
+// tanhRows, reluRows, leakyReluRows and relu32Rows, leakyRelu32Rows run
+// the float64 leaves on 4 lanes and the float32 ones on 8 lanes at a time
+// over a row of at least one vector, and reluGradRows and
+// leakyReluGradRows the gradients over dx and y of one length, dx of at
+// least 4. Like the float32 leaves above, a row whose length is not a
+// multiple of the vector ends with a vector that overlaps the one before
+// it.
+//
+//go:noescape
+func tanhRows(row []float64)
+
+//go:noescape
+func reluRows(row []float64)
+
+//go:noescape
+func leakyReluRows(row []float64, slope float64)
+
+//go:noescape
+func reluGradRows(dx, y []float64)
+
+//go:noescape
+func leakyReluGradRows(dx, y []float64, slope float64)
+
+//go:noescape
+func relu32Rows(row []float32)
+
+//go:noescape
+func leakyRelu32Rows(row []float32, slope float32)
+
+// expRows and sigmoidRows run exp and sigmoid on 4 lanes at a time over a
+// row of at least 4 elements, from its start, until a group of 4 has a
+// lane that is NaN or at least 708 in magnitude — where math.Exp leaves
+// its normal range for overflow, underflow, subnormal results and
+// non-finite inputs — and return the index i of the first element they
+// did not compute. Elements from i on are untouched, and the group is
+// row[i:min(i+4, len(row))]: it is shorter than 4 when it is the row's
+// overlapping last 4, of which the whole groups before covered the first
+// few. When every group is in range they return len(row).
+//
+//go:noescape
+func expRows(row []float64) int
+
+//go:noescape
+func sigmoidRows(row []float64) int
+
+// adamRows is kernelSet.adam over n ≥ 4 elements of each slice, 4 lanes
+// at a time, ending with an overlapping vector.
+//
+//go:noescape
+func adamRows(w, grad, m1, m2 *float64, n int, c *AdamCoeffs)
+
+// expAVX2 and sigmoidAVX2 run expRows and sigmoidRows and hand each group
+// they stop at, and a row's last 1 to 3 elements after one, to the Go
+// reference.
+func expAVX2(row []float64) { withFallback(row, expRows, expGo) }
+
+func sigmoidAVX2(row []float64) { withFallback(row, sigmoidRows, sigmoidGo) }
+
+func withFallback(row []float64, vec func([]float64) int, ref func([]float64)) {
+	for len(row) >= 4 {
+		i := vec(row)
+		if i == len(row) {
+			return
+		}
+		j := min(i+4, len(row))
+		ref(row[i:j])
+		row = row[j:]
+	}
+	ref(row)
+}
+
+// The other float64 leaves take the Go reference on rows shorter than one
+// vector, as the float32 leaves do.
+func tanhAVX2(row []float64) {
+	if len(row) < 4 {
+		tanhGo(row)
+		return
+	}
+	tanhRows(row)
+}
+
+func reluAVX2(row []float64) {
+	if len(row) < 4 {
+		reluGo(row)
+		return
+	}
+	reluRows(row)
+}
+
+func leakyReluAVX2(row []float64, slope float64) {
+	if len(row) < 4 {
+		leakyReluGo(row, slope)
+		return
+	}
+	leakyReluRows(row, slope)
+}
+
+func reluGradAVX2(dx, y []float64) {
+	if len(dx) < 4 {
+		reluGradGo(dx, y)
+		return
+	}
+	reluGradRows(dx, y)
+}
+
+func leakyReluGradAVX2(dx, y []float64, slope float64) {
+	if len(dx) < 4 {
+		leakyReluGradGo(dx, y, slope)
+		return
+	}
+	leakyReluGradRows(dx, y, slope)
+}
+
+func relu32AVX2(row []float32) {
+	if len(row) < 8 {
+		reluGo(row)
+		return
+	}
+	relu32Rows(row)
+}
+
+func leakyRelu32AVX2(row []float32, slope float32) {
+	if len(row) < 8 {
+		leakyReluGo(row, slope)
+		return
+	}
+	leakyRelu32Rows(row, slope)
+}
+
+func adamAVX2(w, g, m1, m2 []float64, c *AdamCoeffs) {
+	if len(w) < 4 {
+		adamGo(w, g, m1, m2, c)
+		return
+	}
+	adamRows(&w[0], &g[0], &m1[0], &m2[0], len(w), c)
 }

@@ -2,28 +2,34 @@
 
 // AVX2 row kernels for the float64 matmuls, an AVX2 kernel for the
 // float64 nearest-word decode, an AVX2+FMA kernel for the float32
-// MulInto32 and AVX2 float32 sigmoid, tanh and exp row leaves (see
-// kernels_amd64.go). Package init selects them only on CPUs with both
-// AVX2 and FMA.
+// MulInto32, AVX2 float32 sigmoid, tanh, exp, ReLU and LeakyReLU row
+// leaves, AVX2+FMA float64 exp, sigmoid and tanh leaves, AVX2 float64
+// ReLU and LeakyReLU leaves with their gradients, and an AVX2 Adam update
+// (see kernels_amd64.go). Package init selects them only on CPUs with
+// both AVX2 and FMA.
 //
-// Bit-exactness rules for the float64 kernels and the activation leaves,
-// kept by every instruction of axpyRowsAVX2, dotRowsAVX2, nearest8AVX2,
-// sigmoid32Rows, tanh32Rows and exp32Rows:
+// Bit-exactness rules for the float64 kernels and the leaves, kept by
+// every instruction of axpyRowsAVX2, dotRowsAVX2, nearest8AVX2 and every
+// leaf:
 //   - a multiply and an add are separate VMULPD/VADDPD (VMULSD/VADDSD in
 //     the scalar tail; VMULPS/VADDPS/VSUBPS and a correctly rounded
-//     VDIVPS in the leaves), never a fused multiply-add;
+//     VDIVPS in the float32 leaves; VDIVPD and VSQRTPD in adamRows),
+//     never a fused multiply-add, except in EXP64, which repeats the
+//     fused multiply-adds of math.Exp itself;
 //   - each output element is summed in the Go reference's order: over kk
 //     ascending for the matmuls, whose kk reduction is never split, and in
 //     dot's case 8 grouping for the decode;
-//   - each activation lane runs its Go reference's float32 operations in
-//     the same order, and each branch of the reference (tanh32's ±4.97
-//     clamps, exp32's +Inf, +0 and NaN cases) becomes an ordered or
-//     unordered VCMPPS and a VBLENDVPS.
+//   - each leaf lane runs its Go reference's operations in the same
+//     order, and each branch of the reference (tanh32's ±4.97 clamps,
+//     exp32's +Inf, +0 and NaN cases, math.tanh's three ranges and ±0,
+//     sigmoid's sign, the ReLUs' comparisons with +0) becomes an ordered
+//     or unordered compare and a blend. exp and sigmoid leave groups with
+//     a lane outside math.Exp's normal range to the Go reference.
 // Multiply and add are commutative and correctly rounded, so operand
 // order changes no bits except a NaN's payload, which is outside the
 // contract. The no-FMA rule covers every kernel but mulRows32FMA, which
 // fuses because it serves the float32 fast path, which is pinned by
-// distribution rather than bits.
+// distribution rather than bits, and EXP64.
 //
 // The float64 matmul kernels take (d, a, b *float64, m, n, k, ldd, ai,
 // ak, ldb int) and use the same registers:
@@ -789,3 +795,417 @@ TEXT ·tanh32Rows(SB), NOSPLIT, $0-24
 // func exp32Rows(row []float32)
 TEXT ·exp32Rows(SB), NOSPLIT, $0-24
 	ROW32(EXP32, expLoop, expDone)
+
+// relu32Rows and leakyRelu32Rows: each lane x < +0 (an ordered compare,
+// so −0 and NaN keep their bits) becomes +0, or slope·x, which waits in
+// Y14.
+#define RELU32 \
+	VXORPS    Y1, Y1, Y1; \
+	VCMPPS    $0x11, Y1, Y0, Y2; \
+	VBLENDVPS Y2, Y1, Y0, Y0
+
+#define LEAKYRELU32 \
+	VXORPS    Y1, Y1, Y1; \
+	VCMPPS    $0x11, Y1, Y0, Y2; \
+	VMULPS    Y14, Y0, Y1; \
+	VBLENDVPS Y2, Y1, Y0, Y0
+
+// func relu32Rows(row []float32)
+TEXT ·relu32Rows(SB), NOSPLIT, $0-24
+	ROW32(RELU32, relu32Loop, relu32Done)
+
+// func leakyRelu32Rows(row []float32, slope float32)
+TEXT ·leakyRelu32Rows(SB), NOSPLIT, $0-28
+	VBROADCASTSS slope+24(FP), Y14
+	ROW32(LEAKYRELU32, leakyRelu32Loop, leakyRelu32Done)
+
+// Constants of the float64 leaves, each in 4 lanes so that it can be an
+// instruction's memory operand. The exp constants are math/exp_amd64.s's,
+// written the same way.
+#define F64X4(off, v) \
+	DATA f64c<>+(off)(SB)/8, v; \
+	DATA f64c<>+(off+8)(SB)/8, v; \
+	DATA f64c<>+(off+16)(SB)/8, v; \
+	DATA f64c<>+(off+24)(SB)/8, v
+
+F64X4(0, $0x7fffffffffffffff)                  // |x| mask
+F64X4(32, $-9223372036854775808)               // sign bit
+F64X4(64, $1.0)
+F64X4(96, $2.0)
+F64X4(128, $0.5)
+F64X4(160, $1.4426950408889634073599246810018920)           // LOG2E
+F64X4(192, $0.69314718055966295651160180568695068359375)    // LN2U
+F64X4(224, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+F64X4(256, $0.0625)
+F64X4(288, $1.6666666666666666667e-1)
+F64X4(320, $4.1666666666666666667e-2)
+F64X4(352, $8.3333333333333333333e-3)
+F64X4(384, $1.3888888888888888889e-3)
+F64X4(416, $1.9841269841269841270e-4)
+F64X4(448, $2.4801587301587301587e-5)
+F64X4(480, $1023)                              // exponent bias, int64
+F64X4(512, $708.0)                             // expRows' range limit
+F64X4(544, $-9.64399179425052238628e-1)        // tanhP
+F64X4(576, $-9.92877231001918586564e1)
+F64X4(608, $-1.61468768441708447952e3)
+F64X4(640, $1.12811678491632931402e2)          // tanhQ
+F64X4(672, $2.23548839060100448583e3)
+F64X4(704, $4.84406305325125486048e3)
+F64X4(736, $0.625)                             // tanh's rational-form limit
+F64X4(768, $44.014845965556527147994)          // tanh's ±1 limit, 0.5·MAXLOG
+GLOBL f64c<>(SB), RODATA|NOPTR, $800
+
+#define f64Abs f64c<>+0(SB)
+#define f64Sign f64c<>+32(SB)
+#define f64One f64c<>+64(SB)
+#define f64Two f64c<>+96(SB)
+#define f64Half f64c<>+128(SB)
+#define f64Log2e f64c<>+160(SB)
+#define f64Ln2U f64c<>+192(SB)
+#define f64Ln2L f64c<>+224(SB)
+#define f64Sixteenth f64c<>+256(SB)
+#define f64Exp24 f64c<>+288(SB)
+#define f64Exp32 f64c<>+320(SB)
+#define f64Exp40 f64c<>+352(SB)
+#define f64Exp48 f64c<>+384(SB)
+#define f64Exp56 f64c<>+416(SB)
+#define f64Exp64 f64c<>+448(SB)
+#define f64Bias f64c<>+480(SB)
+#define f64ExpLimit f64c<>+512(SB)
+#define f64TanhP0 f64c<>+544(SB)
+#define f64TanhP1 f64c<>+576(SB)
+#define f64TanhP2 f64c<>+608(SB)
+#define f64TanhQ0 f64c<>+640(SB)
+#define f64TanhQ1 f64c<>+672(SB)
+#define f64TanhQ2 f64c<>+704(SB)
+#define f64TanhSmall f64c<>+736(SB)
+#define f64TanhBig f64c<>+768(SB)
+
+// EXP64 sets each lane of x to math.Exp of it, for lanes with |x| < 708:
+// the avxfma branch of math/exp_amd64.s, 4 lanes wide and instruction for
+// instruction. n = x·LOG2E rounded to an integer (nx, int32 lanes, then
+// t as doubles); r = (x − n·LN2U − n·LN2L)/16 with both steps fused; the
+// Taylor polynomial in t by fused Horner steps; four doublings
+// y·(y + 2), the last one fused with the final + 1; and the scale 2ⁿ
+// built in the exponent bits of n. Other lanes get unspecified values.
+#define EXP64(x, n, nx, t) \
+	VMULPD       f64Log2e, x, t; \
+	VCVTPD2DQY   t, nx; \
+	VCVTDQ2PD    nx, t; \
+	VFNMADD231PD f64Ln2U, t, x; \
+	VFNMADD231PD f64Ln2L, t, x; \
+	VMULPD       f64Sixteenth, x, x; \
+	VMOVUPD      f64Exp64, t; \
+	VFMADD213PD  f64Exp56, x, t; \
+	VFMADD213PD  f64Exp48, x, t; \
+	VFMADD213PD  f64Exp40, x, t; \
+	VFMADD213PD  f64Exp32, x, t; \
+	VFMADD213PD  f64Exp24, x, t; \
+	VFMADD213PD  f64Half, x, t; \
+	VFMADD213PD  f64One, x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       f64Two, x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       f64Two, x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       f64Two, x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       f64Two, x, t; \
+	VFMADD213PD  f64One, t, x; \
+	VPMOVSXDQ    nx, n; \
+	VPADDQ       f64Bias, n, n; \
+	VPSLLQ       $52, n, n; \
+	VMULPD       n, x, x
+
+// EXPLANE sets each lane of Y0 to exp of it (for expRows).
+#define EXPLANE EXP64(Y0, Y1, X1, Y2)
+
+// SIGMOID64 sets each lane x of Y0 to sigmoid of it, using Y1-Y3: e =
+// exp(−|x|), then 1/(1+e) where x ≥ 0 (an ordered compare) and e/(1+e)
+// elsewhere.
+#define SIGMOID64 \
+	VORPD     f64Sign, Y0, Y1; \
+	EXP64(Y1, Y2, X2, Y3); \
+	VADDPD    f64One, Y1, Y2; \
+	VMOVUPD   f64One, Y3; \
+	VDIVPD    Y2, Y3, Y3; \
+	VDIVPD    Y2, Y1, Y1; \
+	VXORPD    Y2, Y2, Y2; \
+	VCMPPD    $0x1d, Y2, Y0, Y2; \
+	VBLENDVPD Y2, Y3, Y1, Y0
+
+// TANH64 sets each lane x of Y0 to math.Tanh of it, using Y1-Y6. It
+// computes both of math.tanh's branches from z = |x| (Y1): the large one,
+// 1 − 2/(exp(2z) + 1) with x's sign (Y6) put back, in Y4, and the
+// rational one, x + ((x·s)·P(s))/Q(s) with s = x², in Y2; then takes the
+// large one where z ≥ 0.625, ±1 where z > 0.5·MAXLOG (ordered compares,
+// so a NaN lane keeps the rational form, a NaN) and x itself where x is
+// ±0. Lanes whose exp(2z) is out of range are replaced by ±1 or NaN.
+#define TANH64 \
+	VANDPD       f64Abs, Y0, Y1; \
+	VADDPD       Y1, Y1, Y2; \
+	EXP64(Y2, Y3, X3, Y4); \
+	VADDPD       f64One, Y2, Y2; \
+	VMOVUPD      f64Two, Y3; \
+	VDIVPD       Y2, Y3, Y3; \
+	VMOVUPD      f64One, Y4; \
+	VSUBPD       Y3, Y4, Y4; \
+	VANDPD       f64Sign, Y0, Y6; \
+	VXORPD       Y6, Y4, Y4; \
+	VMULPD       Y0, Y0, Y2; \
+	VMULPD       f64TanhP0, Y2, Y3; \
+	VADDPD       f64TanhP1, Y3, Y3; \
+	VMULPD       Y2, Y3, Y3; \
+	VADDPD       f64TanhP2, Y3, Y3; \
+	VADDPD       f64TanhQ0, Y2, Y5; \
+	VMULPD       Y2, Y5, Y5; \
+	VADDPD       f64TanhQ1, Y5, Y5; \
+	VMULPD       Y2, Y5, Y5; \
+	VADDPD       f64TanhQ2, Y5, Y5; \
+	VMULPD       Y0, Y2, Y2; \
+	VMULPD       Y3, Y2, Y2; \
+	VDIVPD       Y5, Y2, Y2; \
+	VADDPD       Y0, Y2, Y2; \
+	VCMPPD       $0x1d, f64TanhSmall, Y1, Y3; \
+	VBLENDVPD    Y3, Y4, Y2, Y2; \
+	VCMPPD       $0x1e, f64TanhBig, Y1, Y3; \
+	VORPD        f64One, Y6, Y4; \
+	VBLENDVPD    Y3, Y4, Y2, Y2; \
+	VXORPD       Y4, Y4, Y4; \
+	VCMPPD       $0x00, Y4, Y0, Y3; \
+	VBLENDVPD    Y3, Y0, Y2, Y0
+
+// RELU64 and LEAKYRELU64 are RELU32 and LEAKYRELU32 on float64 lanes.
+#define RELU64 \
+	VXORPD    Y1, Y1, Y1; \
+	VCMPPD    $0x11, Y1, Y0, Y2; \
+	VBLENDVPD Y2, Y1, Y0, Y0
+
+#define LEAKYRELU64 \
+	VXORPD    Y1, Y1, Y1; \
+	VCMPPD    $0x11, Y1, Y0, Y2; \
+	VMULPD    Y14, Y0, Y1; \
+	VBLENDVPD Y2, Y1, Y0, Y0
+
+// RELUGRAD64 and LEAKYRELUGRAD64 set each lane of dx (Y0) to +0, or to
+// dx·slope (slope in Y14), where its lane of y (Y1) is ≤ +0 (an ordered
+// compare: true at −0, false at NaN).
+#define RELUGRAD64 \
+	VXORPD    Y2, Y2, Y2; \
+	VCMPPD    $0x12, Y2, Y1, Y3; \
+	VBLENDVPD Y3, Y2, Y0, Y0
+
+#define LEAKYRELUGRAD64 \
+	VXORPD    Y2, Y2, Y2; \
+	VCMPPD    $0x12, Y2, Y1, Y3; \
+	VMULPD    Y14, Y0, Y2; \
+	VBLENDVPD Y3, Y2, Y0, Y0
+
+// ROW64 is ROW32 for a float64 row of at least 4 elements, 4 lanes at a
+// time.
+#define ROW64(F, loop, done) \
+	MOVQ    row_base+0(FP), DI; \
+	MOVQ    row_len+8(FP), CX; \
+	LEAQ    -32(DI)(CX*8), SI; \
+	VMOVUPD (SI), Y0; \
+	F; \
+	VMOVAPD Y0, Y15; \
+	SUBQ    $4, CX; \
+	JLE     done; \
+loop: \
+	VMOVUPD (DI), Y0; \
+	F; \
+	VMOVUPD Y0, (DI); \
+	ADDQ    $32, DI; \
+	SUBQ    $4, CX; \
+	JG      loop; \
+done: \
+	VMOVUPD Y15, (SI); \
+	VZEROUPPER; \
+	RET
+
+// GRAD64 is ROW64 over dx in Y0 with the matching lanes of y in Y1.
+//   DI dx cursor   BX y cursor   CX elements left   SI, DX the last 4
+#define GRAD64(F, loop, done) \
+	MOVQ    dx_base+0(FP), DI; \
+	MOVQ    y_base+24(FP), BX; \
+	MOVQ    dx_len+8(FP), CX; \
+	LEAQ    -32(DI)(CX*8), SI; \
+	LEAQ    -32(BX)(CX*8), DX; \
+	VMOVUPD (SI), Y0; \
+	VMOVUPD (DX), Y1; \
+	F; \
+	VMOVAPD Y0, Y15; \
+	SUBQ    $4, CX; \
+	JLE     done; \
+loop: \
+	VMOVUPD (DI), Y0; \
+	VMOVUPD (BX), Y1; \
+	F; \
+	VMOVUPD Y0, (DI); \
+	ADDQ    $32, DI; \
+	ADDQ    $32, BX; \
+	SUBQ    $4, CX; \
+	JG      loop; \
+done: \
+	VMOVUPD Y15, (SI); \
+	VZEROUPPER; \
+	RET
+
+// INRANGE sets AX to the sign mask of the lanes of Y0 that are NaN or at
+// least 708 in magnitude (an unordered not-less-than compare), using Y1.
+#define INRANGE \
+	VANDPD    f64Abs, Y0, Y1; \
+	VCMPPD    $0x15, f64ExpLimit, Y1, Y1; \
+	VMOVMSKPD Y1, AX
+
+// ROWRANGE64 is ROW64 for expRows and sigmoidRows: it computes the last 4
+// first, noting in R8 whether they are in range, then the whole groups
+// from the start, and stops at the first group with a lane out of range,
+// returning its index with nothing from it on stored. After the loop the
+// held last 4 are stored only if in range; if not, the index returned is
+// where the loop ended, and the elements from it to the end (the row's
+// last 4 at most) are untouched.
+//   DI row cursor   DX row start   CX elements left   SI the last 4
+#define ROWRANGE64(F, loop, done, stop) \
+	MOVQ    row_base+0(FP), DI; \
+	MOVQ    DI, DX; \
+	MOVQ    row_len+8(FP), CX; \
+	LEAQ    -32(DI)(CX*8), SI; \
+	VMOVUPD (SI), Y0; \
+	INRANGE; \
+	MOVL    AX, R8; \
+	F; \
+	VMOVAPD Y0, Y15; \
+	SUBQ    $4, CX; \
+	JLE     done; \
+loop: \
+	VMOVUPD (DI), Y0; \
+	INRANGE; \
+	TESTL   AX, AX; \
+	JNZ     stop; \
+	F; \
+	VMOVUPD Y0, (DI); \
+	ADDQ    $32, DI; \
+	SUBQ    $4, CX; \
+	JG      loop; \
+done: \
+	TESTL   R8, R8; \
+	JNZ     stop; \
+	VMOVUPD Y15, (SI); \
+	MOVQ    row_len+8(FP), AX; \
+	MOVQ    AX, ret+24(FP); \
+	VZEROUPPER; \
+	RET; \
+stop: \
+	SUBQ    DX, DI; \
+	SHRQ    $3, DI; \
+	MOVQ    DI, ret+24(FP); \
+	VZEROUPPER; \
+	RET
+
+// func expRows(row []float64) int
+TEXT ·expRows(SB), NOSPLIT, $0-32
+	ROWRANGE64(EXPLANE, expRowLoop, expRowDone, expRowStop)
+
+// func sigmoidRows(row []float64) int
+TEXT ·sigmoidRows(SB), NOSPLIT, $0-32
+	ROWRANGE64(SIGMOID64, sigmoidRowLoop, sigmoidRowDone, sigmoidRowStop)
+
+// func tanhRows(row []float64)
+TEXT ·tanhRows(SB), NOSPLIT, $0-24
+	ROW64(TANH64, tanhRowLoop, tanhRowDone)
+
+// func reluRows(row []float64)
+TEXT ·reluRows(SB), NOSPLIT, $0-24
+	ROW64(RELU64, reluRowLoop, reluRowDone)
+
+// func leakyReluRows(row []float64, slope float64)
+TEXT ·leakyReluRows(SB), NOSPLIT, $0-32
+	VBROADCASTSD slope+24(FP), Y14
+	ROW64(LEAKYRELU64, leakyReluRowLoop, leakyReluRowDone)
+
+// func reluGradRows(dx, y []float64)
+TEXT ·reluGradRows(SB), NOSPLIT, $0-48
+	GRAD64(RELUGRAD64, reluGradLoop, reluGradDone)
+
+// func leakyReluGradRows(dx, y []float64, slope float64)
+TEXT ·leakyReluGradRows(SB), NOSPLIT, $0-56
+	VBROADCASTSD slope+48(FP), Y14
+	GRAD64(LEAKYRELUGRAD64, leakyReluGradLoop, leakyReluGradDone)
+
+// ADAM computes the Adam step of the 4 elements at byte offset off: the
+// new w in Y0, m1 in Y2 and m2 in Y3, from g (Y1) and the coefficients in
+// Y8-Y15, with Y4 and Y5 as scratch. Each line is one operation of
+// adamGo, in its order.
+#define ADAM(off) \
+	VMOVUPD (SI)(off*1), Y1; \
+	VMULPD  (DX)(off*1), Y8, Y2; \
+	VMULPD  Y9, Y1, Y4; \
+	VADDPD  Y4, Y2, Y2; \
+	VMULPD  (R8)(off*1), Y10, Y3; \
+	VMULPD  Y11, Y1, Y4; \
+	VMULPD  Y1, Y4, Y4; \
+	VADDPD  Y4, Y3, Y3; \
+	VDIVPD  Y12, Y2, Y4; \
+	VMULPD  Y14, Y4, Y4; \
+	VDIVPD  Y13, Y3, Y5; \
+	VSQRTPD Y5, Y5; \
+	VADDPD  Y15, Y5, Y5; \
+	VDIVPD  Y5, Y4, Y4; \
+	VMOVUPD (DI)(off*1), Y0; \
+	VSUBPD  Y4, Y0, Y0
+
+// func adamRows(w, grad, m1, m2 *float64, n int, c *AdamCoeffs)
+// The last 4 elements' results wait in the frame until every whole group
+// from the start is stored; g is set to +0 (Y6) as each group is stored.
+//   DI w   SI g   DX m1   R8 m2   CX elements left
+//   BX group offset in bytes      R9 the last 4's offset in bytes
+//   Y8-Y15 B1, C1, B2, C2, BC1, BC2, LR, Eps
+TEXT ·adamRows(SB), NOSPLIT, $96-48
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m1+16(FP), DX
+	MOVQ         m2+24(FP), R8
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+	VXORPD       Y6, Y6, Y6
+	MOVQ         CX, R9
+	SHLQ         $3, R9
+	SUBQ         $32, R9
+	ADAM(R9)
+	VMOVUPD      Y0, lw-96(SP)
+	VMOVUPD      Y2, lm1-64(SP)
+	VMOVUPD      Y3, lm2-32(SP)
+	XORQ         BX, BX
+	SUBQ         $4, CX
+	JLE          adamDone
+
+adamLoop:
+	ADAM(BX)
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y2, (DX)(BX*1)
+	VMOVUPD Y3, (R8)(BX*1)
+	VMOVUPD Y6, (SI)(BX*1)
+	ADDQ    $32, BX
+	SUBQ    $4, CX
+	JG      adamLoop
+
+adamDone:
+	VMOVUPD lw-96(SP), Y0
+	VMOVUPD Y0, (DI)(R9*1)
+	VMOVUPD lm1-64(SP), Y2
+	VMOVUPD Y2, (DX)(R9*1)
+	VMOVUPD lm2-32(SP), Y3
+	VMOVUPD Y3, (R8)(R9*1)
+	VMOVUPD Y6, (SI)(R9*1)
+	VZEROUPPER
+	RET

@@ -454,8 +454,14 @@ func TestMatmulZeroAllocs(t *testing.T) {
 // the float32 activation leaves at the row lengths the fast path calls
 // them on: 64 (the GRU's z|r gates), 32 (its candidate ĥ), 94 (the
 // metadata row), 4 and 1 (the feature row's continuous runs) and 12 (the
-// label softmax, trace.NumLabels). It runs once per available kernel set,
-// on one goroutine. Shapes are m×k×n: an m×n product summed over k.
+// label softmax, trace.NumLabels); the float64 sigmoid, tanh and exp
+// leaves of training at the same row lengths (the training GRU's gates
+// are 64 and 32 wide too); the float64 ReLU and LeakyReLU leaves and
+// their gradients on a batch-16 critic layer (512 elements), the float32
+// ReLU on a 64-row lot's metadata hidden layer (2048); and the Adam update
+// on a 196-32-32-1 critic's first weight matrix (6272 elements) and a
+// bias (32). It runs once per available kernel set, on one goroutine.
+// Shapes are m×k×n: an m×n product summed over k.
 func BenchmarkKernels(b *testing.B) {
 	shapes := []struct {
 		op      string
@@ -521,6 +527,71 @@ func BenchmarkKernels(b *testing.B) {
 					})
 				})
 			}
+		}
+	}
+	for _, leaf := range []struct {
+		op  string
+		run func(dst, y []float64)
+		ns  []int
+	}{
+		{"Sigmoid", func(d, _ []float64) { Sigmoid(d) }, []int{64, 32, 96, 4, 1, 12}},
+		{"Tanh", func(d, _ []float64) { Tanh(d) }, []int{64, 32, 96, 4, 1, 12}},
+		{"Exp", func(d, _ []float64) { Exp(d) }, []int{64, 32, 96, 4, 1, 12}},
+		{"ReLU", func(d, _ []float64) { ReLU(d) }, []int{512}},
+		{"LeakyReLU", func(d, _ []float64) { LeakyReLU(d, testSlope) }, []int{512}},
+		{"ReLUGrad", ReLUGrad, []int{512}},
+		{"LeakyReLUGrad", func(d, y []float64) { LeakyReLUGrad(d, y, testSlope) }, []int{512}},
+	} {
+		for _, n := range leaf.ns {
+			in, y := make([]float64, n), make([]float64, n)
+			for i := range in {
+				in[i], y[i] = r.NormFloat64(), r.NormFloat64()
+			}
+			row := make([]float64, n)
+			for _, ks := range kernelImpls() {
+				b.Run(fmt.Sprintf("%s/%d/%s", leaf.op, n, ks.name), func(b *testing.B) {
+					benchmarkKernelSet(b, ks, func() {
+						copy(row, in)
+						leaf.run(row, y)
+					})
+				})
+			}
+		}
+	}
+	in32 := make([]float32, 2048)
+	for i := range in32 {
+		in32[i] = float32(r.NormFloat64())
+	}
+	row32 := make([]float32, len(in32))
+	for _, ks := range kernelImpls() {
+		b.Run(fmt.Sprintf("ReLU32/%d/%s", len(in32), ks.name), func(b *testing.B) {
+			benchmarkKernelSet(b, ks, func() {
+				copy(row32, in32)
+				ReLU32(row32)
+			})
+		})
+	}
+	for _, n := range []int{6272, 32} {
+		var bufs [4][]float64
+		for i := range bufs {
+			bufs[i] = make([]float64, n)
+			for j := range bufs[i] {
+				bufs[i][j] = r.NormFloat64()
+			}
+		}
+		for j, v := range bufs[3] {
+			bufs[3][j] = v * v
+		}
+		w, g, m1, m2 := bufs[0], make([]float64, n), bufs[2], bufs[3]
+		for _, ks := range kernelImpls() {
+			b.Run(fmt.Sprintf("Adam/%d/%s", n, ks.name), func(b *testing.B) {
+				// The update zeroes g; each call starts from the same
+				// gradients, while w and the moments evolve as in training.
+				benchmarkKernelSet(b, ks, func() {
+					copy(g, bufs[1])
+					AdamUpdate(w, g, m1, m2, &testAdam)
+				})
+			})
 		}
 	}
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
@@ -63,17 +62,9 @@ func (a *activation) backward(d *mat.Matrix) *mat.Matrix {
 	y := a.lastY.Data[:len(dx)]
 	switch a.kind {
 	case ReLU:
-		for i, v := range y {
-			if v <= 0 {
-				dx[i] = 0
-			}
-		}
+		mat.ReLUGrad(dx, y)
 	case LeakyReLU:
-		for i, v := range y {
-			if v <= 0 {
-				dx[i] *= leakySlope
-			}
-		}
+		mat.LeakyReLUGrad(dx, y, leakySlope)
 	case Tanh:
 		for i, v := range y {
 			dx[i] *= 1 - v*v
@@ -86,12 +77,4 @@ func (a *activation) backward(d *mat.Matrix) *mat.Matrix {
 		// gradient passes through unchanged
 	}
 	return d
-}
-
-func sigmoid(v float64) float64 {
-	if v >= 0 {
-		return 1 / (1 + math.Exp(-v))
-	}
-	e := math.Exp(v)
-	return e / (1 + e)
 }

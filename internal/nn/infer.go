@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
@@ -28,31 +27,25 @@ type Float interface{ float32 | float64 }
 
 // leaves is one element type's arithmetic: everything the inference
 // modules do not share between precisions. Each function runs once per
-// matrix or row, never per element.
+// matrix or row, never per element. Both tables are internal/mat's kernel
+// set entries: the float64 leaves compute what math.Exp, math.Tanh and
+// the logistic function compute, bit for bit, and the float32 ones mat's
+// float32 approximations (infer32.go).
 type leaves[F Float] struct {
-	mul                func(dst, a, b *matrix[F]) // dst = a·b
-	sigmoid, tanh, exp func(row []F)              // in place
+	mul                      func(dst, a, b *matrix[F]) // dst = a·b
+	sigmoid, tanh, exp, relu func(row []F)              // in place
+	leakyRelu                func(row []F, slope F)     // in place
 }
 
 var leaves64 = leaves[float64]{
 	mul: func(dst, a, b *matrix[float64]) {
 		mat.MulInto((*mat.Matrix)(dst), (*mat.Matrix)(a), (*mat.Matrix)(b))
 	},
-	sigmoid: func(row []float64) {
-		for i, v := range row {
-			row[i] = sigmoid(v)
-		}
-	},
-	tanh: func(row []float64) {
-		for i, v := range row {
-			row[i] = math.Tanh(v)
-		}
-	},
-	exp: func(row []float64) {
-		for i, v := range row {
-			row[i] = math.Exp(v)
-		}
-	},
+	sigmoid:   mat.Sigmoid,
+	tanh:      mat.Tanh,
+	exp:       mat.Exp,
+	relu:      mat.ReLU,
+	leakyRelu: mat.LeakyReLU,
 }
 
 // leavesOf returns F's leaves table.
@@ -95,17 +88,9 @@ func (m *matrix[F]) reshape(rows, cols int) *matrix[F] {
 func applyActKind[F Float](kind ActKind, x []F) {
 	switch kind {
 	case ReLU:
-		for i, v := range x {
-			if v < 0 {
-				x[i] = 0
-			}
-		}
+		leavesOf[F]().relu(x)
 	case LeakyReLU:
-		for i, v := range x {
-			if v < 0 {
-				x[i] = leakySlope * v
-			}
-		}
+		leavesOf[F]().leakyRelu(x, leakySlope)
 	case Tanh:
 		leavesOf[F]().tanh(x)
 	case Sigmoid:

@@ -16,9 +16,11 @@ var leaves32 = leaves[float32]{
 	mul: func(dst, a, b *matrix[float32]) {
 		mat.MulInto32((*mat.Matrix32)(dst), (*mat.Matrix32)(a), (*mat.Matrix32)(b))
 	},
-	sigmoid: mat.Sigmoid32,
-	tanh:    mat.Tanh32,
-	exp:     mat.Exp32,
+	sigmoid:   mat.Sigmoid32,
+	tanh:      mat.Tanh32,
+	exp:       mat.Exp32,
+	relu:      mat.ReLU32,
+	leakyRelu: mat.LeakyReLU32,
 }
 
 // Narrow returns the float32 snapshot of a float64 inference module. Only

@@ -34,6 +34,14 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	}
 }
 
+// sigmoid is the logistic function of one value: mat's float64 sigmoid
+// leaf on a one-element row.
+func sigmoid(v float64) float64 {
+	row := []float64{v}
+	mat.Sigmoid(row)
+	return row[0]
+}
+
 // unfusedStep is the GRU step as six per-gate products, the form the fused
 // step replaced: z = σ(x·Wz + h·Uz + bz), r likewise, ĥ = tanh(x·Wh +
 // (r⊙h)·Uh + bh), h' = (1−z)⊙h + z⊙ĥ, each gate summed (x·W + h·U) + b.

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mat"
@@ -111,6 +112,57 @@ func TestAdamStepZeroesGrads(t *testing.T) {
 				t.Fatal("Step must zero gradients")
 			}
 		}
+	}
+}
+
+// TestAdamResetRecapturesModule: Reset drops the captured parameters and
+// moments, so the next Step binds the optimizer to the module it is given
+// and updates it exactly as a new optimizer would.
+func TestAdamResetRecapturesModule(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	a := NewMLP("a", []int{3, 4, 2}, ReLU, Identity, r)
+	b := NewMLP("b", []int{3, 4, 2}, ReLU, Identity, r)
+	c := b.Clone()
+	step := func(opt *Adam, m Module) {
+		for _, p := range m.Params() {
+			for i := range p.G.Data {
+				p.G.Data[i] = float64(i%5) - 2
+			}
+		}
+		opt.Step(m)
+	}
+	opt := NewAdam(0.01)
+	step(opt, a)
+	opt.Reset()
+	step(opt, b)
+	step(NewAdam(0.01), c)
+	if !reflect.DeepEqual(TakeSnapshot(b).Data, TakeSnapshot(c).Data) {
+		t.Fatal("a reset optimizer's step differs from a new optimizer's")
+	}
+}
+
+// BenchmarkAdamStep times one Adam step on a 196-32-32-1 critic, the
+// flow model's main critic at DefaultConfig's width. Each iteration first
+// restores the same gradients (the step zeroes them), so the moments stay
+// at training's magnitudes instead of decaying into subnormals.
+func BenchmarkAdamStep(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	m := NewMLP("d", []int{196, 32, 32, 1}, LeakyReLU, Identity, r)
+	ps := m.Params()
+	grads := make([][]float64, len(ps))
+	for i, p := range ps {
+		grads[i] = make([]float64, len(p.G.Data))
+		for j := range grads[i] {
+			grads[i][j] = 1e-2 * r.NormFloat64()
+		}
+	}
+	opt := NewAdam(1e-4)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, p := range ps {
+			copy(p.G.Data, grads[i])
+		}
+		opt.Step(m)
 	}
 }
 
