@@ -74,7 +74,8 @@ test-ingest:
 	$(GO) test ./internal/ingest/... ./internal/trace/...
 	$(GO) test ./internal/webapi -run TestIngestEndpoint
 
-# Short fuzz pass over every fuzz target (trace parsers, flow assembly,
+# Short fuzz pass over every fuzz target (trace parsers, the CSV writers
+# byte for byte against encoding/csv, flow assembly,
 # the chunk-record reader, the container and lease decoders, the matmul
 # kernels: float64 bit for bit against the pure-Go reference, float32
 # within rounding of the float64 product and, row by row, bit for bit
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadFlowCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadPacketCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseIPv4 -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzWriteFlowCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadNetFlowV9 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadIPFIX -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFlowAssemble -fuzztime $(FUZZTIME)
@@ -153,8 +155,8 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # One iteration of every package benchmark under internal/ (the kernel,
-# critic-step, train-step, Adam-step, sampler, nearest-word and
-# store-query rows), so a benchmark that stops compiling or starts
+# critic-step, train-step, Adam-step, sampler, fast-generate, nearest-word
+# and store-query rows), so a benchmark that stops compiling or starts
 # failing breaks ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...

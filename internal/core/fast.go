@@ -78,16 +78,8 @@ func (s *FastFlowSynthesizer) GenerateBatch(counts []int) []*trace.FlowTrace {
 // is unconditional mixture generation, label >= 0 pins every chunk's draw
 // to one scenario.
 func (s *FastFlowSynthesizer) generateBatch(counts []int, label int) []*trace.FlowTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, label, func(i int) (func(int) []dgan.Sample, int) {
-		m := s.models[i]
-		if label < 0 {
-			return m.Generate, dgan.InferLot
-		}
-		// Range-checked by GenerateLabeledBatch, so this cannot fail.
-		return func(n int) []dgan.Sample {
-			batch, _ := m.GenerateLabeled(n, label)
-			return batch
-		}, dgan.InferLot
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, label, func(i int) (sampleFunc, int) {
+		return inferSampler(s.models[i], label), dgan.InferLot
 	})
 }
 
@@ -111,7 +103,17 @@ func (s *FastPacketSynthesizer) Generate(n int) *trace.PacketTrace {
 // fan-out, with the same per-request chunk quotas as the flow variant
 // (see packetCodec.generate).
 func (s *FastPacketSynthesizer) GenerateBatch(counts []int) []*trace.PacketTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, func(i int) (func(int) []dgan.Sample, int) {
-		return s.models[i].Generate, dgan.InferLot
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, func(i int) (sampleFunc, int) {
+		return inferSampler(s.models[i], -1), dgan.InferLot
 	})
+}
+
+// inferSampler is m's sampler; label -1 draws the fitted label mixture,
+// label >= 0 (range-checked by the caller, so sampling cannot fail) pins
+// every sample to it.
+func inferSampler(m *dgan.InferModel, label int) sampleFunc {
+	return func(st *dgan.Storage, n int) []dgan.Sample {
+		batch, _ := m.GenerateInto(st, n, label)
+		return batch
+	}
 }

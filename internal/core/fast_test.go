@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -198,5 +199,72 @@ func TestFastPacketSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(syn.Fast().Generate(160), loaded.Fast().Generate(160)) {
 		t.Fatal("snapshot of the loaded model must generate the identical trace")
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go), where sync.Pool drops
+// items at random, so allocation counts are not exact.
+var raceEnabled bool
+
+// serveFixture is the serve model shape of the repository benchmark's
+// serve workloads: DefaultConfig trained with 40/20 steps on 3000 UGR16
+// records and a 5000-packet public CAIDA trace.
+var serveFixture struct {
+	once sync.Once
+	syn  *FlowSynthesizer
+	err  error
+}
+
+// serveModel returns a fresh fast snapshot of the serve-shaped model.
+func serveModel(tb testing.TB) *FastFlowSynthesizer {
+	tb.Helper()
+	serveFixture.once.Do(func() {
+		cfg := DefaultConfig()
+		cfg.SeedSteps, cfg.FineTuneSteps = 40, 20
+		serveFixture.syn, serveFixture.err = TrainFlowSynthesizer(datasets.UGR16(3000, 1), datasets.CAIDAChicago(5000, 2), cfg)
+	})
+	if serveFixture.err != nil {
+		tb.Fatal(serveFixture.err)
+	}
+	return serveFixture.syn.Fast()
+}
+
+// BenchmarkFastGenerate times one fast-path generate on the serve model
+// shape: the float32 sampler, the tuple decode, record assembly and the
+// keyed sort.
+func BenchmarkFastGenerate(b *testing.B) {
+	fast := serveModel(b)
+	for _, n := range []int{200, 10000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			fast.Generate(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fast.Generate(n)
+			}
+		})
+	}
+}
+
+// maxFastGenerateAllocs bounds a warm Fast().Generate(10000) on 2
+// workers, which makes about 205 allocations: the returned trace and its
+// records, the sort keys, the chunk and lot fan-outs' goroutines, and each
+// decoded batch's nearest-word results, all per call or per batch. One
+// allocation per lot (about 80 lots) or per sample (about 5000) breaks it.
+const maxFastGenerateAllocs = 250
+
+// TestFastGenerateAllocs: once the pooled sample storage has grown, a
+// 10000-record fast generate allocates a bounded number of times.
+func TestFastGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled storage at random under the race detector")
+	}
+	fast := serveModel(t)
+	// The fan-outs' goroutine count, and with it their allocations,
+	// follows the worker count; the output does not.
+	fast.SetParallelism(2)
+	fast.Generate(10000)
+	if n := testing.AllocsPerRun(5, func() { fast.Generate(10000) }); n > maxFastGenerateAllocs {
+		t.Fatalf("warm Generate(10000) makes %v allocations, want at most %d", n, maxFastGenerateAllocs)
 	}
 }

@@ -126,14 +126,14 @@ func majorityLabel(recs []trace.FlowRecord) trace.Label {
 // decode converts a generated sample back into flow records (post-
 // processing: inverse transforms, integer rounding, label argmax).
 func (c *flowCodec) decode(s dgan.Sample) []trace.FlowRecord {
-	return c.decodeRecords(s, c.decodeMeta(s.Meta))
+	return c.appendRecords(nil, s, c.decodeMeta(s.Meta))
 }
 
-// decodeRecords is decode with the five-tuple already resolved — the
-// generation pipeline decodes tuples for a whole batch at once
-// (decodeTuples) and feeds them back in here.
-func (c *flowCodec) decodeRecords(s dgan.Sample, ft trace.FiveTuple) []trace.FlowRecord {
-	out := make([]trace.FlowRecord, 0, len(s.Features))
+// appendRecords appends s's records to dst, with the five-tuple already
+// resolved — the generation pipeline decodes tuples for a whole batch at
+// once (decodeTuples) and appends every sample's records straight into
+// its chunk's output.
+func (c *flowCodec) appendRecords(dst []trace.FlowRecord, s dgan.Sample, ft trace.FiveTuple) []trace.FlowRecord {
 	for _, f := range s.Features {
 		rec := trace.FlowRecord{Tuple: ft}
 		rec.Start = int64(c.timeNorm.Inverse(f[0]))
@@ -152,9 +152,9 @@ func (c *flowCodec) decodeRecords(s dgan.Sample, ft trace.FiveTuple) []trace.Flo
 				break
 			}
 		}
-		out = append(out, rec)
+		dst = append(dst, rec)
 	}
-	return out
+	return dst
 }
 
 // FlowSynthesizer is a trained NetShare model for NetFlow traces.
@@ -303,12 +303,12 @@ func (s *FlowSynthesizer) GenerateFresh(n, label int) (*trace.FlowTrace, error) 
 // every chunk's draw to one scenario. fresh selects per-call copies of the
 // generation streams (genRand).
 func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, label, func(i int) (func(int) []dgan.Sample, int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, label, func(i int) (sampleFunc, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
 		// The label was range-checked by the caller and the model was
 		// trained conditionally, so sampling cannot fail.
-		return func(n int) []dgan.Sample {
-			batch, _ := m.GenerateFrom(r, n, label)
+		return func(st *dgan.Storage, n int) []dgan.Sample {
+			batch, _ := m.GenerateFrom(r, st, n, label)
 			return batch
 		}, m.Config.Batch
 	})[0]
@@ -324,21 +324,27 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 // mode passes one count, whose quota is each chunk's whole budget.
 func (c *flowCodec) generate(cfg Config, shares, counts []int, label int, sample chunkSampler) []*trace.FlowTrace {
 	defer telGeneratePhase.Start().Stop()
-	quotas, chunkRecs := fillChunks(cfg, shares, counts, func(i, budget int) []trace.FlowRecord {
+	quotas, chunks := fillChunks(cfg, shares, counts, func(i, budget int) *genScratch {
 		gen, lot := sample(i)
 		return c.fillChunk(gen, lot, budget, label)
 	})
 	outs := make([]*trace.FlowTrace, len(counts))
 	for ri := range outs {
-		outs[ri] = &trace.FlowTrace{}
+		var total int
+		for _, q := range quotas[ri] {
+			total += q
+		}
+		outs[ri] = &trace.FlowTrace{Records: make([]trace.FlowRecord, 0, total)}
 	}
-	for i, recs := range chunkRecs {
+	for i, sc := range chunks {
+		recs := sc.records
 		for ri, out := range outs {
 			// fillChunk stops short only if a sampler returns nothing.
 			q := min(quotas[ri][i], len(recs))
 			out.Records = append(out.Records, recs[:q]...)
 			recs = recs[q:]
 		}
+		genPool.Put(sc)
 	}
 	for _, out := range outs {
 		out.SortByStart()
@@ -347,34 +353,40 @@ func (c *flowCodec) generate(cfg Config, shares, counts []int, label int, sample
 }
 
 // fillChunk fills one chunk's record budget from gen, the chunk
-// model's generator. Samples are flows and records per flow vary, so it
-// generates flows until the budget is met — always requesting whole
-// generation lots of lot (partial lots waste a forward pass) and trimming
-// the overshoot. A pinned label (label >= 0) additionally stamps every
-// emitted record with that scenario, making the conditional slice
-// authoritative.
-func (c *flowCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget, label int) []trace.FlowRecord {
-	out := make([]trace.FlowRecord, 0, budget)
+// model's generator, into the records of a genScratch it takes from
+// genPool (the caller deals them out and puts it back). Samples are flows
+// and records per flow vary, so it generates flows until the budget is
+// met — always requesting whole generation lots of lot (partial lots
+// waste a forward pass) and trimming the overshoot. Every batch is decoded
+// before the next one overwrites the scratch's samples. A pinned label
+// (label >= 0) additionally stamps every emitted record with that
+// scenario, making the conditional slice authoritative.
+func (c *flowCodec) fillChunk(gen sampleFunc, lot, budget, label int) *genScratch {
+	sc := genPool.Get().(*genScratch)
+	out := resize(sc.records, budget)[:0]
 	for budget > 0 {
-		batch := gen(fullLots(budget, lot))
+		batch := gen(&sc.samples, fullLots(budget, lot))
 		if len(batch) == 0 {
-			return out
+			break
 		}
-		tuples := decodeTuples(c.embed, c.ipEmbed, batch)
+		tuples := sc.tuples.decode(c.embed, c.ipEmbed, batch)
 		for bi, sample := range batch {
-			for _, r := range c.decodeRecords(sample, tuples[bi]) {
-				if budget == 0 {
-					break
-				}
-				if label >= 0 {
-					r.Label = trace.Label(label)
-				}
-				out = append(out, r)
-				budget--
+			if budget == 0 {
+				break
 			}
+			sample.Features = sample.Features[:min(len(sample.Features), budget)]
+			n := len(out)
+			out = c.appendRecords(out, sample, tuples[bi])
+			if label >= 0 {
+				for k := n; k < len(out); k++ {
+					out[k].Label = trace.Label(label)
+				}
+			}
+			budget -= len(out) - n
 		}
 	}
-	return out
+	sc.records = out
+	return sc
 }
 
 // TransformIPs remaps every generated address into the given base/mask

@@ -179,7 +179,7 @@ func TestDecodeEmptyKindFallbacks(t *testing.T) {
 	if got := pe.decodeProto(v); got != trace.TCP {
 		t.Fatalf("empty proto vocabulary decoded to %v, want TCP", got)
 	}
-	protos := pe.decodeKindBatch(ip2vec.KindProto, [][]float64{v, v}, uint32(trace.TCP))
+	protos := pe.decodeKindBatch(nil, new(mat.Matrix), ip2vec.KindProto, [][]float64{v, v}, uint32(trace.TCP))
 	for _, p := range protos {
 		if trace.Protocol(p) != trace.TCP {
 			t.Fatalf("batched empty-proto decode = %v, want TCP", p)

@@ -184,10 +184,10 @@ func (s *PacketSynthesizer) GenerateFresh(n int) *trace.PacketTrace {
 // generate runs the packet fan-out as one request on the float64 chunk
 // models; fresh selects per-call copies of the generation streams.
 func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, func(i int) (func(int) []dgan.Sample, int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, func(i int) (sampleFunc, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
-		return func(n int) []dgan.Sample {
-			batch, _ := m.GenerateFrom(r, n, -1)
+		return func(st *dgan.Storage, n int) []dgan.Sample {
+			batch, _ := m.GenerateFrom(r, st, n, -1)
 			return batch
 		}, m.Config.Batch
 	})[0]
@@ -234,12 +234,15 @@ func (c *packetCodec) generate(cfg Config, shares, counts []int, sample chunkSam
 
 // fillChunk fills one chunk's packet budget from gen, the chunk
 // model's generator, requesting whole generation lots of lot and trimming
-// the overshoot.
-func (c *packetCodec) fillChunk(gen func(n int) []dgan.Sample, lot, budget int) []*trace.PacketFlow {
+// the overshoot. The samples and the tuple decode's scratch come from
+// genPool; the decoded flows share nothing with them.
+func (c *packetCodec) fillChunk(gen sampleFunc, lot, budget int) []*trace.PacketFlow {
+	sc := genPool.Get().(*genScratch)
+	defer genPool.Put(sc)
 	var flows []*trace.PacketFlow
 	for budget > 0 {
-		batch := gen(fullLots(budget, lot))
-		tuples := decodeTuples(c.embed, c.ipEmbed, batch)
+		batch := gen(&sc.samples, fullLots(budget, lot))
+		tuples := sc.tuples.decode(c.embed, c.ipEmbed, batch)
 		for bi, sample := range batch {
 			f := c.decodeFlow(sample, tuples[bi])
 			if len(f.Packets) > budget {

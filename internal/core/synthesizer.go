@@ -88,7 +88,25 @@ func (s *synthesizer[C, M]) checkLabel(label int) error {
 // are rounded up to: the exact mode's float64 model on its canonical
 // stream with the training batch, or the fast mode's float32 snapshot
 // with dgan.InferLot.
-type chunkSampler func(i int) (gen func(n int) []dgan.Sample, lot int)
+type chunkSampler func(i int) (gen sampleFunc, lot int)
+
+// sampleFunc generates n samples into st; they stay valid until st's next
+// generate (see dgan.Storage).
+type sampleFunc func(st *dgan.Storage, n int) []dgan.Sample
+
+// genScratch is one chunk fill's reusable storage: the samples its
+// generator writes into, the batched tuple decode's scratch, and (for
+// flows) the decoded records, dealt out to the requests before the
+// scratch goes back to genPool. Only the returned traces escape a
+// generate, so after the first request a fill allocates no sample
+// storage.
+type genScratch struct {
+	samples dgan.Storage
+	tuples  tupleScratch
+	records []trace.FlowRecord
+}
+
+var genPool = sync.Pool{New: func() any { return new(genScratch) }}
 
 // fillChunks is the kind-independent half of the one chunk fan-out both
 // generate modes run (§4.2): it splits every request's count across the

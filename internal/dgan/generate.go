@@ -14,7 +14,7 @@ import (
 // On conditional models each sample's scenario label is drawn from the
 // fitted training distribution (a mixture over the label catalog).
 func (m *Model) Generate(n int) []Sample {
-	out, _ := m.generate(m.rng, n, -1)
+	out, _ := m.generate(m.rng, nil, n, -1)
 	return out
 }
 
@@ -25,22 +25,24 @@ func (m *Model) GenerateLabeled(n, label int) ([]Sample, error) {
 	if label < 0 {
 		return nil, m.checkLabel(label)
 	}
-	return m.generate(m.rng, n, label)
+	return m.generate(m.rng, nil, n, label)
 }
 
 // GenerateFrom is Generate (label < 0) or GenerateLabeled drawing the
-// single lot-stream base from r instead of the model's RNG. It leaves the
-// model untouched, so concurrent calls with distinct r are safe: weights
-// are read-only during generation and scratch comes from a sync.Pool.
-func (m *Model) GenerateFrom(r *rand.Rand, n, label int) ([]Sample, error) {
-	return m.generate(r, n, label)
+// single lot-stream base from r instead of the model's RNG, into st (see
+// Storage). It leaves the model untouched, so concurrent calls with
+// distinct r and st are safe: weights are read-only during generation and
+// scratch comes from a sync.Pool.
+func (m *Model) GenerateFrom(r *rand.Rand, st *Storage, n, label int) ([]Sample, error) {
+	return m.generate(r, st, n, label)
 }
 
 // generate builds the float64 forward once for the call, shared
-// read-only by every worker, and runs the lot driver on it.
-func (m *Model) generate(r *rand.Rand, n, label int) ([]Sample, error) {
+// read-only by every worker, and runs the lot driver on it into st (a
+// fresh Storage when nil).
+func (m *Model) generate(r *rand.Rand, st *Storage, n, label int) ([]Sample, error) {
 	return sampleLots(&m.shape, m.net(), &m.genPool, &exactTel,
-		r, m.Config.Batch, m.Config.workers(), n, label)
+		r, st, m.Config.Batch, m.Config.workers(), n, label)
 }
 
 // net returns the generator's float64 inference forward, bitwise equal to

@@ -70,7 +70,7 @@ func (im *InferModel) SetParallelism(n int) {
 // reproducible at any parallelism. On conditional snapshots each sample's
 // label is drawn from the fitted label distribution.
 func (im *InferModel) Generate(n int) []Sample {
-	out, _ := im.generate(n, -1)
+	out, _ := im.generate(nil, n, -1)
 	return out
 }
 
@@ -81,13 +81,20 @@ func (im *InferModel) GenerateLabeled(n, label int) ([]Sample, error) {
 	if label < 0 {
 		return nil, im.checkLabel(label)
 	}
-	return im.generate(n, label)
+	return im.generate(nil, n, label)
 }
 
-func (im *InferModel) generate(n, label int) ([]Sample, error) {
+// GenerateInto is Generate (label < 0) or GenerateLabeled into st: the
+// samples point into st and stay valid until its next generate (see
+// Storage). Concurrent calls need distinct Storages.
+func (im *InferModel) GenerateInto(st *Storage, n, label int) ([]Sample, error) {
+	return im.generate(st, n, label)
+}
+
+func (im *InferModel) generate(st *Storage, n, label int) ([]Sample, error) {
 	workers := Config{Parallelism: im.parallelism}.workers()
 	return sampleLots(&im.shape, im.net, &im.pool, &inferTel,
-		&im.rng, InferLot, workers, n, label)
+		&im.rng, st, InferLot, workers, n, label)
 }
 
 // lockedRand serializes concurrent generate calls' base draws.

@@ -94,13 +94,66 @@ func (n *net[F]) narrow() *net[float32] {
 // lotScratch is one worker's reusable sampler state: noise, conditioned
 // metadata input, GRU input, ping-pong hidden states, the live-row map and
 // the labels, all sized for a full lot and re-sliced for a partial one,
-// plus the network modules' scratch (which owns the metadata and projected
-// step outputs).
+// the network modules' scratch (which owns the metadata and projected
+// step outputs), and the lot RNG, reseeded to each lot's stream.
 type lotScratch[F nn.Float] struct {
 	meta, proj      nn.LayersScratch[F]
 	gru             nn.FusedGRUScratch[F]
 	z, zc, x, h, h2 []F
 	idx, labels     []int
+	r               *rand.Rand
+}
+
+// seed points the lot RNG at stream seed; a reseeded rand.Rand draws
+// exactly what a new one with that seed would.
+func (sc *lotScratch[F]) seed(seed int64) *rand.Rand {
+	if sc.r == nil {
+		sc.r = rng.New(seed)
+	} else {
+		sc.r.Seed(seed)
+	}
+	return sc.r
+}
+
+// Storage is the backing of generated samples: the Sample values, their
+// metadata rows, their feature-row headers and feature values. A generate
+// into a Storage returns samples that point into it, valid until the
+// Storage's next generate; callers that decode each batch before drawing
+// the next reuse one Storage and allocate nothing per sample. The zero
+// value is ready to use. The public Generate methods fill a fresh one, so
+// the caller owns what they return.
+type Storage struct {
+	samples []Sample
+	meta    []float64   // metaW per sample
+	steps   [][]float64 // maxLen feature-row headers per sample
+	feats   []float64   // maxLen×featW feature values per sample, the most a sample can emit
+}
+
+// lotOut is one lot's disjoint span of a Storage.
+type lotOut struct {
+	samples []Sample
+	meta    []float64
+	steps   [][]float64
+	feats   []float64
+}
+
+// resize sizes st for n samples of shape g.
+func (st *Storage) resize(g *shape, n int) {
+	st.samples = grow(st.samples, n)
+	st.meta = grow(st.meta, n*g.metaW)
+	st.steps = grow(st.steps, n*g.maxLen)
+	st.feats = grow(st.feats, n*g.maxLen*g.featW)
+}
+
+// lot returns samples [lo, hi) and their share of st's slabs.
+func (st *Storage) lot(g *shape, lo, hi int) lotOut {
+	steps, feats := g.maxLen, g.maxLen*g.featW
+	return lotOut{
+		samples: st.samples[lo:hi],
+		meta:    st.meta[lo*g.metaW : hi*g.metaW],
+		steps:   st.steps[lo*steps : hi*steps],
+		feats:   st.feats[lo*feats : hi*feats],
+	}
 }
 
 // lotTel is the telemetry one generate mode records per lot; nil handles
@@ -111,11 +164,12 @@ type lotTel struct {
 }
 
 // sampleLots produces n samples in lots of lot on up to workers
-// goroutines. label < 0 draws each sample's label from the fitted
-// distribution; label >= 0 pins every sample's label (checked here) and
-// takes no label draws. The single base draw comes from src.
+// goroutines, into st (a fresh Storage when nil). label < 0 draws each
+// sample's label from the fitted distribution; label >= 0 pins every
+// sample's label (checked here) and takes no label draws. The single base
+// draw comes from src.
 func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
-	src interface{ Int63() int64 }, lot, workers, n, label int) ([]Sample, error) {
+	src interface{ Int63() int64 }, st *Storage, lot, workers, n, label int) ([]Sample, error) {
 	if label >= 0 {
 		if err := g.checkLabel(label); err != nil {
 			return nil, err
@@ -126,7 +180,10 @@ func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
 	}
 	base := src.Int63()
 	numLots := (n + lot - 1) / lot
-	out := make([]Sample, n)
+	if st == nil {
+		st = new(Storage)
+	}
+	st.resize(g, n)
 
 	runSpan := func(loLot, hiLot int) {
 		sc, _ := pool.Get().(*lotScratch[F])
@@ -136,7 +193,7 @@ func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
 		defer pool.Put(sc)
 		for j := loLot; j < hiLot; j++ {
 			lo, hi := j*lot, min((j+1)*lot, n)
-			depth := sampleLot(g, fw, sc, rng.New(rng.Derive(base, int64(j))), out[lo:hi], label)
+			depth := sampleLot(g, fw, sc, sc.seed(rng.Derive(base, int64(j))), st.lot(g, lo, hi), label)
 			tel.lots.Inc()
 			tel.samples.Add(int64(hi - lo))
 			tel.depth.Observe(float64(depth))
@@ -147,7 +204,7 @@ func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
 	workers = min(workers, numLots)
 	if workers <= 1 {
 		runSpan(0, numLots)
-		return out, nil
+		return st.samples, nil
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -162,21 +219,23 @@ func sampleLots[F nn.Float](g *shape, fw *net[F], pool *sync.Pool, tel *lotTel,
 		}(lo, hi)
 	}
 	wg.Wait()
-	return out, nil
+	return st.samples, nil
 }
 
-// sampleLot fills out (one lot of samples) from r, the lot's private
-// stream, and returns the number of GRU steps it ran. The draw order is
-// fixed — label uniforms (mixture lots only), meta noise, meta sampling
-// uniforms, then per executed step: noise for the full lot followed by the
-// live rows' sampling uniforms in ascending row order — so a lot's content
-// depends only on (weights, lot stream), never on which worker ran it.
+// sampleLot fills dst (one lot of samples and their storage) from r, the
+// lot's private stream, and returns the number of GRU steps it ran. The
+// draw order is fixed — label uniforms (mixture lots only), meta noise,
+// meta sampling uniforms, then per executed step: noise for the full lot
+// followed by the live rows' sampling uniforms in ascending row order —
+// so a lot's content depends only on (weights, lot stream), never on
+// which worker ran it.
 //
 // Live rows are compacted to the front of the step buffers as rows
 // terminate, so the per-step matmuls shrink with the live count; every
 // forward row depends only on its own inputs, so compaction changes no
 // value. The unroll stops as soon as every row has terminated.
-func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand, out []Sample, label int) int {
+func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand, dst lotOut, label int) int {
+	out := dst.samples
 	rows := len(out)
 	nd, hid, metaW, featW := g.noiseDim, g.hidden, g.metaW, g.featW
 	inW := nd + metaW // GRU input: step noise ++ activated metadata
@@ -215,19 +274,22 @@ func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand
 	meta := fw.meta.InferInto(metaIn, rows, &sc.meta)
 	nn.ActivateRows(g.metaSchema, meta, rows)
 	idx := sc.idx
-	// Samples escape to the caller, so each lot's metadata rows and each
-	// step's feature rows are carved from one fresh slab, not from the
-	// pooled scratch.
-	metaSlab := make([]float64, rows*metaW)
+	// Samples escape to the caller, so their metadata rows, feature-row
+	// headers and feature values live in the lot's span of the Storage,
+	// not in the pooled scratch. A sample's headers have room for every
+	// step, so appending them never reallocates.
 	for i := range out {
-		out[i].Meta = metaSlab[i*metaW : (i+1)*metaW : (i+1)*metaW]
+		out[i] = Sample{
+			Meta:     dst.meta[i*metaW : (i+1)*metaW : (i+1)*metaW],
+			Features: dst.steps[i*g.maxLen : i*g.maxLen : (i+1)*g.maxLen],
+		}
 		nn.SampleRow(out[i].Meta, g.metaSchema, rowOf(meta, i, metaW), r.Float64)
-		out[i].Features = out[i].Features[:0]
 		if g.condW > 0 {
 			out[i].Label = sc.labels[i]
 		}
 		idx[i] = i
 	}
+	feats := dst.feats
 
 	h, hNext := sc.h, sc.h2
 	clear(h)
@@ -255,7 +317,8 @@ func sampleLot[F nn.Float](g *shape, fw *net[F], sc *lotScratch[F], r *rand.Rand
 				kept++
 			}
 		}
-		featSlab := make([]float64, kept*featW)
+		featSlab := feats[:kept*featW]
+		feats = feats[kept*featW:]
 		w := 0
 		for c, i := range idx {
 			if stops(c) {

@@ -102,16 +102,6 @@ func AssemblePackets(flows []*PacketFlow) *PacketTrace {
 	return out
 }
 
-// AssembleFlows flattens flow series back into a start-sorted flow trace.
-func AssembleFlows(series []*FlowSeries) *FlowTrace {
-	out := &FlowTrace{}
-	for _, f := range series {
-		out.Records = append(out.Records, f.Records...)
-	}
-	out.SortByStart()
-	return out
-}
-
 // FlowSizeDistribution returns, for each flow, its packet count — the
 // quantity behind Figures 1b and the FS metric.
 func FlowSizeDistribution(flows []*PacketFlow) []float64 {

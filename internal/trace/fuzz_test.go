@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -77,6 +81,82 @@ func FuzzReadFlowCSV(f *testing.F) {
 		tr, err := ReadFlowCSV(strings.NewReader(data))
 		if err == nil && tr == nil {
 			t.Fatal("nil trace without error")
+		}
+	})
+}
+
+// referenceCSV is the encoding/csv writer the append-based CSV writer
+// replaced: it formats each field on its own (addresses through
+// fmt.Sprintf) and lets csv.Writer join and quote them.
+func referenceCSV(header []string, rows [][]string) []byte {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	_ = cw.Write(header)
+	for _, row := range rows {
+		_ = cw.Write(row)
+	}
+	cw.Flush()
+	return buf.Bytes()
+}
+
+// sprintfIPv4 is the fmt.Sprintf form IPv4.String had before AppendTo.
+func sprintfIPv4(ip IPv4) string {
+	o := ip.Octets()
+	return fmt.Sprintf("%d.%d.%d.%d", o[0], o[1], o[2], o[3])
+}
+
+// FuzzWriteFlowCSV checks both CSV layouts' writers byte for byte against
+// referenceCSV, on a trace of copies of one fuzzed record long enough to
+// cross the writer's buffer, and IPv4.String against sprintfIPv4.
+func FuzzWriteFlowCSV(f *testing.F) {
+	f.Add(int64(1), int64(2), uint32(0x01020304), uint32(0x05060708), uint16(80), uint16(443), uint8(6), int64(3), int64(120), uint8(DoS), uint8(64), uint8(2))
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint32(0), uint32(math.MaxUint32), uint16(0), uint16(65535), uint8(255), int64(math.MinInt64), int64(math.MaxInt64), uint8(200), uint8(0), uint8(255))
+	f.Add(int64(math.MaxInt64), int64(0), uint32(math.MaxUint32), uint32(0), uint16(65535), uint16(0), uint8(0), int64(math.MaxInt64), int64(math.MinInt64), uint8(NumLabels), uint8(255), uint8(0))
+	f.Fuzz(func(t *testing.T, start, dur int64, src, dst uint32, sport, dport uint16, proto uint8, pkts, byts int64, label, ttl, flags uint8) {
+		tpl := FiveTuple{SrcIP: IPv4(src), DstIP: IPv4(dst), SrcPort: sport, DstPort: dport, Proto: Protocol(proto)}
+		for _, ip := range []IPv4{tpl.SrcIP, tpl.DstIP} {
+			if got, want := ip.String(), sprintfIPv4(ip); got != want {
+				t.Fatalf("IPv4(%#x).String() = %q, want %q", uint32(ip), got, want)
+			}
+		}
+		const copies = 100
+		rec := FlowRecord{Tuple: tpl, Start: start, Duration: dur, Packets: pkts, Bytes: byts, Label: Label(label)}
+		flows := &FlowTrace{}
+		var flowRows [][]string
+		for i := 0; i < copies; i++ {
+			flows.Records = append(flows.Records, rec)
+			flowRows = append(flowRows, []string{
+				strconv.FormatInt(start, 10), strconv.FormatInt(dur, 10),
+				sprintfIPv4(tpl.SrcIP), sprintfIPv4(tpl.DstIP),
+				strconv.Itoa(int(sport)), strconv.Itoa(int(dport)), strconv.Itoa(int(proto)),
+				strconv.FormatInt(pkts, 10), strconv.FormatInt(byts, 10), Label(label).String(),
+			})
+		}
+		var got bytes.Buffer
+		if err := WriteFlowCSV(&got, flows); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceCSV(flowHeader, flowRows); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("flow CSV differs from encoding/csv:\n got %q\nwant %q", got.Bytes()[:min(got.Len(), 400)], want[:min(len(want), 400)])
+		}
+
+		pkt := Packet{Time: start, Tuple: tpl, Size: int(byts), TTL: ttl, Flags: flags}
+		packets := &PacketTrace{}
+		var packetRows [][]string
+		for i := 0; i < copies; i++ {
+			packets.Packets = append(packets.Packets, pkt)
+			packetRows = append(packetRows, []string{
+				strconv.FormatInt(start, 10), sprintfIPv4(tpl.SrcIP), sprintfIPv4(tpl.DstIP),
+				strconv.Itoa(int(sport)), strconv.Itoa(int(dport)), strconv.Itoa(int(proto)),
+				strconv.Itoa(int(byts)), strconv.Itoa(int(ttl)), strconv.Itoa(int(flags)),
+			})
+		}
+		got.Reset()
+		if err := WritePacketCSV(&got, packets); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceCSV(packetHeader, packetRows); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("packet CSV differs from encoding/csv:\n got %q\nwant %q", got.Bytes()[:min(got.Len(), 400)], want[:min(len(want), 400)])
 		}
 	})
 }

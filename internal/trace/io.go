@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // ErrCSVHeader is the typed rejection for trace CSV input whose header
@@ -43,23 +45,32 @@ var packetHeader = []string{"time_us", "src_ip", "dst_ip", "src_port", "dst_port
 // the CSV counterpart of NFV5Writer: the header row is written first, so
 // an empty stream is the header alone, and output is byte-identical to
 // the whole-trace CSV writers over the same records.
+//
+// Each row is appended into one reused buffer (strconv.Append*,
+// IPv4.AppendTo) and written through a bufio.Writer, so a row allocates
+// nothing. The bytes are the ones encoding/csv writes for the same fields
+// (FuzzWriteFlowCSV checks them against it): no field of either layout
+// ever needs quoting. encoding/csv quotes a field that contains a comma,
+// a double quote, CR or LF, starts with a space or tab, or is `\.`; every
+// field here is a decimal integer, a dotted-quad address, a lowercase
+// label name or "label(N)", and the header names are [a-z_] words.
 type csvWriter[R any] struct {
-	cw     *csv.Writer
-	fields []string
-	fill   func(R, []string)
+	bw        *bufio.Writer
+	row       []byte
+	appendRow func([]byte, R) []byte
 }
 
-func newCSVWriter[R any](w io.Writer, header []string, fill func(R, []string)) *csvWriter[R] {
-	cw := csv.NewWriter(w)
-	// A failed write sticks in the csv.Writer's buffer and surfaces at Flush.
-	_ = cw.Write(header)
-	return &csvWriter[R]{cw: cw, fields: make([]string, len(header)), fill: fill}
+func newCSVWriter[R any](w io.Writer, header []string, appendRow func([]byte, R) []byte) *csvWriter[R] {
+	c := &csvWriter[R]{bw: bufio.NewWriter(w), appendRow: appendRow}
+	// A failed write sticks in the bufio.Writer and surfaces at Flush.
+	_, _ = c.bw.WriteString(strings.Join(header, ",") + "\n")
+	return c
 }
 
 // Write appends one record's row.
 func (c *csvWriter[R]) Write(r R) error {
-	c.fill(r, c.fields)
-	if err := c.cw.Write(c.fields); err != nil {
+	c.row = append(c.appendRow(c.row[:0], r), '\n')
+	if _, err := c.bw.Write(c.row); err != nil {
 		return fmt.Errorf("trace: write csv row: %w", err)
 	}
 	return nil
@@ -67,21 +78,30 @@ func (c *csvWriter[R]) Write(r R) error {
 
 // Flush drains the buffer; the CSV is complete afterwards.
 func (c *csvWriter[R]) Flush() error {
-	c.cw.Flush()
-	return c.cw.Error()
+	return c.bw.Flush()
+}
+
+// appendInt appends one decimal field and its trailing comma.
+func appendInt(b []byte, v int64) []byte {
+	return append(strconv.AppendInt(b, v, 10), ',')
+}
+
+// appendIP appends one dotted-quad field and its trailing comma.
+func appendIP(b []byte, ip IPv4) []byte {
+	return append(ip.AppendTo(b), ',')
 }
 
 func newPacketCSVWriter(w io.Writer) *csvWriter[Packet] {
-	return newCSVWriter(w, packetHeader, func(p Packet, f []string) {
-		f[0] = strconv.FormatInt(p.Time, 10)
-		f[1] = p.Tuple.SrcIP.String()
-		f[2] = p.Tuple.DstIP.String()
-		f[3] = strconv.Itoa(int(p.Tuple.SrcPort))
-		f[4] = strconv.Itoa(int(p.Tuple.DstPort))
-		f[5] = strconv.Itoa(int(p.Tuple.Proto))
-		f[6] = strconv.Itoa(p.Size)
-		f[7] = strconv.Itoa(int(p.TTL))
-		f[8] = strconv.Itoa(int(p.Flags))
+	return newCSVWriter(w, packetHeader, func(b []byte, p Packet) []byte {
+		b = appendInt(b, p.Time)
+		b = appendIP(b, p.Tuple.SrcIP)
+		b = appendIP(b, p.Tuple.DstIP)
+		b = appendInt(b, int64(p.Tuple.SrcPort))
+		b = appendInt(b, int64(p.Tuple.DstPort))
+		b = appendInt(b, int64(p.Tuple.Proto))
+		b = appendInt(b, int64(p.Size))
+		b = appendInt(b, int64(p.TTL))
+		return strconv.AppendInt(b, int64(p.Flags), 10)
 	})
 }
 
@@ -174,17 +194,17 @@ func ScanPacketCSV(r io.Reader, fn func(Packet) error) error {
 var flowHeader = []string{"start_us", "duration_us", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "packets", "bytes", "label"}
 
 func newFlowCSVWriter(w io.Writer) *csvWriter[FlowRecord] {
-	return newCSVWriter(w, flowHeader, func(r FlowRecord, f []string) {
-		f[0] = strconv.FormatInt(r.Start, 10)
-		f[1] = strconv.FormatInt(r.Duration, 10)
-		f[2] = r.Tuple.SrcIP.String()
-		f[3] = r.Tuple.DstIP.String()
-		f[4] = strconv.Itoa(int(r.Tuple.SrcPort))
-		f[5] = strconv.Itoa(int(r.Tuple.DstPort))
-		f[6] = strconv.Itoa(int(r.Tuple.Proto))
-		f[7] = strconv.FormatInt(r.Packets, 10)
-		f[8] = strconv.FormatInt(r.Bytes, 10)
-		f[9] = r.Label.String()
+	return newCSVWriter(w, flowHeader, func(b []byte, r FlowRecord) []byte {
+		b = appendInt(b, r.Start)
+		b = appendInt(b, r.Duration)
+		b = appendIP(b, r.Tuple.SrcIP)
+		b = appendIP(b, r.Tuple.DstIP)
+		b = appendInt(b, int64(r.Tuple.SrcPort))
+		b = appendInt(b, int64(r.Tuple.DstPort))
+		b = appendInt(b, int64(r.Tuple.Proto))
+		b = appendInt(b, r.Packets)
+		b = appendInt(b, r.Bytes)
+		return append(b, r.Label.String()...)
 	})
 }
 

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -354,6 +358,60 @@ func TestSortByStartIsStable(t *testing.T) {
 	}
 }
 
+// sortLengths are the trace lengths the keyed sorts are checked at: empty,
+// single, a pair, one ragged size and one large enough for pdqsort's
+// pattern breaking.
+var sortLengths = []int{0, 1, 2, 31, 5000}
+
+// TestSortByStartMatchesStable checks the keyed sort against a stable
+// sort of the records themselves, on start times drawn from 8 values so
+// most records tie; each record's other fields are distinct.
+func TestSortByStartMatchesStable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range sortLengths {
+		tr := &FlowTrace{}
+		for i := 0; i < n; i++ {
+			tr.Records = append(tr.Records, FlowRecord{
+				Tuple:   ft(IPv4(r.Uint32()), IPv4(r.Uint32()), uint16(r.Intn(65536)), uint16(r.Intn(65536)), TCP),
+				Start:   int64(r.Intn(8)) - 3,
+				Packets: int64(i),
+				Label:   Label(r.Intn(int(NumLabels))),
+			})
+		}
+		want := slices.Clone(tr.Records)
+		slices.SortStableFunc(want, func(a, b FlowRecord) int { return cmp.Compare(a.Start, b.Start) })
+		tr.SortByStart()
+		if !reflect.DeepEqual(tr.Records, want) {
+			t.Fatalf("n=%d: SortByStart differs from the stable sort", n)
+		}
+	}
+}
+
+// TestSortByTimeMatchesStable is TestSortByStartMatchesStable for packets.
+func TestSortByTimeMatchesStable(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for _, n := range sortLengths {
+		tr := &PacketTrace{}
+		for i := 0; i < n; i++ {
+			tr.Packets = append(tr.Packets, Packet{
+				Time:  int64(r.Intn(8)) << 40,
+				Tuple: ft(IPv4(r.Uint32()), IPv4(r.Uint32()), uint16(r.Intn(65536)), uint16(r.Intn(65536)), UDP),
+				Size:  i,
+				TTL:   uint8(r.Intn(256)),
+			})
+		}
+		want := slices.Clone(tr.Packets)
+		slices.SortStableFunc(want, func(a, b Packet) int { return cmp.Compare(a.Time, b.Time) })
+		tr.SortByTime()
+		if !reflect.DeepEqual(tr.Packets, want) {
+			t.Fatalf("n=%d: SortByTime differs from the stable sort", n)
+		}
+	}
+}
+
+// TestFlowEpochsAndAssembly splits a flow trace into epochs and by
+// five-tuple, and reassembles each split by concatenating it and sorting
+// by start time.
 func TestFlowEpochsAndAssembly(t *testing.T) {
 	tpl := ft(1, 2, 3, 4, TCP)
 	other := ft(5, 6, 7, 8, UDP)
@@ -366,21 +424,24 @@ func TestFlowEpochsAndAssembly(t *testing.T) {
 	if len(epochs[0].Records)+len(epochs[1].Records) != 3 {
 		t.Fatal("epoch split lost records")
 	}
-	merged := MergeFlows(epochs)
-	if len(merged.Records) != 3 {
-		t.Fatal("merge lost records")
+	merged := &FlowTrace{}
+	for i := len(epochs) - 1; i >= 0; i-- {
+		merged.Records = append(merged.Records, epochs[i].Records...)
 	}
-	for i := 1; i < len(merged.Records); i++ {
-		if merged.Records[i].Start < merged.Records[i-1].Start {
-			t.Fatal("merged flows must be start sorted")
-		}
+	merged.SortByStart()
+	if !reflect.DeepEqual(merged.Records, tr.Records) {
+		t.Fatalf("epochs merged back to %+v, want %+v", merged.Records, tr.Records)
 	}
 	series := SplitFlowSeries(merged)
-	back := AssembleFlows(series)
-	if len(back.Records) != 3 {
-		t.Fatal("assembly lost records")
+	back := &FlowTrace{}
+	for i := len(series) - 1; i >= 0; i-- {
+		back.Records = append(back.Records, series[i].Records...)
 	}
-	if series[0].End() != 109 && series[0].End() != 10 {
+	back.SortByStart()
+	if !reflect.DeepEqual(back.Records, tr.Records) {
+		t.Fatalf("series assembled back to %+v, want %+v", back.Records, tr.Records)
+	}
+	if series[0].End() != 109 {
 		// tpl series spans [0,109]; ordering puts it first.
 		t.Fatalf("series End() = %d", series[0].End())
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // IPv4 is an IPv4 address in host byte order.
@@ -54,8 +55,18 @@ func (ip IPv4) Octets() [4]byte {
 
 // String returns dotted-quad notation.
 func (ip IPv4) String() string {
-	o := ip.Octets()
-	return fmt.Sprintf("%d.%d.%d.%d", o[0], o[1], o[2], o[3])
+	return string(ip.AppendTo(make([]byte, 0, len("255.255.255.255"))))
+}
+
+// AppendTo appends the dotted-quad notation of ip to b.
+func (ip IPv4) AppendTo(b []byte) []byte {
+	for i, o := range ip.Octets() {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(o), 10)
+	}
+	return b
 }
 
 // IsMulticast reports whether ip is in 224.0.0.0/4.
