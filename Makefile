@@ -135,12 +135,11 @@ test-conditional:
 
 # Columnar trace store (DESIGN.md §13): the block/column codecs, the
 # golden CSV round-trip, the corruption matrix, time-partition pruning,
-# and the query layer, plus the registry/webapi/ingest integrations, the
-# one-time migration of legacy flat-CSV job payloads, and the egress
-# format table the store's downloads are encoded through.
+# and the query layer, plus the registry/webapi/ingest integrations and
+# the egress format table the store's downloads are encoded through.
 test-store:
 	$(GO) test ./internal/store/...
-	$(GO) test ./internal/registry -run 'Store|Sweep|Migrat'
+	$(GO) test ./internal/registry -run 'Store|Sweep'
 	$(GO) test ./internal/webapi -run 'TraceQuery|ColumnarStore|EncodedDownload|ArtifactLRU|QueryWithout'
 	$(GO) test ./internal/ingest -run TestWriteStore
 	$(GO) test ./internal/trace -run 'TestStreamingEncodersMatchBatch|TestLookupFormat'

@@ -148,7 +148,7 @@ func TestLoadStoreInputs(t *testing.T) {
 	dir := t.TempDir()
 	ft := datasets.UGR16(40, 1)
 	flowDir := filepath.Join(dir, "flows.store")
-	if err := store.WriteFlowTrace(flowDir, ft, store.Options{}); err != nil {
+	if _, err := store.Write(flowDir, ft, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := loadFlow(nil, "", flowDir, "", 0, 0)
@@ -163,7 +163,7 @@ func TestLoadStoreInputs(t *testing.T) {
 
 	pt := datasets.CAIDA(30, 1)
 	pktDir := filepath.Join(dir, "packets.store")
-	if err := store.WritePacketTrace(pktDir, pt, store.Options{}); err != nil {
+	if _, err := store.Write(pktDir, pt, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	pback, err := loadPacket(nil, "", pktDir, "", 0, 0)

@@ -167,16 +167,14 @@ func TestPACGANEndToEnd(t *testing.T) {
 	}
 	// PAC-GAN's out-of-band Gaussian timestamps track the real mean well —
 	// the effect behind its "perfect" PAT metric.
-	realPAT := make([]float64, len(real.Packets))
-	for i, p := range real.Packets {
-		realPAT[i] = float64(p.Time)
+	meanTime := func(t *trace.PacketTrace) float64 {
+		var s float64
+		for _, p := range t.Packets {
+			s += float64(p.Time)
+		}
+		return s / float64(len(t.Packets))
 	}
-	genPAT := make([]float64, len(gen.Packets))
-	for i, p := range gen.Packets {
-		genPAT[i] = float64(p.Time)
-	}
-	realMean := metrics.Mean(realPAT)
-	genMean := metrics.Mean(genPAT)
+	realMean, genMean := meanTime(real), meanTime(gen)
 	if metrics.RelativeError(realMean, genMean) > 0.25 {
 		t.Fatalf("PAC-GAN timestamps should match the training mean: %v vs %v", realMean, genMean)
 	}

@@ -7,7 +7,7 @@
 //	offset  size  field
 //	0       8     magic "NSMODEL\n"
 //	8       2     format version (little-endian uint16)
-//	10      1     payload kind (flow / packet / checkpoint / trace)
+//	10      1     payload kind (flow / packet / checkpoint / column block)
 //	11      1     reserved (must be zero)
 //	12      4     payload length (little-endian uint32)
 //	16      4     CRC-32 (IEEE) of the payload
@@ -40,7 +40,9 @@ const (
 	KindFlowModel  Kind = 1
 	KindPacketMdl  Kind = 2
 	KindCheckpoint Kind = 3
-	KindTrace      Kind = 4
+	// 4 is retired: it framed the flat-CSV job traces the registry kept
+	// before the columnar store. It stays in the valid range, so such a
+	// frame still decodes. Never reuse it.
 	// 5 and 6 are retired: they framed the stored float32 snapshots
 	// ("flow-fast" / "packet-fast"), which are now only built in memory
 	// from a float64 model. They stay in the valid range, so such a frame
@@ -61,8 +63,6 @@ func (k Kind) String() string {
 		return "packet-model"
 	case KindCheckpoint:
 		return "checkpoint"
-	case KindTrace:
-		return "trace"
 	case KindColumnBlock:
 		return "column-block"
 	default:
@@ -232,18 +232,3 @@ func (OSFS) Rename(oldpath, newpath string) error {
 
 // Remove removes a file.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
-
-// WriteFileAtomic frames payload as a container of the given kind and
-// atomically persists it at path with full fsync durability.
-func WriteFileAtomic(path string, kind Kind, payload []byte) error {
-	return AtomicWrite(OSFS{}, path, Encode(kind, payload))
-}
-
-// ReadFile loads a container file and returns its kind and payload.
-func ReadFile(path string) (Kind, []byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return KindInvalid, nil, err
-	}
-	return Decode(data)
-}

@@ -11,7 +11,8 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	payload := []byte("the quick brown fox")
-	for _, kind := range []Kind{KindFlowModel, KindPacketMdl, KindCheckpoint, KindTrace} {
+	// 4, 5 and 6 are retired kinds: their old frames must still decode.
+	for _, kind := range []Kind{KindFlowModel, KindPacketMdl, KindCheckpoint, 4, 5, 6, KindColumnBlock} {
 		data := Encode(kind, payload)
 		gotKind, gotPayload, err := Decode(data)
 		if err != nil {
@@ -27,9 +28,9 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPayload(t *testing.T) {
-	data := Encode(KindTrace, nil)
+	data := Encode(KindColumnBlock, nil)
 	kind, payload, err := Decode(data)
-	if err != nil || kind != KindTrace || len(payload) != 0 {
+	if err != nil || kind != KindColumnBlock || len(payload) != 0 {
 		t.Fatalf("empty payload: kind=%v len=%d err=%v", kind, len(payload), err)
 	}
 }
@@ -99,16 +100,20 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.mdl")
 	payload := []byte("weights")
-	if err := WriteFileAtomic(path, KindFlowModel, payload); err != nil {
+	if err := AtomicWrite(OSFS{}, path, Encode(KindFlowModel, payload)); err != nil {
 		t.Fatal(err)
 	}
-	kind, got, err := ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, got, err := Decode(data)
 	if err != nil || kind != KindFlowModel || !bytes.Equal(got, payload) {
 		t.Fatalf("read back: kind=%v err=%v", kind, err)
 	}
 	// Overwrite goes through the same temp+rename path and leaves no
 	// stray temp file behind.
-	if err := WriteFileAtomic(path, KindFlowModel, []byte("weights v2")); err != nil {
+	if err := AtomicWrite(OSFS{}, path, Encode(KindFlowModel, []byte("weights v2"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

@@ -189,10 +189,10 @@ func (c Config) NoiseForTargetEpsilon(targetEps, delta float64, n int) float64 {
 
 // dpSampleRate is DP-SGD's per-lot sampling probability: a minibatch of
 // `batch` drawn from the n samples of the chunk actually being trained
-// with TrainDP. Validate enforces Chunks=1 under DP, so that chunk is the
-// seed chunk and holds the entire private dataset — the rate computed
-// from chunk 0 is the rate of the trained chunk by construction, not an
-// approximation.
+// with TrainDPWithHook. Validate enforces Chunks=1 under DP, so that
+// chunk is the seed chunk and holds the entire private dataset — the
+// rate computed from chunk 0 is the rate of the trained chunk by
+// construction, not an approximation.
 func dpSampleRate(batch, n int) float64 {
 	rate := float64(batch) / float64(max(n, batch))
 	if rate > 1 {

@@ -95,13 +95,3 @@ func RetargetSrcIPs(t *trace.FlowTrace, dist Distribution[trace.IPv4], seed int6
 	}
 	return nil
 }
-
-// UniformPortDistribution is a convenience builder: every listed port with
-// equal weight.
-func UniformPortDistribution(ports ...uint16) Distribution[uint16] {
-	w := make([]float64, len(ports))
-	for i := range w {
-		w[i] = 1
-	}
-	return Distribution[uint16]{Values: ports, Weights: w}
-}

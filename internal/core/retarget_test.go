@@ -83,13 +83,3 @@ func TestDistributionValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestUniformPortDistribution(t *testing.T) {
-	d := UniformPortDistribution(80, 443, 53)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Values) != 3 || d.Weights[0] != d.Weights[2] {
-		t.Fatalf("uniform distribution wrong: %+v", d)
-	}
-}

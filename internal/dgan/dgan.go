@@ -194,10 +194,6 @@ func (g generatorModule) Params() []*nn.Param {
 	return ps
 }
 
-// Generator returns the generator as an nn.Module (for snapshots and
-// fine-tuning).
-func (m *Model) Generator() nn.Module { return generatorModule{m} }
-
 // modelModule aggregates every trainable parameter.
 type modelModule struct{ m *Model }
 

@@ -229,7 +229,7 @@ func TestTrainDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.TrainDP(toySamples(64, 3), 10, dp)
+	st, err := m.TrainDPWithHook(toySamples(64, 3), 10, dp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestTrainDP(t *testing.T) {
 	if len(gen) != 10 {
 		t.Fatal("generation failed after DP training")
 	}
-	if _, err := m.TrainDP(toySamples(8, 1), 1, nil); err == nil {
+	if _, err := m.TrainDPWithHook(toySamples(8, 1), 1, nil, nil); err == nil {
 		t.Fatal("nil DPSGD must be rejected")
 	}
 }
@@ -278,7 +278,7 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 
 func TestGeneratorModuleCoversAllParams(t *testing.T) {
 	m, _ := New(toyConfig())
-	gen := len(m.Generator().Params())
+	gen := len(generatorModule{m}.Params())
 	all := len(m.Params())
 	critic := len(m.critic.Params()) + len(m.auxCritic.Params())
 	if gen+critic != all {

@@ -30,7 +30,7 @@ func trainedWeights(t *testing.T, parallelism int, dp bool) []float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.TrainDP(samples, 6, sgd); err != nil {
+		if _, err := m.TrainDPWithHook(samples, 6, sgd, nil); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -135,7 +135,7 @@ func TestParallelDPTrainingUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainDP(toySamples(64, 4), 5, dp); err != nil {
+	if _, err := m.TrainDPWithHook(toySamples(64, 4), 5, dp, nil); err != nil {
 		t.Fatal(err)
 	}
 	if gen := m.Generate(4); len(gen) != 4 {

@@ -39,22 +39,18 @@ func (m *Model) TrainWithHook(samples []Sample, steps int, hook TrainHook) (Stat
 	return m.trainLoop(samples, steps, nil, hook)
 }
 
-// TrainDP runs DP-SGD training: the critics (which observe private data)
-// are updated with per-sample clipped, noised gradients accumulated through
-// dp; the generator update is post-processing of the critic and needs no
-// extra noise. Pre-train on public data with Train, then fine-tune with
-// TrainDP (Insight 4).
-func (m *Model) TrainDP(samples []Sample, steps int, dp *privacy.DPSGD) (Stats, error) {
-	return m.TrainDPWithHook(samples, steps, dp, nil)
-}
-
-// TrainDPWithHook is TrainDP with a per-step progress hook.
+// TrainDPWithHook runs DP-SGD training: the critics (which observe
+// private data) are updated with per-sample clipped, noised gradients
+// accumulated through dp; the generator update is post-processing of the
+// critic and needs no extra noise. Pre-train on public data with Train,
+// then fine-tune with TrainDPWithHook (Insight 4). hook, when non-nil,
+// sees every step.
 func (m *Model) TrainDPWithHook(samples []Sample, steps int, dp *privacy.DPSGD, hook TrainHook) (Stats, error) {
 	if err := m.checkSamples(samples); err != nil {
 		return Stats{}, err
 	}
 	if dp == nil {
-		return Stats{}, fmt.Errorf("dgan: TrainDP requires a DPSGD instance")
+		return Stats{}, fmt.Errorf("dgan: DP training requires a DPSGD instance")
 	}
 	return m.trainLoop(samples, steps, dp, hook)
 }

@@ -177,7 +177,7 @@ func testTrainedWeightsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err = m.TrainDP(samples, 25, dp)
+				st, err = m.TrainDPWithHook(samples, 25, dp, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -66,25 +66,6 @@ func PortFromBits(bits []float64) uint16 {
 	return p
 }
 
-// IPBytes encodes an address as 4 values scaled to [0,1] (the byte encoding
-// of PAC-GAN and friends; Table 2 rates it poor on fidelity).
-func IPBytes(ip trace.IPv4) []float64 {
-	o := ip.Octets()
-	return []float64{float64(o[0]) / 255, float64(o[1]) / 255, float64(o[2]) / 255, float64(o[3]) / 255}
-}
-
-// IPFromBytes inverts IPBytes with rounding and clamping.
-func IPFromBytes(vals []float64) trace.IPv4 {
-	if len(vals) != 4 {
-		panic(fmt.Sprintf("encoding: IPFromBytes needs 4 values, got %d", len(vals)))
-	}
-	b := [4]byte{}
-	for i, v := range vals {
-		b[i] = byte(clamp(math.Round(v*255), 0, 255))
-	}
-	return trace.IPv4FromBytes(b[0], b[1], b[2], b[3])
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -56,24 +56,6 @@ func TestPortBitsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIPBytesRoundTrip(t *testing.T) {
-	f := func(v uint32) bool {
-		ip := trace.IPv4(v)
-		return IPFromBytes(IPBytes(ip)) == ip
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIPBytesClamps(t *testing.T) {
-	got := IPFromBytes([]float64{-0.5, 1.7, 0.5, 0})
-	o := got.Octets()
-	if o[0] != 0 || o[1] != 255 {
-		t.Fatalf("clamping failed: %v", o)
-	}
-}
-
 func TestProtoOneHot(t *testing.T) {
 	for _, p := range []trace.Protocol{trace.TCP, trace.UDP, trace.ICMP} {
 		oh := ProtoOneHot(p)

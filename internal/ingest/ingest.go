@@ -189,11 +189,6 @@ func (a *Assembler) IngestReader(r io.Reader) error {
 	}
 }
 
-// IngestBytes ingests an in-memory capture (fuzz targets, tests).
-func (a *Assembler) IngestBytes(b []byte) error {
-	return a.IngestReader(bytes.NewReader(b))
-}
-
 // IngestFile ingests one capture file.
 func (a *Assembler) IngestFile(path string) error {
 	f, err := os.Open(path)

@@ -9,6 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
+// IngestBytes ingests an in-memory capture (fuzz targets, tests).
+func (a *Assembler) IngestBytes(b []byte) error {
+	return a.IngestReader(bytes.NewReader(b))
+}
+
 // samplePackets is a small canonical IPv4 trace, time-sorted.
 func samplePackets() *trace.PacketTrace {
 	tpl := func(h byte, sport uint16, proto trace.Protocol) trace.FiveTuple {

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestWriteStoreEmptyAssembler(t *testing.T) {
 	if _, err := a.WritePacketStore(dir, store.Options{}); err == nil {
 		t.Fatal("WritePacketStore accepted an empty assembler")
 	}
-	if store.IsStoreDir(dir) {
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatal("refused write left a store directory behind")
 	}
 }

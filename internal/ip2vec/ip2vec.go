@@ -199,9 +199,6 @@ func (m *Model) Has(w Word) bool {
 	return ok
 }
 
-// VocabSize returns the dictionary size.
-func (m *Model) VocabSize() int { return len(m.words) }
-
 // Words returns the vocabulary items of one kind, sorted by value.
 func (m *Model) Words(kind WordKind) []Word {
 	var out []Word
@@ -305,49 +302,6 @@ func (m *Model) NearestBatch(kind WordKind, queries *mat.Matrix) ([]Word, bool) 
 	}
 	pickPool.Put(p)
 	return out, true
-}
-
-// NearestScan is the direct linear-scan reference for Nearest: it computes
-// the full squared distance Σ(x−v)² per word. Kept for testing the batched
-// searcher against and for callers that decode a handful of vectors once.
-func (m *Model) NearestScan(kind WordKind, v []float64) (Word, bool) {
-	best := math.Inf(1)
-	var bestW Word
-	found := false
-	for i, w := range m.words {
-		if w.Kind != kind {
-			continue
-		}
-		var d float64
-		for j, x := range m.vecs[i] {
-			diff := x - v[j]
-			d += diff * diff
-		}
-		if d < best {
-			best, bestW, found = d, w, true
-		}
-	}
-	return bestW, found
-}
-
-// Similarity returns the cosine similarity between two vocabulary words
-// (0 when either is unknown).
-func (m *Model) Similarity(a, b Word) float64 {
-	va, ok1 := m.Vector(a)
-	vb, ok2 := m.Vector(b)
-	if !ok1 || !ok2 {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range va {
-		dot += va[i] * vb[i]
-		na += va[i] * va[i]
-		nb += vb[i] * vb[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }
 
 // PacketSentences converts a packet trace into IP2Vec sentences: one per

@@ -2,6 +2,7 @@ package ip2vec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,49 @@ import (
 // raceEnabled reports a -race build (race_test.go), where sync.Pool drops
 // items at random, so allocation counts are not exact.
 var raceEnabled bool
+
+// NearestScan is the direct linear-scan reference for Nearest: it computes
+// the full squared distance Σ(x−v)² per word, for testing the batched
+// searcher against.
+func (m *Model) NearestScan(kind WordKind, v []float64) (Word, bool) {
+	best := math.Inf(1)
+	var bestW Word
+	found := false
+	for i, w := range m.words {
+		if w.Kind != kind {
+			continue
+		}
+		var d float64
+		for j, x := range m.vecs[i] {
+			diff := x - v[j]
+			d += diff * diff
+		}
+		if d < best {
+			best, bestW, found = d, w, true
+		}
+	}
+	return bestW, found
+}
+
+// Similarity returns the cosine similarity between two vocabulary words
+// (0 when either is unknown).
+func (m *Model) Similarity(a, b Word) float64 {
+	va, ok1 := m.Vector(a)
+	vb, ok2 := m.Vector(b)
+	if !ok1 || !ok2 {
+		return 0
+	}
+	var dot, na, nb float64
+	for i := range va {
+		dot += va[i] * vb[i]
+		na += va[i] * va[i]
+		nb += vb[i] * vb[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
 
 // corpus builds sentences where port 80 and 443 co-occur with TCP, and 53
 // with UDP, so the embedding should place 80 nearer 443 than 53.
@@ -37,8 +81,8 @@ func TestTrainBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 IP words + 3 port words + 2 proto words.
-	if m.VocabSize() != 8 {
-		t.Fatalf("vocab size = %d, want 8", m.VocabSize())
+	if len(m.words) != 8 {
+		t.Fatalf("vocab size = %d, want 8", len(m.words))
 	}
 	if _, ok := m.Vector(PortWord(80)); !ok {
 		t.Fatal("port 80 must be in vocabulary")
@@ -152,8 +196,9 @@ func TestPublicCorpusCoversServicePorts(t *testing.T) {
 
 func TestFlowSentencesDedup(t *testing.T) {
 	tpl := trace.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: trace.TCP}
+	rev := trace.FiveTuple{SrcIP: 2, DstIP: 1, SrcPort: 4, DstPort: 3, Proto: trace.TCP}
 	tr := &trace.FlowTrace{Records: []trace.FlowRecord{
-		{Tuple: tpl}, {Tuple: tpl}, {Tuple: tpl.Reverse()},
+		{Tuple: tpl}, {Tuple: tpl}, {Tuple: rev},
 	}}
 	s := FlowSentences(tr)
 	if len(s) != 2 {
@@ -177,7 +222,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.VocabSize() != m.VocabSize() || back.Dim != m.Dim {
+	if len(back.words) != len(m.words) || back.Dim != m.Dim {
 		t.Fatal("vocabulary lost in round trip")
 	}
 	for _, w := range m.Words(KindPort) {

@@ -252,7 +252,7 @@ func transpose(m *Matrix) *Matrix {
 	t := New(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
+			t.Set(j, i, m.Row(i)[j])
 		}
 	}
 	return t

@@ -39,9 +39,6 @@ func NewFrom(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
@@ -51,16 +48,6 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	return NewFrom(m.Rows, m.Cols, m.Data)
-}
-
-// RowsView returns a matrix aliasing rows [lo, hi) of m: no data is copied,
-// so writes through the view mutate m. The generation pipeline uses views to
-// run lot-sized batches through scratch buffers allocated once at capacity.
-func (m *Matrix) RowsView(lo, hi int) *Matrix {
-	if lo < 0 || hi < lo || hi > m.Rows {
-		panic(fmt.Sprintf("mat: RowsView [%d, %d) of %d rows", lo, hi, m.Rows))
-	}
-	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
 // Reshape makes scratch matrix m rows×cols, growing its storage only when
@@ -126,13 +113,6 @@ func MulInto(dst, a, b *Matrix) {
 	kernels.mulRows(dst, a, b, 0, a.Rows)
 }
 
-// Mul returns a·b.
-func Mul(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Cols)
-	MulInto(dst, a, b)
-	return dst
-}
-
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
 func MulTransAInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
@@ -143,13 +123,6 @@ func MulTransAInto(dst, a, b *Matrix) {
 	}
 	dst.Zero()
 	kernels.mulTransARows(dst, a, b, 0, dst.Rows)
-}
-
-// MulTransA returns aᵀ·b.
-func MulTransA(a, b *Matrix) *Matrix {
-	dst := New(a.Cols, b.Cols)
-	MulTransAInto(dst, a, b)
-	return dst
 }
 
 // MulTransBInto computes dst = a·bᵀ. Only kernel sets that vectorize
@@ -169,13 +142,6 @@ func MulTransBInto(dst, a, b *Matrix) {
 		b = bt
 	}
 	kernels.mulTransBRows(dst, a, b, 0, a.Rows)
-}
-
-// MulTransB returns a·bᵀ.
-func MulTransB(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Rows)
-	MulTransBInto(dst, a, b)
-	return dst
 }
 
 // NearestRows is the nearest-word decode: for each row q_i of q it sets
@@ -229,14 +195,6 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) {
 	}
 }
 
-// Hadamard computes m *= other, element-wise.
-func (m *Matrix) Hadamard(other *Matrix) {
-	m.assertSameShape(other, "Hadamard")
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
-}
-
 // AddRowVec adds the 1×Cols vector v to every row of m (bias broadcast).
 func (m *Matrix) AddRowVec(v []float64) {
 	if len(v) != m.Cols {
@@ -250,61 +208,10 @@ func (m *Matrix) AddRowVec(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m as a length-Cols slice.
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += v
-		}
-	}
-	return sums
-}
-
-// Apply replaces every element x of m with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value of m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 func (m *Matrix) assertSameShape(other *Matrix, op string) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-}
-
-// Dot returns the inner product of equal-length vectors a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // VecNorm returns the L2 norm of v.
@@ -314,16 +221,4 @@ func VecNorm(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Lerp returns a + t*(b-a) element-wise as a new slice.
-func Lerp(a, b []float64, t float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Lerp length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + t*(b[i]-a[i])
-	}
-	return out
 }

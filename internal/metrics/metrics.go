@@ -58,15 +58,6 @@ func total[K comparable](m map[K]float64) float64 {
 	return t
 }
 
-// CountValues builds a count map from a slice of comparable values.
-func CountValues[K comparable](xs []K) map[K]float64 {
-	out := make(map[K]float64, len(xs))
-	for _, x := range xs {
-		out[x]++
-	}
-	return out
-}
-
 // EMD returns the Earth Mover's Distance (Wasserstein-1) between the
 // empirical distributions of samples a and b, computed as the integrated
 // absolute difference between their CDFs (the geometric interpretation the
@@ -240,39 +231,6 @@ func RelativeError(real, synthetic float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(synthetic-real) / math.Abs(real)
-}
-
-// CDF returns the empirical CDF of samples evaluated at the sorted sample
-// points: xs (sorted, deduplicated) and the cumulative fraction at each.
-func CDF(samples []float64) (xs, ps []float64) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	n := float64(len(s))
-	for i := 0; i < len(s); {
-		j := i
-		for j+1 < len(s) && s[j+1] == s[i] {
-			j++
-		}
-		xs = append(xs, s[i])
-		ps = append(ps, float64(j+1)/n)
-		i = j + 1
-	}
-	return xs, ps
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear

@@ -178,28 +178,8 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	xs, ps := CDF([]float64{3, 1, 3, 2})
-	wantX := []float64{1, 2, 3}
-	wantP := []float64{0.25, 0.5, 1}
-	for i := range wantX {
-		if xs[i] != wantX[i] || math.Abs(ps[i]-wantP[i]) > 1e-12 {
-			t.Fatalf("CDF = %v %v", xs, ps)
-		}
-	}
-	if xs, ps := CDF(nil); xs != nil || ps != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestMeanQuantile(t *testing.T) {
+func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 {
-		t.Fatal("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean of empty should be 0")
-	}
 	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
 		t.Fatal("extreme quantiles wrong")
 	}

@@ -203,11 +203,11 @@ func TestGradientPenaltyGradCheck(t *testing.T) {
 			var s float64
 			op := critic.Forward(pert)
 			for i := 0; i < n; i++ {
-				s += scale[i] * op.At(i, 0)
+				s += scale[i] * op.Row(i)[0]
 			}
 			oi := critic.Forward(interp)
 			for i := 0; i < n; i++ {
-				s -= scale[i] * oi.At(i, 0)
+				s -= scale[i] * oi.Row(i)[0]
 			}
 			return lambda * s / (n * h)
 		}

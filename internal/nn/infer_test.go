@@ -26,7 +26,7 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	}
 
 	// Scratch reuse with a smaller batch must not read stale rows.
-	x2 := x.RowsView(0, 2)
+	x2 := mat.NewFrom(2, x.Cols, x.Data[:2*x.Cols])
 	want2 := m.Forward(x2)
 	got2 := m.Infer().InferInto(x2.Data, x2.Rows, &sc)
 	if !reflect.DeepEqual(want2.Data, got2) {
@@ -47,16 +47,23 @@ func sigmoid(v float64) float64 {
 // (r⊙h)·Uh + bh), h' = (1−z)⊙h + z⊙ĥ, each gate summed (x·W + h·U) + b.
 func unfusedStep(g *GRU, x, h *mat.Matrix) *mat.Matrix {
 	gate := func(w, u, b *Param, act func(float64) float64, hIn *mat.Matrix) *mat.Matrix {
-		a := mat.Mul(x, w.W)
-		a.Add(mat.Mul(hIn, u.W))
+		a := mat.New(x.Rows, w.W.Cols)
+		mat.MulInto(a, x, w.W)
+		hu := mat.New(x.Rows, u.W.Cols)
+		mat.MulInto(hu, hIn, u.W)
+		a.Add(hu)
 		a.AddRowVec(b.W.Data)
-		a.Apply(act)
+		for i, v := range a.Data {
+			a.Data[i] = act(v)
+		}
 		return a
 	}
 	z := gate(g.Wz, g.Uz, g.Bz, sigmoid, h)
 	r := gate(g.Wr, g.Ur, g.Br, sigmoid, h)
 	rh := h.Clone()
-	rh.Hadamard(r)
+	for i, v := range r.Data {
+		rh.Data[i] *= v
+	}
 	hhat := gate(g.Wh, g.Uh, g.Bh, math.Tanh, rh)
 	next := mat.New(x.Rows, g.Hidden)
 	for i := range next.Data {
@@ -90,10 +97,10 @@ func TestGRUStepInferMatchesStep(t *testing.T) {
 
 	// A second step on the first two rows only, chained through the
 	// inference path, must also agree.
-	x2 := x.RowsView(0, 2)
-	want2 := unfusedStep(g, x2, want.RowsView(0, 2))
+	x2 := mat.NewFrom(2, 4, x.Data[:2*4])
+	want2 := unfusedStep(g, x2, mat.NewFrom(2, 6, want.Data[:2*6]))
 	got2 := mat.New(2, 6)
-	f.StepInfer(x2.Data, got.RowsView(0, 2).Data, got2.Data, 2, &sc)
+	f.StepInfer(x2.Data, got.Data[:2*6], got2.Data, 2, &sc)
 	if !reflect.DeepEqual(want2.Data, got2.Data) {
 		t.Fatal("chained StepInfer on fewer rows diverges")
 	}

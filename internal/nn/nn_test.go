@@ -271,15 +271,6 @@ func TestWidth(t *testing.T) {
 	}
 }
 
-func TestNumParams(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	m := NewMLP("m", []int{3, 4, 2}, ReLU, Identity, r)
-	// 3*4 + 4 + 4*2 + 2 = 26
-	if got := NumParams(m); got != 26 {
-		t.Fatalf("NumParams = %d, want 26", got)
-	}
-}
-
 func TestGRUResetBetweenSequences(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := NewGRU("g", 2, 3)

@@ -145,12 +145,3 @@ func InitXavier(m Module, r *rand.Rand) {
 		p.W.Xavier(r, p.W.Rows, p.W.Cols)
 	}
 }
-
-// NumParams returns the total scalar parameter count of m.
-func NumParams(m Module) int {
-	var n int
-	for _, p := range m.Params() {
-		n += len(p.W.Data)
-	}
-	return n
-}

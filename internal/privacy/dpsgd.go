@@ -39,9 +39,10 @@ func (c DPSGDConfig) Validate() error {
 }
 
 // DPSGD wraps per-sample clipping and noise addition around a module's
-// gradients. The training loop computes each sample's gradients separately
-// (calling AccumulateSample after each per-sample backward pass), then calls
-// Finalize once per lot before the optimizer step.
+// gradients. The training loop computes each sample's gradients
+// separately, clips each (GradVec, ClipVec), sums them (TreeReduce) and
+// adds the sum with AccumulateLot, then calls Finalize once per lot
+// before the optimizer step.
 type DPSGD struct {
 	Config DPSGDConfig
 
@@ -58,30 +59,6 @@ func NewDPSGD(cfg DPSGDConfig, r *rand.Rand) (*DPSGD, error) {
 		return nil, err
 	}
 	return &DPSGD{Config: cfg, rand: r}, nil
-}
-
-// AccumulateSample clips the module's currently accumulated gradients (which
-// must correspond to exactly one sample) to ClipNorm and adds them to the
-// lot sum, then zeroes the module's gradients. One DPSGD instance may be
-// shared across modules with different parameter shapes (e.g. a main and an
-// auxiliary critic) as long as each module's Accumulate/Finalize cycle
-// completes before the next module's begins; the lot buffers are rebuilt on
-// shape changes.
-func (d *DPSGD) AccumulateSample(m nn.Module) {
-	ps := m.Params()
-	if !d.sumsMatch(ps) {
-		d.sums = make([][]float64, len(ps))
-		for i, p := range ps {
-			d.sums[i] = make([]float64, len(p.G.Data))
-		}
-	}
-	nn.ClipGradNorm(m, d.Config.ClipNorm)
-	for i, p := range ps {
-		for j, g := range p.G.Data {
-			d.sums[i][j] += g
-		}
-		p.ZeroGrad()
-	}
 }
 
 // sumsMatch reports whether the lot buffers fit the module's parameters.

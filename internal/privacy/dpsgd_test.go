@@ -10,6 +10,31 @@ import (
 	"repro/internal/nn"
 )
 
+// AccumulateSample is the serial reference for the training loop's
+// AccumulateLot path. It clips the module's currently accumulated
+// gradients (which must correspond to exactly one sample) to ClipNorm and
+// adds them to the lot sum, then zeroes the module's gradients. One DPSGD
+// instance may be shared across modules with different parameter shapes
+// (e.g. a main and an auxiliary critic) as long as each module's
+// Accumulate/Finalize cycle completes before the next module's begins; the
+// lot buffers are rebuilt on shape changes.
+func (d *DPSGD) AccumulateSample(m nn.Module) {
+	ps := m.Params()
+	if !d.sumsMatch(ps) {
+		d.sums = make([][]float64, len(ps))
+		for i, p := range ps {
+			d.sums[i] = make([]float64, len(p.G.Data))
+		}
+	}
+	nn.ClipGradNorm(m, d.Config.ClipNorm)
+	for i, p := range ps {
+		for j, g := range p.G.Data {
+			d.sums[i][j] += g
+		}
+		p.ZeroGrad()
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DPSGDConfig{ClipNorm: 1, NoiseMultiplier: 1, SampleRate: 0.01, Delta: 1e-5}
 	if err := good.Validate(); err != nil {
@@ -207,8 +232,8 @@ func TestDPSGDTrainingStillLearns(t *testing.T) {
 	before := lossAt()
 	for it := 0; it < 200; it++ {
 		for i := 0; i < 8; i++ {
-			xi := mat.NewFrom(1, 1, []float64{x.At(i, 0)})
-			yi := mat.NewFrom(1, 1, []float64{y.At(i, 0)})
+			xi := mat.NewFrom(1, 1, []float64{x.Row(i)[0]})
+			yi := mat.NewFrom(1, 1, []float64{y.Row(i)[0]})
 			_, grad := nn.MSELoss(m.Forward(xi), yi)
 			m.Backward(grad)
 			dp.AccumulateSample(m)

@@ -83,9 +83,7 @@ func TreeReduce(vs [][]float64) []float64 {
 
 // AccumulateLot adds a precomputed clipped per-sample gradient sum
 // (flattened in m's parameter order, as produced by GradVec/TreeReduce)
-// into the lot accumulator. It is the batch-parallel counterpart of calling
-// AccumulateSample once per sample; Finalize applies noise and averaging
-// identically for both paths.
+// into the lot accumulator. Finalize then applies noise and averaging.
 func (d *DPSGD) AccumulateLot(m nn.Module, sum []float64) {
 	ps := m.Params()
 	if !d.sumsMatch(ps) {

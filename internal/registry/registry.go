@@ -15,8 +15,7 @@
 // never a half-written entry under its final name. Model payloads carry
 // their own container CRC, and every store block carries its own.
 // Corrupt entries surface as typed errors on read and are reclaimed by
-// Sweep, never silently served. Sweep also migrates, once, the flat
-// jobs/<id>.trace CSV payloads written before the columnar store.
+// Sweep, never silently served.
 package registry
 
 import (
@@ -26,7 +25,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,9 +39,6 @@ const (
 
 	modelExt    = ".mdl"
 	manifestExt = ".json"
-	// legacyTraceExt is the pre-store flat payload: container-framed
-	// trace CSV. Only Sweep's one-time migration reads it.
-	legacyTraceExt = ".trace"
 )
 
 // ModelInfo is a stored model's manifest.
@@ -68,21 +63,13 @@ type JobRecord struct {
 	// Model names the job's trained model in the model store ("" when the
 	// job failed before training finished).
 	Model string `json:"model,omitempty"`
-	// TraceKind is "netflow" or "pcap" when a trace payload is stored.
+	// TraceKind is "netflow" or "pcap" when the job has a trace: a
+	// columnar store directory at jobs/<id>.store (see PutJobStore).
 	TraceKind string `json:"traceKind,omitempty"`
-	// TraceChecksum is the CRC-32 of a legacy flat CSV payload, checked
-	// by the migration; it is zero for store payloads, whose blocks each
-	// carry their own CRC.
-	TraceChecksum uint32 `json:"traceChecksum,omitempty"`
-	// TraceSize is the payload's size: the store's total on-disk size,
-	// or a legacy payload's CSV byte count.
-	TraceSize int64 `json:"traceSize,omitempty"`
-	// TraceStore marks the payload as a columnar store directory
-	// (jobs/<id>.store, see PutJobStore). Manifests without it but with
-	// a TraceSize describe a legacy payload awaiting migration.
-	TraceStore bool   `json:"traceStore,omitempty"`
-	TraceRows  int64  `json:"traceRows,omitempty"`
-	SavedAt    string `json:"savedAt"`
+	// TraceSize is the store's total on-disk size in bytes.
+	TraceSize int64  `json:"traceSize,omitempty"`
+	TraceRows int64  `json:"traceRows,omitempty"`
+	SavedAt   string `json:"savedAt"`
 }
 
 // SweepReport summarizes one garbage-collection pass.
@@ -240,22 +227,6 @@ func (r *Registry) Models() []ModelInfo {
 	return out
 }
 
-// DeleteModel removes a model and its manifest. Deleting a missing model
-// is not an error (the end state is identical).
-func (r *Registry) DeleteModel(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Manifest first: a crash between the two removals leaves an orphaned
-	// payload for Sweep, not a manifest pointing at nothing.
-	if err := removeIfExists(r.modelManifestPath(name)); err != nil {
-		return err
-	}
-	return removeIfExists(r.modelPath(name))
-}
-
 // PutJob stores a terminal job record without a trace payload (a failed
 // job); PutJobStore stores one with its trace.
 func (r *Registry) PutJob(rec JobRecord) error {
@@ -300,36 +271,17 @@ func (r *Registry) Jobs() []JobRecord {
 
 // VerifyJob re-validates a stored job's trace store end to end (every
 // block read, CRC-checked and decoded). Jobs without traces verify
-// trivially; a manifest that still describes a legacy flat payload
-// fails with os.ErrNotExist, since Sweep migrates every payload it finds.
+// trivially. A job whose store is missing, such as one written before
+// the columnar store, fails with os.ErrNotExist.
 func (r *Registry) VerifyJob(id string) error {
 	var rec JobRecord
 	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
 		return err
 	}
-	switch {
-	case rec.TraceStore:
-		return r.verifyJobStore(id)
-	case rec.TraceSize != 0 || rec.TraceChecksum != 0:
-		return fmt.Errorf("registry: legacy trace payload for job %q: %w", id, os.ErrNotExist)
+	if rec.TraceKind == "" {
+		return nil
 	}
-	return nil
-}
-
-// DeleteJob removes a job record and its trace payload.
-func (r *Registry) DeleteJob(id string) error {
-	if err := validName(id); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := removeIfExists(r.jobManifestPath(id)); err != nil {
-		return err
-	}
-	if err := removeIfExists(r.legacyTracePath(id)); err != nil {
-		return err
-	}
-	return os.RemoveAll(r.storePath(id))
+	return r.verifyJobStore(id)
 }
 
 // Sweep garbage-collects the registry: stray *.tmp files and staging
@@ -337,10 +289,11 @@ func (r *Registry) DeleteJob(id string) error {
 // (including orphaned .store directories), manifests without payloads,
 // and entries whose payload fails validation — a torn container frame,
 // a CRC mismatch, a store with a truncated block or corrupt column
-// group — are removed. Before a job is validated, its legacy flat-CSV
-// payload, if any, is migrated into a store (migrateTrace); one that
-// fails its CRC or does not parse is swept as corrupt. The registry is valid and fully
-// servable afterwards; a damaged payload can never crash recovery.
+// group — are removed. Any other file belongs to the entry its name
+// minus its extension names, so a file no payload kind explains (such
+// as the flat jobs/<id>.trace of a job written before the columnar
+// store) goes with its entry. The registry is valid and fully servable
+// afterwards; a damaged payload can never crash recovery.
 func (r *Registry) Sweep() (SweepReport, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -389,10 +342,8 @@ func (r *Registry) Sweep() (SweepReport, error) {
 				}
 			case strings.HasSuffix(e.Name(), manifestExt):
 				manifests[strings.TrimSuffix(e.Name(), manifestExt)] = true
-			case strings.HasSuffix(e.Name(), modelExt):
-				addPayload(strings.TrimSuffix(e.Name(), modelExt), path)
-			case strings.HasSuffix(e.Name(), legacyTraceExt):
-				addPayload(strings.TrimSuffix(e.Name(), legacyTraceExt), path)
+			default:
+				addPayload(strings.TrimSuffix(e.Name(), filepath.Ext(e.Name())), path)
 			}
 		}
 		// Orphaned payloads: no manifest claims them.
@@ -412,20 +363,8 @@ func (r *Registry) Sweep() (SweepReport, error) {
 				if _, _, err := r.ModelBytes(name); err != nil {
 					bad, corrupt = true, !errors.Is(err, os.ErrNotExist)
 				}
-			} else {
-				var err error
-				if slices.Contains(payloads[name], r.legacyTracePath(name)) {
-					err = r.migrateTrace(name)
-				}
-				if err != nil && !errors.Is(err, container.ErrCorrupt) {
-					return rep, err
-				}
-				if err == nil {
-					err = r.VerifyJob(name)
-				}
-				if err != nil {
-					bad, corrupt = true, !errors.Is(err, os.ErrNotExist)
-				}
+			} else if err := r.VerifyJob(name); err != nil {
+				bad, corrupt = true, !errors.Is(err, os.ErrNotExist)
 			}
 			if bad {
 				manifestPath := filepath.Join(r.dir, sub, name+manifestExt)
@@ -452,9 +391,6 @@ func (r *Registry) modelManifestPath(name string) string {
 }
 func (r *Registry) jobManifestPath(id string) string {
 	return filepath.Join(r.dir, jobsDir, id+manifestExt)
-}
-func (r *Registry) legacyTracePath(id string) string {
-	return filepath.Join(r.dir, jobsDir, id+legacyTraceExt)
 }
 
 func (r *Registry) writeManifest(path string, v any) error {
@@ -493,11 +429,4 @@ func (r *Registry) manifestNames(dir string) []string {
 		}
 	}
 	return names
-}
-
-func removeIfExists(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }

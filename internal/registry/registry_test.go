@@ -80,7 +80,7 @@ func TestPutModelRejectsInvalidInput(t *testing.T) {
 	if _, err := r.PutModel("m", []byte("definitely not a container file")); !errors.Is(err, container.ErrBadMagic) {
 		t.Fatalf("unframed bytes: %v", err)
 	}
-	if _, err := r.PutModel("m", container.Encode(container.KindTrace, []byte("x"))); err == nil {
+	if _, err := r.PutModel("m", container.Encode(container.KindCheckpoint, []byte("x"))); err == nil {
 		t.Fatal("non-model kind must be rejected")
 	}
 	for _, name := range []string{"", "../escape", "a/b", ".hidden", "sp ace"} {
@@ -112,28 +112,16 @@ func TestModelBytesDetectsTampering(t *testing.T) {
 	}
 }
 
-func TestDeleteModel(t *testing.T) {
-	r := open(t)
-	if _, err := r.PutModel("m", framedModel("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DeleteModel("m"); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Models()) != 0 {
-		t.Fatal("model not deleted")
-	}
-	if err := r.DeleteModel("m"); err != nil {
-		t.Fatalf("double delete must be idempotent: %v", err)
-	}
-}
-
 func TestJobRoundTripWithTrace(t *testing.T) {
 	r := open(t)
 	status := json.RawMessage(`{"id":"job-1","state":"done","records":42}`)
 	rec := JobRecord{ID: "job-1", State: "done", Status: status, Model: "job-1"}
 	ft := storeFlowTrace(42)
-	if err := r.PutJobStore(rec, func(dir string) error { return store.WriteFlowTrace(dir, ft, store.Options{}) }); err != nil {
+	build := func(dir string) error {
+		_, err := store.Write(dir, ft, store.Options{})
+		return err
+	}
+	if err := r.PutJobStore(rec, build); err != nil {
 		t.Fatal(err)
 	}
 	jobs := r.Jobs()

@@ -1,16 +1,12 @@
 package registry
 
 import (
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
 
-	"repro/internal/container"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Columnar store payloads (DESIGN.md §13). A job's synthetic trace is
@@ -29,9 +25,10 @@ func (r *Registry) storePath(id string) string {
 
 // PutJobStore stores a terminal job record with a columnar-store trace
 // payload. build receives a fresh staging directory and must write a
-// complete store into it (e.g. store.WriteFlowTrace); the store is
-// opened and validated before it is committed. The record's trace
-// fields (kind, size, rows) are filled from the built store.
+// complete store into it (e.g. with store.Write); the store is opened
+// and validated, renamed into place, and only then is the manifest
+// written. The record's trace fields (kind, size, rows) are filled from
+// the built store.
 func (r *Registry) PutJobStore(rec JobRecord, build func(dir string) error) error {
 	if err := validName(rec.ID); err != nil {
 		return err
@@ -39,16 +36,6 @@ func (r *Registry) PutJobStore(rec JobRecord, build func(dir string) error) erro
 	rec.SavedAt = r.now().UTC().Format(time.RFC3339)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.commitStore(rec, build); err != nil {
-		return err
-	}
-	telJobsSaved.Inc()
-	return nil
-}
-
-// commitStore builds rec's store in staging, validates it, renames it
-// into place and then writes the manifest. The caller holds r.mu.
-func (r *Registry) commitStore(rec JobRecord, build func(dir string) error) error {
 	final := r.storePath(rec.ID)
 	staging := final + ".tmp"
 	if err := os.RemoveAll(staging); err != nil {
@@ -68,11 +55,9 @@ func (r *Registry) commitStore(rec JobRecord, build func(dir string) error) erro
 		os.RemoveAll(staging)
 		return fmt.Errorf("registry: size store for job %q: %w", rec.ID, err)
 	}
-	rec.TraceStore = true
 	rec.TraceKind = s.Kind().String()
 	rec.TraceSize = size
 	rec.TraceRows = s.Rows()
-	rec.TraceChecksum = 0 // every block carries its own container CRC
 
 	if err := os.RemoveAll(final); err != nil {
 		return fmt.Errorf("registry: replace store for job %q: %w", rec.ID, err)
@@ -84,7 +69,11 @@ func (r *Registry) commitStore(rec JobRecord, build func(dir string) error) erro
 	if err := syncDir(filepath.Dir(final)); err != nil {
 		return fmt.Errorf("registry: sync jobs dir: %w", err)
 	}
-	return r.writeManifest(r.jobManifestPath(rec.ID), rec)
+	if err := r.writeManifest(r.jobManifestPath(rec.ID), rec); err != nil {
+		return err
+	}
+	telJobsSaved.Inc()
+	return nil
 }
 
 // OpenStore opens a job's columnar trace store. Jobs without a trace
@@ -97,7 +86,7 @@ func (r *Registry) OpenStore(id string) (*store.Store, error) {
 	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
 		return nil, err
 	}
-	if !rec.TraceStore {
+	if rec.TraceKind == "" {
 		return nil, fmt.Errorf("registry: job %q has no store payload", id)
 	}
 	s, err := store.Open(r.storePath(id))
@@ -113,75 +102,14 @@ func (r *Registry) OpenStore(id string) (*store.Store, error) {
 	return s, nil
 }
 
-// migrateTrace converts job id's legacy flat payload (container-framed
-// trace CSV at jobs/<id>.trace) into a columnar store, once: the payload
-// is CRC-checked against the manifest and parsed, the store is built in
-// staging and renamed into place, the manifest is flipped to it, and
-// only then is the .trace file deleted. A crash before the flip leaves
-// the legacy manifest and payload, so the next Sweep migrates again; a
-// crash after it leaves a stale .trace, deleted here. A payload that
-// fails its CRC or does not parse, or an unreadable manifest, returns an
-// error wrapping container.ErrCorrupt. The caller holds r.mu.
-func (r *Registry) migrateTrace(id string) error {
-	path := r.legacyTracePath(id)
-	var rec JobRecord
-	if err := r.readManifest(r.jobManifestPath(id), &rec); err != nil {
-		return fmt.Errorf("%v: %w", err, container.ErrCorrupt)
-	}
-	if !rec.TraceStore {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("registry: legacy trace for job %q: %w", id, err)
-		}
-		build, err := legacyStoreBuilder(rec, data)
-		if err != nil {
-			return fmt.Errorf("registry: legacy trace for job %q: %v: %w", id, err, container.ErrCorrupt)
-		}
-		if err := r.commitStore(rec, build); err != nil {
-			return err
-		}
-	}
-	if err := os.Remove(path); err != nil {
-		return fmt.Errorf("registry: remove migrated trace for job %q: %w", id, err)
-	}
-	return nil
-}
-
-// legacyStoreBuilder validates a legacy framed-CSV payload against its
-// manifest and returns a PutJobStore build function for its trace.
-func legacyStoreBuilder(rec JobRecord, framed []byte) (func(dir string) error, error) {
-	payload, err := container.DecodeKind(framed, container.KindTrace)
-	if err != nil {
-		return nil, err
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != rec.TraceChecksum || int64(len(payload)) != rec.TraceSize {
-		return nil, fmt.Errorf("payload CRC %08x (%d bytes) does not match manifest %08x (%d bytes)",
-			sum, len(payload), rec.TraceChecksum, rec.TraceSize)
-	}
-	kind, ok := trace.ParseKind(rec.TraceKind)
-	if !ok {
-		return nil, fmt.Errorf("unknown trace kind %q", rec.TraceKind)
-	}
-	// Parsed up front, so a payload that does not parse is corrupt
-	// rather than a failed store write.
-	var src trace.Source
-	if kind == trace.KindNetFlow {
-		src, err = trace.ReadFlowCSV(bytes.NewReader(payload))
-	} else {
-		src, err = trace.ReadPacketCSV(bytes.NewReader(payload))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return func(dir string) error {
-		_, err := store.Write(dir, src, store.Options{})
-		return err
-	}, nil
-}
-
 // verifyJobStore deep-verifies a store payload: every block of every
-// column is read, CRC-checked, and decoded.
+// column is read, CRC-checked, and decoded. A missing store directory
+// (a lost payload, or a job written before the columnar store) fails
+// with os.ErrNotExist rather than as corruption.
 func (r *Registry) verifyJobStore(id string) error {
+	if _, err := os.Stat(r.storePath(id)); err != nil {
+		return fmt.Errorf("registry: store for job %q: %w", id, err)
+	}
 	s, err := r.OpenStore(id)
 	if err != nil {
 		return err

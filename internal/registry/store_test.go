@@ -3,9 +3,9 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/container"
@@ -38,7 +38,8 @@ func putStoreJob(t *testing.T, r *Registry, id string, n int) *trace.FlowTrace {
 	ft := storeFlowTrace(n)
 	rec := JobRecord{ID: id, State: "done", Status: json.RawMessage(`{}`)}
 	err := r.PutJobStore(rec, func(dir string) error {
-		return store.WriteFlowTrace(dir, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+		_, err := store.Write(dir, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +55,8 @@ func TestPutJobStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.TraceStore || rec.TraceKind != "netflow" || rec.TraceRows != 500 || rec.TraceSize <= 0 {
+	if rec.TraceKind != "netflow" || rec.TraceRows != 500 || rec.TraceSize <= 0 {
 		t.Fatalf("bad record: %+v", rec)
-	}
-	if rec.TraceChecksum != 0 {
-		t.Fatalf("store payloads carry per-block CRCs, checksum should be 0, got %d", rec.TraceChecksum)
 	}
 
 	// Queryable through OpenStore.
@@ -75,7 +73,11 @@ func TestPutJobStoreRoundTrip(t *testing.T) {
 	if err := trace.WriteFlowCSV(&want, ft); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteCSV(&got); err != nil {
+	csv, err := trace.LookupFormat("csv", s.Kind())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := csv.Encode(&got, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -101,14 +103,16 @@ func TestPutJobStoreReplacesAndDeletes(t *testing.T) {
 	if err != nil || rec.TraceRows != 300 {
 		t.Fatalf("after overwrite: rows=%d err=%v", rec.TraceRows, err)
 	}
-	if err := r.DeleteJob("job-1"); err != nil {
+	// The replaced store is deleted: one store directory, nothing staged.
+	entries, err := os.ReadDir(filepath.Join(r.Dir(), "jobs"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(r.storePath("job-1")); !os.IsNotExist(err) {
-		t.Fatalf("store dir survived DeleteJob: %v", err)
+	if len(entries) != 2 {
+		t.Fatalf("jobs dir holds %d entries after overwrite, want the manifest and one store", len(entries))
 	}
-	if _, err := r.Job("job-1"); err == nil {
-		t.Fatal("job manifest survived DeleteJob")
+	if s, err := r.OpenStore("job-1"); err != nil || s.Rows() != 300 {
+		t.Fatalf("replaced store: %v", err)
 	}
 }
 
@@ -214,7 +218,7 @@ func TestSweepOrphanedStoreDirs(t *testing.T) {
 
 	// Orphan: a full store directory with no job manifest.
 	orphan := r.storePath("job-orphan")
-	if err := store.WriteFlowTrace(orphan, storeFlowTrace(64), store.Options{}); err != nil {
+	if _, err := store.Write(orphan, storeFlowTrace(64), store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Stray staging dir from a crashed PutJobStore.
@@ -240,172 +244,38 @@ func TestSweepOrphanedStoreDirs(t *testing.T) {
 	}
 }
 
-// putLegacyJob writes a job the way registries did before the columnar
-// store: a manifest carrying the payload's CRC and size next to
-// jobs/<id>.trace, the container-framed trace CSV.
-func putLegacyJob(t *testing.T, r *Registry, id, kind string, csv []byte) {
-	t.Helper()
-	rec := JobRecord{
-		ID: id, State: "done", Status: json.RawMessage(`{}`), Model: id, TraceKind: kind,
-		TraceChecksum: crc32.ChecksumIEEE(csv), TraceSize: int64(len(csv)), SavedAt: "2025-01-01T00:00:00Z",
-	}
-	if err := r.writeManifest(r.jobManifestPath(id), rec); err != nil {
+// TestSweepRemovesPreStoreJob: a job written before the columnar store
+// (a manifest carrying a flat payload's CRC and size, no store, and the
+// container-framed CSV at jobs/<id>.trace) is not recoverable. The boot
+// sweep removes both files as a missing payload, not as corruption.
+func TestSweepRemovesPreStoreJob(t *testing.T) {
+	r := open(t)
+	putStoreJob(t, r, "job-new", 50)
+	manifest := []byte(`{"id":"job-old","state":"done","status":{},"model":"job-old",` +
+		`"traceKind":"netflow","traceChecksum":305419896,"traceSize":42,"savedAt":"2025-01-01T00:00:00Z"}`)
+	if err := os.WriteFile(r.jobManifestPath("job-old"), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(r.legacyTracePath(id), container.Encode(container.KindTrace, csv), 0o644); err != nil {
+	payload := filepath.Join(r.Dir(), "jobs", "job-old.trace")
+	// 4 is the retired container kind that framed flat job traces.
+	if err := os.WriteFile(payload, container.Encode(4, []byte("csv")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestSweepMigratesLegacyTrace pins the one-time migration of flat-CSV
-// payloads: the migrated store streams the original bytes, the .trace
-// file is gone, a corrupt payload is swept as corrupt, and crashes on
-// either side of the manifest flip leave a servable job after the next
-// Sweep.
-func TestSweepMigratesLegacyTrace(t *testing.T) {
-	var flowCSV, pktCSV bytes.Buffer
-	if err := trace.WriteFlowCSV(&flowCSV, storeFlowTrace(300)); err != nil {
+	rep, err := r.Sweep()
+	if err != nil {
 		t.Fatal(err)
 	}
-	pk := &trace.PacketTrace{}
-	for i := 0; i < 50; i++ {
-		pk.Packets = append(pk.Packets, trace.Packet{
-			Time:  int64(i) * 10,
-			Tuple: trace.FiveTuple{SrcIP: trace.IPv4FromBytes(10, 0, 0, 1), DstIP: trace.IPv4FromBytes(10, 0, 0, 2), SrcPort: 80, DstPort: uint16(1000 + i), Proto: trace.TCP},
-			Size:  60 + i, TTL: 64,
-		})
+	want := []string{filepath.Join("jobs", "job-old.json"), filepath.Join("jobs", "job-old.trace")}
+	slices.Sort(rep.Removed)
+	if !slices.Equal(rep.Removed, want) || rep.Corrupt != 0 {
+		t.Fatalf("sweep: removed %v (%d corrupt), want %v (0 corrupt)", rep.Removed, rep.Corrupt, want)
 	}
-	if err := trace.WritePacketCSV(&pktCSV, pk); err != nil {
-		t.Fatal(err)
-	}
-
-	// servable checks that a job's store streams exactly want as CSV and
-	// that no legacy payload is left.
-	servable := func(t *testing.T, r *Registry, id string, want []byte) {
-		t.Helper()
-		rec, err := r.Job(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.TraceStore || rec.TraceChecksum != 0 || rec.SavedAt != "2025-01-01T00:00:00Z" {
-			t.Fatalf("manifest not flipped to the store: %+v", rec)
-		}
-		s, err := r.OpenStore(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := s.WriteCSV(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("migrated %s CSV differs from the legacy payload", id)
-		}
-		if _, err := os.Stat(r.legacyTracePath(id)); !os.IsNotExist(err) {
-			t.Fatalf("legacy payload survived migration: %v", err)
+	for _, path := range []string{r.jobManifestPath("job-old"), payload} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s survived sweep: %v", path, err)
 		}
 	}
-
-	t.Run("migrate", func(t *testing.T) {
-		r := open(t)
-		putLegacyJob(t, r, "job-flow", "netflow", flowCSV.Bytes())
-		putLegacyJob(t, r, "job-pkt", "pcap", pktCSV.Bytes())
-		if rep, err := r.Sweep(); err != nil || len(rep.Removed) != 0 {
-			t.Fatalf("sweep: %+v, %v", rep, err)
-		}
-		servable(t, r, "job-flow", flowCSV.Bytes())
-		servable(t, r, "job-pkt", pktCSV.Bytes())
-		// A second Sweep finds nothing to do.
-		if rep, err := r.Sweep(); err != nil || len(rep.Removed) != 0 {
-			t.Fatalf("second sweep: %+v, %v", rep, err)
-		}
-	})
-
-	t.Run("corrupt", func(t *testing.T) {
-		r := open(t)
-		putLegacyJob(t, r, "job-good", "netflow", flowCSV.Bytes())
-		putLegacyJob(t, r, "job-crc", "netflow", flowCSV.Bytes())
-		putLegacyJob(t, r, "job-torn", "netflow", flowCSV.Bytes())
-		putLegacyJob(t, r, "job-garbled", "netflow", []byte("not,a,trace\n"))
-		// A well-framed, parseable payload that is not the one the
-		// manifest describes.
-		putLegacyJob(t, r, "job-swapped", "netflow", flowCSV.Bytes())
-		var other bytes.Buffer
-		if err := trace.WriteFlowCSV(&other, storeFlowTrace(10)); err != nil {
-			t.Fatal(err)
-		}
-		swapped := container.Encode(container.KindTrace, other.Bytes())
-		if err := os.WriteFile(r.legacyTracePath("job-swapped"), swapped, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		data, _ := os.ReadFile(r.legacyTracePath("job-crc"))
-		data[len(data)-5] ^= 0x20
-		if err := os.WriteFile(r.legacyTracePath("job-crc"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(r.legacyTracePath("job-torn"), data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := r.Sweep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Corrupt != 4 {
-			t.Fatalf("corrupt = %d, want 4 (%v)", rep.Corrupt, rep.Removed)
-		}
-		for _, id := range []string{"job-crc", "job-torn", "job-garbled", "job-swapped"} {
-			if _, err := r.Job(id); err == nil {
-				t.Fatalf("%s survived sweep", id)
-			}
-			if _, err := os.Stat(r.legacyTracePath(id)); !os.IsNotExist(err) {
-				t.Fatalf("%s payload survived sweep", id)
-			}
-		}
-		servable(t, r, "job-good", flowCSV.Bytes())
-	})
-
-	t.Run("crash-after-rename", func(t *testing.T) {
-		// A store is in place but the manifest still describes the
-		// legacy payload. The store differs from the payload, so serving
-		// the original bytes proves the migration ran again.
-		r := open(t)
-		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
-		if err := store.WriteFlowTrace(r.storePath("job-1"), storeFlowTrace(5), store.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Sweep(); err != nil {
-			t.Fatal(err)
-		}
-		servable(t, r, "job-1", flowCSV.Bytes())
-	})
-
-	t.Run("crash-after-flip", func(t *testing.T) {
-		// The manifest is flipped but the legacy payload was not yet
-		// deleted.
-		r := open(t)
-		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
-		framed, _ := os.ReadFile(r.legacyTracePath("job-1"))
-		if _, err := r.Sweep(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(r.legacyTracePath("job-1"), framed, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Sweep(); err != nil {
-			t.Fatal(err)
-		}
-		servable(t, r, "job-1", flowCSV.Bytes())
-	})
-
-	t.Run("orphan", func(t *testing.T) {
-		r := open(t)
-		putLegacyJob(t, r, "job-1", "netflow", flowCSV.Bytes())
-		if err := os.Remove(r.jobManifestPath("job-1")); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := r.Sweep()
-		if err != nil || len(rep.Removed) != 1 || rep.Corrupt != 0 {
-			t.Fatalf("orphaned legacy payload: %+v, %v", rep, err)
-		}
-	})
+	if err := r.VerifyJob("job-new"); err != nil {
+		t.Fatalf("store job damaged by sweep: %v", err)
+	}
 }

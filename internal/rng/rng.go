@@ -1,8 +1,8 @@
 // Package rng provides the seeded random samplers the trace synthesizers
-// and GAN training loops share: Gaussian noise, Zipf-ranked categorical
-// draws, heavy-tailed size distributions (log-normal, Pareto), and
-// weighted categorical sampling. Everything takes an explicit *rand.Rand so
-// experiments are reproducible end to end.
+// and GAN training loops share: Zipf-ranked categorical draws,
+// heavy-tailed and exponential size distributions, weighted categorical
+// sampling, and decorrelated child seeds (Derive). Everything takes an
+// explicit *rand.Rand so experiments are reproducible end to end.
 package rng
 
 import (
@@ -16,32 +16,10 @@ func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Gaussian returns a sample from N(mean, std²).
-func Gaussian(r *rand.Rand, mean, std float64) float64 {
-	return mean + std*r.NormFloat64()
-}
-
-// GaussianVec fills out with independent N(0,1) samples.
-func GaussianVec(r *rand.Rand, out []float64) {
-	for i := range out {
-		out[i] = r.NormFloat64()
-	}
-}
-
 // LogNormal returns a sample from a log-normal distribution with the given
 // parameters of the underlying normal (mu, sigma).
 func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Pareto returns a sample from a Pareto distribution with the given scale
-// (minimum value) and shape alpha. Smaller alpha means heavier tail.
-func Pareto(r *rand.Rand, scale, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return scale / math.Pow(u, 1/alpha)
 }
 
 // Exponential returns a sample from Exp(rate).
@@ -79,9 +57,6 @@ func (z *Zipf) Draw(r *rand.Rand) int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Categorical draws indices with the given (unnormalized) weights.
 type Categorical struct {
 	cdf []float64
@@ -117,39 +92,6 @@ func (c *Categorical) Draw(r *rand.Rand) int {
 	return sort.SearchFloat64s(c.cdf, u)
 }
 
-// N returns the number of outcomes.
-func (c *Categorical) N() int { return len(c.cdf) }
-
-// Shuffle permutes xs in place using Fisher–Yates.
-func Shuffle[T any](r *rand.Rand, xs []T) {
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// SampleIndices returns k distinct indices drawn uniformly from [0, n).
-// If k >= n it returns all indices in random order.
-func SampleIndices(r *rand.Rand, n, k int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	Shuffle(r, idx)
-	if k > n {
-		k = n
-	}
-	return idx[:k]
-}
-
-// ClampInt returns v limited to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Derive returns a decorrelated child seed for the given stream index of a
 // base seed, using two rounds of splitmix64 finalization. Stream i's seed
 // depends only on (seed, i) — never on how many streams exist or which
@@ -164,15 +106,4 @@ func Derive(seed, stream int64) int64 {
 	z = (z + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 29)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 32))
-}
-
-// Streams returns n independent generators seeded with Derive(seed, i).
-// Stream i is identical regardless of n, so a pool of W workers and a
-// serial loop reading streams in index order observe the same sequences.
-func Streams(seed int64, n int) []*rand.Rand {
-	out := make([]*rand.Rand, n)
-	for i := range out {
-		out[i] = New(Derive(seed, int64(i)))
-	}
-	return out
 }

@@ -15,60 +15,12 @@ func TestNewIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestGaussianMoments(t *testing.T) {
-	r := New(1)
-	const n = 20000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := Gaussian(r, 3, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-3) > 0.1 {
-		t.Fatalf("mean = %v, want ~3", mean)
-	}
-	if math.Abs(variance-4) > 0.3 {
-		t.Fatalf("variance = %v, want ~4", variance)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 1000; i++ {
 		if LogNormal(r, 0, 1) <= 0 {
 			t.Fatal("log-normal must be positive")
 		}
-	}
-}
-
-func TestParetoRespectsScale(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 1000; i++ {
-		v := Pareto(r, 5, 1.5)
-		if v < 5 {
-			t.Fatalf("Pareto sample %v below scale 5", v)
-		}
-	}
-}
-
-func TestParetoHeavyTail(t *testing.T) {
-	// A lower alpha must produce a heavier tail (larger high quantiles).
-	r := New(4)
-	count := func(alpha float64) int {
-		rr := New(4)
-		n := 0
-		for i := 0; i < 5000; i++ {
-			if Pareto(rr, 1, alpha) > 100 {
-				n++
-			}
-		}
-		return n
-	}
-	_ = r
-	if count(0.8) <= count(3.0) {
-		t.Fatal("alpha=0.8 should exceed 100 more often than alpha=3")
 	}
 }
 
@@ -140,64 +92,16 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(8)
-	xs := []int{1, 2, 3, 4, 5}
-	Shuffle(r, xs)
-	seen := map[int]bool{}
-	for _, x := range xs {
-		seen[x] = true
-	}
-	for i := 1; i <= 5; i++ {
-		if !seen[i] {
-			t.Fatalf("element %d lost in shuffle", i)
-		}
-	}
-}
-
-func TestSampleIndicesDistinct(t *testing.T) {
-	r := New(9)
-	idx := SampleIndices(r, 10, 5)
-	if len(idx) != 5 {
-		t.Fatalf("got %d indices", len(idx))
-	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if seen[i] {
-			t.Fatalf("duplicate index %d", i)
-		}
-		if i < 0 || i >= 10 {
-			t.Fatalf("index %d out of range", i)
-		}
-		seen[i] = true
-	}
-	if got := SampleIndices(r, 3, 10); len(got) != 3 {
-		t.Fatalf("k>n should cap at n, got %d", len(got))
-	}
-}
-
-func TestClampInt(t *testing.T) {
-	cases := []struct{ v, lo, hi, want int }{
-		{5, 0, 10, 5}, {-1, 0, 10, 0}, {11, 0, 10, 10},
-	}
-	for _, c := range cases {
-		if got := ClampInt(c.v, c.lo, c.hi); got != c.want {
-			t.Fatalf("ClampInt(%d,%d,%d) = %d, want %d", c.v, c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
 func TestDeriveStreamsAreStableAndDistinct(t *testing.T) {
-	// Stream i must depend only on (seed, i): the same stream index yields
-	// the same sequence no matter how many streams were created.
-	four := Streams(7, 4)
-	eight := Streams(7, 8)
-	for i := 0; i < 4; i++ {
-		for k := 0; k < 16; k++ {
-			a, b := four[i].NormFloat64(), eight[i].NormFloat64()
-			if a != b {
-				t.Fatalf("stream %d draw %d: %v != %v (stream depends on pool size)", i, k, a, b)
-			}
+	// Child seeds are pinned: every parallel-training golden draws its
+	// per-stream noise from them.
+	for _, c := range []struct{ seed, stream, want int64 }{
+		{7, 0, -475156295229938928},
+		{7, 3, -4508597046985504577},
+		{-1, 1 << 40, -2799905905910795873},
+	} {
+		if got := Derive(c.seed, c.stream); got != c.want {
+			t.Fatalf("Derive(%d, %d) = %d, want %d", c.seed, c.stream, got, c.want)
 		}
 	}
 	// Distinct streams (and distinct base seeds) must decorrelate: no two

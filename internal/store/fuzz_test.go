@@ -40,7 +40,7 @@ func FuzzBlockDecode(f *testing.F) {
 // parsed filter must query cleanly with consistent stats.
 func FuzzQueryFilter(f *testing.F) {
 	dir := filepath.Join(f.TempDir(), "fuzz.store")
-	if err := WriteFlowTrace(dir, fuzzFlowTrace(), Options{BlockRows: 32, PartitionRows: 64}); err != nil {
+	if _, err := Write(dir, fuzzFlowTrace(), Options{BlockRows: 32, PartitionRows: 64}); err != nil {
 		f.Fatal(err)
 	}
 	s, err := Open(dir)

@@ -341,8 +341,6 @@ func narrowEq(cand []int32, col []int64, want int64) []int32 {
 	return keep
 }
 
-func containsCol(cols []Column, c Column) bool { return indexOf(cols, c) >= 0 }
-
 func indexOf(cols []Column, c Column) int {
 	for i, x := range cols {
 		if x == c {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -226,22 +225,6 @@ func (s *Store) Verify() error {
 	return nil
 }
 
-// Verify opens and fully verifies the store at dir.
-func Verify(dir string) error {
-	s, err := Open(dir)
-	if err != nil {
-		return err
-	}
-	return s.Verify()
-}
-
-// IsStoreDir reports whether dir looks like a store (has a top-level
-// manifest file), without validating it.
-func IsStoreDir(dir string) bool {
-	fi, err := os.Stat(filepath.Join(dir, ManifestName))
-	return err == nil && fi.Mode().IsRegular()
-}
-
 // scanRows streams every row of the store in order to fn as
 // column-ordered values (valid only for the duration of the call).
 // Decodes every column; use Query for predicate-pushdown reads.
@@ -359,13 +342,3 @@ func (s *Store) DiskSize() (int64, error) {
 	})
 	return total, err
 }
-
-// errIsBad reports whether err is one of the store's typed corruption
-// failures (as opposed to e.g. an I/O error on a healthy store).
-func errIsBad(err error) bool {
-	return errors.Is(err, ErrNotStore) || errors.Is(err, ErrCorrupt) ||
-		errors.Is(err, ErrBadBlock) || errors.Is(err, ErrWrongKind)
-}
-
-// IsCorrupt reports whether err marks a structurally damaged store.
-func IsCorrupt(err error) bool { return errIsBad(err) }

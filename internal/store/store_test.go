@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,10 +61,27 @@ func testPacketTrace(n int) *trace.PacketTrace {
 	return t
 }
 
+// writeCSV streams s to w as trace CSV through the egress format table,
+// the way the download endpoints do.
+func writeCSV(w io.Writer, s *Store) error {
+	f, err := trace.LookupFormat("csv", s.Kind())
+	if err != nil {
+		return err
+	}
+	return f.Encode(w, s)
+}
+
+// errIsBad reports whether err is one of the store's typed corruption
+// failures (as opposed to e.g. an I/O error on a healthy store).
+func errIsBad(err error) bool {
+	return errors.Is(err, ErrNotStore) || errors.Is(err, ErrCorrupt) ||
+		errors.Is(err, ErrBadBlock) || errors.Is(err, ErrWrongKind)
+}
+
 func writeFlowStore(t testing.TB, ft *trace.FlowTrace, opt Options) *Store {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "flow.store")
-	if err := WriteFlowTrace(dir, ft, opt); err != nil {
+	if _, err := Write(dir, ft, opt); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir)
@@ -82,7 +100,11 @@ func TestCSVRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "f.store")
-	n, err := ImportCSV(dir, trace.KindNetFlow, bytes.NewReader(flowCSV.Bytes()), smallOpts)
+	parsed, err := trace.ReadFlowCSV(bytes.NewReader(flowCSV.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Write(dir, parsed, smallOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +119,7 @@ func TestCSVRoundTripByteIdentical(t *testing.T) {
 		t.Fatalf("kind=%v rows=%d after reopen", s.Kind(), s.Rows())
 	}
 	var back bytes.Buffer
-	if err := s.WriteCSV(&back); err != nil {
+	if err := writeCSV(&back, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(flowCSV.Bytes(), back.Bytes()) {
@@ -110,7 +132,11 @@ func TestCSVRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdir := filepath.Join(t.TempDir(), "p.store")
-	if _, err := ImportCSV(pdir, trace.KindPCAP, bytes.NewReader(pktCSV.Bytes()), smallOpts); err != nil {
+	pparsed, err := trace.ReadPacketCSV(bytes.NewReader(pktCSV.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Write(pdir, pparsed, smallOpts); err != nil {
 		t.Fatal(err)
 	}
 	ps, err := Open(pdir)
@@ -118,7 +144,7 @@ func TestCSVRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	back.Reset()
-	if err := ps.WriteCSV(&back); err != nil {
+	if err := writeCSV(&back, ps); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pktCSV.Bytes(), back.Bytes()) {
@@ -433,7 +459,7 @@ func TestWriterKindMismatch(t *testing.T) {
 // TestEmptyStore: zero rows is a valid store.
 func TestEmptyStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "empty.store")
-	if err := WriteFlowTrace(dir, &trace.FlowTrace{}, Options{}); err != nil {
+	if _, err := Write(dir, &trace.FlowTrace{}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir)
@@ -451,7 +477,7 @@ func TestEmptyStore(t *testing.T) {
 		t.Fatalf("query on empty store: %d rows, %v", len(recs), err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := writeCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
@@ -467,7 +493,7 @@ func TestEmptyStore(t *testing.T) {
 func TestCorruptionMatrix(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := filepath.Join(t.TempDir(), "c.store")
-		if err := WriteFlowTrace(dir, testFlowTrace(600), smallOpts); err != nil {
+		if _, err := Write(dir, testFlowTrace(600), smallOpts); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -564,22 +590,19 @@ func TestCorruptionMatrix(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
-			if !IsCorrupt(err) {
-				t.Fatalf("IsCorrupt(%v) = false", err)
+			if !errIsBad(err) {
+				t.Fatalf("errIsBad(%v) = false", err)
 			}
 		})
 	}
 
 	// A healthy store passes the same deep verification.
-	dir := build(t)
-	if err := Verify(dir); err != nil {
+	s, err := Open(build(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(); err != nil {
 		t.Fatalf("healthy store failed Verify: %v", err)
-	}
-	if !IsStoreDir(dir) {
-		t.Fatal("IsStoreDir(healthy) = false")
-	}
-	if IsStoreDir(t.TempDir()) {
-		t.Fatal("IsStoreDir(empty dir) = true")
 	}
 }
 
@@ -587,7 +610,7 @@ func TestCorruptionMatrix(t *testing.T) {
 // when they point past the file end.
 func TestOffsetPastEOF(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "s")
-	if err := WriteFlowTrace(dir, testFlowTrace(100), smallOpts); err != nil {
+	if _, err := Write(dir, testFlowTrace(100), smallOpts); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "p00000", PartManifestName)
@@ -609,7 +632,7 @@ func TestOffsetPastEOF(t *testing.T) {
 	if err == nil {
 		t.Fatal("offset past EOF went unnoticed")
 	}
-	if !IsCorrupt(err) {
+	if !errIsBad(err) {
 		t.Fatalf("got untyped error %v", err)
 	}
 }

@@ -294,15 +294,3 @@ func Write(dir string, src trace.Source, opt Options) (int64, error) {
 	}
 	return w.Rows(), nil
 }
-
-// WriteFlowTrace writes an in-memory flow trace as a store at dir.
-func WriteFlowTrace(dir string, t *trace.FlowTrace, opt Options) error {
-	_, err := Write(dir, t, opt)
-	return err
-}
-
-// WritePacketTrace writes an in-memory packet trace as a store at dir.
-func WritePacketTrace(dir string, t *trace.PacketTrace, opt Options) error {
-	_, err := Write(dir, t, opt)
-	return err
-}

@@ -198,15 +198,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
 // ExpBuckets returns n ascending bounds start, start·factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
@@ -312,14 +303,6 @@ func (t *Timer) Count() int64 {
 		return 0
 	}
 	return t.count.Load()
-}
-
-// Total returns the accumulated phase time.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.totalNs.Load())
 }
 
 // Point is one sample of a series: an ordinal (training step, chunk

@@ -215,12 +215,6 @@ func NewPCAPReader(r io.Reader) (*PCAPReader, error) {
 	return pr, nil
 }
 
-// LinkType returns the capture's link-layer type.
-func (pr *PCAPReader) LinkType() uint32 { return pr.linkType }
-
-// Nanosecond reports whether timestamps carry nanosecond resolution.
-func (pr *PCAPReader) Nanosecond() bool { return pr.nano }
-
 // BigEndian reports whether the file uses foreign (big-endian) framing
 // on this platform's usual little-endian layout.
 func (pr *PCAPReader) BigEndian() bool { return pr.order == binary.BigEndian }

@@ -41,9 +41,6 @@ func (l Label) String() string {
 	return fmt.Sprintf("label(%d)", uint8(l))
 }
 
-// IsAttack reports whether the label denotes malicious traffic.
-func (l Label) IsAttack() bool { return l != Benign }
-
 // ParseLabel maps a lowercase label name ("dos", "portscan", ...) back to
 // its Label value. The second result is false for unknown names.
 func ParseLabel(s string) (Label, bool) {
@@ -216,75 +213,4 @@ func (t *FlowTrace) Duration() int64 {
 		}
 	}
 	return maxT - minT
-}
-
-// SplitEpochs divides a packet trace into n equal-duration measurement
-// epochs, the D_t of the paper's problem formulation.
-func (t *PacketTrace) SplitEpochs(n int) []*PacketTrace {
-	if n <= 0 {
-		panic("trace: SplitEpochs needs n > 0")
-	}
-	epochs := make([]*PacketTrace, n)
-	for i := range epochs {
-		epochs[i] = &PacketTrace{}
-	}
-	if len(t.Packets) == 0 {
-		return epochs
-	}
-	start := t.Packets[0].Time
-	for _, p := range t.Packets {
-		if p.Time < start {
-			start = p.Time
-		}
-	}
-	span := t.Duration() + 1
-	for _, p := range t.Packets {
-		idx := int((p.Time - start) * int64(n) / span)
-		if idx >= n {
-			idx = n - 1
-		}
-		epochs[idx].Packets = append(epochs[idx].Packets, p)
-	}
-	return epochs
-}
-
-// MergePackets concatenates epochs back into one giant trace (Insight 1's
-// merge step) and sorts by time.
-func MergePackets(epochs []*PacketTrace) *PacketTrace {
-	out := &PacketTrace{}
-	for _, e := range epochs {
-		out.Packets = append(out.Packets, e.Packets...)
-	}
-	out.SortByTime()
-	return out
-}
-
-// SplitEpochs divides a flow trace into n equal-duration epochs by record
-// start time.
-func (t *FlowTrace) SplitEpochs(n int) []*FlowTrace {
-	if n <= 0 {
-		panic("trace: SplitEpochs needs n > 0")
-	}
-	epochs := make([]*FlowTrace, n)
-	for i := range epochs {
-		epochs[i] = &FlowTrace{}
-	}
-	if len(t.Records) == 0 {
-		return epochs
-	}
-	start := t.Records[0].Start
-	for _, r := range t.Records {
-		if r.Start < start {
-			start = r.Start
-		}
-	}
-	span := t.Duration() + 1
-	for _, r := range t.Records {
-		idx := int((r.Start - start) * int64(n) / span)
-		if idx >= n {
-			idx = n - 1
-		}
-		epochs[idx].Records = append(epochs[idx].Records, r)
-	}
-	return epochs
 }

@@ -52,27 +52,6 @@ func TestIPv4Classification(t *testing.T) {
 	}
 }
 
-func TestFiveTupleReverse(t *testing.T) {
-	a := ft(1, 2, 80, 443, TCP)
-	r := a.Reverse()
-	if r.SrcIP != 2 || r.DstIP != 1 || r.SrcPort != 443 || r.DstPort != 80 || r.Proto != TCP {
-		t.Fatalf("Reverse = %+v", r)
-	}
-	if r.Reverse() != a {
-		t.Fatal("double reverse must be identity")
-	}
-}
-
-func TestSymmetricHash(t *testing.T) {
-	f := func(a, b uint32, sp, dp uint16) bool {
-		x := ft(IPv4(a), IPv4(b), sp, dp, TCP)
-		return x.SymmetricHash() == x.Reverse().SymmetricHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFastHashDistinguishes(t *testing.T) {
 	a := ft(1, 2, 80, 443, TCP)
 	b := ft(1, 2, 80, 443, UDP)
@@ -96,9 +75,6 @@ func TestPortProtocol(t *testing.T) {
 func TestLabelString(t *testing.T) {
 	if Benign.String() != "benign" || DoS.String() != "dos" {
 		t.Fatal("label names wrong")
-	}
-	if Benign.IsAttack() || !PortScan.IsAttack() {
-		t.Fatal("IsAttack wrong")
 	}
 	if int(NumLabels) != len(labelNames) {
 		t.Fatal("labelNames table out of sync with labels")
@@ -146,27 +122,6 @@ func TestAssemblePacketsRoundTrip(t *testing.T) {
 	for i := range back.Packets {
 		if back.Packets[i] != orig.Packets[i] {
 			t.Fatalf("packet %d differs after round trip", i)
-		}
-	}
-}
-
-func TestSplitEpochsPartition(t *testing.T) {
-	tr := makePacketTrace()
-	epochs := tr.SplitEpochs(3)
-	var total int
-	for _, e := range epochs {
-		total += len(e.Packets)
-	}
-	if total != len(tr.Packets) {
-		t.Fatalf("epochs lost packets: %d vs %d", total, len(tr.Packets))
-	}
-	merged := MergePackets(epochs)
-	if len(merged.Packets) != len(tr.Packets) {
-		t.Fatal("merge lost packets")
-	}
-	for i := 1; i < len(merged.Packets); i++ {
-		if merged.Packets[i].Time < merged.Packets[i-1].Time {
-			t.Fatal("merged trace must be time sorted")
 		}
 	}
 }
@@ -310,7 +265,7 @@ func TestFlowCSVRoundTrip(t *testing.T) {
 	tpl := ft(IPv4FromBytes(10, 0, 0, 1), IPv4FromBytes(10, 0, 0, 2), 1234, 80, TCP)
 	orig := &FlowTrace{Records: []FlowRecord{
 		{Tuple: tpl, Start: 5, Duration: 100, Packets: 10, Bytes: 4000, Label: DoS},
-		{Tuple: tpl.Reverse(), Start: 6, Duration: 90, Packets: 8, Bytes: 3000, Label: Benign},
+		{Tuple: ft(tpl.DstIP, tpl.SrcIP, tpl.DstPort, tpl.SrcPort, TCP), Start: 6, Duration: 90, Packets: 8, Bytes: 3000, Label: Benign},
 	}}
 	var buf bytes.Buffer
 	if err := WriteFlowCSV(&buf, orig); err != nil {
@@ -409,10 +364,9 @@ func TestSortByTimeMatchesStable(t *testing.T) {
 	}
 }
 
-// TestFlowEpochsAndAssembly splits a flow trace into epochs and by
-// five-tuple, and reassembles each split by concatenating it and sorting
-// by start time.
-func TestFlowEpochsAndAssembly(t *testing.T) {
+// TestFlowSeriesAssembly splits a flow trace by five-tuple and
+// reassembles it by concatenating the series and sorting by start time.
+func TestFlowSeriesAssembly(t *testing.T) {
 	tpl := ft(1, 2, 3, 4, TCP)
 	other := ft(5, 6, 7, 8, UDP)
 	tr := &FlowTrace{Records: []FlowRecord{
@@ -420,19 +374,7 @@ func TestFlowEpochsAndAssembly(t *testing.T) {
 		{Tuple: other, Start: 50, Duration: 10},
 		{Tuple: tpl, Start: 99, Duration: 10},
 	}}
-	epochs := tr.SplitEpochs(2)
-	if len(epochs[0].Records)+len(epochs[1].Records) != 3 {
-		t.Fatal("epoch split lost records")
-	}
-	merged := &FlowTrace{}
-	for i := len(epochs) - 1; i >= 0; i-- {
-		merged.Records = append(merged.Records, epochs[i].Records...)
-	}
-	merged.SortByStart()
-	if !reflect.DeepEqual(merged.Records, tr.Records) {
-		t.Fatalf("epochs merged back to %+v, want %+v", merged.Records, tr.Records)
-	}
-	series := SplitFlowSeries(merged)
+	series := SplitFlowSeries(tr)
 	back := &FlowTrace{}
 	for i := len(series) - 1; i >= 0; i-- {
 		back.Records = append(back.Records, series[i].Records...)
@@ -474,15 +416,6 @@ func TestStringers(t *testing.T) {
 	if Label(200).String() != "label(200)" {
 		t.Fatal("out-of-range label string wrong")
 	}
-}
-
-func TestSplitEpochsPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&FlowTrace{}).SplitEpochs(0)
 }
 
 func TestSplitFlowSeriesOrdering(t *testing.T) {

@@ -116,15 +116,6 @@ func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d > %s:%d/%s", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort, ft.Proto)
 }
 
-// Reverse returns the tuple with endpoints swapped.
-func (ft FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{
-		SrcIP: ft.DstIP, DstIP: ft.SrcIP,
-		SrcPort: ft.DstPort, DstPort: ft.SrcPort,
-		Proto: ft.Proto,
-	}
-}
-
 // FastHash returns a 64-bit FNV-1a style hash of the tuple, suitable for
 // sketch hashing and shard selection. It is NOT symmetric; combine with
 // Reverse for bidirectional grouping.
@@ -194,16 +185,6 @@ func fnvHash(b []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// SymmetricHash returns a direction-independent hash: A→B and B→A collide
-// by construction, as gopacket's Flow.FastHash guarantees.
-func (ft FiveTuple) SymmetricHash() uint64 {
-	a, b := ft.FastHash(), ft.Reverse().FastHash()
-	if a > b {
-		a, b = b, a
-	}
-	return a*1099511628211 ^ b
 }
 
 // ServicePorts are the well-known service ports the paper's Figure 3

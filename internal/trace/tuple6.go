@@ -17,16 +17,6 @@ import (
 // comparable and usable as a map key.
 type IPv6 [16]byte
 
-// ParseIPv6 parses textual IPv6 notation. IPv4 addresses (and
-// 4-in-6-mapped forms) are rejected: a dotted quad belongs to ParseIPv4.
-func ParseIPv6(s string) (IPv6, error) {
-	addr, err := netip.ParseAddr(s)
-	if err != nil || !addr.Is6() || addr.Is4In6() {
-		return IPv6{}, fmt.Errorf("trace: invalid IPv6 address %q", s)
-	}
-	return IPv6(addr.As16()), nil
-}
-
 // String returns canonical RFC 5952 notation.
 func (ip IPv6) String() string { return netip.AddrFrom16(ip).String() }
 
@@ -44,15 +34,6 @@ type FiveTuple6 struct {
 // String renders the tuple as "[src]:sport > [dst]:dport/PROTO".
 func (ft FiveTuple6) String() string {
 	return fmt.Sprintf("[%s]:%d > [%s]:%d/%s", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort, ft.Proto)
-}
-
-// Reverse returns the tuple with endpoints swapped.
-func (ft FiveTuple6) Reverse() FiveTuple6 {
-	return FiveTuple6{
-		SrcIP: ft.DstIP, DstIP: ft.SrcIP,
-		SrcPort: ft.DstPort, DstPort: ft.SrcPort,
-		Proto: ft.Proto,
-	}
 }
 
 // Key6 is the compact comparable byte-key of an IPv6 five-tuple. Layout

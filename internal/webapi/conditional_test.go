@@ -278,7 +278,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	}()
 	waitPending(t, api, "doomed", 1) // request 1 is queued behind the held batch
 
-	if err := api.registry().DeleteModel("doomed"); err != nil {
+	if err := deleteModel(api.registry(), "doomed"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := api.SweepRegistry(); err != nil {
@@ -328,7 +328,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	}()
 	<-held
 	api.genHook = nil
-	if err := api.registry().DeleteModel("doomed"); err != nil {
+	if err := deleteModel(api.registry(), "doomed"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := api.SweepRegistry(); err != nil {
@@ -357,7 +357,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 		if _, err := api.registry().PutModel("doomed", refBytes); err != nil {
 			t.Fatal(err)
 		}
-		if err := api.registry().DeleteModel("doomed"); err != nil {
+		if err := deleteModel(api.registry(), "doomed"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := api.SweepRegistry(); err != nil {

@@ -5,14 +5,28 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
+
+// deleteModel removes a stored model's files the way an operator would,
+// manifest first; the registry itself has no delete operation.
+func deleteModel(reg *registry.Registry, name string) error {
+	for _, ext := range []string{".json", ".mdl"} {
+		if err := os.Remove(filepath.Join(reg.Dir(), "models", name+ext)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // smallModelBytes trains and saves a small reference model of the given
 // trace kind; distinct seeds give distinct weights.
@@ -195,7 +209,7 @@ func TestOverwrittenModelReloads(t *testing.T) {
 	check("a again, fast", fast, fastBody(a))
 	check("a again, default", exact, freshBody(t, a, trace.KindNetFlow, exact))
 
-	if err := reg.DeleteModel("m"); err != nil {
+	if err := deleteModel(reg, "m"); err != nil {
 		t.Fatal(err)
 	}
 	for _, req := range []GenerateRequest{exact, fast} {
@@ -276,7 +290,7 @@ func TestArtifactLRUServesRepeatGenerates(t *testing.T) {
 		}
 	}
 
-	// A sweep keeps the replies of a live model; after DeleteModel it
+	// A sweep keeps the replies of a live model; after deleteModel it
 	// drops them all.
 	if _, err := api.SweepRegistry(); err != nil {
 		t.Fatal(err)
@@ -284,7 +298,7 @@ func TestArtifactLRUServesRepeatGenerates(t *testing.T) {
 	if _, generated := serve(ts, base); generated {
 		t.Fatal("sweep dropped a live model's cached reply")
 	}
-	if err := api.registry().DeleteModel("m"); err != nil {
+	if err := deleteModel(api.registry(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := api.SweepRegistry(); err != nil {
@@ -302,7 +316,7 @@ func TestArtifactLRUServesRepeatGenerates(t *testing.T) {
 	if replies(api) == 0 {
 		t.Fatal("reply of the re-stored model was not cached")
 	}
-	if err := api.registry().DeleteModel("m"); err != nil {
+	if err := deleteModel(api.registry(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if code, body := generate(t, ts, "m", base); code != http.StatusNotFound {

@@ -66,8 +66,7 @@ func (s *Server) UseRegistry(reg *registry.Registry) (RecoveryStats, error) {
 		return stats, fmt.Errorf("webapi: registry sweep: %w", err)
 	}
 	stats.Swept, stats.Corrupt = len(rep.Removed), rep.Corrupt
-	// Drop cached entries the sweep invalidated (a boot-time no-op;
-	// SweepRegistry reuses the same path live).
+	// Drop cached entries the sweep invalidated (a boot-time no-op).
 	s.sweepCaches(reg)
 
 	s.mu.Lock()

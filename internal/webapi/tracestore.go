@@ -139,22 +139,6 @@ func (s *Server) artifactDrop(keep func(a *artifact) bool) {
 	}
 }
 
-// SweepRegistry re-runs the registry's garbage-collection sweep and
-// evicts the server caches it invalidated (sweepCaches).
-// Safe to call periodically while serving.
-func (s *Server) SweepRegistry() (registry.SweepReport, error) {
-	reg := s.registry()
-	if reg == nil {
-		return registry.SweepReport{}, fmt.Errorf("webapi: no registry attached")
-	}
-	rep, err := reg.Sweep()
-	if err != nil {
-		return rep, fmt.Errorf("webapi: registry sweep: %w", err)
-	}
-	s.sweepCaches(reg)
-	return rep, nil
-}
-
 // sweepCaches evicts server caches that reg no longer backs: cached
 // artifacts whose job or model is gone, and decoded model entries whose
 // model is gone (fastserve.go sweepModels — requests not yet running on
@@ -186,7 +170,7 @@ func (s *Server) streamStoredTrace(w http.ResponseWriter, id string, f trace.For
 		return false
 	}
 	rec, err := reg.Job(id)
-	if err != nil || !rec.TraceStore {
+	if err != nil || rec.TraceKind == "" {
 		return false
 	}
 
@@ -282,7 +266,7 @@ func (s *Server) handleTraceQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	if !rec.TraceStore {
+	if rec.TraceKind == "" {
 		writeError(w, http.StatusNotFound, "job %q has no stored trace", id)
 		return
 	}

@@ -3,6 +3,7 @@ package webapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,22 @@ import (
 	"repro/internal/store"
 	"repro/internal/trace"
 )
+
+// SweepRegistry re-runs the registry's garbage-collection sweep and
+// evicts the server caches it invalidated (sweepCaches).
+// Safe to call periodically while serving.
+func (s *Server) SweepRegistry() (registry.SweepReport, error) {
+	reg := s.registry()
+	if reg == nil {
+		return registry.SweepReport{}, fmt.Errorf("webapi: no registry attached")
+	}
+	rep, err := reg.Sweep()
+	if err != nil {
+		return rep, fmt.Errorf("webapi: registry sweep: %w", err)
+	}
+	s.sweepCaches(reg)
+	return rep, nil
+}
 
 // queryTrace is a deterministic flow trace with enough variety for
 // filter and aggregation assertions: 600 rows, 1ms apart.
@@ -54,7 +71,8 @@ func seedStoreJob(t *testing.T, dir, id string, ft *trace.FlowTrace) {
 	})
 	rec := registry.JobRecord{ID: id, State: string(StateDone), Status: status}
 	err = reg.PutJobStore(rec, func(dir string) error {
-		return store.WriteFlowTrace(dir, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+		_, err := store.Write(dir, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +109,7 @@ func TestJobPersistsColumnarStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.TraceStore || rec.TraceKind != "netflow" || rec.TraceRows != int64(final.Records) {
+	if rec.TraceKind != "netflow" || rec.TraceRows != int64(final.Records) {
 		t.Fatalf("job not persisted as a store: %+v", rec)
 	}
 
@@ -196,9 +214,9 @@ func TestTraceQueryEndpoint(t *testing.T) {
 }
 
 // TestQueryWithoutRegistryOrStore covers the two degraded setups: a
-// memory-only server answers 503, and a job persisted as a legacy
-// flat-CSV payload is migrated to a store on boot, so it answers queries
-// and still downloads its original bytes.
+// memory-only server answers 503, and a job persisted as a flat-CSV
+// payload before the columnar store is not recovered, so its query
+// answers 404.
 func TestQueryWithoutRegistryOrStore(t *testing.T) {
 	ts, _ := startServer(t)
 	if code, _ := fetch(t, ts, "/api/v1/traces/job-1/query"); code != http.StatusServiceUnavailable {
@@ -217,32 +235,24 @@ func TestQueryWithoutRegistryOrStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	status, _ := json.Marshal(JobStatus{ID: "job-1", Kind: "netflow", State: StateDone, Submitted: "x"})
-	manifest, _ := json.Marshal(registry.JobRecord{
-		ID: "job-1", State: "done", Status: status, TraceKind: "netflow",
-		TraceChecksum: crc32.ChecksumIEEE(csv.Bytes()), TraceSize: int64(csv.Len()),
+	manifest, _ := json.Marshal(map[string]any{
+		"id": "job-1", "state": "done", "status": json.RawMessage(status), "traceKind": "netflow",
+		"traceChecksum": crc32.ChecksumIEEE(csv.Bytes()), "traceSize": csv.Len(),
 	})
 	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.json"), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	framed := container.Encode(container.KindTrace, csv.Bytes())
+	framed := container.Encode(4, csv.Bytes()) // the retired flat-trace kind
 	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.trace"), framed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	ts2, _, stats := startServerWithRegistry(t, dir)
-	if stats.Jobs != 1 || stats.Swept != 0 {
-		t.Fatalf("recovery stats = %+v, want the one migrated job", stats)
+	if stats.Jobs != 0 || stats.Swept != 2 || stats.Corrupt != 0 {
+		t.Fatalf("recovery stats = %+v, want the pre-store job's two files swept", stats)
 	}
-	code, resp := getQuery(t, ts2, "/api/v1/traces/job-1/query?agg=count")
-	if code != http.StatusOK || resp.Rows != 10 {
-		t.Fatalf("migrated query: code %d rows %d", code, resp.Rows)
-	}
-	code, got := fetch(t, ts2, "/api/v1/jobs/job-1/trace?format=csv")
-	if code != http.StatusOK || !bytes.Equal(got, csv.Bytes()) {
-		t.Fatalf("migrated download: code %d, %d vs %d bytes", code, len(got), csv.Len())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", "job-1.trace")); !os.IsNotExist(err) {
-		t.Fatalf("legacy payload survived the boot sweep: %v", err)
+	if code, _ := fetch(t, ts2, "/api/v1/traces/job-1/query?agg=count"); code != http.StatusNotFound {
+		t.Fatalf("pre-store job query: %d, want 404", code)
 	}
 }
 
@@ -278,8 +288,8 @@ func TestEncodedDownloadStreamAndCache(t *testing.T) {
 		t.Fatal("second download did not hit the cache")
 	}
 
-	// Deleting the job and sweeping evicts its cached artifact.
-	if err := api.registry().DeleteJob("job-1"); err != nil {
+	// Deleting the job's manifest and sweeping evicts its cached artifact.
+	if err := os.Remove(filepath.Join(dir, "jobs", "job-1.json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := api.SweepRegistry(); err != nil {

@@ -261,17 +261,6 @@ func NewServer(maxInflight int) *Server {
 	}
 }
 
-// Notifications returns a channel receiving each job id as it finishes
-// (success or failure). Intended for tests and CLI progress display.
-func (s *Server) Notifications() <-chan string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.notify == nil {
-		s.notify = make(chan string, 64)
-	}
-	return s.notify
-}
-
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

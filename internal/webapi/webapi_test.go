@@ -59,6 +59,17 @@ func postJob(t *testing.T, ts *httptest.Server, req JobRequest) JobStatus {
 	return st
 }
 
+// Notifications returns a channel receiving each job id as it finishes
+// (success or failure). Intended for tests and CLI progress display.
+func (s *Server) Notifications() <-chan string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.notify == nil {
+		s.notify = make(chan string, 64)
+	}
+	return s.notify
+}
+
 func waitDone(t *testing.T, api *Server, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
 	notify := api.Notifications()
