@@ -32,7 +32,7 @@ test:
 # the one lot sampler both generate modes (float64 exact, float32 fast)
 # run and its scratch pool, the durable model registry (DESIGN.md
 # §6–8, §10), and model serving — the decoded-model LRU, concurrent
-# stateless generates and the cross-request batch scheduler (DESIGN.md
+# stateless generates and the fast mode's per-entry lock (DESIGN.md
 # §11) — plus the columnar trace
 # store and the webapi artifact cache layered on it, which also holds
 # default-mode generate replies (DESIGN.md §13), and the distributed
@@ -125,7 +125,7 @@ test-conformance:
 # conditioning through the dgan trainer and both samplers, the flow
 # synthesizer's labeled API, the per-label scenario-matrix fidelity
 # harness, and the webapi label plumbing — labeled generate on both
-# serving paths, label-validation 400s, the sweep-vs-in-flight-batch
+# serving paths, label-validation 400s, the sweep-vs-in-flight-generate
 # regression, and the NetFlow v9/IPFIX egress round-trips.
 test-conditional:
 	$(GO) test ./internal/dgan -run 'Conditional|UnconditionalGenerateLabeled'

@@ -95,21 +95,21 @@ func TestConditionalFlowSynthesizer(t *testing.T) {
 	if !reflect.DeepEqual(fast.LabelCatalog(), catalog) {
 		t.Fatalf("fast catalog %v != reference catalog %v", fast.LabelCatalog(), catalog)
 	}
-	outs, err := fast.GenerateLabeledBatch([]int{40, 25}, catalog[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs[0].Records) != 40 || len(outs[1].Records) != 25 {
-		t.Fatalf("batched counts %d/%d", len(outs[0].Records), len(outs[1].Records))
-	}
-	for _, out := range outs {
+	for _, n := range []int{40, 25} {
+		out, err := fast.GenerateLabeled(n, catalog[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Records) != n {
+			t.Fatalf("fast labeled count %d, want %d", len(out.Records), n)
+		}
 		for _, r := range out.Records {
 			if r.Label != catalog[0] {
 				t.Fatalf("fast pinned %v but record carries %v", catalog[0], r.Label)
 			}
 		}
 	}
-	if _, err := fast.GenerateLabeledBatch([]int{5}, trace.NumLabels); err == nil {
+	if _, err := fast.GenerateLabeled(5, trace.NumLabels); err == nil {
 		t.Fatal("fast out-of-range label must fail")
 	}
 
@@ -184,8 +184,8 @@ func TestUnconditionalGenerateLabeledRejected(t *testing.T) {
 	if _, err := syn.GenerateLabeled(10, trace.DoS); err == nil {
 		t.Fatal("GenerateLabeled on an unconditional model must fail")
 	}
-	if _, err := syn.Fast().GenerateLabeledBatch([]int{10}, trace.DoS); err == nil {
-		t.Fatal("fast GenerateLabeledBatch on an unconditional model must fail")
+	if _, err := syn.Fast().GenerateLabeled(10, trace.DoS); err == nil {
+		t.Fatal("fast GenerateLabeled on an unconditional model must fail")
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 // FastPacketSynthesizer embed their synthesizer's shared state (config,
 // fitted codec, stats) over float32 inference-only snapshots of its chunk
 // models, and run the same chunk fan-out (flowCodec.generate,
-// packetCodec.generate) with dgan.InferLot lots. GenerateBatch serves
-// several requests' counts from one fan-out, the primitive behind webapi's
-// cross-request coalescing. Output is reproducible for a fixed seed at any
-// parallelism, but it is NOT bitwise-equal to the float64 path; fidelity
-// is pinned distributionally by internal/conformance instead.
+// packetCodec.generate) with dgan.InferLot lots, one request per call.
+// Output is reproducible for a fixed seed at any parallelism, but it is
+// NOT bitwise-equal to the float64 path; fidelity is pinned
+// distributionally by internal/conformance instead.
 
 // FastFlowSynthesizer is the float32 serving snapshot of a FlowSynthesizer.
 type FastFlowSynthesizer struct {
@@ -42,43 +41,34 @@ func fastSynthesizer[C any](s *synthesizer[C, *dgan.Model]) synthesizer[C, *dgan
 
 // Generate produces approximately n synthetic flow records on the fast path.
 func (s *FastFlowSynthesizer) Generate(n int) *trace.FlowTrace {
-	return s.GenerateBatch([]int{n})[0]
+	return s.generate(n, -1)
 }
 
 // GenerateLabeled produces approximately n records conditioned on (and
-// stamped with) one scenario label.
+// stamped with) one scenario label. It fails on snapshots of
+// unconditional models and on out-of-range labels.
 func (s *FastFlowSynthesizer) GenerateLabeled(n int, label trace.Label) (*trace.FlowTrace, error) {
-	outs, err := s.GenerateLabeledBatch([]int{n}, label)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
-// GenerateLabeledBatch is GenerateBatch with every request pinned to the
-// same scenario label — the primitive behind webapi's per-label request
-// coalescing (only same-label requests may share a chunk fan-out). It
-// fails on snapshots of unconditional models and on out-of-range labels.
-func (s *FastFlowSynthesizer) GenerateLabeledBatch(counts []int, label trace.Label) ([]*trace.FlowTrace, error) {
 	if err := s.checkLabel(int(label)); err != nil {
 		return nil, err
 	}
-	return s.generateBatch(counts, int(label)), nil
+	return s.generate(n, int(label)), nil
 }
 
-// GenerateBatch serves several requests' record counts from ONE chunk
-// fan-out: each chunk model runs a single batched forward pass covering
-// every request's share, and the generated records are dealt back out
-// per request (see flowCodec.generate).
+// GenerateBatch returns one Generate per count, in order. Its only caller
+// is e2ebench's replayer.
 func (s *FastFlowSynthesizer) GenerateBatch(counts []int) []*trace.FlowTrace {
-	return s.generateBatch(counts, -1)
+	outs := make([]*trace.FlowTrace, len(counts))
+	for i, n := range counts {
+		outs[i] = s.Generate(n)
+	}
+	return outs
 }
 
-// generateBatch runs the flow fan-out on the float32 snapshots; label -1
-// is unconditional mixture generation, label >= 0 pins every chunk's draw
-// to one scenario.
-func (s *FastFlowSynthesizer) generateBatch(counts []int, label int) []*trace.FlowTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, label, func(i int) (sampleFunc, int) {
+// generate runs the flow fan-out on the float32 snapshots; label -1 is
+// unconditional mixture generation, label >= 0 pins every chunk's draw to
+// one scenario.
+func (s *FastFlowSynthesizer) generate(n, label int) *trace.FlowTrace {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, n, label, func(i int) (sampleFunc, int) {
 		return inferSampler(s.models[i], label), dgan.InferLot
 	})
 }
@@ -96,14 +86,7 @@ func (s *PacketSynthesizer) Fast() *FastPacketSynthesizer {
 
 // Generate produces approximately n synthetic packets on the fast path.
 func (s *FastPacketSynthesizer) Generate(n int) *trace.PacketTrace {
-	return s.GenerateBatch([]int{n})[0]
-}
-
-// GenerateBatch serves several requests' packet counts from one chunk
-// fan-out, with the same per-request chunk quotas as the flow variant
-// (see packetCodec.generate).
-func (s *FastPacketSynthesizer) GenerateBatch(counts []int) []*trace.PacketTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, counts, func(i int) (sampleFunc, int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, n, func(i int) (sampleFunc, int) {
 		return inferSampler(s.models[i], -1), dgan.InferLot
 	})
 }

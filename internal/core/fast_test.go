@@ -112,7 +112,8 @@ func TestFastFlowGenerateValidAndExact(t *testing.T) {
 }
 
 // TestFastFlowReproducibleAcrossParallelism: fresh snapshots of the same
-// trained synthesizer emit identical traces at every worker count. It runs
+// trained synthesizer emit identical consecutive traces at every worker
+// count. It runs
 // once per matmul kernel set, because the race detector cannot see the
 // memory accesses of the assembly MulInto32.
 func TestFastFlowReproducibleAcrossParallelism(t *testing.T) {
@@ -121,34 +122,17 @@ func TestFastFlowReproducibleAcrossParallelism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref := syn.Fast()
 			ref.SetParallelism(1)
-			want := ref.GenerateBatch([]int{90, 60})
+			want := []*trace.FlowTrace{ref.Generate(90), ref.Generate(60)}
 			for _, p := range []int{2, 0} {
 				f := syn.Fast()
 				f.SetParallelism(p)
-				got := f.GenerateBatch([]int{90, 60})
+				got := []*trace.FlowTrace{f.Generate(90), f.Generate(60)}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("Parallelism=%d batch output diverges", p)
+					t.Fatalf("Parallelism=%d output diverges", p)
 				}
 			}
 		})
 	})
-}
-
-// TestFastFlowGenerateBatchDealsProportionally: every request receives
-// exactly its count, drawn from every non-empty chunk.
-func TestFastFlowGenerateBatchDealsProportionally(t *testing.T) {
-	syn, _ := trainedSynthesizers(t)
-	f := syn.Fast()
-	counts := []int{130, 70, 1}
-	outs := f.GenerateBatch(counts)
-	if len(outs) != len(counts) {
-		t.Fatalf("got %d traces, want %d", len(outs), len(counts))
-	}
-	for ri, out := range outs {
-		if len(out.Records) != counts[ri] {
-			t.Fatalf("request %d got %d records, want %d", ri, len(out.Records), counts[ri])
-		}
-	}
 }
 
 // TestFastFlowSaveLoadRoundTrip: a snapshot built from a saved and
@@ -169,18 +153,16 @@ func TestFastFlowSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFastPacketGenerateValidAndExact: every fast packet generate, also
+// consecutive ones on one snapshot, emits exactly its count of valid,
+// time-sorted packets.
 func TestFastPacketGenerateValidAndExact(t *testing.T) {
 	_, syn := trainedSynthesizers(t)
 	fast := syn.Fast()
 	checkGenerateCounts(t, 220, func(n int) int { return validPackets(t, fast.Generate(n)) })
-}
-
-func TestFastPacketGenerateBatchExactCounts(t *testing.T) {
-	_, syn := trainedSynthesizers(t)
-	outs := syn.Fast().GenerateBatch([]int{150, 40, 17})
-	for ri, want := range []int{150, 40, 17} {
-		if len(outs[ri].Packets) != want {
-			t.Fatalf("request %d got %d packets, want %d", ri, len(outs[ri].Packets), want)
+	for _, n := range []int{150, 40, 17} {
+		if got := validPackets(t, fast.Generate(n)); got != n {
+			t.Fatalf("Generate(%d) gave %d packets", n, got)
 		}
 	}
 }

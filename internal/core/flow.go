@@ -303,7 +303,7 @@ func (s *FlowSynthesizer) GenerateFresh(n, label int) (*trace.FlowTrace, error) 
 // every chunk's draw to one scenario. fresh selects per-call copies of the
 // generation streams (genRand).
 func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, label, func(i int) (sampleFunc, int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, n, label, func(i int) (sampleFunc, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
 		// The label was range-checked by the caller and the model was
 		// trained conditionally, so sampling cannot fail.
@@ -311,54 +311,40 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 			batch, _ := m.GenerateFrom(r, st, n, label)
 			return batch
 		}, m.Config.Batch
-	})[0]
+	})
 }
 
 // generate is the flow kind's one chunk fan-out, run by both generate
-// modes: each request's count is split across the chunks (fillChunks),
-// each chunk's summed quota is filled from sample(i), and every request
-// receives its quota of each chunk's records in chunk order, sorted by
-// start time. Request ri's trace depends only on the seed, counts and ri:
-// it gets its proportional share of every chunk (the chunk mixture a solo
-// request would get), not a contiguous slice of a merged pool. The exact
-// mode passes one count, whose quota is each chunk's whole budget.
-func (c *flowCodec) generate(cfg Config, shares, counts []int, label int, sample chunkSampler) []*trace.FlowTrace {
+// modes: the count is split across the chunks (fillChunks), each chunk's
+// quota is filled from sample(i), and the chunks' records are joined in
+// chunk order and sorted by start time.
+func (c *flowCodec) generate(cfg Config, shares []int, n, label int, sample chunkSampler) *trace.FlowTrace {
 	defer telGeneratePhase.Start().Stop()
-	quotas, chunks := fillChunks(cfg, shares, counts, func(i, budget int) *genScratch {
+	chunks := fillChunks(cfg, shares, n, func(i, budget int) *genScratch {
 		gen, lot := sample(i)
 		return c.fillChunk(gen, lot, budget, label)
 	})
-	outs := make([]*trace.FlowTrace, len(counts))
-	for ri := range outs {
-		var total int
-		for _, q := range quotas[ri] {
-			total += q
-		}
-		outs[ri] = &trace.FlowTrace{Records: make([]trace.FlowRecord, 0, total)}
+	var total int
+	for _, sc := range chunks {
+		total += len(sc.records)
 	}
-	for i, sc := range chunks {
-		recs := sc.records
-		for ri, out := range outs {
-			// fillChunk stops short only if a sampler returns nothing.
-			q := min(quotas[ri][i], len(recs))
-			out.Records = append(out.Records, recs[:q]...)
-			recs = recs[q:]
-		}
+	out := &trace.FlowTrace{Records: make([]trace.FlowRecord, 0, total)}
+	for _, sc := range chunks {
+		out.Records = append(out.Records, sc.records...)
 		genPool.Put(sc)
 	}
-	for _, out := range outs {
-		out.SortByStart()
-	}
-	return outs
+	out.SortByStart()
+	return out
 }
 
 // fillChunk fills one chunk's record budget from gen, the chunk
 // model's generator, into the records of a genScratch it takes from
-// genPool (the caller deals them out and puts it back). Samples are flows
-// and records per flow vary, so it generates flows until the budget is
-// met — always requesting whole generation lots of lot (partial lots
-// waste a forward pass) and trimming the overshoot. Every batch is decoded
-// before the next one overwrites the scratch's samples. A pinned label
+// genPool (the caller joins them into the trace and puts it back).
+// Samples are flows and records per flow vary, so it generates flows
+// until the budget is met — always requesting whole generation lots of
+// lot (partial lots waste a forward pass) and trimming the overshoot.
+// Every batch is decoded before the next one overwrites the scratch's
+// samples. A pinned label
 // (label >= 0) additionally stamps every emitted record with that
 // scenario, making the conditional slice authoritative.
 func (c *flowCodec) fillChunk(gen sampleFunc, lot, budget, label int) *genScratch {

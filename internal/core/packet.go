@@ -184,52 +184,30 @@ func (s *PacketSynthesizer) GenerateFresh(n int) *trace.PacketTrace {
 // generate runs the packet fan-out as one request on the float64 chunk
 // models; fresh selects per-call copies of the generation streams.
 func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
-	return s.codec.generate(s.cfg, s.stats.ChunkSamples, []int{n}, func(i int) (sampleFunc, int) {
+	return s.codec.generate(s.cfg, s.stats.ChunkSamples, n, func(i int) (sampleFunc, int) {
 		m, r := s.models[i], genRand(s.cfg, s.models[i], i, fresh)
 		return func(st *dgan.Storage, n int) []dgan.Sample {
 			batch, _ := m.GenerateFrom(r, st, n, -1)
 			return batch
 		}, m.Config.Batch
-	})[0]
+	})
 }
 
 // generate is the packet kind's one chunk fan-out, run by both generate
-// modes, with the per-request chunk quotas of flowCodec.generate. A
-// generated flow straddling two requests' shares is split at the packet
-// boundary (both halves keep the five-tuple), so every request receives
-// exactly its count; each request's flows are assembled into a
-// time-sorted trace.
-func (c *packetCodec) generate(cfg Config, shares, counts []int, sample chunkSampler) []*trace.PacketTrace {
+// modes: the count is split across the chunks as in flowCodec.generate,
+// and the chunks' flows are assembled in chunk order into a time-sorted
+// trace.
+func (c *packetCodec) generate(cfg Config, shares []int, n int, sample chunkSampler) *trace.PacketTrace {
 	defer telGeneratePhase.Start().Stop()
-	quotas, chunkFlows := fillChunks(cfg, shares, counts, func(i, budget int) []*trace.PacketFlow {
+	chunks := fillChunks(cfg, shares, n, func(i, budget int) []*trace.PacketFlow {
 		gen, lot := sample(i)
 		return c.fillChunk(gen, lot, budget)
 	})
-	perReq := make([][]*trace.PacketFlow, len(counts))
-	for i, flows := range chunkFlows {
-		fi, pi := 0, 0
-		for ri := range counts {
-			need := quotas[ri][i]
-			for need > 0 && fi < len(flows) {
-				f := flows[fi]
-				take := min(len(f.Packets)-pi, need)
-				perReq[ri] = append(perReq[ri], &trace.PacketFlow{
-					Tuple:   f.Tuple,
-					Packets: f.Packets[pi : pi+take],
-				})
-				need -= take
-				pi += take
-				if pi == len(f.Packets) {
-					fi, pi = fi+1, 0
-				}
-			}
-		}
+	var flows []*trace.PacketFlow
+	for _, chunk := range chunks {
+		flows = append(flows, chunk...)
 	}
-	outs := make([]*trace.PacketTrace, len(counts))
-	for ri := range outs {
-		outs[ri] = trace.AssemblePackets(perReq[ri])
-	}
-	return outs
+	return trace.AssemblePackets(flows)
 }
 
 // fillChunk fills one chunk's packet budget from gen, the chunk

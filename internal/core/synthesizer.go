@@ -96,10 +96,9 @@ type sampleFunc func(st *dgan.Storage, n int) []dgan.Sample
 
 // genScratch is one chunk fill's reusable storage: the samples its
 // generator writes into, the batched tuple decode's scratch, and (for
-// flows) the decoded records, dealt out to the requests before the
-// scratch goes back to genPool. Only the returned traces escape a
-// generate, so after the first request a fill allocates no sample
-// storage.
+// flows) the decoded records, joined into the trace before the scratch
+// goes back to genPool. Only the returned traces escape a generate, so
+// after the first request a fill allocates no sample storage.
 type genScratch struct {
 	samples dgan.Storage
 	tuples  tupleScratch
@@ -109,25 +108,17 @@ type genScratch struct {
 var genPool = sync.Pool{New: func() any { return new(genScratch) }}
 
 // fillChunks is the kind-independent half of the one chunk fan-out both
-// generate modes run (§4.2): it splits every request's count across the
-// chunks in proportion to their training share (a count below zero is an
-// empty request), then fills each chunk's summed quota with fill,
-// concurrently per forEachChunk. quotas[ri][i] is request ri's share of
-// chunk i, so callers deal chunk outputs back per request in chunk order.
-func fillChunks[T any](cfg Config, shares, counts []int, fill func(i, budget int) T) (quotas [][]int, chunks []T) {
-	quotas = make([][]int, len(counts))
-	totals := make([]int, len(shares))
-	for ri, n := range counts {
-		quotas[ri] = splitCounts(max(n, 0), shares)
-		for i, q := range quotas[ri] {
-			totals[i] += q
-		}
-	}
-	chunks = make([]T, len(shares))
+// generate modes run (§4.2): it splits the count n across the chunks in
+// proportion to their training share (a count below zero is an empty
+// request), then fills each chunk's quota with fill, concurrently per
+// forEachChunk. The fills come back in chunk order.
+func fillChunks[T any](cfg Config, shares []int, n int, fill func(i, budget int) T) []T {
+	quotas := splitCounts(max(n, 0), shares)
+	chunks := make([]T, len(shares))
 	forEachChunk(cfg, len(shares), func(i int) {
-		chunks[i] = fill(i, totals[i])
+		chunks[i] = fill(i, quotas[i])
 	})
-	return quotas, chunks
+	return chunks
 }
 
 // splitCounts apportions n generated samples across chunks proportionally

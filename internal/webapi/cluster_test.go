@@ -98,7 +98,7 @@ func TestClusterJobOverAPI(t *testing.T) {
 	startClusterWorker(t, q, "worker-api-1")
 
 	local := postJob(t, ts, tinyJob("netflow"))
-	if final := waitDone(t, api, ts, local.ID); final.State != StateDone {
+	if final := waitDone(t, ts, local.ID); final.State != StateDone {
 		t.Fatalf("local job failed: %s", final.Error)
 	}
 	codeL, csvLocal := fetch(t, ts, "/api/v1/jobs/"+local.ID+"/trace?format=csv")
@@ -109,7 +109,7 @@ func TestClusterJobOverAPI(t *testing.T) {
 	req := tinyJob("netflow")
 	req.Cluster = true
 	st := postJob(t, ts, req)
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("cluster job failed: %s", final.Error)
 	}

@@ -240,8 +240,8 @@ func TestGenerateLabelValidation(t *testing.T) {
 // registry sweep that drops a model while the server holds its decoded
 // entry must leave every concurrent request either complete or a clean
 // 404 — never a partial response or a hang. In the fast mode the
-// in-flight batch (held open by the hook) finishes from the in-memory
-// snapshot; the waiter queued behind it is stranded by the sweep,
+// in-flight generate (held open by the hook) finishes from the in-memory
+// snapshot; the request waiting behind it finds the entry retired,
 // retries, and sees the deletion. In the default mode a request that
 // holds the entry but has not started generating when the sweep retires
 // it never runs on it: it retries and sees the deletion too.
@@ -256,7 +256,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	api.genHook = func(name string, batchSize int) {
+	api.genHook = func(string) {
 		once.Do(func() { close(entered) })
 		<-release
 	}
@@ -270,13 +270,14 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 		defer wg.Done()
 		codes[0], bodies[0] = generate(t, ts, "doomed", GenerateRequest{Count: 30, Fast: true})
 	}()
-	<-entered // request 0 is mid-batch and holds the scheduler slot
+	<-entered // request 0 holds the entry's fast lock
+	hits := telFastCacheHits.Value()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		codes[1], bodies[1] = generate(t, ts, "doomed", GenerateRequest{Count: 30, Fast: true})
 	}()
-	waitPending(t, api, "doomed", 1) // request 1 is queued behind the held batch
+	waitFastHit(t, hits) // request 1 queues behind the held generate
 
 	if err := deleteModel(api.registry(), "doomed"); err != nil {
 		t.Fatal(err)
@@ -294,7 +295,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 		t.Fatalf("in-flight request served %d CSV lines, want 31 (a complete trace)", lines)
 	}
 	if codes[1] != http.StatusNotFound {
-		t.Fatalf("stranded waiter: %d %s, want 404 after retry", codes[1], bodies[1])
+		t.Fatalf("waiting request: %d %s, want 404 after retry", codes[1], bodies[1])
 	}
 	if api.lookupModel("doomed") != nil {
 		t.Fatal("swept snapshot still cached")
@@ -311,7 +312,7 @@ func TestSweepFailsOrFinishesFastRequests(t *testing.T) {
 	}
 	held := make(chan struct{})
 	resume := make(chan struct{})
-	api.genHook = func(name string, batchSize int) {
+	api.genHook = func(string) {
 		close(held)
 		<-resume
 	}

@@ -22,20 +22,18 @@ import (
 // both generate modes from that entry:
 //
 //   - the default mode calls the float64 synthesizer's stateless
-//     GenerateFresh, unbatched and without holding a lock, so concurrent
-//     requests run side by side. Every response equals the first generate
+//     GenerateFresh without holding a lock, so concurrent requests run
+//     side by side. Every response equals the first generate
 //     of a freshly loaded model: the same model, count and label always
 //     produce bitwise-identical output, before and after a restart. The
 //     encoded reply is therefore cached in the artifact LRU, and a repeat
 //     request is served from it without generating;
 //   - "fast": true routes through a float32 snapshot, built from the
-//     float64 synthesizer by the entry's first fast batch, and a
-//     cross-request batch scheduler: concurrent fast calls for the same
-//     model coalesce into ONE batched forward fan-out
-//     (core.Fast*Synthesizer.GenerateBatch), each request receiving its
-//     proportional per-chunk share. The snapshot's RNG advances across
-//     requests, so fast responses depend on request ordering; only their
-//     DISTRIBUTION is pinned (internal/conformance).
+//     float64 synthesizer by the entry's first fast request. Each request
+//     runs its own chunk fan-out on it (core.Fast*Synthesizer.Generate),
+//     one at a time per entry under fastMu. The snapshot's RNG advances
+//     across requests, so fast responses depend on request ordering; only
+//     their DISTRIBUTION is pinned (internal/conformance).
 //
 // The float32 snapshot exists only in memory, and "fast": true is the
 // only way to reach it. A stored model whose kind is neither flow nor
@@ -44,7 +42,8 @@ import (
 // overwrote the name) decodes the model again.
 
 // Pre-registered telemetry handles for the fast mode. They count
-// fast-mode requests only.
+// fast-mode requests only; webapi.fast.batches counts one per fast
+// generate.
 var (
 	telFastBatches   = telemetry.Default.Counter("webapi.fast.batches")
 	telFastRequests  = telemetry.Default.Counter("webapi.fast.requests")
@@ -57,7 +56,7 @@ var (
 const modelCacheCap = 8
 
 // errEvicted fails a request whose entry was retired (by a registry
-// sweep, an overwrite or a fast-batch panic) before the request ran on
+// sweep, an overwrite or a fast-generate panic) before the request ran on
 // it. It is retryable: serveGenerate's loop goes back to the registry,
 // turning a swept model into a clean 404 instead of a stale or
 // half-served response.
@@ -67,18 +66,7 @@ var errEvicted = errors.New("webapi: model entry evicted")
 // kind no synthesizer decodes, such as a retired float32 snapshot.
 var errUnsupportedKind = errors.New("unsupported model kind")
 
-// fastWait is one request's slot in a coalesced batch.
-type fastWait struct {
-	count int
-	// label pins this request to one scenario (-1 = unconditional mixture).
-	// The scheduler only coalesces same-label requests into one batch.
-	label int
-	out   trace.Source
-	err   error
-	done  chan struct{}
-}
-
-// modelEntry is one decoded model plus its batch scheduler state.
+// modelEntry is one decoded model.
 type modelEntry struct {
 	// info is the registry manifest the entry was decoded from.
 	info registry.ModelInfo
@@ -87,20 +75,18 @@ type modelEntry struct {
 	flow        *core.FlowSynthesizer
 	pkt         *core.PacketSynthesizer
 	conditional bool
-	// fastFlow or fastPkt is the float32 snapshot, built from flow or pkt
-	// by the first fast batch. Once the entry is cached only the batch
-	// runner touches these two fields.
+
+	// fastMu serializes the entry's fast requests. fastFlow or fastPkt is
+	// the float32 snapshot, built from flow or pkt by the first fast
+	// request; both are touched only under fastMu.
+	fastMu   sync.Mutex
 	fastFlow *core.FastFlowSynthesizer
 	fastPkt  *core.FastPacketSynthesizer
 
-	mu      sync.Mutex
-	pending []*fastWait
-	running bool
-	// dead marks an entry retired by a sweep, an overwrite or a fast-batch
-	// panic: it has left the cache and accepts no new work, so the next
-	// request decodes a fresh entry instead of reusing this one. It is
-	// set under mu, so no waiter can enqueue after retire strands the
-	// queue.
+	// dead marks an entry retired by a sweep, an overwrite or a
+	// fast-generate panic: it has left the cache and runs no new request,
+	// so the next request decodes a fresh entry instead of reusing this
+	// one.
 	dead atomic.Bool
 }
 
@@ -119,8 +105,9 @@ func (s *Server) lookupModel(name string) *modelEntry {
 
 // insertModel caches entry, evicting the least-recently-used entry past
 // capacity. If another goroutine cached the same model version first,
-// that entry wins and is returned (fast requests then coalesce on one
-// scheduler); an entry decoded from another version is retired.
+// that entry wins and is returned, so fast requests share one snapshot
+// and its RNG stream per model version; an entry decoded from another
+// version is retired.
 func (s *Server) insertModel(entry *modelEntry) *modelEntry {
 	s.modelMu.Lock()
 	if s.modelCache == nil {
@@ -144,30 +131,22 @@ func (s *Server) insertModel(entry *modelEntry) *modelEntry {
 	}
 	s.modelMu.Unlock()
 	if stale != nil {
-		s.retire(stale, errEvicted)
+		s.retire(stale)
 	}
 	return entry
 }
 
-// retire drops entry from the cache (unless a newer entry replaced it),
-// marks it dead so no new request runs on it, and fails its queued fast
-// waiters with err. A batch already running finishes from memory.
-func (s *Server) retire(entry *modelEntry, err error) {
+// retire drops entry from the cache (unless a newer entry replaced it)
+// and marks it dead so no new request runs on it. A generate already
+// running finishes from memory.
+func (s *Server) retire(entry *modelEntry) {
 	s.modelMu.Lock()
 	if el, ok := s.modelCache[entry.info.Name]; ok && el.Value.(*modelEntry) == entry {
 		delete(s.modelCache, entry.info.Name)
 		s.modelLRU.Remove(el)
 	}
 	s.modelMu.Unlock()
-	entry.mu.Lock()
 	entry.dead.Store(true)
-	stranded := entry.pending
-	entry.pending = nil
-	entry.mu.Unlock()
-	for _, w := range stranded {
-		w.err = err
-		close(w.done)
-	}
 }
 
 // entryFor returns the entry decoded from the model version info names:
@@ -278,7 +257,7 @@ func (s *Server) serveGenerate(w http.ResponseWriter, info registry.ModelInfo, r
 // which a sweep can retire the entry.
 func (s *Server) generateExact(entry *modelEntry, count, label int) (trace.Source, error) {
 	if s.genHook != nil {
-		s.genHook(entry.info.Name, 1)
+		s.genHook(entry.info.Name)
 	}
 	if entry.dead.Load() {
 		return nil, errEvicted
@@ -289,117 +268,49 @@ func (s *Server) generateExact(entry *modelEntry, count, label int) (trace.Sourc
 	return entry.pkt.GenerateFresh(count), nil
 }
 
-// generateFast enqueues one fast-mode request on entry's batch scheduler
-// and waits for its share of a coalesced batch.
-func (s *Server) generateFast(entry *modelEntry, count, label int) (trace.Source, error) {
-	wait := &fastWait{count: count, label: label, done: make(chan struct{})}
-	entry.mu.Lock()
+// generateFast runs one fast-mode request on entry's float32 snapshot.
+// fastMu is held around the liveness check, the snapshot's lazy build and
+// the generate, so requests queued on it run one at a time and each finds
+// a retired entry dead. A panic anywhere in generation is contained the
+// way job panics are (run's recover → StateFailed): this request fails
+// with an error response, and the entry is retired so its (possibly
+// corrupt) snapshot is never reused; requests queued on fastMu then
+// retry on a fresh decode.
+func (s *Server) generateFast(entry *modelEntry, count, label int) (out trace.Source, err error) {
+	entry.fastMu.Lock()
+	defer entry.fastMu.Unlock()
 	if entry.dead.Load() {
-		entry.mu.Unlock()
 		return nil, errEvicted
 	}
-	entry.pending = append(entry.pending, wait)
-	runner := !entry.running
-	entry.running = true
-	entry.mu.Unlock()
-
-	// First arriver becomes the runner and drains the queue; requests
-	// landing while a batch is in flight are picked up by the next drain
-	// and coalesce into one forward fan-out.
-	if runner {
-		s.runFastBatches(entry)
-	}
-	<-wait.done
-	return wait.out, wait.err
-}
-
-// runFastBatches drains the entry's pending queue, one coalesced
-// GenerateBatch per drain, until the queue is empty. A batch only
-// coalesces requests pinned to the same scenario label (the conditioning
-// vector is per-forward-pass, not per-row); waiters for other labels
-// stay queued and are drained by subsequent iterations.
-func (s *Server) runFastBatches(entry *modelEntry) {
-	for {
-		entry.mu.Lock()
-		if len(entry.pending) == 0 {
-			entry.running = false
-			entry.mu.Unlock()
-			return
-		}
-		label := entry.pending[0].label
-		var batch, rest []*fastWait
-		for _, w := range entry.pending {
-			if w.label == label {
-				batch = append(batch, w)
-			} else {
-				rest = append(rest, w)
-			}
-		}
-		entry.pending = rest
-		entry.mu.Unlock()
-		if !s.serveFastBatch(entry, batch, label) {
-			return
-		}
-	}
-}
-
-// serveFastBatch runs one coalesced forward fan-out. A panic anywhere in
-// generation is contained the same way job panics are (run's recover →
-// StateFailed): every waiter in this batch AND any that queued meanwhile
-// fails with an error response, and the entry is retired so its
-// (possibly corrupt) state is never reused. Returns false when the entry
-// died and draining must stop.
-func (s *Server) serveFastBatch(entry *modelEntry, batch []*fastWait, label int) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			telFastPanics.Inc()
-			err := fmt.Errorf("fast generation for model %q panicked: %v", entry.info.Name, r)
-			// Refuse new waiters and fail everyone queued, then this batch
-			// (the panic aborted it before any done channel closed).
-			s.retire(entry, err)
-			for _, w := range batch {
-				w.err = err
-				close(w.done)
-			}
-			ok = false
+			s.retire(entry)
+			out, err = nil, fmt.Errorf("fast generation for model %q panicked: %v", entry.info.Name, r)
 		}
 	}()
 	if s.genHook != nil {
-		s.genHook(entry.info.Name, len(batch))
-	}
-	switch {
-	case entry.fastFlow == nil && entry.flow != nil:
-		entry.fastFlow = entry.flow.Fast()
-	case entry.fastPkt == nil && entry.pkt != nil:
-		entry.fastPkt = entry.pkt.Fast()
-	}
-	counts := make([]int, len(batch))
-	for i, w := range batch {
-		counts[i] = w.count
-	}
-	outs := make([]trace.Source, len(batch))
-	var err error // labels are pre-validated at enqueue; this is defensive
-	if entry.fastFlow != nil {
-		var flows []*trace.FlowTrace
-		if label >= 0 {
-			flows, err = entry.fastFlow.GenerateLabeledBatch(counts, trace.Label(label))
-		} else {
-			flows = entry.fastFlow.GenerateBatch(counts)
-		}
-		for i, f := range flows {
-			outs[i] = f
-		}
-	} else {
-		for i, p := range entry.fastPkt.GenerateBatch(counts) {
-			outs[i] = p
-		}
-	}
-	for i, w := range batch {
-		w.out, w.err = outs[i], err
-		close(w.done)
+		s.genHook(entry.info.Name)
 	}
 	telFastBatches.Inc()
-	return true
+	if entry.pkt != nil {
+		if entry.fastPkt == nil {
+			entry.fastPkt = entry.pkt.Fast()
+		}
+		return entry.fastPkt.Generate(count), nil
+	}
+	if entry.fastFlow == nil {
+		entry.fastFlow = entry.flow.Fast()
+	}
+	if label < 0 {
+		return entry.fastFlow.Generate(count), nil
+	}
+	// Labels are validated before generating; this error is defensive.
+	flows, err := entry.fastFlow.GenerateLabeled(count, trace.Label(label))
+	if err != nil {
+		return nil, err
+	}
+	return flows, nil
 }
 
 // writeTrace encodes src in format f into a buffer before sending the
@@ -442,7 +353,7 @@ func (s *Server) sweepModels(keep func(name string) bool) {
 	}
 	s.modelMu.Unlock()
 	for _, entry := range dropped {
-		s.retire(entry, errEvicted)
+		s.retire(entry)
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // TestFastServing exercises the fast-path serving stack end to end
@@ -26,7 +28,7 @@ func TestFastServing(t *testing.T) {
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
 	st := postJob(t, ts, tinyJob("netflow"))
-	if final := waitDone(t, api, ts, st.ID); final.State != StateDone {
+	if final := waitDone(t, ts, st.ID); final.State != StateDone {
 		t.Fatalf("training job failed: %s", final.Error)
 	}
 	waitPersisted(t, api, st.ID)
@@ -44,64 +46,68 @@ func TestFastServing(t *testing.T) {
 		}
 	})
 
-	t.Run("ConcurrentRequestsCoalesce", func(t *testing.T) {
-		var mu sync.Mutex
-		var batches []int
-		release := make(chan struct{})
-		first := make(chan struct{})
-		var once sync.Once
-		api.genHook = func(name string, batchSize int) {
-			mu.Lock()
-			batches = append(batches, batchSize)
-			mu.Unlock()
-			once.Do(func() { close(first) })
-			<-release
+	t.Run("FirstReplyDoesNotWaitForLater", func(t *testing.T) {
+		// Request 1 queues behind request 0's generate, and its hook
+		// holds it until request 0's reply has arrived. If request 0's
+		// handler ran request 1's generate before replying, that reply
+		// would wait on the hook until it timed out.
+		entered, release, replied := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var calls atomic.Int32
+		var timedOut atomic.Bool
+		api.genHook = func(string) {
+			switch calls.Add(1) {
+			case 1:
+				close(entered)
+				<-release
+			case 2:
+				select {
+				case <-replied:
+				case <-time.After(10 * time.Second):
+					timedOut.Store(true)
+				}
+			}
 		}
 		defer func() { api.genHook = nil }()
 
 		var wg sync.WaitGroup
-		results := make([]int, 3)
-		post := func(i int) {
-			defer wg.Done()
-			results[i], _ = generate(t, ts, model, GenerateRequest{Count: 40, Fast: true})
-		}
-		wg.Add(1)
-		go post(0)
-		<-first // request 0 is mid-batch; the scheduler slot is held
+		codes := make([]int, 2)
+		bodies := make([][]byte, 2)
 		wg.Add(2)
-		go post(1)
-		go post(2)
-		// Wait until both stragglers are queued on the entry, then let every
-		// batch through (the closed channel releases later hooks instantly).
-		waitPending(t, api, model, 2)
+		go func() {
+			defer wg.Done()
+			codes[0], bodies[0] = generate(t, ts, model, GenerateRequest{Count: 40, Fast: true})
+			close(replied)
+		}()
+		<-entered // request 0 holds the entry's fast lock
+		hits := telFastCacheHits.Value()
+		go func() {
+			defer wg.Done()
+			codes[1], bodies[1] = generate(t, ts, model, GenerateRequest{Count: 40, Fast: true})
+		}()
+		waitFastHit(t, hits) // request 1 queues behind request 0
 		close(release)
 		wg.Wait()
 
-		for i, code := range results {
+		for i, code := range codes {
 			if code != http.StatusOK {
-				t.Fatalf("request %d: %d", i, code)
+				t.Fatalf("request %d: %d %s", i, code, bodies[i])
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if len(batches) != 2 || batches[0] != 1 || batches[1] != 2 {
-			t.Fatalf("batch sizes = %v, want [1 2] (requests 1+2 coalesced)", batches)
+		if timedOut.Load() {
+			t.Fatal("request 0's reply waited for request 1's generate")
 		}
 	})
 
 	t.Run("PanicFailsWaitersAndEvicts", func(t *testing.T) {
-		var calls int
-		var mu sync.Mutex
-		entered := make(chan struct{})
-		armed := make(chan struct{})
-		api.genHook = func(name string, batchSize int) {
-			mu.Lock()
-			calls++
-			n := calls
-			mu.Unlock()
-			if n == 1 {
+		// Request 0's generate panics while request 1 waits behind it:
+		// request 0 fails, the poisoned entry is retired, and request 1
+		// retries on a fresh decode.
+		entered, armed := make(chan struct{}), make(chan struct{})
+		var calls atomic.Int32
+		api.genHook = func(string) {
+			if calls.Add(1) == 1 {
 				close(entered)
-				<-armed // hold the batch until a second request queues behind it
+				<-armed
 				panic("synthetic fast-path failure")
 			}
 		}
@@ -110,34 +116,36 @@ func TestFastServing(t *testing.T) {
 		var wg sync.WaitGroup
 		codes := make([]int, 2)
 		bodies := make([][]byte, 2)
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			codes[0], bodies[0] = generate(t, ts, model, GenerateRequest{Count: 30, Fast: true})
 		}()
-		<-entered // request 0 is mid-batch and holds the scheduler slot
-		wg.Add(1)
+		<-entered // request 0 holds the entry's fast lock
+		poisoned := api.lookupModel(model)
+		hits, panics := telFastCacheHits.Value(), telFastPanics.Value()
 		go func() {
 			defer wg.Done()
 			codes[1], bodies[1] = generate(t, ts, model, GenerateRequest{Count: 30, Fast: true})
 		}()
-		waitPending(t, api, model, 1) // request 1 is queued behind the doomed batch
+		waitFastHit(t, hits) // request 1 queues behind the doomed generate
 		close(armed)
 		wg.Wait()
 
-		for i := range codes {
-			if codes[i] != http.StatusInternalServerError {
-				t.Fatalf("request %d: %d %s, want 500", i, codes[i], bodies[i])
-			}
-			if !strings.Contains(string(bodies[i]), "panicked") {
-				t.Fatalf("request %d body %s does not report the panic", i, bodies[i])
-			}
+		if codes[0] != http.StatusInternalServerError || !strings.Contains(string(bodies[0]), "panicked") {
+			t.Fatalf("panicking request: %d %s, want a 500 reporting the panic", codes[0], bodies[0])
 		}
-		// The poisoned snapshot was evicted: the next request decodes a
-		// fresh one and succeeds (the hook no longer panics).
-		code, body := generate(t, ts, model, GenerateRequest{Count: 30, Fast: true})
-		if code != http.StatusOK {
-			t.Fatalf("post-panic generate: %d %s", code, body)
+		if codes[1] != http.StatusOK {
+			t.Fatalf("request queued behind the panic: %d %s, want 200 on a fresh decode", codes[1], bodies[1])
+		}
+		if n := telFastPanics.Value() - panics; n != 1 {
+			t.Fatalf("%d panics counted, want 1", n)
+		}
+		if !poisoned.dead.Load() {
+			t.Fatal("the panicked entry was not retired")
+		}
+		if api.lookupModel(model) == poisoned {
+			t.Fatal("the panicked entry is still cached")
 		}
 	})
 
@@ -179,8 +187,8 @@ func TestFastServing(t *testing.T) {
 		// A format the flow model cannot carry, or no format at all, is a
 		// 400 before any generation runs, on either serving path.
 		genPhase := telemetry.Default.Timer("core.generate.phase")
-		var batches atomic.Int32
-		api.genHook = func(string, int) { batches.Add(1) }
+		var gens atomic.Int32
+		api.genHook = func(string) { gens.Add(1) }
 		defer func() { api.genHook = nil }()
 		before := genPhase.Count()
 		for _, format := range []string{"pcap", "xml"} {
@@ -191,8 +199,8 @@ func TestFastServing(t *testing.T) {
 				}
 			}
 		}
-		if n := batches.Load(); n != 0 {
-			t.Fatalf("%d fast batches ran for rejected formats", n)
+		if n := gens.Load(); n != 0 {
+			t.Fatalf("%d generates ran for rejected formats", n)
 		}
 		if n := genPhase.Count() - before; n != 0 {
 			t.Fatalf("%d generate phases ran for rejected formats", n)
@@ -240,6 +248,114 @@ func TestFastServing(t *testing.T) {
 			t.Fatalf("generate racing sweep failed: %s", e)
 		}
 	})
+}
+
+// TestFastRepliesFollowOneSnapshotStream: a model version's fast replies
+// come from one snapshot, one request at a time. Two concurrent requests
+// on a cold cache decode the model twice but share the entry insertModel
+// keeps, so they get the snapshot's first two generates in some order;
+// serial plain and labeled CSV requests then continue the same stream,
+// byte for byte, as consecutive Generate and GenerateLabeled calls on
+// Fast() of the stored model loaded fresh.
+func TestFastRepliesFollowOneSnapshotStream(t *testing.T) {
+	framed, catalog := conditionalModelBytes(t)
+	ts, api, _ := startServerWithRegistry(t, t.TempDir())
+	if _, err := api.registry().PutModel("m", framed); err != nil {
+		t.Fatal(err)
+	}
+	syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := syn.Fast()
+	csv := func(src *trace.FlowTrace) []byte { return encodeBody(t, src, trace.KindNetFlow, "csv") }
+
+	cold := GenerateRequest{Count: 35, Format: "csv", Fast: true}
+	first, second := csv(snap.Generate(cold.Count)), csv(snap.Generate(cold.Count))
+	var wg sync.WaitGroup
+	bodies := make([][]byte, 2)
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var code int
+			if code, bodies[i] = generate(t, ts, "m", cold); code != http.StatusOK {
+				t.Errorf("cold request %d: %d %s", i, code, bodies[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if !(bytes.Equal(bodies[0], first) && bytes.Equal(bodies[1], second)) &&
+		!(bytes.Equal(bodies[0], second) && bytes.Equal(bodies[1], first)) {
+		t.Fatal("concurrent cold requests are not the snapshot's first two generates")
+	}
+
+	for i, req := range []GenerateRequest{
+		{Count: 40},
+		{Count: 25, Label: catalog[0].String()},
+		{Count: 60},
+		{Count: 30, Label: catalog[len(catalog)-1].String()},
+	} {
+		req.Format, req.Fast = "csv", true
+		var want *trace.FlowTrace
+		if label, ok := trace.ParseLabel(req.Label); ok {
+			if want, err = snap.GenerateLabeled(req.Count, label); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			want = snap.Generate(req.Count)
+		}
+		code, body := generate(t, ts, "m", req)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, code, body)
+		}
+		if !bytes.Equal(body, csv(want)) {
+			t.Fatalf("request %d (%+v) is not the snapshot's next generate", i, req)
+		}
+	}
+}
+
+// TestConcurrentFastRequestsGetTheirCountAndLabel: concurrent fast
+// requests with mixed counts and labels on one conditional model each get
+// exactly their count, and a labeled request's every record carries its
+// label.
+func TestConcurrentFastRequestsGetTheirCountAndLabel(t *testing.T) {
+	framed, catalog := conditionalModelBytes(t)
+	ts, api, _ := startServerWithRegistry(t, t.TempDir())
+	if _, err := api.registry().PutModel("m", framed); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		req := GenerateRequest{Count: 10 + 23*i, Format: "csv", Fast: true}
+		if i%3 != 0 {
+			req.Label = catalog[i%len(catalog)].String()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := generate(t, ts, "m", req)
+			if code != http.StatusOK {
+				t.Errorf("%+v: %d %s", req, code, body)
+				return
+			}
+			got, err := trace.ReadFlowCSV(bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				return
+			}
+			if len(got.Records) != req.Count {
+				t.Errorf("%+v: %d records", req, len(got.Records))
+			}
+			for _, r := range got.Records {
+				if req.Label != "" && r.Label.String() != req.Label {
+					t.Errorf("%+v: a record carries label %v", req, r.Label)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRetiredFastKindsStayUnsupported: a registry written before the
@@ -334,20 +450,17 @@ func TestRetiredFastKindsStayUnsupported(t *testing.T) {
 	}
 }
 
-// waitPending polls until the model's fast entry has n queued waiters.
-func waitPending(t *testing.T, api *Server, model string, n int) {
+// waitFastHit waits until a fast request has found its model's cached
+// entry since the fast cache-hit counter read hits, then gives that
+// request a moment to queue on the entry's fast lock.
+func waitFastHit(t *testing.T, hits int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if entry := api.lookupModel(model); entry != nil {
-			entry.mu.Lock()
-			queued := len(entry.pending)
-			entry.mu.Unlock()
-			if queued >= n {
-				return
-			}
+	for telFastCacheHits.Value() == hits {
+		if time.Now().After(deadline) {
+			t.Fatal("no fast request reached the cached entry")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("fast entry for %s never reached %d pending waiters", model, n)
+	time.Sleep(50 * time.Millisecond)
 }

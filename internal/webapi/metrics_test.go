@@ -23,7 +23,7 @@ func TestPanickingJobLeavesServerResponsive(t *testing.T) {
 		}
 	}
 	st := postJob(t, ts, tinyJob("netflow"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateFailed {
 		t.Fatalf("panicked job state = %s, want failed", final.State)
 	}
@@ -55,7 +55,7 @@ func TestPanickingJobLeavesServerResponsive(t *testing.T) {
 
 	// The inflight slot was released: a second job trains to completion.
 	st2 := postJob(t, ts, tinyJob("netflow"))
-	if final2 := waitDone(t, api, ts, st2.ID); final2.State != StateDone {
+	if final2 := waitDone(t, ts, st2.ID); final2.State != StateDone {
 		t.Fatalf("follow-up job = %s (%s)", final2.State, final2.Error)
 	}
 }
@@ -63,9 +63,9 @@ func TestPanickingJobLeavesServerResponsive(t *testing.T) {
 // TestMetricsEndpoint: GET /metrics serves the registry snapshot as JSON
 // and as Prometheus text with ?format=prom.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	st := postJob(t, ts, tinyJob("netflow"))
-	if final := waitDone(t, api, ts, st.ID); final.State != StateDone {
+	if final := waitDone(t, ts, st.ID); final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
 
@@ -111,9 +111,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestStatusIncludesJobMetrics: finished jobs report their final per-chunk
 // losses in the status response.
 func TestStatusIncludesJobMetrics(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	st := postJob(t, ts, tinyJob("netflow"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}

@@ -170,7 +170,7 @@ func TestOverwrittenModelReloads(t *testing.T) {
 
 	exact := GenerateRequest{Count: 40, Format: "csv"}
 	fast := GenerateRequest{Count: 40, Format: "csv", Fast: true}
-	// A fresh entry's first fast batch comes from a fresh snapshot, so a
+	// A fresh entry's first fast request runs on a fresh snapshot, so a
 	// single fast request after a (re)load is predictable too.
 	fastBody := func(framed []byte) []byte {
 		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
@@ -235,7 +235,7 @@ func TestArtifactLRUServesRepeatGenerates(t *testing.T) {
 		if _, err := api.registry().PutModel("m", framed); err != nil {
 			t.Fatal(err)
 		}
-		api.genHook = func(string, int) { gens.Add(1) }
+		api.genHook = func(string) { gens.Add(1) }
 		return ts, api
 	}
 	// serve posts req and reports the reply and whether it generated.

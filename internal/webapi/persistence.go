@@ -190,10 +190,10 @@ type GenerateRequest struct {
 	// model's trained scenario mixture.
 	Label string `json:"label,omitempty"`
 	// Fast opts into the float32 fast mode (fastserve.go): a snapshot of
-	// the cached model and coalesced batched generation. Higher throughput
-	// on large counts, but output depends on request ordering — only its
-	// distribution is pinned. The default mode, served from the same
-	// cached model, is per-request deterministic.
+	// the cached model that generates one request at a time. Higher
+	// throughput on large counts, but output depends on request ordering —
+	// only its distribution is pinned. The default mode, served from the
+	// same cached model, is per-request deterministic.
 	Fast bool `json:"fast,omitempty"`
 }
 

@@ -93,7 +93,7 @@ func TestRestartRecoversJobsAndServesIdenticalBytes(t *testing.T) {
 	tsA, apiA, _ := startServerWithRegistry(t, dir)
 
 	st := postJob(t, tsA, tinyJob("netflow"))
-	final := waitDone(t, apiA, tsA, st.ID)
+	final := waitDone(t, tsA, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
@@ -171,7 +171,7 @@ func TestRestartRecoversFailedJobs(t *testing.T) {
 	req := tinyJob("netflow")
 	req.Dataset = "no-such-dataset"
 	st := postJob(t, tsA, req)
-	final := waitDone(t, apiA, tsA, st.ID)
+	final := waitDone(t, tsA, st.ID)
 	if final.State != StateFailed || final.Error == "" {
 		t.Fatalf("expected failure, got %+v", final)
 	}
@@ -206,7 +206,7 @@ func TestNewJobIDsStayMonotonicAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	tsA, apiA, _ := startServerWithRegistry(t, dir)
 	st := postJob(t, tsA, tinyJob("netflow"))
-	waitDone(t, apiA, tsA, st.ID)
+	waitDone(t, tsA, st.ID)
 	waitPersisted(t, apiA, st.ID)
 	tsA.Close()
 
@@ -215,7 +215,7 @@ func TestNewJobIDsStayMonotonicAfterRecovery(t *testing.T) {
 	if st2.ID == st.ID {
 		t.Fatalf("restarted server reused job ID %s", st.ID)
 	}
-	waitDone(t, apiB, tsB, st2.ID)
+	waitDone(t, tsB, st2.ID)
 	// Persistence completes after the status flips to done; without this
 	// wait, TempDir cleanup races the registry write still in flight.
 	waitPersisted(t, apiB, st2.ID)
@@ -242,7 +242,7 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 
 	st := postJob(t, ts, tinyJob("pcap"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
@@ -292,7 +292,7 @@ func TestGenerateIsDeterministicPerRequest(t *testing.T) {
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
 	st := postJob(t, ts, tinyJob("netflow"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
@@ -330,7 +330,7 @@ func (l *lockedBuffer) String() string {
 // error counter.
 func TestPersistenceFailureIsLogged(t *testing.T) {
 	dir := t.TempDir()
-	ts, api, _ := startServerWithRegistry(t, dir)
+	ts, _, _ := startServerWithRegistry(t, dir)
 	// A plain file where the jobs directory was fails every job write.
 	jobs := filepath.Join(dir, "jobs")
 	if err := os.RemoveAll(jobs); err != nil {
@@ -350,27 +350,28 @@ func TestPersistenceFailureIsLogged(t *testing.T) {
 	}()
 
 	errs0 := telRegistryErrors.Value()
-	notify := api.Notifications()
 	req := tinyJob("netflow")
 	req.Dataset = "nonexistent" // fails fast; persistFailed then hits the broken registry
 	st := postJob(t, ts, req)
-	select {
-	case <-notify: // sent after the job body, persistence included, returns
-	case <-time.After(60 * time.Second):
-		t.Fatal("job never finished")
-	}
 
-	if telRegistryErrors.Value() == errs0 {
-		t.Fatal("persistence failure not counted")
-	}
-	logged := false
-	for _, raw := range strings.Split(logs.String(), "\n") {
-		var line struct{ Job, Err string }
-		if json.Unmarshal([]byte(raw), &line) == nil && line.Job == st.ID && line.Err != "" {
-			logged = true
+	// logged reports whether a log line names the job and its error.
+	logged := func() bool {
+		for _, raw := range strings.Split(logs.String(), "\n") {
+			var line struct{ Job, Err string }
+			if json.Unmarshal([]byte(raw), &line) == nil && line.Job == st.ID && line.Err != "" {
+				return true
+			}
 		}
+		return false
 	}
-	if !logged {
-		t.Fatalf("no log line for job %s with its error; logs:\n%s", st.ID, logs.String())
+	deadline := time.Now().Add(60 * time.Second)
+	for telRegistryErrors.Value() == errs0 || !logged() {
+		if time.Now().After(deadline) {
+			if telRegistryErrors.Value() == errs0 {
+				t.Fatal("persistence failure not counted")
+			}
+			t.Fatalf("no log line for job %s with its error; logs:\n%s", st.ID, logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

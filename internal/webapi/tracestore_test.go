@@ -99,7 +99,7 @@ func TestJobPersistsColumnarStore(t *testing.T) {
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
 	st := postJob(t, ts, tinyJob("netflow"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}

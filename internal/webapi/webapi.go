@@ -192,9 +192,6 @@ type Server struct {
 	// maxInflight bounds concurrently running jobs (the prototype runs on
 	// one box; excess submissions queue as pending until a slot frees).
 	sem chan struct{}
-	// done is closed-by-signal bookkeeping for tests: every finished job
-	// sends on it when the server was built with notifications.
-	notify chan string
 
 	// runHook, when non-nil, runs at the start of every job body — the
 	// test seam for the panic-containment tests.
@@ -219,10 +216,10 @@ type Server struct {
 	artCache           map[string]*list.Element
 	artLRU             *list.List
 	artSize            int64
-	// genHook, when non-nil, runs before generation: inside each
-	// coalesced fast batch and in each default-mode request the reply
-	// cache misses — the test seam for coalescing, panic and sweep tests.
-	genHook func(name string, batchSize int)
+	// genHook, when non-nil, runs before generation in each fast request
+	// and in each default-mode request the reply cache misses — the test
+	// seam for ordering, panic and sweep tests.
+	genHook func(name string)
 
 	// ingestSrc, when attached, backs GET /api/v1/ingest with live
 	// flow-assembly statistics.
@@ -465,14 +462,12 @@ func (req *JobRequest) config() core.Config {
 }
 
 // run executes one job in the background. Panics in the job body are
-// contained: the job fails, the inflight slot is released, the completion
-// notification still fires, and — because every status mutation helper
-// unlocks via defer — no lock is left held, so the server stays fully
-// responsive afterwards.
+// contained: the job fails, the inflight slot is released, and — because
+// every status mutation helper unlocks via defer — no lock is left held,
+// so the server stays fully responsive afterwards.
 func (s *Server) run(id string, req JobRequest) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	defer s.notifyDone(id)
 	sw := telJobDuration.Start()
 	defer sw.Stop()
 	defer func() {
@@ -589,20 +584,6 @@ func (s *Server) publicCorpus(cfg core.Config) *trace.PacketTrace {
 // the job's per-chunk status.
 func (s *Server) executor(id string) core.Executor {
 	return core.Executor{Progress: func(chunk int, done bool) { s.chunkProgress(id, chunk, done) }}
-}
-
-// notifyDone signals job completion to the notifications channel (if one
-// was requested) without blocking.
-func (s *Server) notifyDone(id string) {
-	s.mu.Lock()
-	ch := s.notify
-	s.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- id:
-		default:
-		}
-	}
 }
 
 func loadFlowInput(req JobRequest) (*trace.FlowTrace, error) {

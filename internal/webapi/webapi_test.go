@@ -59,33 +59,19 @@ func postJob(t *testing.T, ts *httptest.Server, req JobRequest) JobStatus {
 	return st
 }
 
-// Notifications returns a channel receiving each job id as it finishes
-// (success or failure). Intended for tests and CLI progress display.
-func (s *Server) Notifications() <-chan string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.notify == nil {
-		s.notify = make(chan string, 64)
-	}
-	return s.notify
-}
-
-func waitDone(t *testing.T, api *Server, ts *httptest.Server, id string) JobStatus {
+func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	notify := api.Notifications()
-	deadline := time.After(120 * time.Second)
+	deadline := time.Now().Add(120 * time.Second)
 	for {
 		st := getStatus(t, ts, id)
 		switch st.State {
 		case StateDone, StateFailed:
 			return st
 		}
-		select {
-		case <-notify:
-		case <-time.After(200 * time.Millisecond):
-		case <-deadline:
+		if time.Now().After(deadline) {
 			t.Fatalf("job %s did not finish", id)
 		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -160,12 +146,12 @@ func TestDatasetsEndpoint(t *testing.T) {
 }
 
 func TestNetFlowJobLifecycle(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	st := postJob(t, ts, tinyJob("netflow"))
 	if st.State != StatePending && st.State != StateRunning {
 		t.Fatalf("initial state %s", st.State)
 	}
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
@@ -216,9 +202,9 @@ func TestNetFlowJobLifecycle(t *testing.T) {
 }
 
 func TestPCAPJobProducesValidPCAP(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	st := postJob(t, ts, tinyJob("pcap"))
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
@@ -240,7 +226,7 @@ func TestPCAPJobProducesValidPCAP(t *testing.T) {
 }
 
 func TestInlineCSVJob(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	var buf bytes.Buffer
 	if err := trace.WriteFlowCSV(&buf, datasets.UGR16(150, 3)); err != nil {
 		t.Fatal(err)
@@ -250,7 +236,7 @@ func TestInlineCSVJob(t *testing.T) {
 	req.Records = 0
 	req.CSV = buf.String()
 	st := postJob(t, ts, req)
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("inline CSV job failed: %s", final.Error)
 	}
@@ -283,11 +269,11 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestUnknownDatasetFailsJob(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	req := tinyJob("netflow")
 	req.Dataset = "nonexistent"
 	st := postJob(t, ts, req)
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateFailed {
 		t.Fatalf("expected failure, got %s", final.State)
 	}
@@ -317,7 +303,7 @@ func TestStatusAndDownloadErrors(t *testing.T) {
 }
 
 func TestDownloadBeforeDoneConflicts(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	st := postJob(t, ts, tinyJob("netflow"))
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/trace")
 	if err != nil {
@@ -328,13 +314,13 @@ func TestDownloadBeforeDoneConflicts(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict && resp.StatusCode != http.StatusOK {
 		t.Fatalf("early download: %d", resp.StatusCode)
 	}
-	waitDone(t, api, ts, st.ID)
+	waitDone(t, ts, st.ID)
 }
 
 func TestListJobs(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	a := postJob(t, ts, tinyJob("netflow"))
-	waitDone(t, api, ts, a.ID)
+	waitDone(t, ts, a.ID)
 
 	resp, err := http.Get(ts.URL + "/api/v1/jobs")
 	if err != nil {
@@ -351,12 +337,12 @@ func TestListJobs(t *testing.T) {
 }
 
 func TestDPJobReportsEpsilon(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	req := tinyJob("netflow")
 	req.SeedSteps = 15
 	req.DP = &DPRequest{NoiseMultiplier: 1.0, Pretrain: true}
 	st := postJob(t, ts, req)
-	final := waitDone(t, api, ts, st.ID)
+	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("DP job failed: %s", final.Error)
 	}
@@ -366,7 +352,7 @@ func TestDPJobReportsEpsilon(t *testing.T) {
 }
 
 func TestConcurrentJobsQueue(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	var ids []string
 	for i := 0; i < 3; i++ {
 		req := tinyJob("netflow")
@@ -374,7 +360,7 @@ func TestConcurrentJobsQueue(t *testing.T) {
 		ids = append(ids, postJob(t, ts, req).ID)
 	}
 	for _, id := range ids {
-		if st := waitDone(t, api, ts, id); st.State != StateDone {
+		if st := waitDone(t, ts, id); st.State != StateDone {
 			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
 		}
 	}
@@ -410,9 +396,9 @@ func ExampleServer() {
 }
 
 func TestJobReportsChunkStatus(t *testing.T) {
-	ts, api := startServer(t)
+	ts, _ := startServer(t)
 	job := postJob(t, ts, tinyJob("netflow"))
-	st := waitDone(t, api, ts, job.ID)
+	st := waitDone(t, ts, job.ID)
 	if st.State != StateDone {
 		t.Fatalf("job state = %s (%s)", st.State, st.Error)
 	}
