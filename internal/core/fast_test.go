@@ -153,13 +153,19 @@ func TestFastFlowSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFastPacketGenerateValidAndExact: every fast packet generate, also
-// consecutive ones on one snapshot, emits exactly its count of valid,
-// time-sorted packets.
+// TestFastPacketGenerateValidAndExact: every fast packet generate emits
+// exactly its count of valid, time-sorted packets.
 func TestFastPacketGenerateValidAndExact(t *testing.T) {
 	_, syn := trainedSynthesizers(t)
 	fast := syn.Fast()
 	checkGenerateCounts(t, 220, func(n int) int { return validPackets(t, fast.Generate(n)) })
+}
+
+// TestFastPacketGenerateBatchExactCounts: consecutive requests of
+// different sizes served by one snapshot each get exactly their count.
+func TestFastPacketGenerateBatchExactCounts(t *testing.T) {
+	_, syn := trainedSynthesizers(t)
+	fast := syn.Fast()
 	for _, n := range []int{150, 40, 17} {
 		if got := validPackets(t, fast.Generate(n)); got != n {
 			t.Fatalf("Generate(%d) gave %d packets", n, got)
